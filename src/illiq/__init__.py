@@ -38,23 +38,17 @@ from .model import (  # noqa: F401
     load_config,
     load_game,
     load_grid,
-    payoff_slope,
-    payoff_sup_slope,
-    payoff_value,
 )
 from .speeds import (  # noqa: F401
     CertificationError,
     CostCertificate,
     SpeedSolverError,
     SpeedSolverSettings,
-    aggregate_speed,
     aggregate_speed_many,
     apriori_speed_bound,
     certify_cost,
     certify_for_game,
-    cost_slope,
-    cost_value,
-    player_speeds,
+    equilibrium_fields,
 )
 from .closedform import (  # noqa: F401
     BurgersProblem,
@@ -62,7 +56,6 @@ from .closedform import (  # noqa: F401
     QuadratureRule,
     burgers_value,
     cara_single_value,
-    closed_speed_field,
     heat_convolve,
     heat_convolve_grid,
     rn_aggregate_grid,
@@ -70,7 +63,6 @@ from .closedform import (  # noqa: F401
     rn_individual_values,
 )
 from .pdesolve import (  # noqa: F401
-    FdSettings,
     PicardSettings,
     ResidualReport,
     Solution,
@@ -95,12 +87,10 @@ from .simulate import (  # noqa: F401
 from .experiments import (  # noqa: F401
     ExperimentError,
     SweepResult,
-    ZeroSumReport,
     cara_two_player_study,
     figure_grids,
     predator_sweep,
     split_sweep,
     spread_sweep,
-    zero_sum_check,
     zero_sum_report,
 )

@@ -7,8 +7,11 @@ Subcommands
     sweep      run one of the scripted studies and assert its claims
 
 Exit codes: 0 ok, 1 parse/missing input, 2 certification failure,
-3 method/game mismatch, 4 solver error, 5 solution/config hash mismatch,
-6 sweep assertion failure.
+3 method/game mismatch, 4 solver error (including a solve whose speeds
+exceed the a-priori bound; its outputs are still written), 5 solution/config
+hash mismatch, 6 sweep assertion failure.
+
+Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .closedform import (
     QuadratureRule,
     cara_single_value,
     central_gradient,
-    closed_speed_field,
     rn_aggregate_grid,
     rn_individual_values,
 )
@@ -75,6 +77,7 @@ from .speeds import (
     SpeedSolverError,
     apriori_speed_bound,
     certify_for_game,
+    equilibrium_fields,
 )
 
 EXIT_OK = 0
@@ -144,6 +147,7 @@ def _manifest(command: str, config_hash: str, grid_hash: str, seed, t0: float,
         tool_version=__version__,
         wall_time_s=time.time() - t0,
         outputs=tuple(str(o) for o in outputs),
+        threads=worker_cap(),
     )
 
 
@@ -205,9 +209,12 @@ def _solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
         raise MethodMismatch(
             "closed form covers risk-neutral games and the single CARA player only"
         )
+    cert = certify_for_game(game)
+    bound = apriori_speed_bound(game, cert)
     grads = central_gradient(values, grid.dp)
-    speeds, agg = closed_speed_field(game, grads)
-    meta = {"scheme": "closed-form", "quad_nodes": grid.quad_nodes}
+    speeds, agg, _ = equilibrium_fields(game, cert.eps_floor, grads)
+    meta = {"scheme": "closed-form", "quad_nodes": grid.quad_nodes,
+            "certificate": cert, "speed_bound": bound}
     return Solution(grid, times, prices, values, grads, speeds, agg, meta)
 
 
@@ -231,8 +238,7 @@ def cmd_solve(args) -> int:
     else:
         sol = _solve_closed(game, grid)
 
-    cert = certify_for_game(game)
-    bound = apriori_speed_bound(game, cert)
+    bound = sol.meta["speed_bound"]
     rep = residual(sol, game)
     max_speed = float(np.max(np.abs(sol.speeds)))
     bound_ok = max_speed <= bound + 1e-6
@@ -253,7 +259,7 @@ def cmd_solve(args) -> int:
     print(f"speed bound check: max |speed| = {max_speed:.6g} vs bound {bound:.6g} "
           f"-> {'PASS' if bound_ok else 'FAIL'}")
     print(f"wrote {sol_path} {surp_path} {manifest_path}")
-    return EXIT_OK
+    return EXIT_OK if bound_ok else EXIT_SOLVER
 
 
 def _write_surplus_csv(sol: Solution, surp: np.ndarray, time_indices, path) -> None:
@@ -336,26 +342,55 @@ def _write_sweep_csv(result: SweepResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_grids_csv(grids: dict, path) -> None:
-    one_d = {k: np.asarray(v) for k, v in grids.items() if np.ndim(v) == 1}
-    if one_d:
-        cols = list(one_d)
-        data = np.column_stack([one_d[c] for c in cols])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+def _write_grid_csv(columns: dict, path) -> None:
+    data = np.column_stack(list(columns.values()))
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
 
 
-def _sweep_outputs(result: SweepResult, out: Path, prefix: str = "sweep"):
-    csv_path = out / f"{prefix}.csv"
-    _write_sweep_csv(result, csv_path)
-    grids_path = out / f"{prefix}_grids.csv"
-    _write_grids_csv(result.grids, grids_path)
-    return [csv_path.name, grids_path.name], {
-        "assertions": result.assertions,
-        "passed": result.passed,
-        "failing": result.failing(),
-        "game_hash": result.game_hash,
-        "grid_hash": result.grid_hash,
-    }
+def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
+    """Write one study's files and return the names of those written:
+    ``<prefix>.csv`` for the metrics, ``<prefix>_grids.csv`` for the 1-D grids
+    (when any besides the price axis) and ``<prefix>_<name>.csv`` in long
+    ``<param>,p,<name>`` form for each 2-D grid."""
+    written = []
+    if result.metrics:
+        _write_sweep_csv(result, out / f"{prefix}.csv")
+        written.append(f"{prefix}.csv")
+    one_d = {k: np.asarray(v) for k, v in result.grids.items() if np.ndim(v) == 1}
+    if set(one_d) - {"prices"}:
+        _write_grid_csv(one_d, out / f"{prefix}_grids.csv")
+        written.append(f"{prefix}_grids.csv")
+    for name, arr in result.grids.items():
+        if np.ndim(arr) == 2:
+            prices = result.grids["prices"]
+            _write_grid_csv({result.param: np.repeat(result.values, prices.size),
+                             "p": np.tile(prices, len(result.values)),
+                             name: arr.reshape(-1)}, out / f"{prefix}_{name}.csv")
+            written.append(f"{prefix}_{name}.csv")
+    return written
+
+
+def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
+    """One SweepResult, or several keyed by name (fig5, fig6)."""
+    if study == "zero_sum":
+        return zero_sum_report(game, grid)
+    if study in ("predator", "split"):
+        ns = _csv_list(args.n_list, int) if args.n_list else (1, 10, 100)
+        fn = predator_sweep if study == "predator" else split_sweep
+        return fn(game.players[0].endowment, ns, game, grid)
+    if study == "spread":
+        spreads = _csv_list(args.s_list, float) if args.s_list else (0.0, 0.001, 0.002, 0.003, 0.004)
+        sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else 100.0
+        return spread_sweep(game, spreads, sharpness, grid)
+    if study == "cara2":
+        alphas = [pl.utility.alpha for pl in game.players if isinstance(pl.utility, CARA)]
+        if len(alphas) != 2:
+            raise MethodMismatch("cara2 study needs a config with exactly two CARA players")
+        p0 = game.market.p0
+        return cara_two_player_study(alphas, game, grid, band=(p0 - 5.0, p0 + 5.0))
+    if study.startswith("figure:"):
+        return figure_grids(study.split(":", 1)[1], grid)
+    raise ConfigError(f"unknown study '{study}'")
 
 
 def cmd_sweep(args) -> int:
@@ -365,73 +400,20 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     study = args.study
+    data = _run_study(study, game, grid, args)
+    results = data if isinstance(data, dict) else {"": data}
+    prefix = study.split(":", 1)[1] if study.startswith("figure:") else "sweep"
 
     outputs: list = []
-    report: dict
-    if study == "zero_sum":
-        rep = zero_sum_report(game, grid)
-        csv_path = out / "sweep.csv"
-        lines = [
-            "param,value,metric,metric_value",
-            f"study,zero_sum,max_aggregate_speed,{rep.max_aggregate_speed:.17g}",
-            f"study,zero_sum,max_value_sum,{rep.max_value_sum:.17g}",
-            f"study,zero_sum,max_payoff_sum,{rep.max_payoff_sum:.17g}",
-        ]
-        csv_path.write_text("\n".join(lines) + "\n")
-        outputs.append(csv_path.name)
-        report = {
-            "assertions": {"offsetting_payoffs": rep.offsetting,
-                           "aggregate_speed_cancels": rep.cancelled},
-            "passed": rep.passed,
-            "failing": [k for k, ok in
-                        {"offsetting_payoffs": rep.offsetting,
-                         "aggregate_speed_cancels": rep.cancelled}.items() if not ok],
-        }
-    elif study in ("predator", "split"):
-        ns = _csv_list(args.n_list, int) if args.n_list else (1, 10, 100)
-        h = game.players[0].endowment
-        fn = predator_sweep if study == "predator" else split_sweep
-        result = fn(h, ns, game, grid)
-        outputs, report = _sweep_outputs(result, out)
-    elif study == "spread":
-        spreads = _csv_list(args.s_list, float) if args.s_list else (0.0, 0.001, 0.002, 0.003, 0.004)
-        sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else 100.0
-        result = spread_sweep(game, spreads, sharpness, grid)
-        outputs, report = _sweep_outputs(result, out)
-    elif study == "cara2":
-        alphas = [pl.utility.alpha for pl in game.players if isinstance(pl.utility, CARA)]
-        if len(alphas) != 2:
-            raise MethodMismatch("cara2 study needs a config with exactly two CARA players")
-        p0 = game.market.p0
-        result = cara_two_player_study(alphas, game, grid, band=(p0 - 5.0, p0 + 5.0))
-        outputs, report = _sweep_outputs(result, out)
-    elif study.startswith("figure:"):
-        fig = study.split(":", 1)[1]
-        data = figure_grids(fig, grid)
-        report = {"assertions": {}, "passed": True, "failing": []}
-        if isinstance(data, SweepResult):
-            outputs, report = _sweep_outputs(data, out, prefix=fig)
-        elif isinstance(data, dict) and all(isinstance(v, SweepResult) for v in data.values()):
-            merged = {}
-            for key, res in data.items():
-                files, rep = _sweep_outputs(res, out, prefix=f"{fig}_{key}")
-                outputs += files
-                merged.update({f"{key}.{k}": v for k, v in rep["assertions"].items()})
-            report = {"assertions": merged, "passed": all(merged.values()),
-                      "failing": [k for k, ok in merged.items() if not ok]}
-        else:
-            for name in ("speed", "surplus"):
-                arr = data[name]
-                rows = np.empty((arr.size, 3))
-                rows[:, 0] = np.repeat(data["times"], data["prices"].size)
-                rows[:, 1] = np.tile(data["prices"], data["times"].size)
-                rows[:, 2] = arr.reshape(-1)
-                fpath = out / f"{fig}_{name}.csv"
-                np.savetxt(fpath, rows, fmt="%.17g", delimiter=",",
-                           header=f"t,p,{name}", comments="")
-                outputs.append(fpath.name)
-    else:
-        raise ConfigError(f"unknown study '{study}'")
+    assertions: dict = {}
+    for key, result in results.items():
+        outputs += _sweep_outputs(result, out, f"{prefix}_{key}" if key else prefix)
+        assertions.update({f"{key}.{k}" if key else k: ok for k, ok in result.assertions.items()})
+    report = {"assertions": assertions, "passed": all(assertions.values()),
+              "failing": [k for k, ok in assertions.items() if not ok]}
+    if len(results) == 1:
+        (result,) = results.values()
+        report.update(game_hash=result.game_hash, grid_hash=result.grid_hash)
 
     report_path = out / "assertions.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")

@@ -33,7 +33,6 @@ __all__ = [
     "rn_aggregate_grid",
     "rn_individual_values",
     "cara_single_value",
-    "closed_speed_field",
     "central_gradient",
 ]
 
@@ -286,17 +285,3 @@ def cara_single_value(game: GameSpec, t: float, p, rule: QuadratureRule):
     )
     return burgers_value(prob, t, p, rule)
 
-
-def closed_speed_field(game: GameSpec, gradients: np.ndarray):
-    """Per-player and aggregate equilibrium speed fields under linear cost:
-    speed_j = (lambda/kappa) (grad_j - sum_i grad_i / (N+1)).  The aggregate
-    is returned as the sum of the player fields, so the two agree exactly."""
-    if not isinstance(game.cost, LinearCost):
-        raise ClosedFormError("closed_speed_field requires a linear cost function")
-    grads = np.asarray(gradients, dtype=float)
-    n = game.n_players
-    if grads.shape[0] != n:
-        raise ValueError("gradient array must have one leading slice per player")
-    ratio = game.market.lam / game.cost.kappa
-    speeds = ratio * (grads - grads.sum(axis=0) / (n + 1))
-    return speeds, speeds.sum(axis=0)

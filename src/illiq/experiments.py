@@ -3,8 +3,9 @@ spread-crossing sweeps, the two-player exponential-utility study and the
 benchmark figure grids.
 
 Each study returns a SweepResult carrying its scalar metrics, any grids a
-plot would need, the pass/fail state of its assertions and provenance
-hashes of the game and grid that produced it.
+plot would need (1-D rows over the price grid, or (n_t, n_p) lattices when
+the swept parameter is the time ``t``), the pass/fail state of its
+assertions and provenance hashes of the game and grid that produced it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import (
-    QuadratureRule,
-    central_gradient,
-    rn_aggregate_value,
-)
+from .closedform import QuadratureRule, central_gradient, heat_convolve, rn_aggregate_value
 from .manifest import digest
 from .model import (
     CARA,
@@ -36,13 +33,12 @@ from .model import (
     game_to_dict,
     grid_to_dict,
 )
-from .pdesolve import FdSettings, solve_fd, surplus
+from .pdesolve import solve_fd, surplus
+from .speeds import aggregate_speed_many, certify_for_game
 
 __all__ = [
     "ExperimentError",
     "SweepResult",
-    "ZeroSumReport",
-    "zero_sum_check",
     "zero_sum_report",
     "predator_sweep",
     "split_sweep",
@@ -74,20 +70,6 @@ class SweepResult:
         return [k for k, ok in self.assertions.items() if not ok]
 
 
-@dataclass(frozen=True)
-class ZeroSumReport:
-    max_aggregate_speed: float
-    max_value_sum: float
-    max_payoff_sum: float
-    tolerance: float
-    offsetting: bool
-    cancelled: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.offsetting and self.cancelled
-
-
 def _hashes(game: GameSpec, grid: GridSpec):
     return digest(game_to_dict(game)), digest(grid_to_dict(grid))
 
@@ -96,45 +78,37 @@ def _non_increasing(values: np.ndarray, tol: float) -> bool:
     return bool(np.all(np.diff(values) <= tol))
 
 
-def zero_sum_report(game: GameSpec, grid: GridSpec,
-                    settings: FdSettings | None = None) -> ZeroSumReport:
-    """Solve a configured game and report how close the aggregate speed and
-    the value sum are to zero; the payoffs are checked for offsetting."""
+def zero_sum_report(game: GameSpec, grid: GridSpec) -> SweepResult:
+    """Solve a configured game (a holder of h against the writer of h, say)
+    and report how close the aggregate speed and the value sum are to zero;
+    the payoffs are checked for offsetting."""
     if not game.all_risk_neutral:
         raise ExperimentError("zero-sum study requires risk-neutral players")
-    settings = settings or FdSettings()
     prices = grid.prices
     payoff_sum = sum(np.asarray(pl.endowment.value(prices), dtype=float)
                      for pl in game.players)
     max_payoff_sum = float(np.max(np.abs(payoff_sum)))
-    sol = solve_fd(game, grid, settings)
-    tol = 10.0 * settings.speed.root_tol
+    sol = solve_fd(game, grid)
     max_agg = float(np.max(np.abs(sol.aggregate_speed)))
     max_vsum = float(np.max(np.abs(sol.values.sum(axis=0))))
     scale = max(1.0, max(pl.endowment.bound for pl in game.players))
-    return ZeroSumReport(
-        max_aggregate_speed=max_agg,
-        max_value_sum=max_vsum,
-        max_payoff_sum=max_payoff_sum,
-        tolerance=tol,
-        offsetting=max_payoff_sum <= 1e-9 * scale,
-        cancelled=max_agg <= tol,
+    game_hash, grid_hash = _hashes(game, grid)
+    return SweepResult(
+        param="study",
+        values=("zero_sum",),
+        metrics={
+            "max_aggregate_speed": np.array([max_agg]),
+            "max_value_sum": np.array([max_vsum]),
+            "max_payoff_sum": np.array([max_payoff_sum]),
+        },
+        grids={},
+        assertions={
+            "offsetting_payoffs": max_payoff_sum <= 1e-9 * scale,
+            "aggregate_speed_cancels": max_agg <= 10.0 * sol.meta["root_tol"],
+        },
+        game_hash=game_hash,
+        grid_hash=grid_hash,
     )
-
-
-def zero_sum_check(h: Payoff, template: GameSpec, grid: GridSpec,
-                   settings: FdSettings | None = None) -> ZeroSumReport:
-    """Two risk-neutral players holding h and its negation: the aggregate
-    equilibrium speed vanishes identically."""
-    game = GameSpec(
-        market=template.market,
-        cost=template.cost,
-        players=(
-            PlayerSpec(RiskNeutral(), h),
-            PlayerSpec(RiskNeutral(), Negated(h)),
-        ),
-    )
-    return zero_sum_report(game, grid, settings)
 
 
 def _rn_linear_template(template: GameSpec, what: str) -> None:
@@ -153,14 +127,18 @@ def _split_game(h: Payoff, n: int, template: GameSpec) -> GameSpec:
     return GameSpec(template.market, template.cost, players)
 
 
-def _closed_aggregate_speed_row(game: GameSpec, grid: GridSpec,
-                                rule: QuadratureRule) -> np.ndarray:
-    """Aggregate speed lambda v_p / (kappa (N+1)) at t=0 from the closed form."""
-    prices = grid.prices
-    v0 = rn_aggregate_value(game, 0.0, prices, rule)
-    v_p = central_gradient(np.asarray(v0), grid.dp)
-    n = game.n_players
-    return game.market.lam / (game.cost.kappa * (n + 1)) * v_p
+def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridSpec,
+                      rule: QuadratureRule) -> dict:
+    """Time-zero aggregate speed per N: the speed root at lambda times the
+    price gradient of the closed-form aggregate value."""
+    rows = {}
+    for n in ns:
+        game = make_game(h, n, template)
+        v0 = rn_aggregate_value(game, 0.0, grid.prices, rule)
+        v_p = central_gradient(np.asarray(v0), grid.dp)
+        eps = certify_for_game(game).eps_floor
+        rows[n] = aggregate_speed_many(game.cost, n, game.market.lam * v_p, eps)
+    return rows
 
 
 def predator_sweep(h1: Payoff, ns, template: GameSpec, grid: GridSpec,
@@ -170,13 +148,8 @@ def predator_sweep(h1: Payoff, ns, template: GameSpec, grid: GridSpec,
     _rn_linear_template(template, "predator_sweep")
     rule = rule or QuadratureRule.for_grid(grid)
     ns = tuple(int(n) for n in ns)
-    rows = {}
-    max_abs = []
-    for n in ns:
-        row = _closed_aggregate_speed_row(_predator_game(h1, n, template), grid, rule)
-        rows[n] = row
-        max_abs.append(float(np.max(np.abs(row))))
-    max_abs = np.asarray(max_abs)
+    rows = _closed_speed_rows(_predator_game, h1, ns, template, grid, rule)
+    max_abs = np.array([float(np.max(np.abs(rows[n]))) for n in ns])
     assertions = {"max_speed_decreasing": _non_increasing(max_abs, 0.0)}
     if len(ns) >= 2:
         # 1/(N+1) rate with 10% slack for the value's own N dependence
@@ -202,9 +175,8 @@ def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec,
     _rn_linear_template(template, "split_sweep")
     rule = rule or QuadratureRule.for_grid(grid)
     ns = tuple(int(n) for n in ns)
-    rows = {}
-    for n in ns:
-        rows[n] = np.abs(_closed_aggregate_speed_row(_split_game(h, n, template), grid, rule))
+    rows = {n: np.abs(row)
+            for n, row in _closed_speed_rows(_split_game, h, ns, template, grid, rule).items()}
     max_abs = np.array([float(np.max(rows[n])) for n in ns])
     pointwise = all(
         bool(np.all(rows[ns[i + 1]] <= rows[ns[i]] + monotone_tol))
@@ -227,26 +199,21 @@ def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec,
 
 
 def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec,
-                 settings: FdSettings | None = None,
                  monotone_tol: float = 1e-6) -> SweepResult:
     """Single risk-neutral holder under increasing spread-crossing costs:
     both the time-zero speed and the surplus shrink as the spread grows."""
     if base_game.n_players != 1 or not base_game.all_risk_neutral:
         raise ExperimentError("spread_sweep requires a single risk-neutral player")
-    if isinstance(base_game.cost, SmoothedSpreadCost):
-        kappa = base_game.cost.kappa
-    elif isinstance(base_game.cost, LinearCost):
-        kappa = base_game.cost.kappa
-    else:
+    if not isinstance(base_game.cost, (SmoothedSpreadCost, LinearCost)):
         raise ExperimentError("spread_sweep requires a linear or smoothed-spread cost")
-    settings = settings or FdSettings()
+    kappa = base_game.cost.kappa
     rule = QuadratureRule.for_grid(grid)
     spreads = tuple(float(s) for s in spreads)
     speed_rows, surplus_rows = {}, {}
     for s in spreads:
         cost = SmoothedSpreadCost(kappa=kappa, spread=s, sharpness=sharpness)
         game_s = GameSpec(base_game.market, cost, base_game.players)
-        sol = solve_fd(game_s, grid, settings)
+        sol = solve_fd(game_s, grid)
         speed_rows[s] = sol.speeds[0, 0].copy()
         surplus_rows[s] = surplus(sol, game_s, rule, time_indices=[0])[0, 0]
     max_speed = np.array([float(np.max(np.abs(speed_rows[s]))) for s in spreads])
@@ -273,7 +240,6 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec,
 
 def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec,
                           band=(95.0, 105.0),
-                          settings: FdSettings | None = None,
                           sign_tol: float = 1e-6) -> SweepResult:
     """Long call holder (player 1) versus its issuer (player 2), both with
     exponential utility: the holder buys and the issuer sells on the band."""
@@ -286,9 +252,8 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec,
             PlayerSpec(CARA(float(alphas[1])), Negated(h)),
         ),
     )
-    settings = settings or FdSettings()
     rule = QuadratureRule.for_grid(grid)
-    sol = solve_fd(game, grid, settings)
+    sol = solve_fd(game, grid)
     prices = grid.prices
     mask = (prices >= band[0]) & (prices <= band[1])
     writer_speed = sol.speeds[0, 0]
@@ -338,41 +303,39 @@ def _benchmark_payoff(kind: str, market: MarketParams) -> Payoff:
     raise ExperimentError(f"unknown payoff kind '{kind}'")
 
 
-def _speed_surplus_grid(kind: str, grid: GridSpec | None, rule: QuadratureRule | None):
+def _speed_surplus_grid(kind: str, grid: GridSpec | None) -> SweepResult:
     """Time-price grids of the single-holder speed and surplus under the
-    benchmark parameters (K=100, T=1, sigma=1, lambda=kappa=0.01)."""
+    benchmark parameters (K=100, T=1, sigma=1, lambda=kappa=0.01), swept
+    over the time axis."""
     market = _benchmark_market()
     game = GameSpec(market, LinearCost(0.01),
                     (PlayerSpec(RiskNeutral(), _benchmark_payoff(kind, market)),))
     grid = grid or GridSpec.for_market(market, n_p=241, n_t=101)
-    rule = rule or QuadratureRule.for_grid(grid)
+    rule = QuadratureRule.for_grid(grid)
     times = grid.times(market.maturity)
     prices = grid.prices
     values = np.empty((times.size, prices.size))
     expected = np.empty_like(values)
-    from .closedform import heat_convolve  # local import keeps module load light
-
     for k, t in enumerate(times):
         values[k] = rn_aggregate_value(game, float(t), prices, rule)
         expected[k] = heat_convolve(game.players[0].endowment,
                                     market.sigma**2 * (market.maturity - t), prices, rule)
     grads = central_gradient(values, grid.dp)
-    speed = market.lam / (2.0 * game.cost.kappa) * grads
+    eps = certify_for_game(game).eps_floor
+    speed = aggregate_speed_many(game.cost, 1, market.lam * grads, eps)
     game_hash, grid_hash = _hashes(game, grid)
-    return {
-        "times": times,
-        "prices": prices,
-        "speed": speed,
-        "surplus": values - expected,
-        "params": {"K": 100.0, "T": 1.0, "sigma": 1.0, "lambda": 0.01, "kappa": 0.01,
-                   "payoff": kind},
-        "game_hash": game_hash,
-        "grid_hash": grid_hash,
-    }
+    return SweepResult(
+        param="t",
+        values=tuple(times.tolist()),
+        metrics={},
+        grids={"prices": prices, "speed": speed, "surplus": values - expected},
+        assertions={},
+        game_hash=game_hash,
+        grid_hash=grid_hash,
+    )
 
 
-def figure_grids(which: str, grid: GridSpec | None = None,
-                 settings: FdSettings | None = None):
+def figure_grids(which: str, grid: GridSpec | None = None):
     """Tabular data behind the benchmark figures.
 
     fig1/fig2: single-holder speed and surplus grids (call / digital);
@@ -381,21 +344,21 @@ def figure_grids(which: str, grid: GridSpec | None = None,
     """
     market = _benchmark_market()
     if which in ("fig1", "fig2"):
-        return _speed_surplus_grid("call" if which == "fig1" else "digital", grid, None)
+        return _speed_surplus_grid("call" if which == "fig1" else "digital", grid)
     if which in ("fig3", "fig4"):
         kind = "call" if which == "fig3" else "digital"
         game = GameSpec(market, LinearCost(0.01),
                         (PlayerSpec(RiskNeutral(), _benchmark_payoff(kind, market)),))
         grid = grid or GridSpec.for_market(market, n_p=401, n_t=1000)
-        return spread_sweep(game, (0.0, 0.001, 0.002, 0.003, 0.004), 100.0, grid, settings)
+        return spread_sweep(game, (0.0, 0.001, 0.002, 0.003, 0.004), 100.0, grid)
     if which == "fig5":
         market2 = _benchmark_market(sigma=2.0)
         game = GameSpec(market2, LinearCost(0.01),
                         (PlayerSpec(RiskNeutral(), _benchmark_payoff("call", market2)),))
         grid = grid or GridSpec.for_market(market2, n_p=401, n_t=1000)
         return {
-            "plain": cara_two_player_study((0.01, 0.01), game, grid, settings=settings),
-            "dashed": cara_two_player_study((0.001, 0.1), game, grid, settings=settings),
+            "plain": cara_two_player_study((0.01, 0.01), game, grid),
+            "dashed": cara_two_player_study((0.001, 0.1), game, grid),
         }
     if which == "fig6":
         game = GameSpec(market, LinearCost(0.01),

@@ -27,6 +27,7 @@ class RunManifest:
     tool_version: str
     wall_time_s: float
     outputs: tuple
+    threads: int
 
     def to_dict(self) -> dict:
         d = asdict(self)

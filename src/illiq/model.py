@@ -36,9 +36,6 @@ __all__ = [
     "PlayerSpec",
     "GameSpec",
     "GridSpec",
-    "payoff_value",
-    "payoff_slope",
-    "payoff_sup_slope",
     "load_game",
     "load_grid",
     "load_config",
@@ -478,21 +475,6 @@ class GridPayoff(Payoff):
         return {"kind": "custom_grid", "grid": {"p": list(self.p_values), "values": list(self.values)}}
 
 
-def payoff_value(h: Payoff, p):
-    """Terminal payoff H(p)."""
-    return h.value(p)
-
-
-def payoff_slope(h: Payoff, p):
-    """Payoff price sensitivity H_p(p)."""
-    return h.slope(p)
-
-
-def payoff_sup_slope(h: Payoff) -> float:
-    """Certified upper bound on sup_p |H_p(p)|."""
-    return h.slope_bound
-
-
 # ---------------------------------------------------------------------------
 # preferences and the game
 # ---------------------------------------------------------------------------
@@ -564,7 +546,7 @@ class GameSpec:
         )
 
     def max_payoff_slope(self) -> float:
-        return max(payoff_sup_slope(pl.endowment) for pl in self.players)
+        return max(pl.endowment.slope_bound for pl in self.players)
 
     def to_dict(self) -> dict:
         return game_to_dict(self)

@@ -23,24 +23,17 @@ raw payoff as well):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .closedform import QuadratureRule, central_gradient, heat_convolve, heat_convolve_grid
 from .model import CARA, GameSpec, GridSpec
-from .speeds import (
-    CostCertificate,
-    SpeedSolverSettings,
-    aggregate_speed_many,
-    apriori_speed_bound,
-    certify_for_game,
-)
+from .speeds import DEFAULT_SETTINGS, apriori_speed_bound, certify_for_game, equilibrium_fields
 
 __all__ = [
     "SolverError",
-    "FdSettings",
     "PicardSettings",
     "Solution",
     "ResidualReport",
@@ -62,20 +55,12 @@ class _NonContraction(SolverError):
 
 
 @dataclass(frozen=True)
-class FdSettings:
-    speed: SpeedSolverSettings = field(default_factory=SpeedSolverSettings)
-    residual_tol: float | None = None
-    cert_samples: int = 2001
-
-
-@dataclass(frozen=True)
 class PicardSettings:
     tau: float | None = None  # contraction step; default 0.05 * horizon
     fixpoint_tol: float = 1e-10
     max_picard_iter: int = 60
     sublayers: int = 8
     max_tau_halvings: int = 3
-    speed: SpeedSolverSettings = field(default_factory=SpeedSolverSettings)
 
     def __post_init__(self):
         if self.tau is not None and not self.tau > 0:
@@ -129,53 +114,23 @@ class ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# shared per-layer equilibrium fields
+# shared per-layer helpers
 # ---------------------------------------------------------------------------
-
-
-class _Equilibrium:
-    """Evaluates gradients, speeds and the nonlinear source on value layers."""
-
-    def __init__(self, game: GameSpec, cert: CostCertificate, dp: float,
-                 speed_settings: SpeedSolverSettings):
-        self.cost = game.cost
-        self.n = game.n_players
-        self.lam = game.market.lam
-        self.sig2 = game.market.sigma**2
-        self.alphas = game.alphas
-        self.eps = cert.eps_floor
-        self.settings = speed_settings
-        self.dp = dp
-
-    def fields(self, v_layer: np.ndarray):
-        """v_layer (N, ...) -> gradients, speeds, aggregate speed, source F."""
-        grads = central_gradient(v_layer, self.dp)
-        eff = self.lam * grads
-        z_star = aggregate_speed_many(self.cost, self.n, eff.sum(axis=0), self.eps, self.settings)
-        g_z = self.cost.value(z_star)
-        gp_z = self.cost.slope(z_star)
-        speeds = (eff - g_z) / gp_z
-        source = z_star * eff - speeds * g_z
-        if np.any(self.alphas != 0.0):
-            source = source - 0.5 * self.sig2 * self.alphas.reshape((-1,) + (1,) * (grads.ndim - 1)) * grads**2
-        return grads, speeds, z_star, source
 
 
 def _terminal_layer(game: GameSpec, prices: np.ndarray) -> np.ndarray:
     return np.array([np.asarray(pl.endowment.value(prices), dtype=float) for pl in game.players])
 
 
-def _fill_fields(values: np.ndarray, eq: _Equilibrium):
+def _fill_fields(values: np.ndarray, game: GameSpec, eps_floor: float, dp: float):
     """Recompute per-layer gradients and speeds from the stored values."""
     n, n_t, n_p = values.shape
     grads = np.empty_like(values)
     speeds = np.empty_like(values)
     agg = np.empty((n_t, n_p))
     for k in range(n_t):
-        g, s, z, _ = eq.fields(values[:, k])
-        grads[:, k] = g
-        speeds[:, k] = s
-        agg[k] = z
+        grads[:, k] = central_gradient(values[:, k], dp)
+        speeds[:, k], agg[k], _ = equilibrium_fields(game, eps_floor, grads[:, k])
     return grads, speeds, agg
 
 
@@ -184,7 +139,7 @@ def _fill_fields(values: np.ndarray, eq: _Equilibrium):
 # ---------------------------------------------------------------------------
 
 
-def solve_fd(game: GameSpec, grid: GridSpec, settings: FdSettings | None = None) -> Solution:
+def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     """Backward finite-difference solution of the coupled value system.
 
     Implicit Euler handles the diffusion unconditionally; the advection and
@@ -194,10 +149,9 @@ def solve_fd(game: GameSpec, grid: GridSpec, settings: FdSettings | None = None)
     second derivative (payoffs are flat or linear six standard deviations
     from the spot).
     """
-    settings = settings or FdSettings()
     market = game.market
     grid.validate_for(market)
-    cert = certify_for_game(game, settings.cert_samples)
+    cert = certify_for_game(game)
     bound = apriori_speed_bound(game, cert)
     n = game.n_players
 
@@ -212,7 +166,6 @@ def solve_fd(game: GameSpec, grid: GridSpec, settings: FdSettings | None = None)
     times = grid_used.times(market.maturity)
     dt = times[1] - times[0]
 
-    eq = _Equilibrium(game, cert, dp, settings.speed)
     values = np.empty((n, n_t, prices.size))
     values[:, -1] = _terminal_layer(game, prices)
 
@@ -225,28 +178,21 @@ def solve_fd(game: GameSpec, grid: GridSpec, settings: FdSettings | None = None)
     ab[2, :-2] = -c
 
     for k in range(n_t - 2, -1, -1):
-        _, _, _, source = eq.fields(values[:, k + 1])
+        _, _, source = equilibrium_fields(game, cert.eps_floor,
+                                          central_gradient(values[:, k + 1], dp))
         rhs = values[:, k + 1] + dt * source
         values[:, k] = solve_banded((1, 1), ab, rhs.T).T
 
-    grads, speeds, agg = _fill_fields(values, eq)
+    grads, speeds, agg = _fill_fields(values, game, cert.eps_floor, dp)
     meta = {
         "scheme": "fd-implicit-euler",
         "certificate": cert,
         "speed_bound": bound,
-        "root_tol": settings.speed.root_tol,
+        "root_tol": DEFAULT_SETTINGS.root_tol,
         "n_t_requested": grid.n_t,
         "n_t_used": n_t,
     }
-    sol = Solution(grid_used, times, prices, values, grads, speeds, agg, meta)
-    if settings.residual_tol is not None:
-        rep = residual(sol, game)
-        if rep.overall > settings.residual_tol:
-            raise SolverError(
-                f"interior residual {rep.overall:.3g} exceeds tolerance {settings.residual_tol:.3g}"
-            )
-        meta["residual"] = rep.overall
-    return sol
+    return Solution(grid_used, times, prices, values, grads, speeds, agg, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +228,13 @@ def solve_picard(game: GameSpec, grid: GridSpec, picard: PicardSettings | None =
     else:
         raise SolverError(f"Picard iteration kept diverging: {last_err}")
 
-    eq = _Equilibrium(game, cert, grid.dp, picard.speed)
-    grads, speeds, agg = _fill_fields(values, eq)
+    grads, speeds, agg = _fill_fields(values, game, cert.eps_floor, grid.dp)
     grid_used = replace(grid, n_t=times.size) if times.size != grid.n_t else grid
     meta = {
         "scheme": "picard-semigroup",
         "certificate": cert,
         "speed_bound": bound,
-        "root_tol": picard.speed.root_tol,
+        "root_tol": DEFAULT_SETTINGS.root_tol,
         "tau": tau,
         "tau_halvings": halving,
         "sublayers": picard.sublayers,
@@ -308,7 +253,6 @@ def _picard_march(game, grid, cert, rule, tau, picard):
     n_tau = max(1, int(math.ceil(horizon / tau - 1e-12)))
     h = horizon / (n_tau * m_sub)  # sub-layer spacing in time to maturity
 
-    eq = _Equilibrium(game, cert, grid.dp, picard.speed)
     n_lay = n_tau * m_sub + 1
     v_tau = np.empty((n, n_lay, prices.size))  # indexed by time to maturity
     v_tau[:, 0] = _terminal_layer(game, prices)
@@ -332,7 +276,8 @@ def _picard_march(game, grid, cert, rule, tau, picard):
         for _ in range(picard.max_picard_iter):
             f_layers = np.empty_like(cur)
             for m in range(m_sub + 1):
-                f_layers[m] = eq.fields(cur[m])[3]
+                f_layers[m] = equilibrium_fields(game, cert.eps_floor,
+                                                 central_gradient(cur[m], grid.dp))[2]
             # e^{(u_m - u_s) L} F(u_s), reused across target layers
             conv = {}
             for s in range(m_sub):
@@ -377,27 +322,20 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     """Max absolute interior residual of the value system, all derivative
     terms recomputed with central differences from the stored values."""
     v = sol.values
-    n, n_t, n_p = v.shape
+    _, n_t, n_p = v.shape
     if n_t < 5 or n_p < 5:
         raise ValueError("residual needs at least a 5x5 grid")
     dt = sol.times[1] - sol.times[0]
     dp = sol.prices[1] - sol.prices[0]
     cert = sol.meta.get("certificate") or certify_for_game(game)
-    eq = _Equilibrium(game, cert, dp, SpeedSolverSettings())
 
     inner = slice(1, -1)
     v_t = (v[:, 2:, :] - v[:, :-2, :]) / (2.0 * dt)
     v_pp = (v[:, :, 2:] - 2.0 * v[:, :, 1:-1] + v[:, :, :-2]) / dp**2
     grads = (v[:, :, 2:] - v[:, :, :-2]) / (2.0 * dp)
-    eff = game.market.lam * grads
-    z_star = aggregate_speed_many(game.cost, n, eff.sum(axis=0), eq.eps, eq.settings)
-    g_z = game.cost.value(z_star)
-    speeds = (eff - g_z) / game.cost.slope(z_star)
-    source = z_star * eff - speeds * g_z
-    alphas = game.alphas
-    if np.any(alphas != 0.0):
-        source = source - 0.5 * eq.sig2 * alphas[:, None, None] * grads**2
-    res = v_t[:, :, inner] + 0.5 * eq.sig2 * v_pp[:, inner, :] + source[:, inner, :]
+    _, _, source = equilibrium_fields(game, cert.eps_floor, grads)
+    sig2 = game.market.sigma**2
+    res = v_t[:, :, inner] + 0.5 * sig2 * v_pp[:, inner, :] + source[:, inner, :]
     per_player = np.max(np.abs(res), axis=(1, 2))
     return ResidualReport(per_player=per_player, overall=float(np.max(per_player)))
 

@@ -8,7 +8,9 @@ where S sums the players' effective value gradients (lambda * v_p for
 risk-neutral players, lambda * transformed v_p for exponential utility).
 Monotonicity of z -> N g(z) + z g'(z) makes the root unique; the slope
 floor g' > eps gives an analytic bracket |z| <= |S| / ((N+1) eps), so a
-bisection / regula-falsi hybrid converges unconditionally.
+bisection / regula-falsi hybrid converges unconditionally.  Each player's
+speed and the PDE source term follow pointwise from the root
+(``equilibrium_fields``, the one place every solver takes them from).
 """
 
 from __future__ import annotations
@@ -24,14 +26,11 @@ __all__ = [
     "SpeedSolverError",
     "CostCertificate",
     "SpeedSolverSettings",
-    "cost_value",
-    "cost_slope",
     "certify_cost",
     "certify_for_game",
     "apriori_speed_bound",
-    "aggregate_speed",
     "aggregate_speed_many",
-    "player_speeds",
+    "equilibrium_fields",
 ]
 
 
@@ -70,16 +69,6 @@ class SpeedSolverSettings:
 
 
 DEFAULT_SETTINGS = SpeedSolverSettings()
-
-
-def cost_value(cost: CostFunction, z):
-    """Liquidity premium g(z)."""
-    return cost.value(z)
-
-
-def cost_slope(cost: CostFunction, z):
-    """Marginal liquidity premium g'(z)."""
-    return cost.slope(z)
 
 
 def certify_cost(cost: CostFunction, interval=None, samples: int = 2001) -> CostCertificate:
@@ -224,24 +213,26 @@ def aggregate_speed_many(
     return root
 
 
-def aggregate_speed(
-    cost: CostFunction,
-    n_players: int,
-    grad_sum: float,
-    eps_floor: float,
-    settings: SpeedSolverSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Unique aggregate equilibrium speed for one summed effective gradient."""
-    return float(aggregate_speed_many(cost, n_players, [grad_sum], eps_floor, settings)[0])
+def equilibrium_fields(game: GameSpec, eps_floor: float, gradients):
+    """Per-player gradients (N, ...) -> speeds (N, ...), aggregate speed and
+    the nonlinear source term (N, ...) of the value equations.
 
-
-def player_speeds(cost: CostFunction, effective_gradients, z_star):
-    """Per-player speeds (e_j - g(z*)) / g'(z*) given the aggregate root.
-
-    Well defined because g' >= eps > 0.  The speeds sum back to z_star up
-    to N * root_tol by construction of the root.
+    The aggregate speed z* is the root of N g(z) + z g'(z) = lambda sum_j v^j_p;
+    player j trades at (lambda v^j_p - g(z*)) / g'(z*), well defined because
+    g' >= eps > 0, and the speeds sum back to z* up to N * root_tol.  The source
+    is z* lambda v^j_p - speed_j g(z*), minus sigma^2 alpha_j / 2 (v^j_p)^2 for
+    exponential-utility players.
     """
-    e = np.asarray(effective_gradients, dtype=float)
-    gz = cost.value(z_star)
-    gpz = cost.slope(z_star)
-    return (e - gz) / gpz
+    grads = np.asarray(gradients, dtype=float)
+    cost = game.cost
+    eff = game.market.lam * grads
+    z_star = aggregate_speed_many(cost, game.n_players, eff.sum(axis=0), eps_floor)
+    g_z = cost.value(z_star)
+    gp_z = cost.slope(z_star)
+    speeds = (eff - g_z) / gp_z
+    source = z_star * eff - speeds * g_z
+    alphas = game.alphas
+    if np.any(alphas != 0.0):
+        sig2 = game.market.sigma**2
+        source = source - 0.5 * sig2 * alphas.reshape((-1,) + (1,) * (grads.ndim - 1)) * grads**2
+    return speeds, z_star, source

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import illiq.pdesolve
 from illiq.cli import main
 
 BASE = {
@@ -73,6 +74,33 @@ def test_solve_closed_and_fd_agree(config_path, tmp_path, capsys):
         assert "solution.csv" in manifest["outputs"]
     header = (out_c / "solution.csv").read_text().splitlines()[0]
     assert header == "t,p,v_1,grad_1,speed_1,agg_speed"
+
+
+def test_solve_speed_bound_failure_exit_4(config_path, tmp_path, monkeypatch, capsys):
+    # a bound below the solved speeds fails the check; outputs are still written
+    monkeypatch.setattr(illiq.pdesolve, "apriori_speed_bound", lambda game, cert: 1e-3)
+    out = tmp_path / "fd"
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--method", "fd", "--grid", "41,41"]) == 4
+    assert "vs bound 0.001 -> FAIL" in capsys.readouterr().out
+    for name in ("solution.csv", "surplus.csv", "manifest.json"):
+        assert (out / name).is_file()
+
+
+def test_manifests_record_thread_cap(config_path, tmp_path, monkeypatch):
+    out = tmp_path / "sol"
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--grid", "41,41"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["threads"] == 1
+    monkeypatch.setenv("ILLIQ_THREADS", "3")
+    sim, sweep = tmp_path / "sim", tmp_path / "sweep"
+    assert main(["simulate", "--config", str(config_path), "--solution",
+                 str(out / "solution.csv"), "--paths", "50", "--seed", "1",
+                 "--out", str(sim)]) == 0
+    assert main(["sweep", "--config", str(config_path), "--out", str(sweep),
+                 "--study", "split", "--N", "1,2"]) == 0
+    for run in (sim, sweep):
+        assert json.loads((run / "manifest.json").read_text())["threads"] == 3
 
 
 def test_solve_picard_method(config_path, tmp_path):
@@ -171,14 +199,28 @@ def test_sweep_zero_sum_passes(tmp_path):
     path = _write(tmp_path, "zs.json", doc)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
                  "--study", "zero_sum"]) == 0
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["sweep.csv", "assertions.json"]
+    rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "param,value,metric,metric_value"
+    assert [r.rsplit(",", 1)[0] for r in rows[1:]] == [
+        "study,zero_sum,max_aggregate_speed",
+        "study,zero_sum,max_value_sum",
+        "study,zero_sum,max_payoff_sum",
+    ]
 
 
 def test_sweep_figure_study(config_path, tmp_path):
     out = tmp_path / "fig"
     assert main(["sweep", "--config", str(config_path), "--out", str(out),
                  "--study", "figure:fig1", "--grid", "61,21"]) == 0
-    assert (out / "fig1_speed.csv").exists()
-    assert (out / "fig1_surplus.csv").exists()
+    # only the files written are listed: two long t,p,<name> lattices
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["fig1_speed.csv", "fig1_surplus.csv", "assertions.json"]
+    for name in ("speed", "surplus"):
+        rows = (out / f"fig1_{name}.csv").read_text().splitlines()
+        assert rows[0] == f"t,p,{name}"
+        assert len(rows) == 1 + 21 * 61
 
 
 def test_sweep_unknown_study(config_path, tmp_path):

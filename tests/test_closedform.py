@@ -15,14 +15,18 @@ from illiq import (
     Scaled,
     GridSpec,
     SmoothedCall,
+    SpeedSolverSettings,
     burgers_value,
     cara_single_value,
-    closed_speed_field,
+    certify_for_game,
+    equilibrium_fields,
     heat_convolve,
     rn_aggregate_grid,
     rn_aggregate_value,
     rn_individual_values,
 )
+
+ROOT_TOL = SpeedSolverSettings().root_tol
 
 # ---------------------------------------------------------------------------
 # quadrature and heat kernel
@@ -245,34 +249,38 @@ def test_cara_requires_single_player(market, linear_cost, call, rule):
 
 
 # ---------------------------------------------------------------------------
-# speed fields
+# speed fields under linear cost
 # ---------------------------------------------------------------------------
+
+
+def _fields(game, grads):
+    speeds, agg, _ = equilibrium_fields(game, certify_for_game(game).eps_floor, grads)
+    return speeds, agg
 
 
 def test_closed_speed_single_player(call_game):
     grads = np.array([[0.2, 0.5, 1.0]])
-    speeds, agg = closed_speed_field(call_game, grads)
+    speeds, agg = _fields(call_game, grads)
     assert np.allclose(speeds[0], (0.01 / (2 * 0.01)) * grads[0])
-    assert np.array_equal(agg, speeds[0])
+    # the aggregate is the root, which the speeds re-sum to within N root_tol
+    assert np.abs(agg - speeds[0]).max() <= 1 * ROOT_TOL
 
 
 def test_closed_speed_symmetric_players(market, linear_cost, call):
     game = GameSpec(market, linear_cost,
                     (PlayerSpec(RiskNeutral(), call), PlayerSpec(RiskNeutral(), call)))
     grads = np.array([[0.3, -0.2], [0.3, -0.2]])
-    speeds, agg = closed_speed_field(game, grads)
+    speeds, agg = _fields(game, grads)
     assert np.allclose(speeds[0], speeds[1])
     assert np.allclose(speeds[0], agg / 2)
 
 
 def test_closed_speed_offsetting_players(zero_sum_game):
     grads = np.array([[0.4, -0.1], [-0.4, 0.1]])
-    speeds, agg = closed_speed_field(zero_sum_game, grads)
+    speeds, agg = _fields(zero_sum_game, grads)
     assert np.all(agg == 0.0)
     assert np.allclose(speeds[0], (0.01 / 0.01) * grads[0])
-    # cross-check against the root-based route
-    from illiq import aggregate_speed, player_speeds
-
-    z = aggregate_speed(zero_sum_game.cost, 2, float(grads[:, 0].sum() * 0.01), 0.0099)
-    rooted = player_speeds(zero_sum_game.cost, 0.01 * grads[:, 0], z)
-    assert np.allclose(rooted, speeds[:, 0], atol=1e-10)
+    # cross-check against the linear-cost closed form
+    # speed_j = (lambda/kappa) (grad_j - sum_i grad_i / (N+1))
+    explicit = (0.01 / 0.01) * (grads - grads.sum(axis=0) / 3)
+    assert np.allclose(speeds, explicit, atol=1e-10)

@@ -8,6 +8,7 @@ from illiq import (
     GameSpec,
     GridSpec,
     LinearCost,
+    MarketParams,
     Negated,
     PlayerSpec,
     RiskNeutral,
@@ -21,11 +22,20 @@ from illiq import (
     solve_fd,
     split_sweep,
     spread_sweep,
-    zero_sum_check,
     zero_sum_report,
 )
+from illiq.manifest import digest
+from illiq.model import game_to_dict
+from illiq.speeds import DEFAULT_SETTINGS
 
 SMALL_GRID = GridSpec(94.0, 106.0, n_p=101, n_t=120, quad_nodes=64)
+ZERO_SUM_TOL = 10.0 * DEFAULT_SETTINGS.root_tol
+
+
+def _holder_vs_writer(h, template):
+    """Two risk-neutral players holding h and its negation."""
+    players = (PlayerSpec(RiskNeutral(), h), PlayerSpec(RiskNeutral(), Negated(h)))
+    return GameSpec(template.market, template.cost, players)
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +44,17 @@ SMALL_GRID = GridSpec(94.0, 106.0, n_p=101, n_t=120, quad_nodes=64)
 
 
 def test_zero_sum_call_vs_written_call(call, call_game):
-    report = zero_sum_check(call, call_game, SMALL_GRID)
-    assert report.offsetting
-    assert report.max_aggregate_speed <= report.tolerance
+    report = zero_sum_report(_holder_vs_writer(call, call_game), SMALL_GRID)
+    assert report.assertions["offsetting_payoffs"]
+    assert report.metrics["max_aggregate_speed"][0] <= ZERO_SUM_TOL
     assert report.passed
 
 
 def test_zero_sum_trivial_zero_payoffs(call_game):
-    report = zero_sum_check(Scaled(SmoothedCall(100.0, 10.0, 0.05), 0.0), call_game, SMALL_GRID)
-    assert report.max_aggregate_speed == 0.0
-    assert report.max_value_sum == 0.0
+    h = Scaled(SmoothedCall(100.0, 10.0, 0.05), 0.0)
+    report = zero_sum_report(_holder_vs_writer(h, call_game), SMALL_GRID)
+    assert report.metrics["max_aggregate_speed"][0] == 0.0
+    assert report.metrics["max_value_sum"][0] == 0.0
 
 
 def test_zero_sum_three_players(market, linear_cost, call, digital):
@@ -62,7 +73,7 @@ def test_zero_sum_report_flags_non_offsetting(market, linear_cost, call):
     game = GameSpec(market, linear_cost,
                     (PlayerSpec(RiskNeutral(), call), PlayerSpec(RiskNeutral(), call)))
     report = zero_sum_report(game, SMALL_GRID)
-    assert not report.offsetting
+    assert not report.assertions["offsetting_payoffs"]
     assert not report.passed
 
 
@@ -76,7 +87,8 @@ def test_zero_sum_report_flags_non_offsetting(market, linear_cost, call):
 def test_zero_sum_randomized_payoffs(call_game, strike, width, factor, digital_mix):
     inner = SmoothedDigital(strike, width) if digital_mix else SmoothedCall(strike, 10.0, width)
     h = Scaled(inner, factor)
-    report = zero_sum_check(h, call_game, GridSpec(94.0, 106.0, 61, 40, quad_nodes=32))
+    report = zero_sum_report(_holder_vs_writer(h, call_game),
+                             GridSpec(94.0, 106.0, 61, 40, quad_nodes=32))
     assert report.passed
 
 
@@ -158,8 +170,6 @@ def test_spread_sweep_requires_single_rn_player(zero_sum_game):
 
 @pytest.fixture(scope="module")
 def cara_base():
-    from illiq import MarketParams
-
     market = MarketParams(sigma=2.0, lam=0.01, maturity=1.0, p0=100.0)
     call = SmoothedCall(100.0, 10.0 * market.scale, 0.05 * market.scale)
     return GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),))
@@ -188,30 +198,37 @@ def test_cara_two_player_zero_payoff(cara_base):
 # ---------------------------------------------------------------------------
 
 
+def _benchmark_game_hash(payoff):
+    """Digest of the benchmark game: K=100, T=1, sigma=1, lambda=kappa=0.01."""
+    market = MarketParams(sigma=1.0, lam=0.01, maturity=1.0, p0=100.0)
+    game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), payoff),))
+    return digest(game_to_dict(game))
+
+
 def test_figure_grid_call_parameters():
     grid = GridSpec(94.0, 106.0, 121, 41, quad_nodes=64)
     data = figure_grids("fig1", grid)
-    assert data["params"]["K"] == 100.0
-    assert data["params"]["sigma"] == 1.0
-    assert data["params"]["lambda"] == 0.01
-    assert data["speed"].shape == (41, 121)
+    assert data.game_hash == _benchmark_game_hash(SmoothedCall(100.0, 10.0, 0.05))
+    assert data.param == "t"
+    assert len(data.values) == 41
+    assert data.grids["speed"].shape == (41, 121)
     # speed of a long call is nonnegative and the surplus positive at strike
-    assert data["speed"].min() >= -1e-12
-    assert data["surplus"][0, 60] > 0
+    assert data.grids["speed"].min() >= -1e-12
+    assert data.grids["surplus"][0, 60] > 0
 
 
 def test_figure_grid_digital(call_game):
     grid = GridSpec(94.0, 106.0, 121, 41, quad_nodes=64)
     data = figure_grids("fig2", grid)
-    assert data["params"]["payoff"] == "digital"
+    assert data.game_hash == _benchmark_game_hash(SmoothedDigital(100.0, 0.05))
 
 
 def test_figure_grids_reproducible():
     grid = GridSpec(94.0, 106.0, 61, 21, quad_nodes=32)
     a = figure_grids("fig1", grid)
     b = figure_grids("fig1", grid)
-    assert np.array_equal(a["speed"], b["speed"])
-    assert a["game_hash"] == b["game_hash"]
+    assert np.array_equal(a.grids["speed"], b.grids["speed"])
+    assert a.game_hash == b.game_hash
 
 
 def test_figure_grid_split_study():

@@ -19,9 +19,6 @@ from illiq import (
     load_config,
     load_game,
     load_grid,
-    payoff_slope,
-    payoff_sup_slope,
-    payoff_value,
 )
 
 BASE_CONFIG = {
@@ -126,23 +123,23 @@ def test_load_config_rejects_undersized_grid():
 
 def test_call_intrinsic_value_below_cap():
     h = SmoothedCall(strike=100.0, cap=50.0, width=1e-9)
-    assert payoff_value(h, 110.0) == pytest.approx(10.0, abs=1e-8)
+    assert h.value(110.0) == pytest.approx(10.0, abs=1e-8)
 
 
 def test_digital_deep_out_of_the_money():
     h = SmoothedDigital(strike=100.0, width=1e-9)
-    assert payoff_value(h, 90.0) == pytest.approx(0.0, abs=1e-12)
+    assert h.value(90.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negated_call_value():
     h = Negated(SmoothedCall(strike=100.0, cap=50.0, width=1e-9))
-    assert payoff_value(h, 110.0) == pytest.approx(-10.0, abs=1e-8)
+    assert h.value(110.0) == pytest.approx(-10.0, abs=1e-8)
 
 
 def test_call_slope_plateaus():
     h = SmoothedCall(strike=100.0, cap=50.0, width=0.05)
-    assert payoff_slope(h, 120.0) == pytest.approx(1.0, abs=1e-12)
-    assert payoff_slope(h, 80.0) == pytest.approx(0.0, abs=1e-12)
+    assert h.slope(120.0) == pytest.approx(1.0, abs=1e-12)
+    assert h.slope(80.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_digital_slope_peak_is_quarter_width():
@@ -150,27 +147,27 @@ def test_digital_slope_peak_is_quarter_width():
     # confirmed against a central difference
     w = 0.05
     h = SmoothedDigital(strike=100.0, width=w)
-    peak = payoff_slope(h, 100.0)
+    peak = h.slope(100.0)
     assert peak == pytest.approx(1.0 / (4.0 * w), rel=1e-12)
     step = 1e-6
-    fd = (payoff_value(h, 100.0 + step) - payoff_value(h, 100.0 - step)) / (2 * step)
+    fd = (h.value(100.0 + step) - h.value(100.0 - step)) / (2 * step)
     assert fd == pytest.approx(peak, rel=1e-7)
 
 
 def test_sup_slope_call_tends_to_one():
-    assert payoff_sup_slope(SmoothedCall(100.0, 50.0, 1e-6)) == pytest.approx(1.0)
+    assert SmoothedCall(100.0, 50.0, 1e-6).slope_bound == pytest.approx(1.0)
 
 
 def test_sup_slope_sum_triangle():
     a = SmoothedCall(100.0, 10.0, 0.05)
     b = SmoothedCall(105.0, 10.0, 0.05)
     s = SumPayoff((a, b))
-    assert payoff_sup_slope(s) <= 2.0
-    assert payoff_sup_slope(s) == pytest.approx(payoff_sup_slope(a) + payoff_sup_slope(b))
+    assert s.slope_bound <= 2.0
+    assert s.slope_bound == pytest.approx(a.slope_bound + b.slope_bound)
 
 
 def test_sup_slope_digital():
-    assert payoff_sup_slope(SmoothedDigital(100.0, 0.05)) == pytest.approx(5.0)
+    assert SmoothedDigital(100.0, 0.05).slope_bound == pytest.approx(5.0)
 
 
 def _builtin_payoffs():
@@ -192,10 +189,10 @@ def test_payoff_bounds_hold_on_random_prices():
     rng = np.random.default_rng(42)
     ps = rng.uniform(94.0, 106.0, 1000)
     for h in _builtin_payoffs():
-        vals = payoff_value(h, ps)
-        slopes = payoff_slope(h, ps)
+        vals = h.value(ps)
+        slopes = h.slope(ps)
         assert np.all(np.abs(vals) <= h.bound + 1e-12)
-        assert np.all(np.abs(slopes) <= payoff_sup_slope(h) + 1e-12)
+        assert np.all(np.abs(slopes) <= h.slope_bound + 1e-12)
 
 
 def test_payoff_slope_matches_central_difference():
@@ -203,8 +200,8 @@ def test_payoff_slope_matches_central_difference():
     ps = rng.uniform(94.0, 106.0, 200)
     step = 1e-5 * 12.0
     for h in _builtin_payoffs():
-        fd = (payoff_value(h, ps + step) - payoff_value(h, ps - step)) / (2 * step)
-        slopes = payoff_slope(h, ps)
+        fd = (h.value(ps + step) - h.value(ps - step)) / (2 * step)
+        slopes = h.slope(ps)
         # relative tolerance 1e-4 with a small absolute floor where the
         # slope underflows the difference quotient entirely
         assert np.all(np.abs(fd - slopes) <= 1e-4 * (1e-6 + np.abs(slopes)))
@@ -213,19 +210,19 @@ def test_payoff_slope_matches_central_difference():
 def test_grid_payoff_flattens_continuously():
     pgrid = np.linspace(95.0, 105.0, 21)
     h = GridPayoff(tuple(pgrid), tuple((pgrid - 100.0) ** 2 / 10.0))
-    assert payoff_slope(h, 94.0) == 0.0
-    assert payoff_slope(h, 120.0) == 0.0
-    assert payoff_value(h, 50.0) == payoff_value(h, 94.0)
+    assert h.slope(94.0) == 0.0
+    assert h.slope(120.0) == 0.0
+    assert h.value(50.0) == h.value(94.0)
     # slope approaches zero continuously at the padded knot
     pad_edge = 94.5
-    assert abs(payoff_slope(h, pad_edge + 1e-9) - payoff_slope(h, pad_edge - 1e-9)) < 1e-6
+    assert abs(h.slope(pad_edge + 1e-9) - h.slope(pad_edge - 1e-9)) < 1e-6
 
 
 def test_payoffs_vectorized():
     h = SmoothedCall(100.0, 10.0, 0.05)
     ps = np.array([90.0, 100.0, 110.0])
-    assert payoff_value(h, ps).shape == (3,)
-    assert payoff_slope(h, ps).shape == (3,)
+    assert h.value(ps).shape == (3,)
+    assert h.slope(ps).shape == (3,)
 
 
 # ---------------------------------------------------------------------------

@@ -139,9 +139,9 @@ def test_picard_pure_semigroup(short_grid, linear_cost, call, rule):
 def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid):
     # with the iteration capped at one sweep, the output is the seed plus
     # one Duhamel integral of F evaluated on the seed
-    from illiq.closedform import heat_convolve_grid
-    from illiq.pdesolve import _Equilibrium, _terminal_layer
-    from illiq.speeds import SpeedSolverSettings, certify_for_game
+    from illiq.closedform import central_gradient, heat_convolve_grid
+    from illiq.pdesolve import _terminal_layer
+    from illiq.speeds import certify_for_game, equilibrium_fields
 
     picard = PicardSettings(tau=0.1, sublayers=2, max_picard_iter=1, fixpoint_tol=1e30)
     sol = solve_picard(short_game, short_grid, picard)
@@ -150,7 +150,6 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid):
     rule = QuadratureRule.for_grid(short_grid)
     prices = short_grid.prices
     cert = certify_for_game(short_game)
-    eq = _Equilibrium(short_game, cert, short_grid.dp, SpeedSolverSettings())
     h0 = _terminal_layer(short_game, prices)
     step = market.maturity / 2
     sig2 = market.sigma**2
@@ -158,7 +157,8 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid):
     seed = [h0,
             np.stack([heat_convolve_grid(h0[0], prices, sig2 * step, prices, rule)]),
             np.stack([heat_convolve_grid(h0[0], prices, sig2 * 2 * step, prices, rule)])]
-    f = [eq.fields(s)[3] for s in seed]
+    f = [equilibrium_fields(short_game, cert.eps_floor, central_gradient(s, short_grid.dp))[2]
+         for s in seed]
     conv_f0 = np.stack([heat_convolve_grid(f[0][0], prices, sig2 * step, prices, rule)])
     expected_mid = seed[1] + 0.5 * step * (conv_f0 + f[1])
     got_mid = sol.values[:, sol.times.size - 2]  # one sub-layer before maturity

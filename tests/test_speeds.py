@@ -10,6 +10,7 @@ from illiq import (
     CostCertificate,
     GameSpec,
     LinearCost,
+    MarketParams,
     PlayerSpec,
     RiskNeutral,
     SmoothedCall,
@@ -18,16 +19,23 @@ from illiq import (
     SpeedSolverError,
     SpeedSolverSettings,
     TableCost,
-    aggregate_speed,
     aggregate_speed_many,
     apriori_speed_bound,
     certify_cost,
-    cost_slope,
-    cost_value,
-    player_speeds,
+    equilibrium_fields,
 )
 
 ROOT_TOL = SpeedSolverSettings().root_tol
+
+
+def _speeds_and_root(cost, effective_gradients, eps):
+    """Speeds and aggregate root from effective gradients (lambda = 1 makes
+    the gradients effective ones)."""
+    e = np.asarray(effective_gradients, dtype=float)
+    market = MarketParams(1.0, 1.0, 1.0, 100.0)
+    players = tuple(PlayerSpec(RiskNeutral(), SmoothedCall(100.0, 10.0, 0.05)) for _ in e)
+    speeds, z, _ = equilibrium_fields(GameSpec(market, cost, players), eps, e)
+    return speeds, float(z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -36,18 +44,18 @@ ROOT_TOL = SpeedSolverSettings().root_tol
 
 
 def test_linear_cost_value():
-    assert cost_value(LinearCost(0.01), 0.5) == pytest.approx(0.005, rel=1e-15)
+    assert LinearCost(0.01).value(0.5) == pytest.approx(0.005, rel=1e-15)
 
 
 def test_cost_normalized_at_zero():
     for cost in (LinearCost(0.01), SmoothedSpreadCost(0.01, 0.002, 100.0)):
-        assert cost_value(cost, 0.0) == 0.0
+        assert cost.value(0.0) == 0.0
 
 
 def test_spread_cost_value_closed_form():
     cost = SmoothedSpreadCost(0.01, 0.002, 100.0)
     expected = 0.1 + 0.002 * (2.0 / math.pi) * math.atan(1000.0)
-    got = float(cost_value(cost, 10.0))
+    got = float(cost.value(10.0))
     assert got == pytest.approx(expected, rel=1e-14)
     assert got == pytest.approx(0.101999, abs=5e-7)
 
@@ -55,20 +63,20 @@ def test_spread_cost_value_closed_form():
 def test_spread_cost_slope_at_zero_and_tails():
     kappa, s, c = 0.01, 0.002, 100.0
     cost = SmoothedSpreadCost(kappa, s, c)
-    assert float(cost_slope(cost, 0.0)) == pytest.approx(kappa + 2 * s * c / math.pi, rel=1e-14)
-    assert float(cost_slope(cost, 1e9)) == pytest.approx(kappa, rel=1e-9)
-    assert float(cost_slope(cost, -1e9)) == pytest.approx(kappa, rel=1e-9)
+    assert float(cost.slope(0.0)) == pytest.approx(kappa + 2 * s * c / math.pi, rel=1e-14)
+    assert float(cost.slope(1e9)) == pytest.approx(kappa, rel=1e-9)
+    assert float(cost.slope(-1e9)) == pytest.approx(kappa, rel=1e-9)
     # finite-difference confirmation of the analytic derivative
     step = 1e-7
-    fd = (cost_value(cost, 0.3 + step) - cost_value(cost, 0.3 - step)) / (2 * step)
-    assert float(fd) == pytest.approx(float(cost_slope(cost, 0.3)), rel=1e-7)
+    fd = (cost.value(0.3 + step) - cost.value(0.3 - step)) / (2 * step)
+    assert float(fd) == pytest.approx(float(cost.slope(0.3)), rel=1e-7)
 
 
 def test_table_cost_out_of_domain():
     z = np.linspace(-2.0, 2.0, 41)
     cost = TableCost(tuple(z), tuple(0.01 * z), eps_floor=1e-3)
     with pytest.raises(Exception, match="table domain"):
-        cost_value(cost, 5.0)
+        cost.value(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +164,22 @@ def test_apriori_bound_requires_coverage():
 def test_aggregate_speed_linear_closed_form():
     cost = LinearCost(0.01)
     eps = 0.0099
-    assert aggregate_speed(cost, 1, 0.01, eps) == pytest.approx(0.5, abs=1e-12)
+    assert aggregate_speed_many(cost, 1, [0.01], eps)[0] == pytest.approx(0.5, abs=1e-12)
     for n, kappa, s in [(1, 0.01, 0.01), (3, 0.02, -0.5), (7, 0.005, 0.9)]:
         c = LinearCost(kappa)
-        got = aggregate_speed(c, n, s, 0.99 * kappa)
+        got = aggregate_speed_many(c, n, [s], 0.99 * kappa)[0]
         assert got == pytest.approx(s / ((n + 1) * kappa), abs=1e-12)
 
 
 def test_aggregate_speed_zero_gradient():
     for cost in (LinearCost(0.01), SmoothedSpreadCost(0.01, 0.002, 100.0)):
-        assert aggregate_speed(cost, 3, 0.0, 0.009) == 0.0
+        assert aggregate_speed_many(cost, 3, [0.0], 0.009)[0] == 0.0
 
 
 def test_aggregate_speed_spread_matches_dense_scan():
     cost = SmoothedSpreadCost(0.01, 0.002, 100.0)
     cert = certify_cost(cost, (-10.0, 10.0))
-    got = aggregate_speed(cost, 1, 0.01, cert.eps_floor)
+    got = aggregate_speed_many(cost, 1, [0.01], cert.eps_floor)[0]
     # dense-scan oracle: sign change of Phi over [-1, 1] at step 1e-6
     z = np.arange(-1.0, 1.0, 1e-6)
     phi = cost.value(z) + z * cost.slope(z) - 0.01
@@ -184,7 +192,7 @@ def test_aggregate_speed_spread_matches_dense_scan():
 def test_aggregate_speed_bracket_failure():
     # an eps floor far above the true slope makes the bracket too small
     with pytest.raises(SpeedSolverError, match="bracket"):
-        aggregate_speed(LinearCost(0.01), 1, 1.0, 10.0)
+        aggregate_speed_many(LinearCost(0.01), 1, [1.0], 10.0)
 
 
 def test_aggregate_speed_monotone_in_gradient():
@@ -204,21 +212,19 @@ def test_aggregate_speed_monotone_in_gradient():
 def test_player_speeds_two_player_linear():
     cost = LinearCost(0.01)
     grads = np.array([0.01, -0.01])
-    z = aggregate_speed(cost, 2, grads.sum(), 0.0099)
+    speeds, z = _speeds_and_root(cost, grads, 0.0099)
     assert z == 0.0
-    speeds = player_speeds(cost, grads, z)
     assert speeds == pytest.approx([1.0, -1.0], abs=1e-12)
 
 
 def test_player_speeds_zero_gradients():
-    speeds = player_speeds(LinearCost(0.01), np.zeros(4), 0.0)
+    speeds, _ = _speeds_and_root(LinearCost(0.01), np.zeros(4), 0.0099)
     assert np.all(speeds == 0.0)
 
 
 def test_single_player_speed_equals_aggregate():
     cost = LinearCost(0.01)
-    z = aggregate_speed(cost, 1, 0.01, 0.0099)
-    speeds = player_speeds(cost, np.array([0.01]), z)
+    speeds, z = _speeds_and_root(cost, np.array([0.01]), 0.0099)
     assert speeds[0] == pytest.approx(z, abs=1e-12)
     assert z == pytest.approx(0.5, abs=1e-12)
 
@@ -252,8 +258,7 @@ def test_root_consistency_thousand_draws():
         for cost in costs:
             n = int(rng.integers(1, 11))
             grads = rng.uniform(-1.0 / n, 1.0 / n, n)
-            z = aggregate_speed(cost, n, float(grads.sum()), certs[id(cost)].eps_floor)
-            speeds = player_speeds(cost, grads, z)
+            speeds, z = _speeds_and_root(cost, grads, certs[id(cost)].eps_floor)
             assert abs(float(speeds.sum()) - z) <= n * ROOT_TOL
 
 
@@ -264,8 +269,7 @@ def test_root_consistency_property(cost, n, data):
         data.draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
     )
     cert = certify_cost(cost, (-200.0, 200.0))
-    z = aggregate_speed(cost, n, float(grads.sum()), cert.eps_floor)
-    speeds = player_speeds(cost, grads, z)
+    speeds, z = _speeds_and_root(cost, grads, cert.eps_floor)
     assert abs(speeds.sum() - z) <= n * ROOT_TOL
 
 
@@ -279,8 +283,7 @@ def test_speed_bound_property(cost, n, data):
         data.draw(st.lists(st.floats(-h, h), min_size=n, max_size=n))
     )
     cert = certify_cost(cost, (-200.0, 200.0))
-    z = aggregate_speed(cost, n, float(grads.sum()), cert.eps_floor)
-    speeds = player_speeds(cost, grads, z)
+    speeds, z = _speeds_and_root(cost, grads, cert.eps_floor)
     bound = n * (lam / cert.eps_floor) * h
     assert np.all(np.abs(speeds) <= bound + ROOT_TOL)
 
@@ -292,7 +295,7 @@ def test_speed_bound_property(cost, n, data):
     s=st.floats(-1.0, 1.0),
 )
 def test_linear_closed_form_property(kappa, n, s):
-    got = aggregate_speed(LinearCost(kappa), n, s, 0.99 * kappa)
+    got = aggregate_speed_many(LinearCost(kappa), n, [s], 0.99 * kappa)[0]
     assert got == pytest.approx(s / ((n + 1) * kappa), abs=1e-12)
 
 
@@ -300,7 +303,7 @@ def test_linear_closed_form_property(kappa, n, s):
 @given(cost=cost_strategy, n=st.integers(1, 10), s=st.floats(-1.0, 1.0))
 def test_sign_property(cost, n, s):
     cert = certify_cost(cost, (-200.0, 200.0))
-    z = aggregate_speed(cost, n, s, cert.eps_floor)
+    z = aggregate_speed_many(cost, n, [s], cert.eps_floor)[0]
     if s == 0.0:
         assert z == 0.0
     else:
