@@ -8,7 +8,9 @@ The layers, bottom up:
 * ``speeds``      cost certification and the pointwise equilibrium-speed
                   algebra (the monotone root shared by every solver);
 * ``closedform``  Cole-Hopf / heat-kernel solutions for linear costs;
-* ``pdesolve``    finite-difference and Picard solvers for general costs;
+* ``pdesolve``    the three routes to a ``Solution``: ``solve_fd`` and
+                  ``solve_picard`` for general costs, ``solve_closed`` for
+                  the games ``closedform`` covers;
 * ``simulate``    Monte-Carlo paths under the solved feedback strategies;
 * ``experiments`` scripted studies (zero-sum, predator, split, spread, CARA);
 * ``cli``         the ``illiq`` command.
@@ -43,7 +45,6 @@ from .speeds import (  # noqa: F401
     CertificationError,
     CostCertificate,
     SpeedSolverError,
-    SpeedSolverSettings,
     aggregate_speed_many,
     apriori_speed_bound,
     certify_cost,
@@ -69,6 +70,7 @@ from .pdesolve import (  # noqa: F401
     SolverError,
     read_solution_csv,
     residual,
+    solve_closed,
     solve_fd,
     solve_picard,
     surplus,

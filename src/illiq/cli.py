@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closedform import (
-    QuadratureRule,
-    cara_single_value,
-    central_gradient,
-    rn_aggregate_grid,
-    rn_individual_values,
-)
+from .closedform import ClosedFormError, QuadratureRule
 from .experiments import (
     SweepResult,
     cara_two_player_study,
@@ -48,7 +42,6 @@ from .model import (
     ConfigError,
     GameSpec,
     GridSpec,
-    LinearCost,
     SmoothedSpreadCost,
     ValidationError,
     game_to_dict,
@@ -60,6 +53,7 @@ from .pdesolve import (
     SolverError,
     read_solution_csv,
     residual,
+    solve_closed,
     solve_fd,
     solve_picard,
     surplus,
@@ -72,13 +66,7 @@ from .simulate import (
     simulate_paths,
     write_paths_csv,
 )
-from .speeds import (
-    CertificationError,
-    SpeedSolverError,
-    apriori_speed_bound,
-    certify_for_game,
-    equilibrium_fields,
-)
+from .speeds import CertificationError, SpeedSolverError, apriori_speed_bound, certify_for_game
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -190,34 +178,6 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
-    if not isinstance(game.cost, LinearCost):
-        raise MethodMismatch("closed form needs a linear cost function")
-    rule = QuadratureRule.for_grid(grid)
-    times = grid.times(game.market.maturity)
-    prices = grid.prices
-    if game.all_risk_neutral:
-        if game.n_players == 1:
-            values = rn_aggregate_grid(game, grid, rule)[None, :, :]
-        else:
-            values = rn_individual_values(game, grid, rule)
-    elif game.n_players == 1 and isinstance(game.players[0].utility, CARA):
-        values = np.empty((1, times.size, prices.size))
-        for k, t in enumerate(times):
-            values[0, k] = cara_single_value(game, float(t), prices, rule)
-    else:
-        raise MethodMismatch(
-            "closed form covers risk-neutral games and the single CARA player only"
-        )
-    cert = certify_for_game(game)
-    bound = apriori_speed_bound(game, cert)
-    grads = central_gradient(values, grid.dp)
-    speeds, agg, _ = equilibrium_fields(game, cert.eps_floor, grads)
-    meta = {"scheme": "closed-form", "quad_nodes": grid.quad_nodes,
-            "certificate": cert, "speed_bound": bound}
-    return Solution(grid, times, prices, values, grads, speeds, agg, meta)
-
-
 def _surplus_time_indices(n_t: int, cap: int = 201):
     if n_t <= cap:
         return list(range(n_t))
@@ -231,12 +191,8 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.method == "fd":
-        sol = solve_fd(game, grid)
-    elif args.method == "picard":
-        sol = solve_picard(game, grid)
-    else:
-        sol = _solve_closed(game, grid)
+    solve = {"fd": solve_fd, "picard": solve_picard, "closed": solve_closed}[args.method]
+    sol = solve(game, grid)
 
     bound = sol.meta["speed_bound"]
     rep = residual(sol, game)
@@ -485,7 +441,7 @@ def main(argv=None) -> int:
     except CertificationError as err:
         print(f"certification failure: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except MethodMismatch as err:
+    except (MethodMismatch, ClosedFormError) as err:
         print(f"method/game mismatch: {err}", file=sys.stderr)
         return EXIT_METHOD
     except HashMismatch as err:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import QuadratureRule, central_gradient, heat_convolve, rn_aggregate_value
+from .closedform import QuadratureRule, central_gradient, rn_aggregate_value
 from .manifest import digest
 from .model import (
     CARA,
@@ -33,7 +33,7 @@ from .model import (
     game_to_dict,
     grid_to_dict,
 )
-from .pdesolve import solve_fd, surplus
+from .pdesolve import solve_closed, solve_fd, surplus
 from .speeds import aggregate_speed_many, certify_for_game
 
 __all__ = [
@@ -311,24 +311,14 @@ def _speed_surplus_grid(kind: str, grid: GridSpec | None) -> SweepResult:
     game = GameSpec(market, LinearCost(0.01),
                     (PlayerSpec(RiskNeutral(), _benchmark_payoff(kind, market)),))
     grid = grid or GridSpec.for_market(market, n_p=241, n_t=101)
-    rule = QuadratureRule.for_grid(grid)
-    times = grid.times(market.maturity)
-    prices = grid.prices
-    values = np.empty((times.size, prices.size))
-    expected = np.empty_like(values)
-    for k, t in enumerate(times):
-        values[k] = rn_aggregate_value(game, float(t), prices, rule)
-        expected[k] = heat_convolve(game.players[0].endowment,
-                                    market.sigma**2 * (market.maturity - t), prices, rule)
-    grads = central_gradient(values, grid.dp)
-    eps = certify_for_game(game).eps_floor
-    speed = aggregate_speed_many(game.cost, 1, market.lam * grads, eps)
+    sol = solve_closed(game, grid)
     game_hash, grid_hash = _hashes(game, grid)
     return SweepResult(
         param="t",
-        values=tuple(times.tolist()),
+        values=tuple(sol.times.tolist()),
         metrics={},
-        grids={"prices": prices, "speed": speed, "surplus": values - expected},
+        grids={"prices": sol.prices, "speed": sol.aggregate_speed,
+               "surplus": surplus(sol, game, QuadratureRule.for_grid(grid))[0]},
         assertions={},
         game_hash=game_hash,
         grid_hash=grid_hash,

@@ -1,6 +1,6 @@
 """Numerical solution of the coupled equilibrium value equations.
 
-Two independent routes are provided for the system
+Three routes build a ``Solution`` of the system
 
     0 = v^j_t + sigma^2/2 v^j_pp - sigma^2 alpha^j / 2 (v^j_p)^2
         + lambda Xdot* v^j_p - Xdot^j g(Xdot*),        v^j(T, .) = H^j,
@@ -17,7 +17,14 @@ raw payoff as well):
                    v = e^{tL} H + int e^{(t-s)L} F(v_p(s)) ds on short
                    subintervals, the semigroup applied by Gauss-Hermite
                    quadrature.  Serves as an independent oracle for the
-                   finite-difference route.
+                   finite-difference route;
+* ``solve_closed`` the Cole-Hopf closed forms of ``closedform`` on the
+                   lattice, for the games it covers (linear cost with
+                   risk-neutral players or one exponential-utility player).
+
+Each route validates the grid, certifies the cost once and records the
+certificate, the a-priori speed bound and the speed-root tolerance in
+``Solution.meta``.
 """
 
 from __future__ import annotations
@@ -28,9 +35,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .closedform import QuadratureRule, central_gradient, heat_convolve, heat_convolve_grid
+from .closedform import (
+    QuadratureRule,
+    cara_single_value,
+    central_gradient,
+    heat_convolve,
+    heat_convolve_grid,
+    rn_aggregate_value,
+    rn_individual_values,
+)
 from .model import CARA, GameSpec, GridSpec
-from .speeds import DEFAULT_SETTINGS, apriori_speed_bound, certify_for_game, equilibrium_fields
+from .speeds import ROOT_TOL, apriori_speed_bound, certify_for_game, equilibrium_fields
 
 __all__ = [
     "SolverError",
@@ -39,6 +54,7 @@ __all__ = [
     "ResidualReport",
     "solve_fd",
     "solve_picard",
+    "solve_closed",
     "residual",
     "surplus",
     "write_solution_csv",
@@ -122,16 +138,19 @@ def _terminal_layer(game: GameSpec, prices: np.ndarray) -> np.ndarray:
     return np.array([np.asarray(pl.endowment.value(prices), dtype=float) for pl in game.players])
 
 
-def _fill_fields(values: np.ndarray, game: GameSpec, eps_floor: float, dp: float):
-    """Recompute per-layer gradients and speeds from the stored values."""
-    n, n_t, n_p = values.shape
-    grads = np.empty_like(values)
-    speeds = np.empty_like(values)
-    agg = np.empty((n_t, n_p))
-    for k in range(n_t):
-        grads[:, k] = central_gradient(values[:, k], dp)
-        speeds[:, k], agg[k], _ = equilibrium_fields(game, eps_floor, grads[:, k])
-    return grads, speeds, agg
+def _meta(scheme: str, cert, bound: float, **extra) -> dict:
+    """The metadata every route records, then the route's own keys."""
+    return {"scheme": scheme, "certificate": cert, "speed_bound": bound,
+            "root_tol": ROOT_TOL, **extra}
+
+
+def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
+                      values: np.ndarray, meta: dict) -> Solution:
+    """A Solution whose fields come from one whole-lattice equilibrium_fields call."""
+    grads = central_gradient(values, grid.dp)
+    speeds, agg, _ = equilibrium_fields(game, cert.eps_floor, grads)
+    grid_used = replace(grid, n_t=times.size) if times.size != grid.n_t else grid
+    return Solution(grid_used, times, grid.prices, values, grads, speeds, agg, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +187,9 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
 
     values = np.empty((n, n_t, prices.size))
     values[:, -1] = _terminal_layer(game, prices)
+    grads = np.empty_like(values)
+    speeds = np.empty_like(values)
+    agg = np.empty((n_t, prices.size))
 
     # (I - dt sigma^2/2 D2) with identity boundary rows, banded storage
     c = dt * market.sigma**2 / (2.0 * dp**2)
@@ -177,21 +199,15 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     ab[1, 0] = ab[1, -1] = 1.0
     ab[2, :-2] = -c
 
-    for k in range(n_t - 2, -1, -1):
-        _, _, source = equilibrium_fields(game, cert.eps_floor,
-                                          central_gradient(values[:, k + 1], dp))
-        rhs = values[:, k + 1] + dt * source
-        values[:, k] = solve_banded((1, 1), ab, rhs.T).T
+    # layer k's fields are stored and drive the step to layer k - 1
+    for k in range(n_t - 1, -1, -1):
+        grads[:, k] = central_gradient(values[:, k], dp)
+        speeds[:, k], agg[k], source = equilibrium_fields(game, cert.eps_floor, grads[:, k])
+        if k > 0:
+            rhs = values[:, k] + dt * source
+            values[:, k - 1] = solve_banded((1, 1), ab, rhs.T).T
 
-    grads, speeds, agg = _fill_fields(values, game, cert.eps_floor, dp)
-    meta = {
-        "scheme": "fd-implicit-euler",
-        "certificate": cert,
-        "speed_bound": bound,
-        "root_tol": DEFAULT_SETTINGS.root_tol,
-        "n_t_requested": grid.n_t,
-        "n_t_used": n_t,
-    }
+    meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t)
     return Solution(grid_used, times, prices, values, grads, speeds, agg, meta)
 
 
@@ -228,19 +244,9 @@ def solve_picard(game: GameSpec, grid: GridSpec, picard: PicardSettings | None =
     else:
         raise SolverError(f"Picard iteration kept diverging: {last_err}")
 
-    grads, speeds, agg = _fill_fields(values, game, cert.eps_floor, grid.dp)
-    grid_used = replace(grid, n_t=times.size) if times.size != grid.n_t else grid
-    meta = {
-        "scheme": "picard-semigroup",
-        "certificate": cert,
-        "speed_bound": bound,
-        "root_tol": DEFAULT_SETTINGS.root_tol,
-        "tau": tau,
-        "tau_halvings": halving,
-        "sublayers": picard.sublayers,
-        "iteration_changes": log,
-    }
-    return Solution(grid_used, times, grid.prices, values, grads, speeds, agg, meta)
+    meta = _meta("picard-semigroup", cert, bound, tau=tau, tau_halvings=halving,
+                 sublayers=picard.sublayers, iteration_changes=log)
+    return _lattice_solution(game, grid, cert, times, values, meta)
 
 
 def _picard_march(game, grid, cert, rule, tau, picard):
@@ -311,6 +317,34 @@ def _picard_march(game, grid, cert, rule, tau, picard):
     values = v_tau[:, ::-1]  # reindex from time-to-maturity to calendar time
     times = np.linspace(0.0, horizon, n_lay)
     return np.ascontiguousarray(values), times, log
+
+
+# ---------------------------------------------------------------------------
+# closed form
+# ---------------------------------------------------------------------------
+
+
+def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
+    """Closed-form values on the lattice: per-player Duhamel values for two
+    or more risk-neutral players, otherwise the Cole-Hopf value of the one
+    risk-neutral or exponential-utility player, layer by layer.
+
+    ``closedform`` decides which games it covers; any other game raises its
+    ClosedFormError before the cost is certified.
+    """
+    market = game.market
+    grid.validate_for(market)
+    rule = QuadratureRule.for_grid(grid)
+    times = grid.times(market.maturity)
+    if game.all_risk_neutral and game.n_players >= 2:
+        values = rn_individual_values(game, grid, rule)
+    else:
+        layer = rn_aggregate_value if game.all_risk_neutral else cara_single_value
+        values = np.stack([layer(game, float(t), grid.prices, rule) for t in times])[None]
+    cert = certify_for_game(game)
+    bound = apriori_speed_bound(game, cert)
+    meta = _meta("closed-form", cert, bound, quad_nodes=grid.quad_nodes)
+    return _lattice_solution(game, grid, cert, times, values, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ __all__ = [
     "write_paths_csv",
 ]
 
+CLAMP_LIMIT = 0.01  # largest share of path-steps allowed to leave the price grid
+
 
 class SimulationError(RuntimeError):
     pass
@@ -72,12 +74,11 @@ def simulate_paths(
     n_steps: int,
     antithetic: bool = False,
     chunk_size: int = 20000,
-    clamp_limit: float = 0.01,
 ) -> PathBundle:
     """Euler-Maruyama paths under the solved feedback strategies.
 
     Price lookups outside the solution's price range are clamped to the
-    boundary columns and counted; if more than ``clamp_limit`` of all
+    boundary columns and counted; if more than ``CLAMP_LIMIT`` of all
     path-steps clamp, the grid was too small and an error is raised.
     """
     if n_steps < 10:
@@ -135,10 +136,10 @@ def simulate_paths(
         remaining -= m
 
     frac = clamped / float(n_paths * n_steps)
-    if frac > clamp_limit:
+    if frac > CLAMP_LIMIT:
         raise SimulationError(
             f"{100 * frac:.2f}% of path-steps left the price grid (limit "
-            f"{100 * clamp_limit:.0f}%); enlarge the solution domain"
+            f"{100 * CLAMP_LIMIT:.0f}%); enlarge the solution domain"
         )
 
     terminal = np.stack([np.asarray(pl.endowment.value(prices[:, -1]), dtype=float)

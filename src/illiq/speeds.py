@@ -25,7 +25,6 @@ __all__ = [
     "CertificationError",
     "SpeedSolverError",
     "CostCertificate",
-    "SpeedSolverSettings",
     "certify_cost",
     "certify_for_game",
     "apriori_speed_bound",
@@ -56,19 +55,8 @@ class CostCertificate:
         return self.z_lo <= -z_abs and self.z_hi >= z_abs
 
 
-@dataclass(frozen=True)
-class SpeedSolverSettings:
-    root_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.root_tol > 0:
-            raise ValueError("root_tol must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_SETTINGS = SpeedSolverSettings()
+ROOT_TOL = 1e-12  # bracket width and residual scale of the speed root
+MAX_ITER = 200
 
 
 def certify_cost(cost: CostFunction, interval=None, samples: int = 2001) -> CostCertificate:
@@ -152,21 +140,14 @@ def _phi(cost: CostFunction, n: int, z, s):
     return n * cost.value(z) + z * cost.slope(z) - s
 
 
-def aggregate_speed_many(
-    cost: CostFunction,
-    n_players: int,
-    grad_sums,
-    eps_floor: float,
-    settings: SpeedSolverSettings = DEFAULT_SETTINGS,
-):
+def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor: float):
     """Vectorized root of N g(z) + z g'(z) = S for an array of S values.
 
-    The returned z solves the equation to |residual| <= N * eps * root_tol
-    and sits within root_tol of the exact root.
+    The returned z solves the equation to |residual| <= N * eps * ROOT_TOL
+    and sits within ROOT_TOL of the exact root.
     """
     s = np.atleast_1d(np.asarray(grad_sums, dtype=float))
-    tol = settings.root_tol
-    half = np.abs(s) / ((n_players + 1) * eps_floor) + tol
+    half = np.abs(s) / ((n_players + 1) * eps_floor) + ROOT_TOL
     lo, hi = -half, half.copy()
     if isinstance(cost, TableCost):
         d_lo, d_hi = cost.domain
@@ -178,7 +159,7 @@ def aggregate_speed_many(
         raise SpeedSolverError(
             "root bracket does not straddle a sign change; cost certificate invalid"
         )
-    f_tol = n_players * eps_floor * tol
+    f_tol = n_players * eps_floor * ROOT_TOL
 
     def _absorb(z_new, f_new, lo, hi, f_lo, f_hi):
         neg = f_new < 0.0
@@ -190,8 +171,8 @@ def aggregate_speed_many(
         f_hi = np.where(pos | zero, f_new, f_hi)
         return lo, hi, f_lo, f_hi
 
-    for _ in range(settings.max_iter):
-        done = (hi - lo <= tol) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) <= f_tol)
+    for _ in range(MAX_ITER):
+        done = (hi - lo <= ROOT_TOL) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) <= f_tol)
         if bool(np.all(done)):
             break
         # regula-falsi proposal, safeguarded to the bracket interior
@@ -208,7 +189,7 @@ def aggregate_speed_many(
         f_mid = _phi(cost, n_players, mid, s)
         lo, hi, f_lo, f_hi = _absorb(mid, f_mid, lo, hi, f_lo, f_hi)
     else:
-        raise SpeedSolverError(f"speed root did not converge in {settings.max_iter} iterations")
+        raise SpeedSolverError(f"speed root did not converge in {MAX_ITER} iterations")
     root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
     return root
 
@@ -219,7 +200,7 @@ def equilibrium_fields(game: GameSpec, eps_floor: float, gradients):
 
     The aggregate speed z* is the root of N g(z) + z g'(z) = lambda sum_j v^j_p;
     player j trades at (lambda v^j_p - g(z*)) / g'(z*), well defined because
-    g' >= eps > 0, and the speeds sum back to z* up to N * root_tol.  The source
+    g' >= eps > 0, and the speeds sum back to z* up to N * ROOT_TOL.  The source
     is z* lambda v^j_p - speed_j g(z*), minus sigma^2 alpha_j / 2 (v^j_p)^2 for
     exponential-utility players.
     """

@@ -112,17 +112,22 @@ def test_solve_picard_method(config_path, tmp_path):
                  "--method", "picard"]) == 0
 
 
-def test_solve_method_mismatch_exit_3(tmp_path):
-    doc = dict(BASE)
-    doc["market"] = {"sigma": 2.0, "lambda": 0.01, "T": 1.0, "p0": 100.0}
-    doc["grid"] = {"p_min": 88.0, "p_max": 112.0, "n_p": 101, "n_t": 101, "quad_nodes": 64}
-    doc["players"] = [
+CARA_PAIR = {
+    "market": {"sigma": 2.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
+    "grid": {"p_min": 88.0, "p_max": 112.0, "n_p": 101, "n_t": 101, "quad_nodes": 64},
+    "players": [
         {"utility": {"kind": "cara", "alpha": 0.01},
          "payoff": {"kind": "smoothed_call", "K": 100.0}},
         {"utility": {"kind": "cara", "alpha": 0.01},
          "payoff": {"kind": "negated", "inner": {"kind": "smoothed_call", "K": 100.0}}},
-    ]
-    path = _write(tmp_path, "cara2.json", doc)
+    ],
+}
+SPREAD_COST = {"cost": {"kind": "smoothed_spread", "kappa": 0.01, "s": 0.002, "C": 100.0}}
+
+
+@pytest.mark.parametrize("change", [CARA_PAIR, SPREAD_COST], ids=["cara_pair", "spread_cost"])
+def test_solve_method_mismatch_exit_3(tmp_path, change):
+    path = _write(tmp_path, "game.json", {**BASE, **change})
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "x"),
                  "--method", "closed"]) == 3
 

@@ -15,7 +15,6 @@ from illiq import (
     Scaled,
     GridSpec,
     SmoothedCall,
-    SpeedSolverSettings,
     burgers_value,
     cara_single_value,
     certify_for_game,
@@ -25,8 +24,7 @@ from illiq import (
     rn_aggregate_value,
     rn_individual_values,
 )
-
-ROOT_TOL = SpeedSolverSettings().root_tol
+from illiq.speeds import ROOT_TOL
 
 # ---------------------------------------------------------------------------
 # quadrature and heat kernel

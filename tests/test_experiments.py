@@ -26,10 +26,10 @@ from illiq import (
 )
 from illiq.manifest import digest
 from illiq.model import game_to_dict
-from illiq.speeds import DEFAULT_SETTINGS
+from illiq.speeds import ROOT_TOL
 
 SMALL_GRID = GridSpec(94.0, 106.0, n_p=101, n_t=120, quad_nodes=64)
-ZERO_SUM_TOL = 10.0 * DEFAULT_SETTINGS.root_tol
+ZERO_SUM_TOL = 10.0 * ROOT_TOL
 
 
 def _holder_vs_writer(h, template):

@@ -1,33 +1,45 @@
 import numpy as np
 import pytest
 
+import illiq.pdesolve
 from illiq import (
     CARA,
+    ClosedFormError,
     GameSpec,
     GridSpec,
     LinearCost,
     MarketParams,
+    Negated,
     PicardSettings,
     PlayerSpec,
     QuadratureRule,
     RiskNeutral,
     Scaled,
     SmoothedCall,
+    SmoothedSpreadCost,
     Solution,
+    equilibrium_fields,
     heat_convolve,
     read_solution_csv,
     residual,
     rn_aggregate_grid,
+    solve_closed,
     solve_fd,
     solve_picard,
     surplus,
     write_solution_csv,
 )
+from illiq.closedform import central_gradient
 
 
 def _zero_game(market):
     return GameSpec(market, LinearCost(0.01),
                     (PlayerSpec(RiskNeutral(), Scaled(SmoothedCall(100.0, 10.0, 0.05), 0.0)),))
+
+
+def _cara_pair(market, cost, call):
+    return GameSpec(market, cost, (PlayerSpec(CARA(0.01), call),
+                                   PlayerSpec(CARA(0.1), Negated(call))))
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +112,58 @@ def test_cfl_refines_time_grid(linear_cost, call):
     assert sol.grid.n_t == sol.times.size
 
 
+@pytest.mark.parametrize("which", ["call", "cara_pair"])
+def test_fd_stored_fields_match_per_layer_recomputation(which, call_game, call_solution,
+                                                        market, linear_cost, call):
+    # the march stores each layer's fields before stepping to the previous
+    # layer; an off-by-one layer would pair fields with the wrong values
+    if which == "call":
+        game, sol = call_game, call_solution
+    else:
+        game = _cara_pair(market, linear_cost, call)
+        sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 100))
+    eps = sol.meta["certificate"].eps_floor
+    for k in range(sol.times.size):
+        grads = central_gradient(sol.values[:, k], sol.grid.dp)
+        speeds, agg, _ = equilibrium_fields(game, eps, grads)
+        assert np.array_equal(sol.gradients[:, k], grads)
+        assert np.array_equal(sol.speeds[:, k], speeds)
+        assert np.array_equal(sol.aggregate_speed[k], agg)
+
+
 def test_solution_value_interpolation(call_solution):
     exact = call_solution.values[0, 0, 100]
     p = call_solution.prices[100]
     assert call_solution.value_at(0, 0.0, float(p)) == pytest.approx(float(exact))
+
+
+# ---------------------------------------------------------------------------
+# closed form
+# ---------------------------------------------------------------------------
+
+
+def test_closed_solution_matches_closed_form(call_game, coarse_grid):
+    sol = solve_closed(call_game, coarse_grid)
+    cf = rn_aggregate_grid(call_game, coarse_grid, QuadratureRule.for_grid(coarse_grid))
+    assert np.array_equal(sol.values[0], cf)
+    assert {"certificate", "speed_bound", "root_tol"} <= set(sol.meta)
+
+
+@pytest.mark.parametrize("which", ["cara_pair", "spread_cost"])
+def test_closed_rejects_uncovered_games_before_certifying(which, market, linear_cost, call,
+                                                          monkeypatch):
+    if which == "cara_pair":
+        game = _cara_pair(market, linear_cost, call)
+    else:
+        spread = SmoothedSpreadCost(kappa=0.01, spread=0.002, sharpness=100.0)
+        game = GameSpec(market, spread, (PlayerSpec(RiskNeutral(), call),))
+
+    def certify(game):
+        raise AssertionError("certified a game without a closed form")
+
+    monkeypatch.setattr(illiq.pdesolve, "certify_for_game", certify)
+    with pytest.raises(ClosedFormError):
+        solve_closed(game, GridSpec(94.0, 106.0, 51, 20))
 
 
 # ---------------------------------------------------------------------------

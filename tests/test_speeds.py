@@ -17,15 +17,13 @@ from illiq import (
     SmoothedDigital,
     SmoothedSpreadCost,
     SpeedSolverError,
-    SpeedSolverSettings,
     TableCost,
     aggregate_speed_many,
     apriori_speed_bound,
     certify_cost,
     equilibrium_fields,
 )
-
-ROOT_TOL = SpeedSolverSettings().root_tol
+from illiq.speeds import ROOT_TOL
 
 
 def _speeds_and_root(cost, effective_gradients, eps):
