@@ -28,7 +28,7 @@ grid = GridSpec(88.0, 112.0, n_p=241, n_t=500, quad_nodes=96)
 
 for label, alphas in (("similar risk aversion", (0.01, 0.01)),
                       ("issuer much more averse", (0.001, 0.1))):
-    res = cara_two_player_study(alphas, base, grid, band=(95.0, 105.0))
+    res = cara_two_player_study(alphas, base, grid)
     prices = res.grids["prices"]
     print(f"\n{label}: alpha = {alphas}")
     print("  p       holder speed   issuer speed   aggregate")

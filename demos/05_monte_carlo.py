@@ -36,7 +36,7 @@ grid = GridSpec(94.0, 106.0, n_p=401, n_t=1000, quad_nodes=128)
 print("solving, then simulating 20000 paths under the feedback strategy ...")
 sol = solve_fd(game, grid)
 bundle = simulate_paths(sol, game, n_paths=20000, seed=7, n_steps=400)
-means, ses = realized_objectives(bundle, game)
+means, ses = realized_objectives(bundle)
 z = mc_consistency(bundle, sol)
 
 print(f"  solved value v(0, 100):        {sol.value_at(0, 0.0, 100.0):.5f}")

@@ -64,7 +64,6 @@ from .closedform import (  # noqa: F401
     rn_individual_values,
 )
 from .pdesolve import (  # noqa: F401
-    PicardSettings,
     ResidualReport,
     Solution,
     SolverError,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closedform import ClosedFormError, QuadratureRule
+from .closedform import ClosedFormError
 from .experiments import (
     SweepResult,
     cara_two_player_study,
@@ -77,6 +77,7 @@ EXIT_HASH = 5
 EXIT_ASSERTION = 6
 
 DEFAULT_SIM_STEPS = 500
+SURPLUS_MAX_LAYERS = 201  # surplus.csv thins the time axis to at most this many layers
 
 
 class MethodMismatch(RuntimeError):
@@ -178,10 +179,10 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _surplus_time_indices(n_t: int, cap: int = 201):
-    if n_t <= cap:
+def _surplus_time_indices(n_t: int):
+    if n_t <= SURPLUS_MAX_LAYERS:
         return list(range(n_t))
-    return sorted(set(np.linspace(0, n_t - 1, cap).round().astype(int).tolist()))
+    return sorted(set(np.linspace(0, n_t - 1, SURPLUS_MAX_LAYERS).round().astype(int).tolist()))
 
 
 def cmd_solve(args) -> int:
@@ -202,7 +203,7 @@ def cmd_solve(args) -> int:
     sol_path = out / "solution.csv"
     write_solution_csv(sol, sol_path)
     idx = _surplus_time_indices(sol.times.size)
-    surp = surplus(sol, game, QuadratureRule.for_grid(grid), time_indices=idx)
+    surp = surplus(sol, game, time_indices=idx)
     surp_path = out / "surplus.csv"
     _write_surplus_csv(sol, surp, idx, surp_path)
     manifest_path = out / "manifest.json"
@@ -251,7 +252,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bundle = simulate_paths(sol, game, args.paths, args.seed, DEFAULT_SIM_STEPS)
-    means, ses = realized_objectives(bundle, game)
+    means, ses = realized_objectives(bundle)
     z = mc_consistency(bundle, sol)
     paths_path = out / "paths.csv"
     write_paths_csv(bundle, paths_path)
@@ -342,8 +343,7 @@ def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
         alphas = [pl.utility.alpha for pl in game.players if isinstance(pl.utility, CARA)]
         if len(alphas) != 2:
             raise MethodMismatch("cara2 study needs a config with exactly two CARA players")
-        p0 = game.market.p0
-        return cara_two_player_study(alphas, game, grid, band=(p0 - 5.0, p0 + 5.0))
+        return cara_two_player_study(alphas, game, grid)
     if study.startswith("figure:"):
         return figure_grids(study.split(":", 1)[1], grid)
     raise ConfigError(f"unknown study '{study}'")

@@ -204,9 +204,11 @@ def rn_aggregate_value(game: GameSpec, t: float, p, rule: QuadratureRule):
     return burgers_value(prob, t, p, rule)
 
 
-def rn_aggregate_grid(game: GameSpec, grid: GridSpec, rule: QuadratureRule) -> np.ndarray:
-    """Aggregate closed-form value on the full (n_t, n_p) lattice."""
+def rn_aggregate_grid(game: GameSpec, grid: GridSpec) -> np.ndarray:
+    """Aggregate closed-form value on the full (n_t, n_p) lattice, by the
+    grid's own quadrature rule."""
     _require_rn_linear(game, "rn_aggregate_grid")
+    rule = QuadratureRule.for_grid(grid)
     times = grid.times(game.market.maturity)
     prices = grid.prices
     out = np.empty((times.size, prices.size))
@@ -224,7 +226,7 @@ def central_gradient(values: np.ndarray, dp: float) -> np.ndarray:
     return grad
 
 
-def rn_individual_values(game: GameSpec, grid: GridSpec, rule: QuadratureRule) -> np.ndarray:
+def rn_individual_values(game: GameSpec, grid: GridSpec) -> np.ndarray:
     """Per-player closed-form values (N, n_t, n_p) for risk-neutral linear
     cost, via the Duhamel formula
 
@@ -233,9 +235,11 @@ def rn_individual_values(game: GameSpec, grid: GridSpec, rule: QuadratureRule) -
 
     with tau the time to maturity and v the aggregate Cole-Hopf value.
     The time integral uses the grid's own layers (composite trapezoid), so
-    cost grows as n_t^2; intended for moderate time grids.
+    cost grows as n_t^2; intended for moderate time grids.  The heat kernel
+    is applied by the grid's own quadrature rule.
     """
     _require_rn_linear(game, "rn_individual_values")
+    rule = QuadratureRule.for_grid(grid)
     market = game.market
     n = game.n_players
     times = grid.times(market.maturity)
@@ -246,7 +250,7 @@ def rn_individual_values(game: GameSpec, grid: GridSpec, rule: QuadratureRule) -
     coef = market.lam**2 / (game.cost.kappa * (n + 1) ** 2)
 
     # aggregate value and its squared gradient, indexed by time to maturity
-    v = rn_aggregate_grid(game, grid, rule)
+    v = rn_aggregate_grid(game, grid)
     src_tau = central_gradient(v, grid.dp)[::-1] ** 2  # src_tau[m] at tau = m*dtau
 
     # shared Duhamel integral (players differ only in the heat term)

@@ -52,6 +52,15 @@ class ExperimentError(ValueError):
     pass
 
 
+# slack of the monotonicity claims: split_sweep's pointwise rows, spread_sweep's maxima
+SPLIT_MONOTONE_TOL = 1e-8
+SPREAD_MONOTONE_TOL = 1e-6
+# cara_two_player_study: slack of the speed-sign claims, and the half-width of
+# the band around p0 on which they are checked
+SIGN_TOL = 1e-6
+BAND_HALF_WIDTH = 5.0
+
+
 @dataclass(frozen=True)
 class SweepResult:
     param: str
@@ -127,10 +136,10 @@ def _split_game(h: Payoff, n: int, template: GameSpec) -> GameSpec:
     return GameSpec(template.market, template.cost, players)
 
 
-def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridSpec,
-                      rule: QuadratureRule) -> dict:
+def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridSpec) -> dict:
     """Time-zero aggregate speed per N: the speed root at lambda times the
     price gradient of the closed-form aggregate value."""
+    rule = QuadratureRule.for_grid(grid)
     rows = {}
     for n in ns:
         game = make_game(h, n, template)
@@ -141,14 +150,12 @@ def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridS
     return rows
 
 
-def predator_sweep(h1: Payoff, ns, template: GameSpec, grid: GridSpec,
-                   rule: QuadratureRule | None = None) -> SweepResult:
+def predator_sweep(h1: Payoff, ns, template: GameSpec, grid: GridSpec) -> SweepResult:
     """One option holder against N-1 endowment-free competitors: the more
     competitors, the smaller the aggregate manipulation."""
     _rn_linear_template(template, "predator_sweep")
-    rule = rule or QuadratureRule.for_grid(grid)
     ns = tuple(int(n) for n in ns)
-    rows = _closed_speed_rows(_predator_game, h1, ns, template, grid, rule)
+    rows = _closed_speed_rows(_predator_game, h1, ns, template, grid)
     max_abs = np.array([float(np.max(np.abs(rows[n]))) for n in ns])
     assertions = {"max_speed_decreasing": _non_increasing(max_abs, 0.0)}
     if len(ns) >= 2:
@@ -167,19 +174,16 @@ def predator_sweep(h1: Payoff, ns, template: GameSpec, grid: GridSpec,
     )
 
 
-def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec,
-                rule: QuadratureRule | None = None,
-                monotone_tol: float = 1e-8) -> SweepResult:
+def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec) -> SweepResult:
     """The endowment h split equally over N holders: |aggregate speed| is
     pointwise non-increasing in N and decays toward zero."""
     _rn_linear_template(template, "split_sweep")
-    rule = rule or QuadratureRule.for_grid(grid)
     ns = tuple(int(n) for n in ns)
     rows = {n: np.abs(row)
-            for n, row in _closed_speed_rows(_split_game, h, ns, template, grid, rule).items()}
+            for n, row in _closed_speed_rows(_split_game, h, ns, template, grid).items()}
     max_abs = np.array([float(np.max(rows[n])) for n in ns])
     pointwise = all(
-        bool(np.all(rows[ns[i + 1]] <= rows[ns[i]] + monotone_tol))
+        bool(np.all(rows[ns[i + 1]] <= rows[ns[i]] + SPLIT_MONOTONE_TOL))
         for i in range(len(ns) - 1)
     )
     assertions = {"pointwise_non_increasing": pointwise}
@@ -198,8 +202,7 @@ def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec,
     )
 
 
-def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec,
-                 monotone_tol: float = 1e-6) -> SweepResult:
+def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec) -> SweepResult:
     """Single risk-neutral holder under increasing spread-crossing costs:
     both the time-zero speed and the surplus shrink as the spread grows."""
     if base_game.n_players != 1 or not base_game.all_risk_neutral:
@@ -207,7 +210,6 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec,
     if not isinstance(base_game.cost, (SmoothedSpreadCost, LinearCost)):
         raise ExperimentError("spread_sweep requires a linear or smoothed-spread cost")
     kappa = base_game.cost.kappa
-    rule = QuadratureRule.for_grid(grid)
     spreads = tuple(float(s) for s in spreads)
     speed_rows, surplus_rows = {}, {}
     for s in spreads:
@@ -215,12 +217,12 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec,
         game_s = GameSpec(base_game.market, cost, base_game.players)
         sol = solve_fd(game_s, grid)
         speed_rows[s] = sol.speeds[0, 0].copy()
-        surplus_rows[s] = surplus(sol, game_s, rule, time_indices=[0])[0, 0]
+        surplus_rows[s] = surplus(sol, game_s, time_indices=[0])[0, 0]
     max_speed = np.array([float(np.max(np.abs(speed_rows[s]))) for s in spreads])
     max_surplus = np.array([float(np.max(surplus_rows[s])) for s in spreads])
     assertions = {
-        "max_speed_non_increasing": _non_increasing(max_speed, monotone_tol),
-        "max_surplus_non_increasing": _non_increasing(max_surplus, monotone_tol),
+        "max_speed_non_increasing": _non_increasing(max_speed, SPREAD_MONOTONE_TOL),
+        "max_surplus_non_increasing": _non_increasing(max_surplus, SPREAD_MONOTONE_TOL),
     }
     game_hash, grid_hash = _hashes(base_game, grid)
     return SweepResult(
@@ -238,11 +240,10 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec,
     )
 
 
-def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec,
-                          band=(95.0, 105.0),
-                          sign_tol: float = 1e-6) -> SweepResult:
+def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepResult:
     """Long call holder (player 1) versus its issuer (player 2), both with
-    exponential utility: the holder buys and the issuer sells on the band."""
+    exponential utility: the holder buys and the issuer sells on the band
+    p0 +/- ``BAND_HALF_WIDTH``."""
     h = base_game.players[0].endowment
     game = GameSpec(
         market=base_game.market,
@@ -252,16 +253,16 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec,
             PlayerSpec(CARA(float(alphas[1])), Negated(h)),
         ),
     )
-    rule = QuadratureRule.for_grid(grid)
     sol = solve_fd(game, grid)
     prices = grid.prices
-    mask = (prices >= band[0]) & (prices <= band[1])
+    p0 = game.market.p0
+    mask = (prices >= p0 - BAND_HALF_WIDTH) & (prices <= p0 + BAND_HALF_WIDTH)
     writer_speed = sol.speeds[0, 0]
     issuer_speed = sol.speeds[1, 0]
-    surp = surplus(sol, game, rule, time_indices=[0])[:, 0, :]
+    surp = surplus(sol, game, time_indices=[0])[:, 0, :]
     assertions = {
-        "writer_buys": bool(np.min(writer_speed[mask]) >= -sign_tol),
-        "issuer_sells": bool(np.max(issuer_speed[mask]) <= sign_tol),
+        "writer_buys": bool(np.min(writer_speed[mask]) >= -SIGN_TOL),
+        "issuer_sells": bool(np.max(issuer_speed[mask]) <= SIGN_TOL),
     }
     game_hash, grid_hash = _hashes(game, grid)
     return SweepResult(
@@ -318,7 +319,7 @@ def _speed_surplus_grid(kind: str, grid: GridSpec | None) -> SweepResult:
         values=tuple(sol.times.tolist()),
         metrics={},
         grids={"prices": sol.prices, "speed": sol.aggregate_speed,
-               "surplus": surplus(sol, game, QuadratureRule.for_grid(grid))[0]},
+               "surplus": surplus(sol, game)[0]},
         assertions={},
         game_hash=game_hash,
         grid_hash=grid_hash,

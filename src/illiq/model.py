@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -548,8 +548,8 @@ class GameSpec:
     def max_payoff_slope(self) -> float:
         return max(pl.endowment.slope_bound for pl in self.players)
 
-    def to_dict(self) -> dict:
-        return game_to_dict(self)
+
+SPAN_SIGMAS = 6.0  # a grid reaches p0 +/- SPAN_SIGMAS sigma sqrt(T)
 
 
 @dataclass(frozen=True)
@@ -572,10 +572,10 @@ class GridSpec:
 
     def validate_for(self, market: MarketParams) -> None:
         _require(self.p_min < market.p0 < self.p_max, "grid must contain p0 strictly inside")
-        span = 6.0 * market.scale
+        span = SPAN_SIGMAS * market.scale
         _require(
             self.p_min <= market.p0 - span + 1e-12 and self.p_max >= market.p0 + span - 1e-12,
-            "grid must cover at least p0 +/- 6 sigma sqrt(T)",
+            f"grid must cover at least p0 +/- {SPAN_SIGMAS:g} sigma sqrt(T)",
         )
 
     @property
@@ -591,12 +591,9 @@ class GridSpec:
 
     @staticmethod
     def for_market(market: MarketParams, n_p: int = 401, n_t: int = 2000,
-                   quad_nodes: int = 128, span_sigmas: float = 6.0) -> "GridSpec":
-        span = span_sigmas * market.scale
+                   quad_nodes: int = 128) -> "GridSpec":
+        span = SPAN_SIGMAS * market.scale
         return GridSpec(market.p0 - span, market.p0 + span, n_p, n_t, quad_nodes)
-
-    def to_dict(self) -> dict:
-        return grid_to_dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +605,7 @@ _COST_KEYS = {"kind", "kappa", "s", "C", "table"}
 _PLAYER_KEYS = {"utility", "payoff"}
 _UTILITY_KEYS = {"kind", "alpha"}
 _PAYOFF_KEYS = {"kind", "K", "cap", "width", "factor", "grid", "inner", "terms"}
-_GRID_KEYS = {"p_min", "p_max", "n_p", "n_t", "quad_nodes"}
+_GRID_CASTS = {"p_min": float, "p_max": float, "n_p": int, "n_t": int, "quad_nodes": int}
 _TOP_KEYS = {"market", "cost", "players", "grid"}
 
 
@@ -742,23 +739,16 @@ def load_game(config_text: str) -> GameSpec:
 
 
 def load_grid(config_text: str, market: MarketParams) -> GridSpec:
-    """Grid section of the config, with market-derived defaults when absent."""
+    """Grid section of the config: the keys it gives override
+    ``GridSpec.for_market(market)``."""
     doc = _parse_document(config_text)
     obj = doc.get("grid")
-    if obj is None:
-        grid = GridSpec.for_market(market)
-    else:
+    grid = GridSpec.for_market(market)
+    if obj is not None:
         if not isinstance(obj, dict):
             raise ConfigError("grid must be an object")
-        _check_keys(obj, _GRID_KEYS, "grid")
-        span = 6.0 * market.scale
-        grid = GridSpec(
-            p_min=float(obj.get("p_min", market.p0 - span)),
-            p_max=float(obj.get("p_max", market.p0 + span)),
-            n_p=int(obj.get("n_p", 401)),
-            n_t=int(obj.get("n_t", 2000)),
-            quad_nodes=int(obj.get("quad_nodes", 128)),
-        )
+        _check_keys(obj, set(_GRID_CASTS), "grid")
+        grid = replace(grid, **{key: _GRID_CASTS[key](value) for key, value in obj.items()})
     grid.validate_for(market)
     return grid
 

@@ -49,7 +49,6 @@ from .speeds import ROOT_TOL, apriori_speed_bound, certify_for_game, equilibrium
 
 __all__ = [
     "SolverError",
-    "PicardSettings",
     "Solution",
     "ResidualReport",
     "solve_fd",
@@ -70,19 +69,14 @@ class _NonContraction(SolverError):
     pass
 
 
-@dataclass(frozen=True)
-class PicardSettings:
-    tau: float | None = None  # contraction step; default 0.05 * horizon
-    fixpoint_tol: float = 1e-10
-    max_picard_iter: int = 60
-    sublayers: int = 8
-    max_tau_halvings: int = 3
-
-    def __post_init__(self):
-        if self.tau is not None and not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if self.sublayers < 1:
-            raise ValueError("sublayers must be >= 1")
+# Picard iteration: first contraction step as a share of the horizon, the
+# sup-norm fixed-point tolerance, iterations per step, quadrature sub-layers
+# per step and how often a non-contracting step may be halved
+PICARD_TAU_FRACTION = 0.05
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 60
+PICARD_SUBLAYERS = 8
+PICARD_MAX_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -216,27 +210,29 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
 # ---------------------------------------------------------------------------
 
 
-def solve_picard(game: GameSpec, grid: GridSpec, picard: PicardSettings | None = None) -> Solution:
+def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     """Fixed-point solution of the mild form on subintervals of length tau.
 
-    Within each subinterval the map v -> e^{tL} h + int e^{(t-s)L} F(v_p) ds
-    is iterated to the sup-norm tolerance; the subinterval solutions are
-    concatenated.  If the sup-change grows two iterations in a row the step
-    is declared non-contracting and tau is halved (a uniform contraction
-    step exists, but its size is problem dependent).
+    Within each subinterval, split into ``PICARD_SUBLAYERS`` quadrature
+    sub-layers, the map v -> e^{tL} h + int e^{(t-s)L} F(v_p) ds is iterated
+    until the sup-change is at most ``PICARD_TOL``, for at most
+    ``PICARD_MAX_ITER`` iterations; the subinterval solutions are
+    concatenated.  tau starts at ``PICARD_TAU_FRACTION`` times the horizon.
+    If the sup-change grows two iterations in a row the step is declared
+    non-contracting and tau is halved, at most ``PICARD_MAX_HALVINGS`` times
+    (a uniform contraction step exists, but its size is problem dependent).
     """
-    picard = picard or PicardSettings()
     market = game.market
     grid.validate_for(market)
     cert = certify_for_game(game)
     bound = apriori_speed_bound(game, cert)
     rule = QuadratureRule.for_grid(grid)
-    tau = picard.tau if picard.tau is not None else 0.05 * market.maturity
+    tau = PICARD_TAU_FRACTION * market.maturity
 
     last_err: Exception | None = None
-    for halving in range(picard.max_tau_halvings + 1):
+    for halving in range(PICARD_MAX_HALVINGS + 1):
         try:
-            values, times, log = _picard_march(game, grid, cert, rule, tau, picard)
+            values, times, log = _picard_march(game, grid, cert, rule, tau)
             break
         except _NonContraction as err:
             last_err = err
@@ -245,17 +241,17 @@ def solve_picard(game: GameSpec, grid: GridSpec, picard: PicardSettings | None =
         raise SolverError(f"Picard iteration kept diverging: {last_err}")
 
     meta = _meta("picard-semigroup", cert, bound, tau=tau, tau_halvings=halving,
-                 sublayers=picard.sublayers, iteration_changes=log)
+                 sublayers=PICARD_SUBLAYERS, iteration_changes=log)
     return _lattice_solution(game, grid, cert, times, values, meta)
 
 
-def _picard_march(game, grid, cert, rule, tau, picard):
+def _picard_march(game, grid, cert, rule, tau):
     market = game.market
     horizon = market.maturity
     sig2 = market.sigma**2
     prices = grid.prices
     n = game.n_players
-    m_sub = picard.sublayers
+    m_sub = PICARD_SUBLAYERS
     n_tau = max(1, int(math.ceil(horizon / tau - 1e-12)))
     h = horizon / (n_tau * m_sub)  # sub-layer spacing in time to maturity
 
@@ -279,7 +275,7 @@ def _picard_march(game, grid, cert, rule, tau, picard):
         cur = seed.copy()
 
         changes: list[float] = []
-        for _ in range(picard.max_picard_iter):
+        for _ in range(PICARD_MAX_ITER):
             f_layers = np.empty_like(cur)
             for m in range(m_sub + 1):
                 f_layers[m] = equilibrium_fields(game, cert.eps_floor,
@@ -299,7 +295,7 @@ def _picard_march(game, grid, cert, rule, tau, picard):
             change = float(np.max(np.abs(new - cur)))
             changes.append(change)
             cur = new
-            if change <= picard.fixpoint_tol:
+            if change <= PICARD_TOL:
                 break
             if len(changes) >= 3 and changes[-1] > changes[-2] > changes[-3]:
                 log.append(changes)
@@ -308,8 +304,8 @@ def _picard_march(game, grid, cert, rule, tau, picard):
                 )
         else:
             raise SolverError(
-                f"Picard step {step} did not reach {picard.fixpoint_tol:g} "
-                f"in {picard.max_picard_iter} iterations (last change {changes[-1]:g})"
+                f"Picard step {step} did not reach {PICARD_TOL:g} "
+                f"in {PICARD_MAX_ITER} iterations (last change {changes[-1]:g})"
             )
         log.append(changes)
         v_tau[:, base + 1 : base + m_sub + 1] = np.swapaxes(cur[1:], 0, 1)
@@ -334,11 +330,11 @@ def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
     """
     market = game.market
     grid.validate_for(market)
-    rule = QuadratureRule.for_grid(grid)
     times = grid.times(market.maturity)
     if game.all_risk_neutral and game.n_players >= 2:
-        values = rn_individual_values(game, grid, rule)
+        values = rn_individual_values(game, grid)
     else:
+        rule = QuadratureRule.for_grid(grid)
         layer = rn_aggregate_value if game.all_risk_neutral else cara_single_value
         values = np.stack([layer(game, float(t), grid.prices, rule) for t in times])[None]
     cert = certify_for_game(game)
@@ -374,12 +370,12 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     return ResidualReport(per_player=per_player, overall=float(np.max(per_player)))
 
 
-def surplus(sol: Solution, game: GameSpec, rule: QuadratureRule | None = None,
-            time_indices=None) -> np.ndarray:
+def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
     """Edge over never trading: v^j(t,p) minus the pure-diffusion expected
-    (utility of the) payoff.  Exponential-utility players are compared on
-    the utility scale via the exponential map of the stored transform."""
-    rule = rule or QuadratureRule.for_grid(sol.grid)
+    (utility of the) payoff, by the quadrature rule of the solution's grid.
+    Exponential-utility players are compared on the utility scale via the
+    exponential map of the stored transform."""
+    rule = QuadratureRule.for_grid(sol.grid)
     maturity = game.market.maturity
     sig2 = game.market.sigma**2
     if time_indices is None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec
-from .pdesolve import Solution
+from .pdesolve import Solution, _time_interp
 
 __all__ = [
     "SimulationError",
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 CLAMP_LIMIT = 0.01  # largest share of path-steps allowed to leave the price grid
+CHUNK_PATHS = 20000  # paths simulated per block of noise
 
 
 class SimulationError(RuntimeError):
@@ -72,8 +73,6 @@ def simulate_paths(
     n_paths: int,
     seed: int,
     n_steps: int,
-    antithetic: bool = False,
-    chunk_size: int = 20000,
 ) -> PathBundle:
     """Euler-Maruyama paths under the solved feedback strategies.
 
@@ -83,8 +82,6 @@ def simulate_paths(
     """
     if n_steps < 10:
         raise ValueError("n_steps must be >= 10")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even n_paths")
     market = game.market
     n = game.n_players
     horizon = market.maturity
@@ -94,46 +91,33 @@ def simulate_paths(
     p_grid = sol.prices
 
     # per-step speed rows, interpolated once in time
-    speed_rows = np.empty((n_steps, n, p_grid.size))
-    sol_times = sol.times
-    for k in range(n_steps):
-        t = times[k]
-        idx = min(max(int(np.searchsorted(sol_times, t, side="right") - 1), 0),
-                  sol_times.size - 2)
-        w = (t - sol_times[idx]) / (sol_times[idx + 1] - sol_times[idx])
-        speed_rows[k] = (1.0 - w) * sol.speeds[:, idx] + w * sol.speeds[:, idx + 1]
+    speeds_by_time = sol.speeds.swapaxes(0, 1)
+    speed_rows = np.stack([_time_interp(sol.times, speeds_by_time, t) for t in times[:-1]])
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    base_paths = n_paths // 2 if antithetic else n_paths
     prices = np.empty((n_paths, n_steps + 1))
     inventories = np.zeros((n, n_paths, n_steps + 1))
     costs = np.zeros((n, n_paths, n_steps + 1))
     clamped = 0
-    row = 0
-    remaining = base_paths
-    while remaining > 0:
-        m = min(chunk_size, remaining)
+    for row in range(0, n_paths, CHUNK_PATHS):
+        m = min(CHUNK_PATHS, n_paths - row)
         noise = rng.standard_normal((m, n_steps))
-        blocks = [noise, -noise] if antithetic else [noise]
-        for blk in blocks:
-            p = np.full(m, market.p0)
-            x = np.zeros((n, m))
-            r = np.zeros((n, m))
-            prices[row : row + m, 0] = p
-            for k in range(n_steps):
-                p_look = np.clip(p, p_grid[0], p_grid[-1])
-                clamped += int(np.count_nonzero(p_look != p))
-                spd = np.stack([np.interp(p_look, p_grid, speed_rows[k, j]) for j in range(n)])
-                agg = spd.sum(axis=0)
-                g_agg = np.asarray(game.cost.value(agg), dtype=float)
-                p = p + market.lam * agg * dt + market.sigma * sqrt_dt * blk[:, k]
-                x = x + spd * dt
-                r = r + spd * g_agg * dt
-                prices[row : row + m, k + 1] = p
-                inventories[:, row : row + m, k + 1] = x
-                costs[:, row : row + m, k + 1] = r
-            row += m
-        remaining -= m
+        p = np.full(m, market.p0)
+        x = np.zeros((n, m))
+        r = np.zeros((n, m))
+        prices[row : row + m, 0] = p
+        for k in range(n_steps):
+            p_look = np.clip(p, p_grid[0], p_grid[-1])
+            clamped += int(np.count_nonzero(p_look != p))
+            spd = np.stack([np.interp(p_look, p_grid, speed_rows[k, j]) for j in range(n)])
+            agg = spd.sum(axis=0)
+            g_agg = np.asarray(game.cost.value(agg), dtype=float)
+            p = p + market.lam * agg * dt + market.sigma * sqrt_dt * noise[:, k]
+            x = x + spd * dt
+            r = r + spd * g_agg * dt
+            prices[row : row + m, k + 1] = p
+            inventories[:, row : row + m, k + 1] = x
+            costs[:, row : row + m, k + 1] = r
 
     frac = clamped / float(n_paths * n_steps)
     if frac > CLAMP_LIMIT:
@@ -161,11 +145,10 @@ def simulate_paths(
     )
 
 
-def realized_objectives(bundle: PathBundle, game: GameSpec):
+def realized_objectives(bundle: PathBundle):
     """Per-player sample mean and standard error of the realized objective."""
     means = bundle.objectives.mean(axis=1)
-    n = bundle.n_paths
-    ses = bundle.objectives.std(axis=1, ddof=1) / math.sqrt(n)
+    ses = bundle.objectives.std(axis=1, ddof=1) / math.sqrt(bundle.n_paths)
     return means, ses
 
 
@@ -173,8 +156,7 @@ def mc_consistency(bundle: PathBundle, sol: Solution) -> np.ndarray:
     """z-scores of the realized objective means against the solved values
     at (t=0, p0); exponential-utility transforms are undone before comparing."""
     p0 = float(bundle.prices[0, 0])
-    means = bundle.objectives.mean(axis=1)
-    ses = bundle.objectives.std(axis=1, ddof=1) / math.sqrt(bundle.n_paths)
+    means, ses = realized_objectives(bundle)
     z = np.empty(bundle.n_players)
     for j in range(bundle.n_players):
         v0 = sol.value_at(j, 0.0, p0)

@@ -57,10 +57,12 @@ class CostCertificate:
 
 ROOT_TOL = 1e-12  # bracket width and residual scale of the speed root
 MAX_ITER = 200
+CERT_SAMPLES = 2001  # uniform sample size of the cost scan
 
 
-def certify_cost(cost: CostFunction, interval=None, samples: int = 2001) -> CostCertificate:
-    """Scan g' and g + z g' over a uniform sample of the working interval.
+def certify_cost(cost: CostFunction, interval=None) -> CostCertificate:
+    """Scan g' and g + z g' over ``CERT_SAMPLES`` uniform points of the
+    working interval.
 
     Returns a certificate whose ``eps_floor`` is the scanned minimum of g'
     shaved by 1% (the safety margin absorbs sampling error).  Raises
@@ -68,14 +70,12 @@ def certify_cost(cost: CostFunction, interval=None, samples: int = 2001) -> Cost
     below the cost function's declared ``eps_floor``, or a non-increasing
     marginal cost.
     """
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
     if interval is None:
         interval = cost.domain if isinstance(cost, TableCost) else (-100.0, 100.0)
     z_lo, z_hi = float(interval[0]), float(interval[1])
     if not z_lo < 0.0 < z_hi:
         raise ValueError("working interval must contain 0")
-    zs = np.linspace(z_lo, z_hi, samples)
+    zs = np.linspace(z_lo, z_hi, CERT_SAMPLES)
     slopes = np.asarray(cost.slope(zs), dtype=float)
     min_slope = float(np.min(slopes))
     if min_slope <= 0.0:
@@ -94,11 +94,11 @@ def certify_cost(cost: CostFunction, interval=None, samples: int = 2001) -> Cost
             f"z -> g(z) + z g'(z) is not strictly increasing on [{z_lo:g}, {z_hi:g}]"
         )
     return CostCertificate(
-        eps_floor=eps, marginal_monotone=True, z_lo=z_lo, z_hi=z_hi, samples=samples
+        eps_floor=eps, marginal_monotone=True, z_lo=z_lo, z_hi=z_hi, samples=CERT_SAMPLES
     )
 
 
-def certify_for_game(game: GameSpec, samples: int = 2001) -> CostCertificate:
+def certify_for_game(game: GameSpec) -> CostCertificate:
     """Certify the game's cost on an interval wide enough for its own
     equilibrium speed range, growing the interval until it self-covers."""
     cost = game.cost
@@ -106,12 +106,12 @@ def certify_for_game(game: GameSpec, samples: int = 2001) -> CostCertificate:
     h = game.max_payoff_slope()
     n = game.n_players
     if isinstance(cost, TableCost):
-        cert = certify_cost(cost, cost.domain, samples)
+        cert = certify_cost(cost, cost.domain)
         _check_coverage(cert, n * (lam / cert.eps_floor) * h)
         return cert
     interval = (-1.0, 1.0)
     for _ in range(4):
-        cert = certify_cost(cost, interval, samples)
+        cert = certify_cost(cost, interval)
         bound = n * (lam / cert.eps_floor) * h
         if cert.covers(bound):
             return cert

@@ -117,7 +117,7 @@ def cara_studies(cara_market, cara_grid):
     call = SmoothedCall(100.0, 10.0 * s, 0.05 * s)
     base = GameSpec(cara_market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),))
     return {
-        alphas: cara_two_player_study(alphas, base, cara_grid, band=(95.0, 105.0))
+        alphas: cara_two_player_study(alphas, base, cara_grid)
         for alphas in ((0.01, 0.01), (0.001, 0.1))
     }
 
@@ -157,9 +157,9 @@ def solved_games(bench_game, bench_solution, digital_game, digital_solution,
 # ---------------------------------------------------------------------------
 
 
-def test_c01_closed_form_vs_fd(bench_game, bench_grid, bench_solution, rule):
+def test_c01_closed_form_vs_fd(bench_game, bench_grid, bench_solution):
     sol, seconds = bench_solution
-    cf = rn_aggregate_grid(bench_game, bench_grid, rule)
+    cf = rn_aggregate_grid(bench_game, bench_grid)
     rel = np.abs(sol.values[0] - cf) / (1.0 + np.abs(cf))
     worst = float(rel[1:-1, 1:-1].max())
     _report(
@@ -198,13 +198,13 @@ def test_c03_zero_sum_cancellation(zero_sum_solution):
     )
 
 
-def test_c04_split_scaling(bench_call, bench_digital, bench_game, rule):
+def test_c04_split_scaling(bench_call, bench_digital, bench_game):
     grid = GridSpec(94.0, 106.0, n_p=401, n_t=101, quad_nodes=128)
     ns = (1, 2, 5, 10, 100)
     ok = True
     details = []
     for name, h in (("call", bench_call), ("digital", bench_digital)):
-        res = split_sweep(h, ns, bench_game, grid, rule, monotone_tol=1e-8)
+        res = split_sweep(h, ns, bench_game, grid)
         m = res.metrics["max_abs_aggregate_speed"]
         ratio = m[-1] / m[0]
         ok = ok and res.assertions["pointwise_non_increasing"] and ratio <= 0.05
@@ -213,9 +213,9 @@ def test_c04_split_scaling(bench_call, bench_digital, bench_game, rule):
     _report(4, "splitting the endowment damps aggregate speed", ok, "; ".join(details))
 
 
-def test_c05_predator_scaling(bench_call, bench_game, rule):
+def test_c05_predator_scaling(bench_call, bench_game):
     grid = GridSpec(94.0, 106.0, n_p=401, n_t=101, quad_nodes=128)
-    res = predator_sweep(bench_call, (1, 100), bench_game, grid, rule)
+    res = predator_sweep(bench_call, (1, 100), bench_game, grid)
     m = res.metrics["max_abs_aggregate_speed"]
     limit = (2.0 / 101.0) * 1.1
     _report(
@@ -233,7 +233,7 @@ def test_c06_spread_monotonicity(bench_game, digital_game):
     ok = True
     details = []
     for name, game in (("call", bench_game), ("digital", digital_game)):
-        res = spread_sweep(game, spreads, 100.0, grid, monotone_tol=1e-6)
+        res = spread_sweep(game, spreads, 100.0, grid)
         ok = ok and res.passed
         details.append(
             f"{name}: speed {res.metrics['max_abs_speed'].round(4).tolist()}, "
@@ -288,7 +288,7 @@ def test_c10_monte_carlo_consistency(bench_game, bench_solution):
     bundle = simulate_paths(sol, bench_game, n_paths=100_000, seed=2024, n_steps=500)
     seconds = time.perf_counter() - t0
     z = mc_consistency(bundle, sol)
-    means, ses = realized_objectives(bundle, bench_game)
+    means, ses = realized_objectives(bundle)
     _report(
         10,
         "realized Monte-Carlo objective matches the solved value at (0, p0)",
@@ -326,7 +326,7 @@ def test_c11_physical_delivery(bench_market):
     )
 
 
-def test_c12_burgers_residual(bench_market, rule):
+def test_c12_burgers_residual(bench_market):
     # smoothing at 0.4 sigma sqrt(T): the coarsest mollification the pinned
     # 401 x 400 lattice resolves near maturity (sharper steps would alias)
     grid = GridSpec(94.0, 106.0, n_p=401, n_t=400, quad_nodes=128)
@@ -336,7 +336,7 @@ def test_c12_burgers_residual(bench_market, rule):
     for name, h in (("call", SmoothedCall(100.0, 10.0, width)),
                     ("digital", SmoothedDigital(100.0, width))):
         game = GameSpec(bench_market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), h),))
-        v = rn_aggregate_grid(game, grid, rule)
+        v = rn_aggregate_grid(game, grid)
         quad_coef = 2.0 * bench_market.lam**2 / (0.01 * 4.0)
         dt = grid.times(1.0)[1]
         dp = grid.dp

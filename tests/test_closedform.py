@@ -174,32 +174,32 @@ def _small_grid():
     return GridSpec(94.0, 106.0, n_p=201, n_t=41, quad_nodes=128)
 
 
-def test_rn_individual_symmetric_split(market, linear_cost, call, rule):
+def test_rn_individual_symmetric_split(market, linear_cost, call):
     n = 3
     players = tuple(PlayerSpec(RiskNeutral(), Scaled(call, 1.0 / n)) for _ in range(n))
     game = GameSpec(market, linear_cost, players)
     grid = _small_grid()
-    vals = rn_individual_values(game, grid, rule)
+    vals = rn_individual_values(game, grid)
     # identical endowments: all players coincide, each one third of the total
     assert np.allclose(vals[0], vals[1], atol=1e-14)
-    agg = rn_aggregate_grid(game, grid, rule)
+    agg = rn_aggregate_grid(game, grid)
     assert np.max(np.abs(vals.sum(axis=0) - agg)) < 2e-3
     assert np.max(np.abs(vals[0] - agg / n)) < 1e-3
 
 
-def test_rn_individual_single_player_matches_burgers(call_game, rule):
+def test_rn_individual_single_player_matches_burgers(call_game):
     grid = _small_grid()
-    vals = rn_individual_values(call_game, grid, rule)
-    agg = rn_aggregate_grid(call_game, grid, rule)
+    vals = rn_individual_values(call_game, grid)
+    agg = rn_aggregate_grid(call_game, grid)
     assert np.max(np.abs(vals[0, 1:-1, 1:-1] - agg[1:-1, 1:-1])) <= 1e-3
 
 
-def test_rn_individual_predator_value_nonnegative(market, linear_cost, call, rule):
+def test_rn_individual_predator_value_nonnegative(market, linear_cost, call):
     game = GameSpec(
         market, linear_cost,
         (PlayerSpec(RiskNeutral(), call), PlayerSpec(RiskNeutral(), Scaled(call, 0.0))),
     )
-    vals = rn_individual_values(game, _small_grid(), rule)
+    vals = rn_individual_values(game, _small_grid())
     # the endowment-free player only collects the nonnegative source term
     assert np.min(vals[1]) >= 0.0
 

@@ -185,6 +185,20 @@ def test_cara_two_player_sign_pattern(cara_base, alphas):
     assert res.assertions["issuer_sells"]
 
 
+def test_cara_two_player_band_follows_p0():
+    # p0 = 50: the sign claims are checked on p0 +/- 5, wherever p0 sits
+    market = MarketParams(sigma=2.0, lam=0.01, maturity=1.0, p0=50.0)
+    call = SmoothedCall(50.0, 10.0 * market.scale, 0.05 * market.scale)
+    base = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),))
+    grid = GridSpec.for_market(market, n_p=121, n_t=240, quad_nodes=64)
+    res = cara_two_player_study((0.01, 0.01), base, grid)
+    band = (grid.prices >= 45.0) & (grid.prices <= 55.0)
+    assert np.count_nonzero(band) > 0
+    assert res.metrics["min_writer_speed_on_band"][0] == np.min(res.grids["writer_speed"][band])
+    assert res.metrics["max_issuer_speed_on_band"][0] == np.max(res.grids["issuer_speed"][band])
+    assert res.passed
+
+
 def test_cara_two_player_zero_payoff(cara_base):
     base = GameSpec(cara_base.market, cara_base.cost,
                     (PlayerSpec(RiskNeutral(), Scaled(cara_base.players[0].endowment, 0.0)),))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ def test_load_grid_defaults_cover_six_sigmas():
     assert grid.p_min == pytest.approx(94.0)
     assert grid.p_max == pytest.approx(106.0)
     assert grid.n_p % 2 == 1
+
+
+@pytest.mark.parametrize("partial", [{"n_t": 300}, {"n_p": 201, "quad_nodes": 64}])
+def test_load_grid_partial_section_overrides_market_defaults(partial):
+    market = {"sigma": 2.0, "lambda": 0.01, "T": 0.5, "p0": 50.0}
+    game = load_game(_config(market=market))
+    grid = load_grid(_config(market=market, grid=partial), game.market)
+    assert grid == replace(GridSpec.for_market(game.market), **partial)
 
 
 def test_load_config_rejects_undersized_grid():

@@ -10,7 +10,6 @@ from illiq import (
     LinearCost,
     MarketParams,
     Negated,
-    PicardSettings,
     PlayerSpec,
     QuadratureRule,
     RiskNeutral,
@@ -54,8 +53,8 @@ def test_zero_endowment_solves_to_zero(market):
     assert np.all(sol.aggregate_speed == 0.0)
 
 
-def test_fd_matches_closed_form(call_game, call_solution, coarse_grid, rule):
-    cf = rn_aggregate_grid(call_game, coarse_grid, rule)
+def test_fd_matches_closed_form(call_game, call_solution, coarse_grid):
+    cf = rn_aggregate_grid(call_game, coarse_grid)
     rel = np.abs(call_solution.values[0] - cf) / (1.0 + np.abs(cf))
     assert rel[1:-1, 1:-1].max() <= 1e-2
 
@@ -82,13 +81,13 @@ def test_speed_sum_matches_aggregate(zero_sum_game, coarse_grid):
     assert gap <= 2 * sol.meta["root_tol"]
 
 
-def test_fd_convergence_order(call_game, rule):
+def test_fd_convergence_order(call_game):
     # halving both steps shrinks the closed-form error by at least 1.5x
     errs = []
     for n_p, n_t in [(101, 100), (201, 200), (401, 400)]:
         grid = GridSpec(94.0, 106.0, n_p, n_t, quad_nodes=96)
         sol = solve_fd(call_game, grid)
-        cf = rn_aggregate_grid(call_game, grid, rule)
+        cf = rn_aggregate_grid(call_game, grid)
         rel = np.abs(sol.values[0] - cf) / (1.0 + np.abs(cf))
         errs.append(rel[1:-1, 1:-1].max())
     assert errs[1] <= errs[0] / 1.5
@@ -144,7 +143,7 @@ def test_solution_value_interpolation(call_solution):
 
 def test_closed_solution_matches_closed_form(call_game, coarse_grid):
     sol = solve_closed(call_game, coarse_grid)
-    cf = rn_aggregate_grid(call_game, coarse_grid, QuadratureRule.for_grid(coarse_grid))
+    cf = rn_aggregate_grid(call_game, coarse_grid)
     assert np.array_equal(sol.values[0], cf)
     assert {"certificate", "speed_bound", "root_tol"} <= set(sol.meta)
 
@@ -196,15 +195,19 @@ def test_picard_pure_semigroup(short_grid, linear_cost, call, rule):
         assert np.abs(sol.values[0, k] - heat)[interior].max() <= 2e-3
 
 
-def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid):
+def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, monkeypatch):
     # with the iteration capped at one sweep, the output is the seed plus
     # one Duhamel integral of F evaluated on the seed
     from illiq.closedform import central_gradient, heat_convolve_grid
     from illiq.pdesolve import _terminal_layer
     from illiq.speeds import certify_for_game, equilibrium_fields
 
-    picard = PicardSettings(tau=0.1, sublayers=2, max_picard_iter=1, fixpoint_tol=1e30)
-    sol = solve_picard(short_game, short_grid, picard)
+    # one step spanning the whole horizon, two sub-layers, one sweep
+    monkeypatch.setattr(illiq.pdesolve, "PICARD_TAU_FRACTION", 1.0)
+    monkeypatch.setattr(illiq.pdesolve, "PICARD_SUBLAYERS", 2)
+    monkeypatch.setattr(illiq.pdesolve, "PICARD_MAX_ITER", 1)
+    monkeypatch.setattr(illiq.pdesolve, "PICARD_TOL", 1e30)
+    sol = solve_picard(short_game, short_grid)
 
     market = short_game.market
     rule = QuadratureRule.for_grid(short_grid)
@@ -244,13 +247,13 @@ def test_picard_contracts(short_game, short_grid):
 # ---------------------------------------------------------------------------
 
 
-def test_residual_of_sampled_closed_form(market, linear_cost, rule):
+def test_residual_of_sampled_closed_form(market, linear_cost):
     # a smooth payoff sampled from the closed form satisfies the equation
     # at the 1e-3 scale of its own quadratic term
     call = SmoothedCall(100.0, 10.0, 0.4)
     game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),))
     grid = GridSpec(94.0, 106.0, 201, 201, quad_nodes=128)
-    cf = rn_aggregate_grid(game, grid, rule)
+    cf = rn_aggregate_grid(game, grid)
     sol = Solution(grid, grid.times(1.0), grid.prices, cf[None], np.zeros_like(cf[None]),
                    np.zeros_like(cf[None]), np.zeros_like(cf), {})
     rep = residual(sol, game)
@@ -292,19 +295,19 @@ def test_residual_localizes_perturbation(market, call_game, call_solution):
 # ---------------------------------------------------------------------------
 
 
-def test_surplus_vanishes_without_impact(linear_cost, rule):
+def test_surplus_vanishes_without_impact(linear_cost):
     market = MarketParams(sigma=1.0, lam=1e-300, maturity=1.0, p0=100.0)
     call = SmoothedCall(100.0, 10.0, 0.3)
     game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),))
     sol = solve_fd(game, GridSpec(94.0, 106.0, 201, 400))
-    surp = surplus(sol, game, rule, time_indices=[0])
+    surp = surplus(sol, game, time_indices=[0])
     assert np.abs(surp).max() <= 1e-3
 
 
-def test_call_surplus_nonnegative_and_grows_with_horizon(call_game, call_solution, rule):
+def test_call_surplus_nonnegative_and_grows_with_horizon(call_game, call_solution):
     times = call_solution.times
     idx = [int(np.argmin(np.abs(times - t))) for t in (0.0, 0.25, 0.5, 0.75)]
-    surp = surplus(call_solution, call_game, rule, time_indices=idx)
+    surp = surplus(call_solution, call_game, time_indices=idx)
     # nonnegative up to the finite-difference error of the coarse lattice
     assert surp.min() >= -5e-4
     at_strike = surp[0, :, int(np.argmin(np.abs(call_solution.prices - 100.0)))]
@@ -312,20 +315,20 @@ def test_call_surplus_nonnegative_and_grows_with_horizon(call_game, call_solutio
     assert np.all(np.diff(at_strike) < 0)
 
 
-def test_digital_surplus_far_from_strike_near_maturity(market, linear_cost, digital, rule):
+def test_digital_surplus_far_from_strike_near_maturity(market, linear_cost, digital):
     game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), digital),))
     grid = GridSpec(94.0, 106.0, 201, 401)
     sol = solve_fd(game, grid)
     k = int(np.argmin(np.abs(sol.times - 0.99)))
-    surp = surplus(sol, game, rule, time_indices=[k])
+    surp = surplus(sol, game, time_indices=[k])
     i = int(np.argmin(np.abs(sol.prices - 90.0)))
     assert abs(surp[0, 0, i]) <= 1e-3
 
 
-def test_cara_surplus_uses_utility_scale(market, linear_cost, call, rule):
+def test_cara_surplus_uses_utility_scale(market, linear_cost, call):
     game = GameSpec(market, linear_cost, (PlayerSpec(CARA(0.5), call),))
     sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 200))
-    surp = surplus(sol, game, rule, time_indices=[0])
+    surp = surplus(sol, game, time_indices=[0])
     # trading beats never trading on the utility scale, up to lattice error
     assert surp.min() >= -3e-4
     assert surp.max() > 1e-4

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import illiq.simulate
 from illiq import (
     CARA,
     GameSpec,
@@ -73,7 +74,7 @@ def test_realized_objective_matches_plain_expectation(linear_cost, rule):
     game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),))
     sol = solve_fd(game, GridSpec(94.0, 106.0, 201, 200))
     bundle = simulate_paths(sol, game, n_paths=20000, seed=21, n_steps=100)
-    means, ses = realized_objectives(bundle, game)
+    means, ses = realized_objectives(bundle)
     expected = heat_convolve(call, 1.0, 100.0, rule)
     assert abs(means[0] - expected) <= 3 * ses[0]
 
@@ -98,23 +99,23 @@ def test_mc_consistency_flags_corrupted_solution(call_game, call_solution):
     assert abs(z_bad[0]) >= 5.0
 
 
-def test_bitwise_determinism(call_game, call_solution):
+def test_bitwise_determinism(call_game, call_solution, monkeypatch):
     a = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
     b = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
     assert np.array_equal(a.prices, b.prices)
     assert np.array_equal(a.inventories, b.inventories)
     assert np.array_equal(a.costs, b.costs)
     # chunking must not change the stream
-    c = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64,
-                       chunk_size=100)
+    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 100)
+    c = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
     assert np.array_equal(a.prices, c.prices)
 
 
 def test_doubling_steps_moves_mean_within_noise(call_game, call_solution):
     coarse = simulate_paths(call_solution, call_game, n_paths=20000, seed=29, n_steps=250)
     fine = simulate_paths(call_solution, call_game, n_paths=20000, seed=29, n_steps=500)
-    m_c, se_c = realized_objectives(coarse, call_game)
-    m_f, se_f = realized_objectives(fine, call_game)
+    m_c, se_c = realized_objectives(coarse)
+    m_f, se_f = realized_objectives(fine)
     assert abs(m_f[0] - m_c[0]) <= 2 * max(se_c[0], se_f[0])
 
 
@@ -137,15 +138,6 @@ def test_excessive_clamping_raises(market):
     )
     with pytest.raises(SimulationError, match="left the price grid"):
         simulate_paths(sol, game, n_paths=500, seed=1, n_steps=50)
-
-
-def test_antithetic_pairs_cancel_noise(zero_solution):
-    game, sol = zero_solution
-    bundle = simulate_paths(sol, game, n_paths=1000, seed=8, n_steps=20, antithetic=True)
-    # driftless case: each (xi, -xi) pair averages exactly to p0
-    half = 500
-    paired = 0.5 * (bundle.prices[:half, -1] + bundle.prices[half:, -1])
-    assert np.allclose(paired, game.market.p0, atol=1e-12)
 
 
 def test_paths_csv_layout(tmp_path, zero_solution):

@@ -111,11 +111,6 @@ def test_certify_rejects_nonmonotone_marginal_cost():
         certify_cost(cost)
 
 
-def test_certify_requires_enough_samples():
-    with pytest.raises(ValueError, match="samples"):
-        certify_cost(LinearCost(0.01), (-1.0, 1.0), samples=10)
-
-
 # ---------------------------------------------------------------------------
 # a-priori bound
 # ---------------------------------------------------------------------------
