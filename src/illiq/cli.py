@@ -12,6 +12,8 @@ exceed the a-priori bound; its outputs are still written), 5 solution/config
 hash mismatch, 6 sweep assertion failure.
 
 Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``.
+Numeric CSVs go through ``pdesolve._write_table``; only the sweep metrics
+table, whose value column mixes numbers and empty cells, is written by hand.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from .model import (
     load_config,
 )
 from .pdesolve import (
-    Solution,
     SolverError,
+    _write_lattice_csv,
+    _write_table,
     read_solution_csv,
     residual,
     solve_closed,
@@ -205,7 +208,8 @@ def cmd_solve(args) -> int:
     idx = _surplus_time_indices(sol.times.size)
     surp = surplus(sol, game, time_indices=idx)
     surp_path = out / "surplus.csv"
-    _write_surplus_csv(sol, surp, idx, surp_path)
+    _write_lattice_csv(surp_path, ("t", sol.times[idx]), ("p", sol.prices),
+                       {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
     manifest_path = out / "manifest.json"
     write_manifest(
         _manifest(f"solve --method {args.method}", config_hash, grid_hash, None, t0,
@@ -217,19 +221,6 @@ def cmd_solve(args) -> int:
           f"-> {'PASS' if bound_ok else 'FAIL'}")
     print(f"wrote {sol_path} {surp_path} {manifest_path}")
     return EXIT_OK if bound_ok else EXIT_SOLVER
-
-
-def _write_surplus_csv(sol: Solution, surp: np.ndarray, time_indices, path) -> None:
-    n = sol.n_players
-    cols = ["t", "p"] + [f"surplus_{j+1}" for j in range(n)]
-    n_sel = len(time_indices)
-    n_p = sol.prices.size
-    data = np.empty((n_sel * n_p, 2 + n))
-    data[:, 0] = np.repeat(sol.times[time_indices], n_p)
-    data[:, 1] = np.tile(sol.prices, n_sel)
-    for j in range(n):
-        data[:, 2 + j] = surp[j].reshape(-1)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +290,6 @@ def _write_sweep_csv(result: SweepResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_grid_csv(columns: dict, path) -> None:
-    data = np.column_stack(list(columns.values()))
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
-
-
 def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
     """Write one study's files and return the names of those written:
     ``<prefix>.csv`` for the metrics, ``<prefix>_grids.csv`` for the 1-D grids
@@ -315,14 +301,13 @@ def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
         written.append(f"{prefix}.csv")
     one_d = {k: np.asarray(v) for k, v in result.grids.items() if np.ndim(v) == 1}
     if set(one_d) - {"prices"}:
-        _write_grid_csv(one_d, out / f"{prefix}_grids.csv")
+        _write_table(out / f"{prefix}_grids.csv", list(one_d),
+                     np.column_stack(list(one_d.values())))
         written.append(f"{prefix}_grids.csv")
     for name, arr in result.grids.items():
         if np.ndim(arr) == 2:
-            prices = result.grids["prices"]
-            _write_grid_csv({result.param: np.repeat(result.values, prices.size),
-                             "p": np.tile(prices, len(result.values)),
-                             name: arr.reshape(-1)}, out / f"{prefix}_{name}.csv")
+            _write_lattice_csv(out / f"{prefix}_{name}.csv", (result.param, result.values),
+                               ("p", result.grids["prices"]), {name: arr})
             written.append(f"{prefix}_{name}.csv")
     return written
 

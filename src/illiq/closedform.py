@@ -108,19 +108,19 @@ def heat_convolve(f, variance: float, p, rule: QuadratureRule):
     return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out
 
 
-def heat_convolve_grid(values, p_grid, variance: float, p_eval, rule: QuadratureRule):
-    """Heat smoothing of a gridded function, extended linearly beyond the
-    grid (matching the zero-second-derivative boundary of the solvers)."""
+def heat_convolve_grid(values, p_grid, variance: float, rule: QuadratureRule):
+    """Heat smoothing of a gridded function on its own grid, extended
+    linearly beyond the grid (matching the zero-second-derivative boundary
+    of the solvers)."""
     values = np.asarray(values, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
-    p_eval = np.atleast_1d(np.asarray(p_eval, dtype=float))
     if variance < 0:
         raise ValueError("variance must be >= 0")
     if variance == 0.0:
-        q = p_eval[:, None]
+        q = p_grid[:, None]
         w = np.array([1.0])
     else:
-        q = p_eval[:, None] + math.sqrt(variance) * rule.z[None, :]
+        q = p_grid[:, None] + math.sqrt(variance) * rule.z[None, :]
         w = rule.w
     base = np.interp(q, p_grid, values)
     slope_l = (values[1] - values[0]) / (p_grid[1] - p_grid[0])
@@ -259,9 +259,8 @@ def rn_individual_values(game: GameSpec, grid: GridSpec) -> np.ndarray:
         acc = np.zeros(prices.size)
         for j in range(m + 1):
             weight = 0.5 * dtau if j in (0, m) else dtau
-            acc += weight * heat_convolve_grid(
-                src_tau[j], prices, sig2 * (times[m] - times[j]), prices, rule
-            )
+            acc += weight * heat_convolve_grid(src_tau[j], prices,
+                                               sig2 * (times[m] - times[j]), rule)
         duhamel[m] = acc
 
     values = np.empty((n, n_t, prices.size))

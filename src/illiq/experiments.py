@@ -75,9 +75,6 @@ class SweepResult:
     def passed(self) -> bool:
         return all(self.assertions.values())
 
-    def failing(self) -> list:
-        return [k for k, ok in self.assertions.items() if not ok]
-
 
 def _hashes(game: GameSpec, grid: GridSpec):
     return digest(game_to_dict(game)), digest(grid_to_dict(grid))

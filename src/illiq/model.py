@@ -601,10 +601,14 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 
 _MARKET_KEYS = {"sigma", "lambda", "T", "p0"}
-_COST_KEYS = {"kind", "kappa", "s", "C", "table"}
 _PLAYER_KEYS = {"utility", "payoff"}
-_UTILITY_KEYS = {"kind", "alpha"}
-_PAYOFF_KEYS = {"kind", "K", "cap", "width", "factor", "grid", "inner", "terms"}
+# keys each kind takes besides "kind"
+_COST_KINDS = {"linear": {"kappa"}, "smoothed_spread": {"kappa", "s", "C"},
+               "custom_table": {"table"}}
+_PAYOFF_KINDS = {"smoothed_call": {"K", "cap", "width"}, "smoothed_digital": {"K", "width"},
+                 "scaled": {"factor", "inner"}, "negated": {"inner"}, "sum": {"terms"},
+                 "custom_grid": {"grid"}}
+_UTILITY_KINDS = {"risk_neutral": set(), "cara": {"alpha"}}
 _GRID_CASTS = {"p_min": float, "p_max": float, "n_p": int, "n_t": int, "quad_nodes": int}
 _TOP_KEYS = {"market", "cost", "players", "grid"}
 
@@ -621,60 +625,80 @@ def _get(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, where: str, default=None, cast=float):
+    """``cast(obj[key])``; ``default``, when given, stands in for an absent key."""
+    value = default if default is not None and key not in obj else _get(obj, key, where)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from err
+
+
+def _samples(values, where: str) -> tuple:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{where} must be a list of numbers") from err
+
+
+def _kind(obj, kinds: dict, where: str) -> str:
+    """The kind of a config object, after checking its keys against that kind's."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = _get(obj, "kind", where)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {where} kind '{kind}'")
+    _check_keys(obj, {"kind"} | kinds[kind], f"{where} of kind '{kind}'")
+    return kind
+
+
 def _parse_market(obj) -> MarketParams:
     if not isinstance(obj, dict):
         raise ConfigError("market must be an object")
     _check_keys(obj, _MARKET_KEYS, "market")
     return MarketParams(
-        sigma=float(_get(obj, "sigma", "market")),
-        lam=float(_get(obj, "lambda", "market")),
-        maturity=float(_get(obj, "T", "market")),
-        p0=float(_get(obj, "p0", "market")),
+        sigma=_number(obj, "sigma", "market"),
+        lam=_number(obj, "lambda", "market"),
+        maturity=_number(obj, "T", "market"),
+        p0=_number(obj, "p0", "market"),
     )
 
 
 def _parse_cost(obj) -> CostFunction:
-    if not isinstance(obj, dict):
-        raise ConfigError("cost must be an object")
-    _check_keys(obj, _COST_KEYS, "cost")
-    kind = _get(obj, "kind", "cost")
+    kind = _kind(obj, _COST_KINDS, "cost")
     if kind == "linear":
-        return LinearCost(kappa=float(_get(obj, "kappa", "cost")))
+        return LinearCost(kappa=_number(obj, "kappa", "cost"))
     if kind == "smoothed_spread":
         return SmoothedSpreadCost(
-            kappa=float(_get(obj, "kappa", "cost")),
-            spread=float(_get(obj, "s", "cost")),
-            sharpness=float(_get(obj, "C", "cost")),
+            kappa=_number(obj, "kappa", "cost"),
+            spread=_number(obj, "s", "cost"),
+            sharpness=_number(obj, "C", "cost"),
         )
-    if kind == "custom_table":
-        table = _get(obj, "table", "cost")
-        if not isinstance(table, dict) or set(table) != {"z", "g"}:
-            raise ConfigError("cost.table must be an object with keys 'z' and 'g'")
-        return TableCost(z_values=tuple(table["z"]), g_values=tuple(table["g"]))
-    raise ConfigError(f"unknown cost kind '{kind}'")
+    table = _get(obj, "table", "cost")
+    if not isinstance(table, dict) or set(table) != {"z", "g"}:
+        raise ConfigError("cost.table must be an object with keys 'z' and 'g'")
+    return TableCost(z_values=_samples(table["z"], "cost.table.z"),
+                     g_values=_samples(table["g"], "cost.table.g"))
 
 
 def _parse_payoff(obj, market: MarketParams) -> Payoff:
-    if not isinstance(obj, dict):
-        raise ConfigError("payoff must be an object")
-    _check_keys(obj, _PAYOFF_KEYS, "payoff")
-    kind = _get(obj, "kind", "payoff")
+    kind = _kind(obj, _PAYOFF_KINDS, "payoff")
     scale = market.scale
     if kind == "smoothed_call":
         return SmoothedCall(
-            strike=float(_get(obj, "K", "payoff")),
-            cap=float(obj.get("cap", 10.0 * scale)),
-            width=float(obj.get("width", 0.05 * scale)),
+            strike=_number(obj, "K", "payoff"),
+            cap=_number(obj, "cap", "payoff", default=10.0 * scale),
+            width=_number(obj, "width", "payoff", default=0.05 * scale),
         )
     if kind == "smoothed_digital":
         return SmoothedDigital(
-            strike=float(_get(obj, "K", "payoff")),
-            width=float(obj.get("width", 0.05 * scale)),
+            strike=_number(obj, "K", "payoff"),
+            width=_number(obj, "width", "payoff", default=0.05 * scale),
         )
     if kind == "scaled":
         return Scaled(
             inner=_parse_payoff(_get(obj, "inner", "payoff"), market),
-            factor=float(_get(obj, "factor", "payoff")),
+            factor=_number(obj, "factor", "payoff"),
         )
     if kind == "negated":
         return Negated(inner=_parse_payoff(_get(obj, "inner", "payoff"), market))
@@ -683,26 +707,17 @@ def _parse_payoff(obj, market: MarketParams) -> Payoff:
         if not isinstance(terms, list) or not terms:
             raise ConfigError("payoff.terms must be a non-empty list")
         return SumPayoff(terms=tuple(_parse_payoff(t, market) for t in terms))
-    if kind == "custom_grid":
-        grid = _get(obj, "grid", "payoff")
-        if not isinstance(grid, dict) or set(grid) != {"p", "values"}:
-            raise ConfigError("payoff.grid must be an object with keys 'p' and 'values'")
-        return GridPayoff(p_values=tuple(grid["p"]), values=tuple(grid["values"]))
-    raise ConfigError(f"unknown payoff kind '{kind}'")
+    grid = _get(obj, "grid", "payoff")
+    if not isinstance(grid, dict) or set(grid) != {"p", "values"}:
+        raise ConfigError("payoff.grid must be an object with keys 'p' and 'values'")
+    return GridPayoff(p_values=_samples(grid["p"], "payoff.grid.p"),
+                      values=_samples(grid["values"], "payoff.grid.values"))
 
 
 def _parse_utility(obj) -> Utility:
-    if not isinstance(obj, dict):
-        raise ConfigError("utility must be an object")
-    _check_keys(obj, _UTILITY_KEYS, "utility")
-    kind = _get(obj, "kind", "utility")
-    if kind == "risk_neutral":
-        if "alpha" in obj:
-            raise ConfigError("risk_neutral utility takes no alpha")
+    if _kind(obj, _UTILITY_KINDS, "utility") == "risk_neutral":
         return RiskNeutral()
-    if kind == "cara":
-        return CARA(alpha=float(_get(obj, "alpha", "utility")))
-    raise ConfigError(f"unknown utility kind '{kind}'")
+    return CARA(alpha=_number(obj, "alpha", "utility"))
 
 
 def _parse_document(config_text: str) -> dict:
@@ -748,7 +763,8 @@ def load_grid(config_text: str, market: MarketParams) -> GridSpec:
         if not isinstance(obj, dict):
             raise ConfigError("grid must be an object")
         _check_keys(obj, set(_GRID_CASTS), "grid")
-        grid = replace(grid, **{key: _GRID_CASTS[key](value) for key, value in obj.items()})
+        grid = replace(grid, **{key: _number(obj, key, "grid", cast=cast)
+                                for key, cast in _GRID_CASTS.items() if key in obj})
     grid.validate_for(market)
     return grid
 

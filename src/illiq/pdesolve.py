@@ -24,7 +24,8 @@ raw payoff as well):
 
 Each route validates the grid, certifies the cost once and records the
 certificate, the a-priori speed bound and the speed-root tolerance in
-``Solution.meta``.
+``Solution.meta``.  ``_write_table`` holds the CSV dialect of every numeric
+table the package writes; ``read_solution_csv`` reloads a ``solution.csv``.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def _picard_march(game, grid, cert, rule, tau):
 
     def heatg(layers: np.ndarray, variance: float) -> np.ndarray:
         return np.stack(
-            [heat_convolve_grid(layers[j], prices, variance, prices, rule) for j in range(n)]
+            [heat_convolve_grid(layers[j], prices, variance, rule) for j in range(n)]
         )
 
     for step in range(n_tau):
@@ -280,17 +281,13 @@ def _picard_march(game, grid, cert, rule, tau):
             for m in range(m_sub + 1):
                 f_layers[m] = equilibrium_fields(game, cert.eps_floor,
                                                  central_gradient(cur[m], grid.dp))[2]
-            # e^{(u_m - u_s) L} F(u_s), reused across target layers
-            conv = {}
-            for s in range(m_sub):
-                for delta in range(1, m_sub - s + 1):
-                    conv[(s, delta)] = heatg(f_layers[s], sig2 * delta * h)
+            # trapezoid sum of e^{(u_m - u_s) L} F(u_s) over s = 0..m
             new = np.empty_like(cur)
             new[0] = h0
             for m in range(1, m_sub + 1):
-                acc = 0.5 * h * (conv[(0, m)] + f_layers[m])
+                acc = 0.5 * h * (heatg(f_layers[0], sig2 * m * h) + f_layers[m])
                 for s in range(1, m):
-                    acc += h * conv[(s, m - s)]
+                    acc += h * heatg(f_layers[s], sig2 * (m - s) * h)
                 new[m] = seed[m] + acc
             change = float(np.max(np.abs(new - cur)))
             changes.append(change)
@@ -402,31 +399,41 @@ def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _write_table(path, header, data) -> None:
+    """The package's one CSV dialect: a header row of column names, comma
+    delimiters, no comment prefix and every number in full double precision."""
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+
+def _write_lattice_csv(path, rows, cols, fields: dict) -> None:
+    """Long form of lattices over two axes, row-major: one line per (row, col)
+    pair holding both axis values, then one column per field.  ``rows`` and
+    ``cols`` are (name, axis) pairs; each field has shape (rows, cols)."""
+    (row_name, row_axis), (col_name, col_axis) = rows, cols
+    n_r, n_c = len(row_axis), len(col_axis)
+    data = np.empty((n_r * n_c, 2 + len(fields)))
+    data[:, 0] = np.repeat(row_axis, n_c)
+    data[:, 1] = np.tile(col_axis, n_r)
+    for k, field in enumerate(fields.values()):
+        data[:, 2 + k] = np.reshape(field, -1)
+    _write_table(path, [row_name, col_name, *fields], data)
+
+
 def write_solution_csv(sol: Solution, path) -> None:
     """Row-major (t, p) dump in full double precision."""
     n = sol.n_players
-    cols = (
-        ["t", "p"]
-        + [f"v_{j+1}" for j in range(n)]
-        + [f"grad_{j+1}" for j in range(n)]
-        + [f"speed_{j+1}" for j in range(n)]
-        + ["agg_speed"]
-    )
-    n_t, n_p = sol.times.size, sol.prices.size
-    data = np.empty((n_t * n_p, len(cols)))
-    data[:, 0] = np.repeat(sol.times, n_p)
-    data[:, 1] = np.tile(sol.prices, n_t)
-    for j in range(n):
-        data[:, 2 + j] = sol.values[j].reshape(-1)
-        data[:, 2 + n + j] = sol.gradients[j].reshape(-1)
-        data[:, 2 + 2 * n + j] = sol.speeds[j].reshape(-1)
-    data[:, -1] = sol.aggregate_speed.reshape(-1)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    fields = {
+        **{f"v_{j+1}": sol.values[j] for j in range(n)},
+        **{f"grad_{j+1}": sol.gradients[j] for j in range(n)},
+        **{f"speed_{j+1}": sol.speeds[j] for j in range(n)},
+        "agg_speed": sol.aggregate_speed,
+    }
+    _write_lattice_csv(path, ("t", sol.times), ("p", sol.prices), fields)
 
 
-def read_solution_csv(path, grid: GridSpec, meta: dict | None = None) -> Solution:
-    """Rebuild a Solution from its CSV dump; the grid comes from the config
-    that produced it."""
+def read_solution_csv(path, grid: GridSpec) -> Solution:
+    """Rebuild a Solution, with empty ``meta``, from the CSV that
+    ``write_solution_csv`` wrote; the grid comes from the config that produced it."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     n = sum(1 for c in header if c.startswith("v_"))
@@ -441,4 +448,4 @@ def read_solution_csv(path, grid: GridSpec, meta: dict | None = None) -> Solutio
     speeds = np.stack([data[:, 2 + 2 * n + j].reshape(n_t, n_p) for j in range(n)])
     agg = data[:, -1].reshape(n_t, n_p)
     grid_used = replace(grid, n_t=n_t) if grid.n_t != n_t else grid
-    return Solution(grid_used, times, prices, values, grads, speeds, agg, dict(meta or {}))
+    return Solution(grid_used, times, prices, values, grads, speeds, agg, {})

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec
-from .pdesolve import Solution, _time_interp
+from .pdesolve import Solution, _time_interp, _write_lattice_csv
 
 __all__ = [
     "SimulationError",
@@ -51,8 +51,7 @@ class PathBundle:
     prices: np.ndarray        # (n_paths, n_steps + 1)
     inventories: np.ndarray   # (N, n_paths, n_steps + 1)
     costs: np.ndarray         # (N, n_paths, n_steps + 1)
-    terminal_payoffs: np.ndarray  # (N, n_paths)
-    objectives: np.ndarray        # (N, n_paths), utility applied
+    objectives: np.ndarray    # (N, n_paths), utility applied
     alphas: np.ndarray
     clamped_fraction: float
 
@@ -138,7 +137,6 @@ def simulate_paths(
         prices=prices,
         inventories=inventories,
         costs=costs,
-        terminal_payoffs=terminal,
         objectives=objectives,
         alphas=alphas,
         clamped_fraction=frac,
@@ -201,15 +199,12 @@ def physical_delivery_value(theta_cap: float, strike: float, lam: float,
 
 
 def write_paths_csv(bundle: PathBundle, path) -> None:
-    """One row per (path, time): path,t,P,X_1..X_N,R_1..R_N."""
+    """One row per (path, time), row-major: path,t,P,X_1..X_N,R_1..R_N, in the
+    CSV dialect of ``write_solution_csv``."""
     n = bundle.n_players
-    n_paths, n_times = bundle.prices.shape
-    cols = ["path", "t", "P"] + [f"X_{j+1}" for j in range(n)] + [f"R_{j+1}" for j in range(n)]
-    data = np.empty((n_paths * n_times, len(cols)))
-    data[:, 0] = np.repeat(np.arange(n_paths), n_times)
-    data[:, 1] = np.tile(bundle.times, n_paths)
-    data[:, 2] = bundle.prices.reshape(-1)
-    for j in range(n):
-        data[:, 3 + j] = bundle.inventories[j].reshape(-1)
-        data[:, 3 + n + j] = bundle.costs[j].reshape(-1)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    fields = {
+        "P": bundle.prices,
+        **{f"X_{j+1}": bundle.inventories[j] for j in range(n)},
+        **{f"R_{j+1}": bundle.costs[j] for j in range(n)},
+    }
+    _write_lattice_csv(path, ("path", np.arange(bundle.n_paths)), ("t", bundle.times), fields)

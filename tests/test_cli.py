@@ -47,6 +47,17 @@ def test_check_malformed(tmp_path):
     assert main(["check", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("section, key", [("market", "sigma"), ("grid", "n_p")])
+def test_check_non_numeric_value_reports_key(tmp_path, capsys, section, key):
+    doc = json.loads(json.dumps(BASE))
+    doc[section][key] = "abc"
+    path = _write(tmp_path, "bad.json", doc)
+    assert main(["check", "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert f"{section}.{key}" in report["error"]
+
+
 def test_check_certification_failure(tmp_path):
     z = np.linspace(-100.0, 100.0, 801)
     doc = dict(BASE)

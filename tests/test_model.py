@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +84,54 @@ def test_load_game_rejects_unknown_keys():
     doc["extra"] = {}
     with pytest.raises(ConfigError, match="unknown key"):
         load_game(json.dumps(doc))
+
+
+_CALL = {"kind": "smoothed_call", "K": 100.0}
+
+
+@pytest.mark.parametrize("section, obj", [
+    ("cost", {"kind": "linear", "kappa": 0.01, "s": 0.5, "C": 3}),
+    ("cost", {"kind": "custom_table", "table": {"z": [-1, 0, 1, 2], "g": [-1, 0, 1, 2]},
+              "kappa": 0.01}),
+    ("payoff", {"kind": "smoothed_digital", "K": 100.0, "cap": 5}),
+    ("payoff", {"kind": "negated", "inner": _CALL, "factor": 2.0}),
+    ("utility", {"kind": "risk_neutral", "alpha": 0.1}),
+], ids=["linear+spread", "table+kappa", "digital+cap", "negated+factor", "rn+alpha"])
+def test_load_game_rejects_keys_of_another_kind(section, obj):
+    # each key is valid for some kind of the section, but not for this one
+    if section == "cost":
+        text = _config(cost=obj)
+    else:
+        player = {"utility": {"kind": "risk_neutral"}, "payoff": _CALL, section: obj}
+        text = _config(players=[player])
+    with pytest.raises(ConfigError, match=f"unknown key.* in {section} of kind"):
+        load_game(text)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"market": {"sigma": "abc", "lambda": 0.01, "T": 1.0, "p0": 100.0}}, "market.sigma"),
+    ({"cost": {"kind": "linear", "kappa": None}}, "cost.kappa"),
+    ({"cost": {"kind": "custom_table", "table": {"z": [-1, 0, "x", 2], "g": [0, 0, 0, 0]}}},
+     "cost.table.z"),
+    ({"players": [{"utility": {"kind": "cara", "alpha": [1]}, "payoff": _CALL}]}, "utility.alpha"),
+    ({"players": [{"utility": {"kind": "risk_neutral"},
+                   "payoff": {"kind": "smoothed_call", "K": 100.0, "cap": {}}}]}, "payoff.cap"),
+    ({"grid": {"n_p": "abc"}}, "grid.n_p"),
+    ({"grid": {"p_min": "low"}}, "grid.p_min"),
+], ids=["sigma", "kappa", "table", "alpha", "cap", "n_p", "p_min"])
+def test_load_config_non_numeric_value_names_key(overrides, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(_config(**overrides))
+
+
+def test_load_config_casts_as_before():
+    # numeric strings and integers parse to the same floats and ints as before
+    text = _config(market={"sigma": "1", "lambda": 0.01, "T": 1, "p0": 100},
+                   grid={"n_p": 201.0, "n_t": "300"})
+    game, grid = load_config(text)
+    assert game.market == MarketParams(1.0, 0.01, 1.0, 100.0)
+    assert (grid.n_p, grid.n_t) == (201, 300)
+    assert isinstance(grid.n_p, int) and isinstance(grid.n_t, int)
 
 
 def test_load_game_rejects_malformed_text():

@@ -218,11 +218,11 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     sig2 = market.sigma**2
 
     seed = [h0,
-            np.stack([heat_convolve_grid(h0[0], prices, sig2 * step, prices, rule)]),
-            np.stack([heat_convolve_grid(h0[0], prices, sig2 * 2 * step, prices, rule)])]
+            np.stack([heat_convolve_grid(h0[0], prices, sig2 * step, rule)]),
+            np.stack([heat_convolve_grid(h0[0], prices, sig2 * 2 * step, rule)])]
     f = [equilibrium_fields(short_game, cert.eps_floor, central_gradient(s, short_grid.dp))[2]
          for s in seed]
-    conv_f0 = np.stack([heat_convolve_grid(f[0][0], prices, sig2 * step, prices, rule)])
+    conv_f0 = np.stack([heat_convolve_grid(f[0][0], prices, sig2 * step, rule)])
     expected_mid = seed[1] + 0.5 * step * (conv_f0 + f[1])
     got_mid = sol.values[:, sol.times.size - 2]  # one sub-layer before maturity
     assert np.abs(got_mid - expected_mid).max() <= 1e-12
