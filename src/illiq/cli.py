@@ -302,7 +302,7 @@ def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
     one_d = {k: np.asarray(v) for k, v in result.grids.items() if np.ndim(v) == 1}
     if set(one_d) - {"prices"}:
         _write_table(out / f"{prefix}_grids.csv", list(one_d),
-                     np.column_stack(list(one_d.values())))
+                     [np.column_stack(list(one_d.values()))])
         written.append(f"{prefix}_grids.csv")
     for name, arr in result.grids.items():
         if np.ndim(arr) == 2:

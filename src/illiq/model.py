@@ -95,18 +95,28 @@ class MarketParams:
 class CostFunction:
     """Liquidity premium g applied to the aggregate trading speed.
 
-    Subclasses provide ``value`` (g) and ``slope`` (g'), both vectorized.
-    ``eps_floor`` is the admissibility floor the certification scan checks
-    g' against; it is a declared requirement, not the measured minimum.
+    Subclasses provide ``value`` (g), ``slope`` (g') and ``curvature`` (g''),
+    all vectorized.  ``eps_floor`` is the admissibility floor the
+    certification scan checks g' against; it is a declared requirement, not
+    the measured minimum.  ``domain`` is the interval where g is defined,
+    unbounded for analytic costs.
     """
 
     eps_floor: float
+    domain = (-math.inf, math.inf)
 
     def value(self, z):
         raise NotImplementedError
 
     def slope(self, z):
         raise NotImplementedError
+
+    def curvature(self, z):
+        raise NotImplementedError
+
+    def exact_speed_root(self, n_players: int, s):
+        """The root z of N g(z) + z g'(z) = s when it has a closed form, else None."""
+        return None
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -130,6 +140,13 @@ class LinearCost(CostFunction):
 
     def slope(self, z):
         return np.full_like(np.asarray(z, dtype=float), self.kappa)
+
+    def curvature(self, z):
+        return np.zeros_like(np.asarray(z, dtype=float))
+
+    def exact_speed_root(self, n_players: int, s):
+        # N kappa z + kappa z = s
+        return s / ((n_players + 1) * self.kappa)
 
     def to_dict(self) -> dict:
         return {"kind": "linear", "kappa": self.kappa}
@@ -164,6 +181,11 @@ class SmoothedSpreadCost(CostFunction):
         z = np.asarray(z, dtype=float)
         c = self.sharpness
         return self.kappa + 2.0 * self.spread * c / (np.pi * (1.0 + (c * z) ** 2))
+
+    def curvature(self, z):
+        z = np.asarray(z, dtype=float)
+        c = self.sharpness
+        return -4.0 * self.spread * c**3 * z / (np.pi * (1.0 + (c * z) ** 2) ** 2)
 
     def to_dict(self) -> dict:
         return {"kind": "smoothed_spread", "kappa": self.kappa, "s": self.spread, "C": self.sharpness}
@@ -203,6 +225,10 @@ class TableCost(CostFunction):
     def _deriv(self):
         return self._interp.derivative()
 
+    @cached_property
+    def _deriv2(self):
+        return self._interp.derivative(2)
+
     def _check_domain(self, z):
         z = np.asarray(z, dtype=float)
         if np.any(z < self.z_values[0]) or np.any(z > self.z_values[-1]):
@@ -216,6 +242,9 @@ class TableCost(CostFunction):
 
     def slope(self, z):
         return self._deriv(self._check_domain(z))
+
+    def curvature(self, z):
+        return self._deriv2(self._check_domain(z))
 
     @property
     def domain(self) -> tuple:
@@ -550,6 +579,8 @@ class GameSpec:
 
 
 SPAN_SIGMAS = 6.0  # a grid reaches p0 +/- SPAN_SIGMAS sigma sqrt(T)
+# numpy's hermgauss weights underflow to zero beyond this many nodes
+MAX_QUAD_NODES = 370
 
 
 @dataclass(frozen=True)
@@ -569,6 +600,9 @@ class GridSpec:
         _require(self.n_p % 2 == 1, "n_p must be odd")
         _require(self.n_t >= 2, "n_t must be >= 2")
         _require(self.quad_nodes >= 8, "quad_nodes must be >= 8")
+        _require(self.quad_nodes <= MAX_QUAD_NODES,
+                 f"quad_nodes must be <= {MAX_QUAD_NODES}: Gauss-Hermite weights "
+                 "underflow beyond it")
 
     def validate_for(self, market: MarketParams) -> None:
         _require(self.p_min < market.p0 < self.p_max, "grid must contain p0 strictly inside")
@@ -635,6 +669,8 @@ def _number(obj: dict, key: str, where: str, default=None, cast=float):
 
 
 def _samples(values, where: str) -> tuple:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
     try:
         return tuple(float(v) for v in values)
     except (TypeError, ValueError, OverflowError) as err:

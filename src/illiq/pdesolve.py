@@ -200,6 +200,9 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
         speeds[:, k], agg[k], source = equilibrium_fields(game, cert.eps_floor, grads[:, k])
         if k > 0:
             rhs = values[:, k] + dt * source
+            if not np.all(np.isfinite(rhs)):
+                raise SolverError(f"the march overflowed stepping back from time layer {k} "
+                                  f"of {n_t}; the explicit step is unstable on this grid")
             values[:, k - 1] = solve_banded((1, 1), ab, rhs.T).T
 
     meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t)
@@ -399,24 +402,41 @@ def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _write_table(path, header, data) -> None:
+CSV_BLOCK_ROWS = 1024  # about this many lines are formatted per string operation
+
+
+def _write_table(path, header, blocks) -> None:
     """The package's one CSV dialect: a header row of column names, comma
-    delimiters, no comment prefix and every number in full double precision."""
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    delimiters, no comment prefix and every number in full double precision.
+    ``blocks`` yields 2-D arrays of rows; each is formatted with one ``%``."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_lattice_csv(path, rows, cols, fields: dict) -> None:
     """Long form of lattices over two axes, row-major: one line per (row, col)
     pair holding both axis values, then one column per field.  ``rows`` and
-    ``cols`` are (name, axis) pairs; each field has shape (rows, cols)."""
+    ``cols`` are (name, axis) pairs; each field has shape (rows, cols).  The
+    lines are built a few axis rows at a time, so memory stays flat."""
     (row_name, row_axis), (col_name, col_axis) = rows, cols
     n_r, n_c = len(row_axis), len(col_axis)
-    data = np.empty((n_r * n_c, 2 + len(fields)))
-    data[:, 0] = np.repeat(row_axis, n_c)
-    data[:, 1] = np.tile(col_axis, n_r)
-    for k, field in enumerate(fields.values()):
-        data[:, 2 + k] = np.reshape(field, -1)
-    _write_table(path, [row_name, col_name, *fields], data)
+    values = [np.asarray(field) for field in fields.values()]
+    step = max(1, CSV_BLOCK_ROWS // n_c)
+
+    def blocks():
+        for r in range(0, n_r, step):
+            axis = row_axis[r:r + step]
+            block = np.empty((len(axis) * n_c, 2 + len(values)))
+            block[:, 0] = np.repeat(axis, n_c)
+            block[:, 1] = np.tile(col_axis, len(axis))
+            for k, field in enumerate(values):
+                block[:, 2 + k] = np.reshape(field[r:r + step], -1)
+            yield block
+
+    _write_table(path, [row_name, col_name, *fields], blocks())
 
 
 def write_solution_csv(sol: Solution, path) -> None:

@@ -6,20 +6,25 @@ The aggregate speed is the root of the first-order condition
 
 where S sums the players' effective value gradients (lambda * v_p for
 risk-neutral players, lambda * transformed v_p for exponential utility).
-Monotonicity of z -> N g(z) + z g'(z) makes the root unique; the slope
-floor g' > eps gives an analytic bracket |z| <= |S| / ((N+1) eps), so a
-bisection / regula-falsi hybrid converges unconditionally.  Each player's
-speed and the PDE source term follow pointwise from the root
-(``equilibrium_fields``, the one place every solver takes them from).
+Monotonicity of z -> N g(z) + z g'(z) makes the root unique, and the slope
+floor g' > eps gives an analytic bracket |z| <= |S| / ((N+1) eps).  The
+bracket's sign change is checked first, whatever the cost.  A cost whose
+root has a closed form supplies it (the linear cost: z = S / ((N+1) kappa));
+every other cost supplies g'', and Newton steps, with derivative
+(N+1) g' + z g'', run inside the shrinking bracket, bisecting whenever a
+step would leave it.  Each player's speed and the PDE source term follow
+pointwise from the root (``equilibrium_fields``, the one place every solver
+takes them from).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostFunction, GameSpec, TableCost
+from .model import CostFunction, GameSpec
 
 __all__ = [
     "CertificationError",
@@ -71,7 +76,7 @@ def certify_cost(cost: CostFunction, interval=None) -> CostCertificate:
     marginal cost.
     """
     if interval is None:
-        interval = cost.domain if isinstance(cost, TableCost) else (-100.0, 100.0)
+        interval = cost.domain if _bounded(cost) else (-100.0, 100.0)
     z_lo, z_hi = float(interval[0]), float(interval[1])
     if not z_lo < 0.0 < z_hi:
         raise ValueError("working interval must contain 0")
@@ -105,7 +110,7 @@ def certify_for_game(game: GameSpec) -> CostCertificate:
     lam = game.market.lam
     h = game.max_payoff_slope()
     n = game.n_players
-    if isinstance(cost, TableCost):
+    if _bounded(cost):
         cert = certify_cost(cost, cost.domain)
         _check_coverage(cert, n * (lam / cert.eps_floor) * h)
         return cert
@@ -118,6 +123,11 @@ def certify_for_game(game: GameSpec) -> CostCertificate:
         reach = 1.05 * bound + 1.0
         interval = (-reach, reach)
     raise CertificationError("could not certify an interval covering the speed bound")
+
+
+def _bounded(cost: CostFunction) -> bool:
+    """Whether the cost is only defined on a finite interval (a table)."""
+    return all(math.isfinite(d) for d in cost.domain)
 
 
 def _check_coverage(cert: CostCertificate, bound: float) -> None:
@@ -143,55 +153,48 @@ def _phi(cost: CostFunction, n: int, z, s):
 def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor: float):
     """Vectorized root of N g(z) + z g'(z) = S for an array of S values.
 
-    The returned z solves the equation to |residual| <= N * eps * ROOT_TOL
-    and sits within ROOT_TOL of the exact root.
+    The returned z solves the equation to |residual| <= N * eps * ROOT_TOL,
+    so it sits within that residual over the slope (N+1) g' + z g'' of the
+    exact root.  Each entry iterates on its own until its residual passes,
+    so a root does not depend on the others in the call.
     """
     s = np.atleast_1d(np.asarray(grad_sums, dtype=float))
+    if not np.all(np.isfinite(s)):
+        raise SpeedSolverError("gradient sums must be finite")
     half = np.abs(s) / ((n_players + 1) * eps_floor) + ROOT_TOL
-    lo, hi = -half, half.copy()
-    if isinstance(cost, TableCost):
-        d_lo, d_hi = cost.domain
-        lo = np.maximum(lo, d_lo)
-        hi = np.minimum(hi, d_hi)
-    f_lo = _phi(cost, n_players, lo, s)
-    f_hi = _phi(cost, n_players, hi, s)
-    if np.any(f_lo > 0.0) or np.any(f_hi < 0.0):
+    d_lo, d_hi = cost.domain
+    lo = np.maximum(-half, d_lo)
+    hi = np.minimum(half, d_hi)
+    if np.any(_phi(cost, n_players, lo, s) > 0.0) or np.any(_phi(cost, n_players, hi, s) < 0.0):
         raise SpeedSolverError(
             "root bracket does not straddle a sign change; cost certificate invalid"
         )
+    exact = cost.exact_speed_root(n_players, s)
+    if exact is not None:
+        return exact
     f_tol = n_players * eps_floor * ROOT_TOL
-
-    def _absorb(z_new, f_new, lo, hi, f_lo, f_hi):
-        neg = f_new < 0.0
-        pos = f_new > 0.0
-        zero = ~neg & ~pos
-        lo = np.where(neg | zero, z_new, lo)
-        f_lo = np.where(neg | zero, f_new, f_lo)
-        hi = np.where(pos | zero, z_new, hi)
-        f_hi = np.where(pos | zero, f_new, f_hi)
-        return lo, hi, f_lo, f_hi
-
+    shape = s.shape
+    s, lo, hi = s.ravel(), lo.ravel(), hi.ravel()
+    z = np.zeros_like(s)  # every bracket holds 0
+    todo = np.arange(s.size)
     for _ in range(MAX_ITER):
-        done = (hi - lo <= ROOT_TOL) & (np.minimum(np.abs(f_lo), np.abs(f_hi)) <= f_tol)
-        if bool(np.all(done)):
+        zt = z[todo]
+        gp = cost.slope(zt)
+        f = n_players * cost.value(zt) + zt * gp - s[todo]
+        unsolved = np.abs(f) > f_tol
+        if not unsolved.any():
             break
-        # regula-falsi proposal, safeguarded to the bracket interior
-        denom = f_hi - f_lo
-        mid = 0.5 * (lo + hi)
+        todo, zt, gp, f = todo[unsolved], zt[unsolved], gp[unsolved], f[unsolved]
+        lo_t = np.where(f < 0.0, zt, lo[todo])
+        hi_t = np.where(f > 0.0, zt, hi[todo])
+        lo[todo], hi[todo] = lo_t, hi_t
         with np.errstate(divide="ignore", invalid="ignore"):
-            sec = (lo * f_hi - hi * f_lo) / denom
-        sec = np.where(np.isfinite(sec), sec, mid)
-        sec = np.clip(sec, lo, hi)
-        f_sec = _phi(cost, n_players, sec, s)
-        lo, hi, f_lo, f_hi = _absorb(sec, f_sec, lo, hi, f_lo, f_hi)
-        # bisection step keeps worst-case convergence geometric
-        mid = 0.5 * (lo + hi)
-        f_mid = _phi(cost, n_players, mid, s)
-        lo, hi, f_lo, f_hi = _absorb(mid, f_mid, lo, hi, f_lo, f_hi)
+            step = zt - f / ((n_players + 1) * gp + zt * cost.curvature(zt))
+        # a comparison with NaN is False, so a failed step bisects too
+        z[todo] = np.where((step > lo_t) & (step < hi_t), step, 0.5 * (lo_t + hi_t))
     else:
         raise SpeedSolverError(f"speed root did not converge in {MAX_ITER} iterations")
-    root = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
-    return root
+    return z.reshape(shape)
 
 
 def equilibrium_fields(game: GameSpec, eps_floor: float, gradients):

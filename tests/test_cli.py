@@ -58,6 +58,21 @@ def test_check_non_numeric_value_reports_key(tmp_path, capsys, section, key):
     assert f"{section}.{key}" in report["error"]
 
 
+@pytest.mark.parametrize("section, value, key", [
+    ("players", [{"utility": {"kind": "risk_neutral"},
+                  "payoff": {"kind": "custom_grid", "grid": {"p": "1234", "values": "5678"}}}],
+     "payoff.grid.p"),
+    ("grid", {**BASE["grid"], "quad_nodes": 371}, "quad_nodes"),
+], ids=["string_samples", "quad_nodes"])
+def test_check_reports_rejected_input(tmp_path, capsys, section, value, key):
+    doc = {**BASE, section: value}
+    path = _write(tmp_path, "bad.json", doc)
+    assert main(["check", "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert key in report["error"]
+
+
 def test_check_certification_failure(tmp_path):
     z = np.linspace(-100.0, 100.0, 801)
     doc = dict(BASE)

@@ -24,6 +24,7 @@ from illiq import (
     rn_aggregate_value,
     rn_individual_values,
 )
+from illiq.model import MAX_QUAD_NODES
 from illiq.speeds import ROOT_TOL
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,13 @@ def test_burgers_zero_quad_coef_is_heat(rule, call):
     prob = BurgersProblem(1.0, 0.0, call, 1.0)
     got = burgers_value(prob, 0.0, 100.0, rule)
     assert got == pytest.approx(heat_convolve(call, 1.0, 100.0, rule), abs=1e-14)
+
+
+def test_gauss_hermite_builds_up_to_max_nodes():
+    # the grid's node cap is the largest rule numpy's hermgauss can build
+    assert QuadratureRule.gauss_hermite(MAX_QUAD_NODES).n == MAX_QUAD_NODES
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="weights"):
+        QuadratureRule.gauss_hermite(MAX_QUAD_NODES + 1)
 
 
 def test_quadrature_convergence_doubling():

@@ -22,6 +22,7 @@ from illiq import (
     load_game,
     load_grid,
 )
+from illiq.model import MAX_QUAD_NODES
 
 BASE_CONFIG = {
     "market": {"sigma": 1.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
@@ -122,6 +123,19 @@ def test_load_game_rejects_keys_of_another_kind(section, obj):
 def test_load_config_non_numeric_value_names_key(overrides, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(_config(**overrides))
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"cost": {"kind": "custom_table", "table": {"z": "0123", "g": [0, 0, 0, 0]}}},
+     "cost.table.z"),
+    ({"players": [{"utility": {"kind": "risk_neutral"},
+                   "payoff": {"kind": "custom_grid", "grid": {"p": "1234", "values": "5678"}}}]},
+     "payoff.grid.p"),
+], ids=["table", "grid"])
+def test_load_game_rejects_string_as_sample_list(overrides, key):
+    # a string is iterable, but its characters are not samples
+    with pytest.raises(ConfigError, match=re.escape(key) + " must be a list"):
+        load_game(_config(**overrides))
 
 
 def test_load_config_casts_as_before():
@@ -309,6 +323,9 @@ def test_grid_spec_validation(market):
         GridSpec(106.0, 94.0, n_p=101, n_t=10)
     grid = GridSpec(94.0, 106.0, n_p=101, n_t=10)
     grid.validate_for(market)
+    GridSpec(94.0, 106.0, n_p=101, n_t=10, quad_nodes=MAX_QUAD_NODES)
+    with pytest.raises(ValidationError, match=f"quad_nodes must be <= {MAX_QUAD_NODES}"):
+        GridSpec(94.0, 106.0, n_p=101, n_t=10, quad_nodes=MAX_QUAD_NODES + 1)
     off_center = GridSpec(101.0, 120.0, n_p=101, n_t=10)
     with pytest.raises(ValidationError, match="contain p0"):
         off_center.validate_for(market)

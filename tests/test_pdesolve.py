@@ -111,6 +111,18 @@ def test_cfl_refines_time_grid(linear_cost, call):
     assert sol.grid.n_t == sol.times.size
 
 
+def test_fd_overflow_names_the_layer():
+    # the dt cap leaves out the CARA term -sigma^2 alpha / 2 v_p^2, so this
+    # march blows up; it must fail as a solver error, not inside the banded solve
+    market = MarketParams(sigma=2.0, lam=0.01, maturity=1.0, p0=100.0)
+    call = SmoothedCall(100.0, 20.0, 0.1)
+    game = GameSpec(market, LinearCost(0.01),
+                    (PlayerSpec(CARA(10.0), call), PlayerSpec(CARA(10.0), Negated(call))))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(illiq.pdesolve.SolverError, match="time layer"):
+        solve_fd(game, GridSpec.for_market(market, n_p=401, n_t=200))
+
+
 @pytest.mark.parametrize("which", ["call", "cara_pair"])
 def test_fd_stored_fields_match_per_layer_recomputation(which, call_game, call_solution,
                                                         market, linear_cost, call):

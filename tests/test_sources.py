@@ -6,9 +6,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "illiq"
 
 
-def _callers(attr: str) -> list:
-    """``module.function`` for every function whose body calls ``<x>.attr`` or
-    ``attr``; a call at module level is listed as ``module.<module>``."""
+def _owners(match) -> list:
+    """``module.function`` for every function whose body holds a node that
+    ``match`` accepts; a node at module level is listed as ``module.<module>``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -19,14 +19,31 @@ def _callers(attr: str) -> list:
             for node in ast.walk(scope):
                 owner.setdefault(node, scope.name)  # outer functions come first
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == attr:
-                    found.append(f"{path.stem}.{owner.get(node, '<module>')}")
+            if match(node):
+                found.append(f"{path.stem}.{owner.get(node, '<module>')}")
     return found
 
 
+def _callers(attr: str) -> list:
+    """Functions whose body calls ``<x>.attr`` or ``attr``."""
+
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == attr
+
+    return _owners(calls)
+
+
+def _holders(text: str) -> list:
+    """Functions whose body holds a string literal containing ``text``."""
+    return _owners(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and text in node.value)
+
+
 def test_one_function_writes_numeric_csv():
-    # every numeric table goes through one writer, so the CSV dialect lives in one place
-    assert _callers("savetxt") == ["pdesolve._write_table"]
+    # every numeric table goes through one writer, so the CSV dialect lives in one place:
+    # nothing calls savetxt, and only the writer holds the number format
+    assert _callers("savetxt") == []
+    assert _holders("%.17g") == ["pdesolve._write_table"]

@@ -70,6 +70,22 @@ def test_spread_cost_slope_at_zero_and_tails():
     assert float(fd) == pytest.approx(float(cost.slope(0.3)), rel=1e-7)
 
 
+def _tanh_table():
+    """A table cost with a spread-like kink, whose g'' jumps at every knot."""
+    z = np.linspace(-3.0, 3.0, 61)
+    return TableCost(tuple(z), tuple(0.01 * z + 0.004 * np.tanh(5.0 * z)), eps_floor=1e-3)
+
+
+@pytest.mark.parametrize("cost", [LinearCost(0.01), SmoothedSpreadCost(0.01, 0.002, 100.0),
+                                  _tanh_table()], ids=["linear", "spread", "table"])
+def test_curvature_matches_central_difference_of_slope(cost):
+    # off the table's knots, where its second derivative is continuous
+    z = np.array([-2.43, -0.71, -0.012, 0.0037, 0.29, 1.57])
+    step = 1e-6
+    fd = (cost.slope(z + step) - cost.slope(z - step)) / (2 * step)
+    np.testing.assert_allclose(cost.curvature(z), fd, rtol=1e-6, atol=1e-9)
+
+
 def test_table_cost_out_of_domain():
     z = np.linspace(-2.0, 2.0, 41)
     cost = TableCost(tuple(z), tuple(0.01 * z), eps_floor=1e-3)
@@ -164,6 +180,15 @@ def test_aggregate_speed_linear_closed_form():
         assert got == pytest.approx(s / ((n + 1) * kappa), abs=1e-12)
 
 
+def test_linear_root_is_exact():
+    cost = LinearCost(0.013)
+    s = np.random.default_rng(3).uniform(-1.0, 1.0, 100)
+    for n in (1, 4, 9):
+        assert np.array_equal(cost.exact_speed_root(n, s), s / ((n + 1) * 0.013))
+        assert np.array_equal(aggregate_speed_many(cost, n, s, 0.99 * 0.013),
+                              s / ((n + 1) * 0.013))
+
+
 def test_aggregate_speed_zero_gradient():
     for cost in (LinearCost(0.01), SmoothedSpreadCost(0.01, 0.002, 100.0)):
         assert aggregate_speed_many(cost, 3, [0.0], 0.009)[0] == 0.0
@@ -182,10 +207,43 @@ def test_aggregate_speed_spread_matches_dense_scan():
     assert abs(cost.value(got) + got * cost.slope(got) - 0.01) <= cert.eps_floor * ROOT_TOL
 
 
+def test_aggregate_speed_table_matches_dense_scan():
+    cost = _tanh_table()
+    cert = certify_cost(cost)
+    got = aggregate_speed_many(cost, 2, [0.01], cert.eps_floor)[0]
+    # dense-scan oracle: sign change of Phi over [-1, 1] at step 1e-6
+    z = np.arange(-1.0, 1.0, 1e-6)
+    phi = 2 * cost.value(z) + z * cost.slope(z) - 0.01
+    scan_root = z[np.argmin(np.abs(phi))]
+    assert abs(got - scan_root) <= 1.5e-6
+    assert abs(2 * cost.value(got) + got * cost.slope(got) - 0.01) <= cert.eps_floor * ROOT_TOL
+
+
+@pytest.mark.parametrize("cost", [SmoothedSpreadCost(0.01, 0.002, 100.0), _tanh_table()],
+                         ids=["spread", "table"])
+def test_aggregate_speed_independent_of_neighbours(cost):
+    # one call over many gradient sums gives, bit for bit, the roots of one
+    # call per sum: an entry's iteration does not depend on the others
+    eps = certify_cost(cost, (-3.0, 3.0)).eps_floor
+    s = np.random.default_rng(9).uniform(-0.02, 0.02, 1000)
+    s[::50] = 0.0
+    whole = aggregate_speed_many(cost, 3, s, eps)
+    one_by_one = np.array([aggregate_speed_many(cost, 3, [x], eps)[0] for x in s])
+    assert np.array_equal(whole, one_by_one)
+
+
 def test_aggregate_speed_bracket_failure():
     # an eps floor far above the true slope makes the bracket too small
     with pytest.raises(SpeedSolverError, match="bracket"):
         aggregate_speed_many(LinearCost(0.01), 1, [1.0], 10.0)
+
+
+@pytest.mark.parametrize("cost", [LinearCost(0.01), SmoothedSpreadCost(0.01, 0.002, 100.0)],
+                         ids=["linear", "spread"])
+def test_aggregate_speed_rejects_non_finite_sums(cost):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SpeedSolverError, match="finite"):
+            aggregate_speed_many(cost, 2, [0.01, bad], 0.0099)
 
 
 def test_aggregate_speed_monotone_in_gradient():
