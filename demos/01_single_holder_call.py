@@ -42,7 +42,7 @@ rel = np.abs(sol.values[0] - closed) / (1.0 + np.abs(closed))
 print(f"  sup relative difference: {rel[1:-1, 1:-1].max():.2e}")
 
 surp = surplus(sol, game, time_indices=[0])[0, 0]
-rule = QuadratureRule.for_grid(grid)
+rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
 print("\n  p      speed(0,p)   surplus(0,p)   E[H(P_T)]")
 for p in (96.0, 98.0, 100.0, 102.0, 104.0):
     i = int(np.argmin(np.abs(sol.prices - p)))

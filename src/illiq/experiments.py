@@ -136,7 +136,7 @@ def _split_game(h: Payoff, n: int, template: GameSpec) -> GameSpec:
 def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridSpec) -> dict:
     """Time-zero aggregate speed per N: the speed root at lambda times the
     price gradient of the closed-form aggregate value."""
-    rule = QuadratureRule.for_grid(grid)
+    rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
     rows = {}
     for n in ns:
         game = make_game(h, n, template)

@@ -16,7 +16,9 @@ raw payoff as well):
 * ``solve_picard`` fixed-point iteration of the mild (integral) form
                    v = e^{tL} H + int e^{(t-s)L} F(v_p(s)) ds on short
                    subintervals, the semigroup applied by Gauss-Hermite
-                   quadrature.  Serves as an independent oracle for the
+                   quadrature (``heat_convolve_grid``) and the integral by
+                   the trapezoid sum ``duhamel_trapezoid`` that the closed
+                   form shares.  Serves as an independent oracle for the
                    finite-difference route;
 * ``solve_closed`` the Cole-Hopf closed forms of ``closedform`` on the
                    lattice, for the games it covers (linear cost with
@@ -40,6 +42,7 @@ from .closedform import (
     QuadratureRule,
     cara_single_value,
     central_gradient,
+    duhamel_trapezoid,
     heat_convolve,
     heat_convolve_grid,
     rn_aggregate_value,
@@ -156,10 +159,11 @@ def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
 def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     """Backward finite-difference solution of the coupled value system.
 
-    Implicit Euler handles the diffusion unconditionally; the advection and
-    cost terms are explicit, which imposes dt <= dp / (2 lambda B_agg) with
-    B_agg the aggregate speed bound.  The time grid is refined automatically
-    if the requested one violates that bound.  Boundary rows impose a zero
+    Implicit Euler handles the diffusion unconditionally; the advection,
+    cost and exponential-utility terms are explicit, which imposes
+    dt <= dp / (2 (lambda N B + sigma^2 max_j alpha_j max_j sup|H^j_p|)) with
+    B the a-priori speed bound.  The time grid is refined automatically if
+    the requested one violates that bound.  Boundary rows impose a zero
     second derivative (payoffs are flat or linear six standard deviations
     from the spot).
     """
@@ -171,7 +175,8 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
 
     prices = grid.prices
     dp = grid.dp
-    drift_cap = 2.0 * market.lam * n * bound
+    drift_cap = 2.0 * (market.lam * n * bound
+                       + market.sigma**2 * float(np.max(game.alphas)) * game.max_payoff_slope())
     dt_cap = dp / drift_cap if drift_cap > 0 else math.inf
     n_t = grid.n_t
     if market.maturity / (n_t - 1) > dt_cap:
@@ -230,7 +235,7 @@ def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     grid.validate_for(market)
     cert = certify_for_game(game)
     bound = apriori_speed_bound(game, cert)
-    rule = QuadratureRule.for_grid(grid)
+    rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
     tau = PICARD_TAU_FRACTION * market.maturity
 
     last_err: Exception | None = None
@@ -264,34 +269,19 @@ def _picard_march(game, grid, cert, rule, tau):
     v_tau[:, 0] = _terminal_layer(game, prices)
     log: list[list[float]] = []
 
-    def heatg(layers: np.ndarray, variance: float) -> np.ndarray:
-        return np.stack(
-            [heat_convolve_grid(layers[j], prices, variance, rule) for j in range(n)]
-        )
-
     for step in range(n_tau):
         base = step * m_sub
         h0 = v_tau[:, base]
-        seed = np.empty((m_sub + 1, n, prices.size))
-        seed[0] = h0
-        for m in range(1, m_sub + 1):
-            seed[m] = heatg(h0, sig2 * m * h)
-        cur = seed.copy()
+        seed = np.stack([heat_convolve_grid(h0, prices, sig2 * m * h, rule)
+                         for m in range(m_sub + 1)])
+        cur = seed
 
         changes: list[float] = []
         for _ in range(PICARD_MAX_ITER):
-            f_layers = np.empty_like(cur)
-            for m in range(m_sub + 1):
-                f_layers[m] = equilibrium_fields(game, cert.eps_floor,
-                                                 central_gradient(cur[m], grid.dp))[2]
-            # trapezoid sum of e^{(u_m - u_s) L} F(u_s) over s = 0..m
-            new = np.empty_like(cur)
-            new[0] = h0
-            for m in range(1, m_sub + 1):
-                acc = 0.5 * h * (heatg(f_layers[0], sig2 * m * h) + f_layers[m])
-                for s in range(1, m):
-                    acc += h * heatg(f_layers[s], sig2 * (m - s) * h)
-                new[m] = seed[m] + acc
+            f_layers = np.stack([equilibrium_fields(game, cert.eps_floor,
+                                                    central_gradient(layer, grid.dp))[2]
+                                 for layer in cur])
+            new = seed + duhamel_trapezoid(f_layers, h, sig2, prices, rule)
             change = float(np.max(np.abs(new - cur)))
             changes.append(change)
             cur = new
@@ -334,7 +324,7 @@ def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
     if game.all_risk_neutral and game.n_players >= 2:
         values = rn_individual_values(game, grid)
     else:
-        rule = QuadratureRule.for_grid(grid)
+        rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
         layer = rn_aggregate_value if game.all_risk_neutral else cara_single_value
         values = np.stack([layer(game, float(t), grid.prices, rule) for t in times])[None]
     cert = certify_for_game(game)
@@ -375,7 +365,7 @@ def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
     (utility of the) payoff, by the quadrature rule of the solution's grid.
     Exponential-utility players are compared on the utility scale via the
     exponential map of the stored transform."""
-    rule = QuadratureRule.for_grid(sol.grid)
+    rule = QuadratureRule.gauss_hermite(sol.grid.quad_nodes)
     maturity = game.market.maturity
     sig2 = game.market.sigma**2
     if time_indices is None:

@@ -20,10 +20,12 @@ from illiq import (
     certify_for_game,
     equilibrium_fields,
     heat_convolve,
+    heat_convolve_grid,
     rn_aggregate_grid,
     rn_aggregate_value,
     rn_individual_values,
 )
+from illiq.closedform import duhamel_trapezoid
 from illiq.model import MAX_QUAD_NODES
 from illiq.speeds import ROOT_TOL
 
@@ -59,6 +61,83 @@ def test_heat_convolve_square(rule):
 
 def test_heat_convolve_zero_variance(rule):
     assert heat_convolve(lambda x: x**3, 0.0, 2.0, rule) == pytest.approx(8.0)
+
+
+# ---------------------------------------------------------------------------
+# lattice heat operator and Duhamel sum, against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_heat_grid(values, p_grid, variance, rule):
+    """One row at a time: np.interp inside the grid, the end slopes carried
+    on outside it."""
+    if variance == 0.0:
+        q, w = p_grid[:, None], np.array([1.0])
+    else:
+        q, w = p_grid[:, None] + np.sqrt(variance) * rule.z[None, :], rule.w
+    base = np.interp(q, p_grid, values)
+    slope_l = (values[1] - values[0]) / (p_grid[1] - p_grid[0])
+    slope_r = (values[-1] - values[-2]) / (p_grid[-1] - p_grid[-2])
+    base = base + np.where(q < p_grid[0], (q - p_grid[0]) * slope_l, 0.0)
+    base = base + np.where(q > p_grid[-1], (q - p_grid[-1]) * slope_r, 0.0)
+    return base @ w
+
+
+def _reference_duhamel(src, step, diff_coef, p_grid, rule):
+    """Double loop over (m, s) of the trapezoid sum for src of shape (L, N, n_p)."""
+    out = np.zeros_like(src)
+    for m in range(1, src.shape[0]):
+        for s in range(m + 1):
+            weight = 0.5 * step if s in (0, m) else step
+            for j in range(src.shape[1]):
+                out[m, j] += weight * _reference_heat_grid(src[s, j], p_grid,
+                                                           diff_coef * (m - s) * step, rule)
+    return out
+
+
+_P_SMALL = np.linspace(-1.0, 1.0, 21)
+
+
+@pytest.mark.parametrize("variance", [0.0, 1e-4, 0.05, 4.0])
+def test_heat_grid_matches_interp_reference(variance):
+    rule = QuadratureRule.gauss_hermite(16)
+    values = np.maximum(_P_SMALL - 0.1, 0.0) + 0.3 * _P_SMALL**2
+    got = heat_convolve_grid(values, _P_SMALL, variance, rule)
+    want = _reference_heat_grid(values, _P_SMALL, variance, rule)
+    if variance == 0.0:
+        assert np.array_equal(got, values) and np.array_equal(want, values)
+    else:
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def test_heat_grid_reaches_past_both_ends():
+    # the widest variance above sends nodes from every price past both ends
+    rule = QuadratureRule.gauss_hermite(16)
+    variance = 4.0
+    assert _P_SMALL[-1] + np.sqrt(variance) * rule.z.min() < _P_SMALL[0]
+    assert _P_SMALL[0] + np.sqrt(variance) * rule.z.max() > _P_SMALL[-1]
+    # the linear extension makes the operator exact on linear functions
+    line = 2.0 - 3.0 * _P_SMALL
+    assert np.abs(heat_convolve_grid(line, _P_SMALL, variance, rule) - line).max() <= 1e-13
+
+
+def test_heat_grid_stack_matches_rows():
+    rule = QuadratureRule.gauss_hermite(16)
+    stack = np.random.default_rng(7).standard_normal((5, 3, _P_SMALL.size))
+    got = heat_convolve_grid(stack, _P_SMALL, 0.05, rule)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(stack.shape[:-1]):
+        row = heat_convolve_grid(stack[idx], _P_SMALL, 0.05, rule)
+        assert np.abs(got[idx] - row).max() <= 1e-14
+
+
+def test_duhamel_trapezoid_matches_double_loop():
+    rule = QuadratureRule.gauss_hermite(16)
+    src = np.random.default_rng(11).random((7, 2, _P_SMALL.size))
+    got = duhamel_trapezoid(src, 0.02, 1.5, _P_SMALL, rule)
+    want = _reference_duhamel(src, 0.02, 1.5, _P_SMALL, rule)
+    assert np.all(got[0] == 0.0)
+    assert np.abs(got - want).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,37 @@ def test_cfl_refines_time_grid(linear_cost, call):
     assert sol.grid.n_t == sol.times.size
 
 
-def test_fd_overflow_names_the_layer():
-    # the dt cap leaves out the CARA term -sigma^2 alpha / 2 v_p^2, so this
-    # march blows up; it must fail as a solver error, not inside the banded solve
+def test_fd_overflow_names_the_layer(call_game, monkeypatch):
+    # a step that goes non-finite must fail as a solver error naming its
+    # layer, not inside the banded solve
+    fields = illiq.pdesolve.equilibrium_fields
+    calls = []
+
+    def poisoned(game, eps_floor, grads):
+        speeds, agg, source = fields(game, eps_floor, grads)
+        calls.append(1)
+        if len(calls) == 3:  # the march visits layers 19, 18, 17, ...
+            source = np.where(np.arange(source.shape[-1]) == 5, np.inf, source)
+        return speeds, agg, source
+
+    monkeypatch.setattr(illiq.pdesolve, "equilibrium_fields", poisoned)
+    with pytest.raises(illiq.pdesolve.SolverError, match="time layer 17 of 20"):
+        solve_fd(call_game, GridSpec(94.0, 106.0, 51, 20))
+
+
+def test_fd_cara_cap_keeps_speeds_inside_bound():
+    # two strongly risk-averse players: the explicit CARA term
+    # -sigma^2 alpha / 2 v_p^2 takes its share of the dt cap,
+    # dt <= dp / (2 (lambda N B + sigma^2 alpha sup|H_p|)) = 0.06 / 80.08;
+    # without it this march overflowed at time layer 170 of 200
     market = MarketParams(sigma=2.0, lam=0.01, maturity=1.0, p0=100.0)
     call = SmoothedCall(100.0, 20.0, 0.1)
     game = GameSpec(market, LinearCost(0.01),
                     (PlayerSpec(CARA(10.0), call), PlayerSpec(CARA(10.0), Negated(call))))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(illiq.pdesolve.SolverError, match="time layer"):
-        solve_fd(game, GridSpec.for_market(market, n_p=401, n_t=200))
+    sol = solve_fd(game, GridSpec.for_market(market, n_p=401, n_t=200))
+    assert sol.meta["n_t_used"] == 1336
+    assert np.all(np.isfinite(sol.values))
+    assert np.abs(sol.speeds).max() <= sol.meta["speed_bound"]
 
 
 @pytest.mark.parametrize("which", ["call", "cara_pair"])
@@ -222,7 +243,7 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     sol = solve_picard(short_game, short_grid)
 
     market = short_game.market
-    rule = QuadratureRule.for_grid(short_grid)
+    rule = QuadratureRule.gauss_hermite(short_grid.quad_nodes)
     prices = short_grid.prices
     cert = certify_for_game(short_game)
     h0 = _terminal_layer(short_game, prices)
