@@ -7,9 +7,9 @@ Subcommands
     sweep      run one of the scripted studies and assert its claims
 
 Exit codes: 0 ok, 1 parse/missing input, 2 certification failure,
-3 method/game mismatch, 4 solver error (including a solve whose speeds
-exceed the a-priori bound; its outputs are still written), 5 solution/config
-hash mismatch, 6 sweep assertion failure.
+3 method/game or study/game mismatch, 4 solver error (including a solve
+whose speeds exceed the a-priori bound; its outputs are still written),
+5 solution/config hash mismatch, 6 sweep assertion failure.
 
 Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``.
 Numeric CSVs go through ``pdesolve._write_table``; only the sweep metrics
@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from . import __version__
 from .closedform import ClosedFormError
 from .experiments import (
+    ExperimentError,
     SweepResult,
     cara_two_player_study,
     figure_grids,
@@ -40,7 +42,6 @@ from .experiments import (
 )
 from .manifest import RunManifest, digest, read_manifest, write_manifest
 from .model import (
-    CARA,
     ConfigError,
     GameSpec,
     GridSpec,
@@ -124,8 +125,6 @@ def _apply_grid_flag(grid: GridSpec, flag: str | None) -> GridSpec:
         n_p, n_t = (int(v) for v in flag.split(","))
     except Exception as err:
         raise ConfigError("--grid expects 'np,nt'") from err
-    from dataclasses import replace
-
     return replace(grid, n_p=n_p, n_t=n_t)
 
 
@@ -230,6 +229,8 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
+    if args.paths < 2:
+        raise ConfigError(f"--paths must be >= 2 for a standard error, got {args.paths}")
     game, grid, config_hash, grid_hash = _read_config(args.config)
     sol_path = Path(args.solution)
     manifest_path = sol_path.parent / "manifest.json"
@@ -273,8 +274,12 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _csv_list(raw: str, cast):
-    return tuple(cast(v) for v in raw.split(","))
+def _csv_list(raw: str, cast, flag: str):
+    try:
+        return tuple(cast(v) for v in raw.split(","))
+    except ValueError as err:
+        raise ConfigError(f"{flag} expects comma-separated {cast.__name__} values, "
+                          f"got {raw!r}") from err
 
 
 def _write_sweep_csv(result: SweepResult, path) -> None:
@@ -317,20 +322,24 @@ def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
     if study == "zero_sum":
         return zero_sum_report(game, grid)
     if study in ("predator", "split"):
-        ns = _csv_list(args.n_list, int) if args.n_list else (1, 10, 100)
+        ns = _csv_list(args.n_list, int, "--N") if args.n_list else (1, 10, 100)
         fn = predator_sweep if study == "predator" else split_sweep
         return fn(game.players[0].endowment, ns, game, grid)
     if study == "spread":
-        spreads = _csv_list(args.s_list, float) if args.s_list else (0.0, 0.001, 0.002, 0.003, 0.004)
+        spreads = (_csv_list(args.s_list, float, "--s") if args.s_list
+                   else (0.0, 0.001, 0.002, 0.003, 0.004))
         sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else 100.0
         return spread_sweep(game, spreads, sharpness, grid)
     if study == "cara2":
-        alphas = [pl.utility.alpha for pl in game.players if isinstance(pl.utility, CARA)]
+        alphas = [a for a in game.alphas if a > 0.0]
         if len(alphas) != 2:
             raise MethodMismatch("cara2 study needs a config with exactly two CARA players")
         return cara_two_player_study(alphas, game, grid)
     if study.startswith("figure:"):
-        return figure_grids(study.split(":", 1)[1], grid)
+        try:
+            return figure_grids(study.split(":", 1)[1], grid)
+        except ExperimentError as err:  # figures build their own games: a bad figure id
+            raise ConfigError(str(err)) from err
     raise ConfigError(f"unknown study '{study}'")
 
 
@@ -426,7 +435,7 @@ def main(argv=None) -> int:
     except CertificationError as err:
         print(f"certification failure: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (MethodMismatch, ClosedFormError) as err:
+    except (MethodMismatch, ClosedFormError, ExperimentError) as err:
         print(f"method/game mismatch: {err}", file=sys.stderr)
         return EXIT_METHOD
     except HashMismatch as err:

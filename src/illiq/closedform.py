@@ -11,6 +11,9 @@ exponential-utility player reduces to it after the log transform
 (B = lambda^2 / (2 kappa) - sigma^2 alpha).  Individual risk-neutral values
 then follow from a nonhomogeneous heat equation solved by a Duhamel
 integral over the aggregate gradient squared.
+
+``closed_form_values`` picks the closed form that covers a game and builds
+its lattice, by the per-layer loop that ``rn_aggregate_grid`` also uses.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CARA, GameSpec, GridSpec, LinearCost, Payoff, SumPayoff
+from .model import GameSpec, GridSpec, LinearCost, Payoff, SumPayoff
 
 __all__ = [
     "ClosedFormError",
@@ -34,6 +37,7 @@ __all__ = [
     "rn_aggregate_grid",
     "rn_individual_values",
     "cara_single_value",
+    "closed_form_values",
     "central_gradient",
 ]
 
@@ -174,15 +178,12 @@ def burgers_value(prob: BurgersProblem, t: float, p, rule: QuadratureRule):
     fn = _terminal_fn(prob.terminal)
     a, b = prob.diff_coef, prob.quad_coef
     variance = a * max(prob.maturity - t, 0.0)
+    if variance == 0.0 or b == 0.0:
+        return heat_convolve(fn, variance, p, rule)
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if variance == 0.0:
-        out = np.asarray(fn(p_arr), dtype=float)
-    elif b == 0.0:
-        out = heat_convolve(fn, variance, p_arr, rule)
-    else:
-        pts = p_arr[:, None] + math.sqrt(variance) * rule.z[None, :]
-        x = (b / a) * np.asarray(fn(pts), dtype=float)
-        out = (a / b) * _log_mean_exp(x, rule.w)
+    pts = p_arr[:, None] + math.sqrt(variance) * rule.z[None, :]
+    x = (b / a) * np.asarray(fn(pts), dtype=float)
+    out = (a / b) * _log_mean_exp(x, rule.w)
     return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out
 
 
@@ -198,36 +199,33 @@ def _require_rn_linear(game: GameSpec, what: str) -> None:
         raise ClosedFormError(f"{what} requires a linear cost function")
 
 
-def rn_burgers_coef(game: GameSpec) -> float:
-    n = game.n_players
-    lam, kappa = game.market.lam, game.cost.kappa
-    return 2.0 * lam**2 * n / (kappa * (n + 1) ** 2)
-
-
 def rn_aggregate_value(game: GameSpec, t: float, p, rule: QuadratureRule):
     """Representative-agent value v = sum_j v^j for risk-neutral linear-cost
     games; solves v_t + sigma^2/2 v_pp + (lambda^2 N / (kappa (N+1)^2)) v_p^2 = 0."""
     _require_rn_linear(game, "rn_aggregate_value")
+    n, lam, kappa = game.n_players, game.market.lam, game.cost.kappa
     prob = BurgersProblem(
         diff_coef=game.market.sigma**2,
-        quad_coef=rn_burgers_coef(game),
+        quad_coef=2.0 * lam**2 * n / (kappa * (n + 1) ** 2),
         terminal=SumPayoff(tuple(pl.endowment for pl in game.players)),
         maturity=game.market.maturity,
     )
     return burgers_value(prob, t, p, rule)
 
 
+def _layers(value, game: GameSpec, grid: GridSpec) -> np.ndarray:
+    """The (n_t, n_p) lattice of a closed form ``value(game, t, p, rule)``,
+    one time layer at a time, by the grid's own quadrature rule."""
+    rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
+    return np.stack([value(game, float(t), grid.prices, rule)
+                     for t in grid.times(game.market.maturity)])
+
+
 def rn_aggregate_grid(game: GameSpec, grid: GridSpec) -> np.ndarray:
     """Aggregate closed-form value on the full (n_t, n_p) lattice, by the
     grid's own quadrature rule."""
     _require_rn_linear(game, "rn_aggregate_grid")
-    rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
-    times = grid.times(game.market.maturity)
-    prices = grid.prices
-    out = np.empty((times.size, prices.size))
-    for k, t in enumerate(times):
-        out[k] = rn_aggregate_value(game, float(t), prices, rule)
-    return out
+    return _layers(rn_aggregate_value, game, grid)
 
 
 def central_gradient(values: np.ndarray, dp: float) -> np.ndarray:
@@ -273,11 +271,11 @@ def rn_individual_values(game: GameSpec, grid: GridSpec) -> np.ndarray:
 def cara_single_value(game: GameSpec, t: float, p, rule: QuadratureRule):
     """Transformed value for one exponential-utility player under linear
     cost; the untransformed value is -exp(-alpha * result)."""
-    if game.n_players != 1 or not isinstance(game.players[0].utility, CARA):
+    if game.n_players != 1 or game.all_risk_neutral:
         raise ClosedFormError("cara_single_value requires a single CARA player")
     if not isinstance(game.cost, LinearCost):
         raise ClosedFormError("cara_single_value requires a linear cost function")
-    alpha = game.players[0].utility.alpha
+    alpha = float(game.alphas[0])
     lam, kappa, sigma = game.market.lam, game.cost.kappa, game.market.sigma
     prob = BurgersProblem(
         diff_coef=sigma**2,
@@ -287,3 +285,12 @@ def cara_single_value(game: GameSpec, t: float, p, rule: QuadratureRule):
     )
     return burgers_value(prob, t, p, rule)
 
+
+def closed_form_values(game: GameSpec, grid: GridSpec) -> np.ndarray:
+    """Per-player closed-form values (N, n_t, n_p): ``rn_individual_values``
+    for two or more players, else the Cole-Hopf value of the one risk-neutral
+    or exponential-utility player.  Other games raise ClosedFormError."""
+    if game.n_players >= 2:
+        return rn_individual_values(game, grid)
+    value = rn_aggregate_value if game.all_risk_neutral else cara_single_value
+    return _layers(value, game, grid)[None]

@@ -30,6 +30,7 @@ from .model import (
     SmoothedCall,
     SmoothedDigital,
     SmoothedSpreadCost,
+    ValidationError,
     game_to_dict,
     grid_to_dict,
 )
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class ExperimentError(ValueError):
-    pass
+    """A study was asked of a game or template it does not fit."""
 
 
 # slack of the monotonicity claims: split_sweep's pointwise rows, spread_sweep's maxima
@@ -90,9 +91,7 @@ def zero_sum_report(game: GameSpec, grid: GridSpec) -> SweepResult:
     the payoffs are checked for offsetting."""
     if not game.all_risk_neutral:
         raise ExperimentError("zero-sum study requires risk-neutral players")
-    prices = grid.prices
-    payoff_sum = sum(np.asarray(pl.endowment.value(prices), dtype=float)
-                     for pl in game.players)
+    payoff_sum = game.payoff_layer(grid.prices).sum(axis=0)
     max_payoff_sum = float(np.max(np.abs(payoff_sum)))
     sol = solve_fd(game, grid)
     max_agg = float(np.max(np.abs(sol.aggregate_speed)))
@@ -139,6 +138,8 @@ def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridS
     rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
     rows = {}
     for n in ns:
+        if n < 1:
+            raise ValidationError(f"a sweep over player counts needs N >= 1, got N = {n}")
         game = make_game(h, n, template)
         v0 = rn_aggregate_value(game, 0.0, grid.prices, rule)
         v_p = central_gradient(np.asarray(v0), grid.dp)
@@ -329,6 +330,7 @@ def figure_grids(which: str, grid: GridSpec | None = None):
     fig1/fig2: single-holder speed and surplus grids (call / digital);
     fig3/fig4: spread sweeps (call / digital); fig5: the two-player
     exponential-utility study; fig6: the split sweep for N in {1, 10, 100}.
+    fig5 spans its own sigma = 2 market, keeping only a given grid's sizes.
     """
     market = _benchmark_market()
     if which in ("fig1", "fig2"):
@@ -343,7 +345,8 @@ def figure_grids(which: str, grid: GridSpec | None = None):
         market2 = _benchmark_market(sigma=2.0)
         game = GameSpec(market2, LinearCost(0.01),
                         (PlayerSpec(RiskNeutral(), _benchmark_payoff("call", market2)),))
-        grid = grid or GridSpec.for_market(market2, n_p=401, n_t=1000)
+        sizes = (grid.n_p, grid.n_t, grid.quad_nodes) if grid else (401, 1000, 128)
+        grid = GridSpec.for_market(market2, *sizes)
         return {
             "plain": cara_two_player_study((0.01, 0.01), game, grid),
             "dashed": cara_two_player_study((0.001, 0.1), game, grid),

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
+from typing import ClassVar
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
@@ -511,12 +512,12 @@ class GridPayoff(Payoff):
 
 @dataclass(frozen=True)
 class RiskNeutral:
-    """Linear utility u(z) = z."""
+    """Linear utility u(z) = z, with zero risk aversion."""
 
-    alpha: float = 0.0
+    alpha: ClassVar[float] = 0.0
 
-    def __post_init__(self):
-        _require(self.alpha == 0.0, "risk-neutral utility carries no parameter")
+    def __call__(self, z):
+        return z
 
     def to_dict(self) -> dict:
         return {"kind": "risk_neutral"}
@@ -530,6 +531,9 @@ class CARA:
 
     def __post_init__(self):
         _require(_finite(self.alpha) and self.alpha > 0, "alpha must be > 0")
+
+    def __call__(self, z):
+        return -np.exp(-self.alpha * z)
 
     def to_dict(self) -> dict:
         return {"kind": "cara", "alpha": self.alpha}
@@ -570,9 +574,13 @@ class GameSpec:
     @property
     def alphas(self) -> np.ndarray:
         """Risk-aversion vector; zero entries mark risk-neutral players."""
-        return np.array(
-            [pl.utility.alpha if isinstance(pl.utility, CARA) else 0.0 for pl in self.players]
-        )
+        return np.array([pl.utility.alpha for pl in self.players], dtype=float)
+
+    def payoff_layer(self, prices) -> np.ndarray:
+        """Every player's payoff at ``prices``, stacked: the terminal layer
+        (N, *prices.shape) of every solver and of the simulated paths."""
+        return np.array([np.asarray(pl.endowment.value(prices), dtype=float)
+                         for pl in self.players])
 
     def max_payoff_slope(self) -> float:
         return max(pl.endowment.slope_bound for pl in self.players)
@@ -825,10 +833,5 @@ def game_to_dict(game: GameSpec) -> dict:
 
 
 def grid_to_dict(grid: GridSpec) -> dict:
-    return {
-        "p_min": grid.p_min,
-        "p_max": grid.p_max,
-        "n_p": grid.n_p,
-        "n_t": grid.n_t,
-        "quad_nodes": grid.quad_nodes,
-    }
+    """The grid's fields, for hashing and manifests."""
+    return asdict(grid)

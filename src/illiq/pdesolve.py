@@ -20,14 +20,15 @@ raw payoff as well):
                    the trapezoid sum ``duhamel_trapezoid`` that the closed
                    form shares.  Serves as an independent oracle for the
                    finite-difference route;
-* ``solve_closed`` the Cole-Hopf closed forms of ``closedform`` on the
-                   lattice, for the games it covers (linear cost with
-                   risk-neutral players or one exponential-utility player).
+* ``solve_closed`` the lattice that ``closedform.closed_form_values`` builds
+                   for the games it covers (linear cost with risk-neutral
+                   players or one exponential-utility player).
 
 Each route validates the grid, certifies the cost once and records the
 certificate, the a-priori speed bound and the speed-root tolerance in
-``Solution.meta``.  ``_write_table`` holds the CSV dialect of every numeric
-table the package writes; ``read_solution_csv`` reloads a ``solution.csv``.
+``Solution.meta``; terminal data comes from ``GameSpec.payoff_layer``.
+``_write_table`` holds the CSV dialect of every numeric table the package
+writes; ``read_solution_csv`` reloads a ``solution.csv``.
 """
 
 from __future__ import annotations
@@ -40,15 +41,13 @@ from scipy.linalg import solve_banded
 
 from .closedform import (
     QuadratureRule,
-    cara_single_value,
     central_gradient,
+    closed_form_values,
     duhamel_trapezoid,
     heat_convolve,
     heat_convolve_grid,
-    rn_aggregate_value,
-    rn_individual_values,
 )
-from .model import CARA, GameSpec, GridSpec
+from .model import GameSpec, GridSpec
 from .speeds import ROOT_TOL, apriori_speed_bound, certify_for_game, equilibrium_fields
 
 __all__ = [
@@ -88,7 +87,8 @@ class Solution:
     """Per-player value, gradient and speed lattices plus solver metadata.
 
     For exponential-utility players ``values`` holds the log-transformed
-    value; the raw value is -exp(-alpha * values)."""
+    value; the raw value is -exp(-alpha * values).  ``grid`` is the given
+    grid with its ``n_t`` and ``n_p`` set from ``times`` and ``prices``."""
 
     grid: GridSpec
     times: np.ndarray
@@ -100,6 +100,8 @@ class Solution:
     meta: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "grid", replace(self.grid, n_t=self.times.size,
+                                                 n_p=self.prices.size))
         for name in ("times", "prices", "values", "gradients", "speeds", "aggregate_speed"):
             getattr(self, name).setflags(write=False)
 
@@ -132,10 +134,6 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _terminal_layer(game: GameSpec, prices: np.ndarray) -> np.ndarray:
-    return np.array([np.asarray(pl.endowment.value(prices), dtype=float) for pl in game.players])
-
-
 def _meta(scheme: str, cert, bound: float, **extra) -> dict:
     """The metadata every route records, then the route's own keys."""
     return {"scheme": scheme, "certificate": cert, "speed_bound": bound,
@@ -147,8 +145,7 @@ def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
     """A Solution whose fields come from one whole-lattice equilibrium_fields call."""
     grads = central_gradient(values, grid.dp)
     speeds, agg, _ = equilibrium_fields(game, cert.eps_floor, grads)
-    grid_used = replace(grid, n_t=times.size) if times.size != grid.n_t else grid
-    return Solution(grid_used, times, grid.prices, values, grads, speeds, agg, meta)
+    return Solution(grid, times, grid.prices, values, grads, speeds, agg, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +178,11 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     n_t = grid.n_t
     if market.maturity / (n_t - 1) > dt_cap:
         n_t = int(math.ceil(market.maturity / dt_cap)) + 1
-    grid_used = replace(grid, n_t=n_t) if n_t != grid.n_t else grid
-    times = grid_used.times(market.maturity)
+    times = np.linspace(0.0, market.maturity, n_t)
     dt = times[1] - times[0]
 
     values = np.empty((n, n_t, prices.size))
-    values[:, -1] = _terminal_layer(game, prices)
+    values[:, -1] = game.payoff_layer(prices)
     grads = np.empty_like(values)
     speeds = np.empty_like(values)
     agg = np.empty((n_t, prices.size))
@@ -211,7 +207,7 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
             values[:, k - 1] = solve_banded((1, 1), ab, rhs.T).T
 
     meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t)
-    return Solution(grid_used, times, prices, values, grads, speeds, agg, meta)
+    return Solution(grid, times, prices, values, grads, speeds, agg, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def _picard_march(game, grid, cert, rule, tau):
 
     n_lay = n_tau * m_sub + 1
     v_tau = np.empty((n, n_lay, prices.size))  # indexed by time to maturity
-    v_tau[:, 0] = _terminal_layer(game, prices)
+    v_tau[:, 0] = game.payoff_layer(prices)
     log: list[list[float]] = []
 
     for step in range(n_tau):
@@ -278,10 +274,10 @@ def _picard_march(game, grid, cert, rule, tau):
 
         changes: list[float] = []
         for _ in range(PICARD_MAX_ITER):
-            f_layers = np.stack([equilibrium_fields(game, cert.eps_floor,
-                                                    central_gradient(layer, grid.dp))[2]
-                                 for layer in cur])
-            new = seed + duhamel_trapezoid(f_layers, h, sig2, prices, rule)
+            # one call on the (player, sub-layer, price) stack; roots are per entry
+            grads = central_gradient(np.ascontiguousarray(np.swapaxes(cur, 0, 1)), grid.dp)
+            source = np.swapaxes(equilibrium_fields(game, cert.eps_floor, grads)[2], 0, 1)
+            new = seed + duhamel_trapezoid(source, h, sig2, prices, rule)
             change = float(np.max(np.abs(new - cur)))
             changes.append(change)
             cur = new
@@ -311,22 +307,16 @@ def _picard_march(game, grid, cert, rule, tau):
 
 
 def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
-    """Closed-form values on the lattice: per-player Duhamel values for two
-    or more risk-neutral players, otherwise the Cole-Hopf value of the one
-    risk-neutral or exponential-utility player, layer by layer.
+    """Closed-form values on the lattice, from ``closedform.closed_form_values``:
+    per-player Duhamel values for two or more risk-neutral players, otherwise
+    the Cole-Hopf value of the one risk-neutral or exponential-utility player.
 
     ``closedform`` decides which games it covers; any other game raises its
     ClosedFormError before the cost is certified.
     """
-    market = game.market
-    grid.validate_for(market)
-    times = grid.times(market.maturity)
-    if game.all_risk_neutral and game.n_players >= 2:
-        values = rn_individual_values(game, grid)
-    else:
-        rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
-        layer = rn_aggregate_value if game.all_risk_neutral else cara_single_value
-        values = np.stack([layer(game, float(t), grid.prices, rule) for t in times])[None]
+    grid.validate_for(game.market)
+    values = closed_form_values(game, grid)
+    times = grid.times(game.market.maturity)
     cert = certify_for_game(game)
     bound = apriori_speed_bound(game, cert)
     meta = _meta("closed-form", cert, bound, quad_nodes=grid.quad_nodes)
@@ -352,7 +342,7 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     inner = slice(1, -1)
     v_t = (v[:, 2:, :] - v[:, :-2, :]) / (2.0 * dt)
     v_pp = (v[:, :, 2:] - 2.0 * v[:, :, 1:-1] + v[:, :, :-2]) / dp**2
-    grads = (v[:, :, 2:] - v[:, :, :-2]) / (2.0 * dp)
+    grads = central_gradient(v, dp)[..., inner]
     _, _, source = equilibrium_fields(game, cert.eps_floor, grads)
     sig2 = game.market.sigma**2
     res = v_t[:, :, inner] + 0.5 * sig2 * v_pp[:, inner, :] + source[:, inner, :]
@@ -363,8 +353,8 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
 def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
     """Edge over never trading: v^j(t,p) minus the pure-diffusion expected
     (utility of the) payoff, by the quadrature rule of the solution's grid.
-    Exponential-utility players are compared on the utility scale via the
-    exponential map of the stored transform."""
+    Both sides are on the utility scale: each player's utility maps the
+    stored value, which is the identity for risk-neutral players."""
     rule = QuadratureRule.gauss_hermite(sol.grid.quad_nodes)
     maturity = game.market.maturity
     sig2 = game.market.sigma**2
@@ -373,17 +363,11 @@ def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
     time_indices = list(time_indices)
     out = np.empty((sol.n_players, len(time_indices), sol.prices.size))
     for i, pl in enumerate(game.players):
+        u, payoff = pl.utility, pl.endowment.value
         for row, k in enumerate(time_indices):
             var = sig2 * (maturity - sol.times[k])
-            if isinstance(pl.utility, CARA):
-                a = pl.utility.alpha
-                expected = -heat_convolve(
-                    lambda x: np.exp(-a * pl.endowment.value(x)), var, sol.prices, rule
-                )
-                out[i, row] = -np.exp(-a * sol.values[i, k]) - expected
-            else:
-                expected = heat_convolve(pl.endowment, var, sol.prices, rule)
-                out[i, row] = sol.values[i, k] - expected
+            expected = heat_convolve(lambda x: u(payoff(x)), var, sol.prices, rule)
+            out[i, row] = u(sol.values[i, k]) - expected
     return out
 
 
@@ -457,5 +441,4 @@ def read_solution_csv(path, grid: GridSpec) -> Solution:
     grads = np.stack([data[:, 2 + n + j].reshape(n_t, n_p) for j in range(n)])
     speeds = np.stack([data[:, 2 + 2 * n + j].reshape(n_t, n_p) for j in range(n)])
     agg = data[:, -1].reshape(n_t, n_p)
-    grid_used = replace(grid, n_t=n_t) if grid.n_t != n_t else grid
-    return Solution(grid_used, times, prices, values, grads, speeds, agg, {})
+    return Solution(grid, times, prices, values, grads, speeds, agg, {})

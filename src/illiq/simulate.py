@@ -9,7 +9,8 @@ Paths follow the Euler-Maruyama discretization of
 with the feedback speed fields interpolated bilinearly from a solved
 lattice.  Noise comes from a counter-based generator (Philox keyed by the
 seed, consumed in path-major order), so results are bitwise reproducible
-for fixed (seed, n_paths, n_steps) and independent of chunking.
+for fixed (seed, n_paths, n_steps) and independent of chunking.  Each
+player's utility maps terminal wealth and solved values to one scale.
 """
 
 from __future__ import annotations
@@ -52,18 +53,12 @@ class PathBundle:
     inventories: np.ndarray   # (N, n_paths, n_steps + 1)
     costs: np.ndarray         # (N, n_paths, n_steps + 1)
     objectives: np.ndarray    # (N, n_paths), utility applied
-    alphas: np.ndarray
+    utilities: tuple          # each player's utility, which maps wealth to objectives
     clamped_fraction: float
 
     @property
     def n_players(self) -> int:
         return self.inventories.shape[0]
-
-
-def _utility_apply(raw: np.ndarray, alpha: float) -> np.ndarray:
-    if alpha == 0.0:
-        return raw
-    return -np.exp(-alpha * raw)
 
 
 def simulate_paths(
@@ -77,8 +72,11 @@ def simulate_paths(
 
     Price lookups outside the solution's price range are clamped to the
     boundary columns and counted; if more than ``CLAMP_LIMIT`` of all
-    path-steps clamp, the grid was too small and an error is raised.
+    path-steps clamp, the grid was too small and an error is raised.  At
+    least two paths are needed for a standard error.
     """
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
     if n_steps < 10:
         raise ValueError("n_steps must be >= 10")
     market = game.market
@@ -125,11 +123,9 @@ def simulate_paths(
             f"{100 * CLAMP_LIMIT:.0f}%); enlarge the solution domain"
         )
 
-    terminal = np.stack([np.asarray(pl.endowment.value(prices[:, -1]), dtype=float)
-                         for pl in game.players])
-    alphas = game.alphas
-    raw = -costs[:, :, -1] + terminal
-    objectives = np.stack([_utility_apply(raw[j], alphas[j]) for j in range(n)])
+    raw = -costs[:, :, -1] + game.payoff_layer(prices[:, -1])
+    utilities = tuple(pl.utility for pl in game.players)
+    objectives = np.stack([u(raw[j]) for j, u in enumerate(utilities)])
     return PathBundle(
         seed=seed,
         n_paths=n_paths,
@@ -138,7 +134,7 @@ def simulate_paths(
         inventories=inventories,
         costs=costs,
         objectives=objectives,
-        alphas=alphas,
+        utilities=utilities,
         clamped_fraction=frac,
     )
 
@@ -152,14 +148,12 @@ def realized_objectives(bundle: PathBundle):
 
 def mc_consistency(bundle: PathBundle, sol: Solution) -> np.ndarray:
     """z-scores of the realized objective means against the solved values
-    at (t=0, p0); exponential-utility transforms are undone before comparing."""
+    at (t=0, p0), each mapped to the utility scale by its player's utility."""
     p0 = float(bundle.prices[0, 0])
     means, ses = realized_objectives(bundle)
     z = np.empty(bundle.n_players)
-    for j in range(bundle.n_players):
-        v0 = sol.value_at(j, 0.0, p0)
-        if bundle.alphas[j] > 0.0:
-            v0 = -math.exp(-bundle.alphas[j] * v0)
+    for j, u in enumerate(bundle.utilities):
+        v0 = float(u(sol.value_at(j, 0.0, p0)))
         if ses[j] == 0.0:
             z[j] = 0.0 if means[j] == v0 else math.inf
         else:

@@ -177,6 +177,15 @@ def test_simulate_zero_game(tmp_path, capsys):
     assert np.all(data[:, 3] == 0.0)  # inventories identically zero
 
 
+@pytest.mark.parametrize("paths", ["0", "-3", "1"])
+def test_simulate_needs_two_paths(config_path, tmp_path, capsys, paths):
+    # one path has no standard error, so summary.json would hold NaN
+    assert main(["simulate", "--config", str(config_path), "--solution",
+                 str(tmp_path / "solution.csv"), "--paths", paths, "--seed", "1",
+                 "--out", str(tmp_path / "sim")]) == 1
+    assert "--paths" in capsys.readouterr().err
+
+
 def test_simulate_hash_mismatch_exit_5(config_path, tmp_path):
     out = tmp_path / "sol"
     assert main(["solve", "--config", str(config_path), "--out", str(out),
@@ -252,6 +261,36 @@ def test_sweep_figure_study(config_path, tmp_path):
         rows = (out / f"fig1_{name}.csv").read_text().splitlines()
         assert rows[0] == f"t,p,{name}"
         assert len(rows) == 1 + 21 * 61
+
+
+def test_sweep_fig5_spans_its_own_market(config_path, tmp_path):
+    # fig5's market has sigma = 2: it keeps the given grid's sizes and spans
+    # p0 +/- 6 sigma sqrt(T) of its own market
+    out = tmp_path / "fig5"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--study", "figure:fig5", "--grid", "41,21"]) == 0
+    rows = np.loadtxt(out / "fig5_plain_grids.csv", delimiter=",", skiprows=1)
+    assert rows.shape[0] == 41
+    assert (rows[0, 0], rows[-1, 0]) == (88.0, 112.0)
+
+
+CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
+                                 "payoff": {"kind": "smoothed_call", "K": 100.0}}]}
+
+
+@pytest.mark.parametrize("doc, argv, code, message", [
+    (CARA_ONE, ["--study", "zero_sum"], 3, "requires risk-neutral players"),
+    (BASE, ["--study", "figure:fig9"], 1, "unknown figure id 'fig9'"),
+    (BASE, ["--study", "predator", "--N", "a"], 1, "--N expects"),
+    (BASE, ["--study", "spread", "--s", "0,x"], 1, "--s expects"),
+    (BASE, ["--study", "predator", "--N", "0,1"], 1, "N >= 1"),
+    (BASE, ["--study", "split", "--N", "0,1"], 1, "N >= 1"),
+], ids=["study_game_mismatch", "unknown_figure", "N_not_int", "s_not_float",
+        "predator_N0", "split_N0"])
+def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
+    path = _write(tmp_path, "game.json", doc)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_unknown_study(config_path, tmp_path):

@@ -232,7 +232,6 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     # with the iteration capped at one sweep, the output is the seed plus
     # one Duhamel integral of F evaluated on the seed
     from illiq.closedform import central_gradient, heat_convolve_grid
-    from illiq.pdesolve import _terminal_layer
     from illiq.speeds import certify_for_game, equilibrium_fields
 
     # one step spanning the whole horizon, two sub-layers, one sweep
@@ -246,7 +245,7 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     rule = QuadratureRule.gauss_hermite(short_grid.quad_nodes)
     prices = short_grid.prices
     cert = certify_for_game(short_game)
-    h0 = _terminal_layer(short_game, prices)
+    h0 = short_game.payoff_layer(prices)
     step = market.maturity / 2
     sig2 = market.sigma**2
 
@@ -273,6 +272,37 @@ def test_picard_contracts(short_game, short_grid):
     for changes in sol.meta["iteration_changes"]:
         for a, b in zip(changes[1:], changes[2:]):
             assert b < a
+
+
+def test_picard_halves_tau_after_a_non_contracting_step(short_game, monkeypatch):
+    march = illiq.pdesolve._picard_march
+    taus = []
+
+    def diverge_once(game, grid, cert, rule, tau):
+        taus.append(tau)
+        if len(taus) == 1:
+            raise illiq.pdesolve._NonContraction("forced")
+        return march(game, grid, cert, rule, tau)
+
+    monkeypatch.setattr(illiq.pdesolve, "_picard_march", diverge_once)
+    sol = solve_picard(short_game, GridSpec(98.0, 102.0, 41, 41, quad_nodes=32))
+    tau0 = illiq.pdesolve.PICARD_TAU_FRACTION * short_game.market.maturity
+    assert taus == [tau0, 0.5 * tau0]
+    assert sol.meta["tau_halvings"] == 1
+    assert sol.meta["tau"] == 0.5 * tau0
+
+
+def test_picard_gives_up_when_halving_never_contracts(short_game, monkeypatch):
+    taus = []
+
+    def diverge(game, grid, cert, rule, tau):
+        taus.append(tau)
+        raise illiq.pdesolve._NonContraction("forced")
+
+    monkeypatch.setattr(illiq.pdesolve, "_picard_march", diverge)
+    with pytest.raises(illiq.pdesolve.SolverError, match="kept diverging: forced"):
+        solve_picard(short_game, GridSpec(98.0, 102.0, 41, 41, quad_nodes=32))
+    assert len(taus) == illiq.pdesolve.PICARD_MAX_HALVINGS + 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +408,21 @@ def test_solution_csv_roundtrip(tmp_path, call_solution):
     header = path.read_text().splitlines()[0]
     assert header == "t,p,v_1,grad_1,speed_1,agg_speed"
     back = read_solution_csv(path, call_solution.grid)
+    assert back.grid == call_solution.grid
     assert np.array_equal(back.values, call_solution.values)
     assert np.array_equal(back.gradients, call_solution.gradients)
     assert np.array_equal(back.speeds, call_solution.speeds)
     assert np.array_equal(back.aggregate_speed, call_solution.aggregate_speed)
+
+
+def test_read_solution_grid_follows_the_file(tmp_path, call_game):
+    # a solve on a lattice other than the config's: the read-back grid
+    # describes the file's prices and layers, not the config's sizes
+    config_grid = GridSpec(94.0, 106.0, 81, 100, quad_nodes=64)
+    sol = solve_fd(call_game, GridSpec(94.0, 106.0, 41, 100, quad_nodes=64))
+    path = tmp_path / "solution.csv"
+    write_solution_csv(sol, path)
+    back = read_solution_csv(path, config_grid)
+    assert (back.grid.n_p, back.grid.n_t) == (41, sol.times.size)
+    assert back.grid.dp == pytest.approx(0.3)
+    assert np.array_equal(back.grid.prices, back.prices)

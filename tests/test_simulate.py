@@ -126,6 +126,13 @@ def test_inventory_bounded_by_speed_bound(call_game, call_solution):
     assert np.max(np.abs(bundle.inventories[:, :, -1])) <= bound * horizon + 1e-9
 
 
+@pytest.mark.parametrize("n_paths", [-3, 0, 1])
+def test_fewer_than_two_paths_rejected(zero_solution, n_paths):
+    game, sol = zero_solution
+    with pytest.raises(ValueError, match="n_paths must be >= 2"):
+        simulate_paths(sol, game, n_paths=n_paths, seed=0, n_steps=10)
+
+
 def test_excessive_clamping_raises(market):
     # a synthetic solution on a sliver of the price axis: paths leave at once
     game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), _zero_payoff()),))

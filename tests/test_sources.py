@@ -47,3 +47,16 @@ def test_one_function_writes_numeric_csv():
     # nothing calls savetxt, and only the writer holds the number format
     assert _callers("savetxt") == []
     assert _holders("%.17g") == ["pdesolve._write_table"]
+
+
+def test_only_model_tells_utilities_apart():
+    # the utility types carry their risk aversion and utility scale, so no
+    # other module branches on which utility a player has
+    def utility_check(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            return False
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+        return bool(names & {"CARA", "RiskNeutral"})
+
+    assert [f for f in _owners(utility_check) if not f.startswith("model.")] == []
