@@ -42,14 +42,14 @@ z = mc_consistency(bundle, sol)
 print(f"  solved value v(0, 100):        {sol.value_at(0, 0.0, 100.0):.5f}")
 print(f"  mean realized objective:       {means[0]:.5f}  (se {ses[0]:.5f})")
 print(f"  z-score:                       {z[0]:+.2f}")
-drift = bundle.prices[:, -1].mean() - market.p0
+drift = bundle.terminal_prices.mean() - market.p0
 print(f"  mean terminal price drift:     {drift:+.4f}"
       "  (tiny at lambda = 0.01; the buying shows up in inventory)")
-print(f"  mean terminal inventory:       {bundle.inventories[0, :, -1].mean():+.4f}")
+print(f"  mean terminal inventory:       {bundle.terminal_inventories[0].mean():+.4f}")
 print(f"  path-steps clamped at grid edge: {100 * bundle.clamped_fraction:.3f}%")
 
 print("\nphysical delivery removes the incentive entirely:")
-p_t = bundle.prices[:, -1]
+p_t = bundle.terminal_prices
 res = physical_delivery_value(theta_cap=10.0, strike=100.0, lam=market.lam,
                               terminal_prices=p_t)
 print(f"  mean exercise value for 10 deliverable calls: {res.mean_value:.4f}")

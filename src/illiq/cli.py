@@ -64,6 +64,7 @@ from .pdesolve import (
     write_solution_csv,
 )
 from .simulate import (
+    SEED_LIMIT,
     SimulationError,
     mc_consistency,
     realized_objectives,
@@ -231,6 +232,8 @@ def cmd_simulate(args) -> int:
     t0 = time.time()
     if args.paths < 2:
         raise ConfigError(f"--paths must be >= 2 for a standard error, got {args.paths}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2**128), the Philox key range, got {args.seed}")
     game, grid, config_hash, grid_hash = _read_config(args.config)
     sol_path = Path(args.solution)
     manifest_path = sol_path.parent / "manifest.json"

@@ -9,8 +9,12 @@ Paths follow the Euler-Maruyama discretization of
 with the feedback speed fields interpolated bilinearly from a solved
 lattice.  Noise comes from a counter-based generator (Philox keyed by the
 seed, consumed in path-major order), so results are bitwise reproducible
-for fixed (seed, n_paths, n_steps) and independent of chunking.  Each
-player's utility maps terminal wealth and solved values to one scale.
+for fixed (seed, n_paths, n_steps) and independent of chunking.  Paths are
+stepped ``CHUNK_PATHS`` at a time, carrying only their current state: every
+path keeps its terminal price, inventories and costs, and only the first
+``SAMPLE_PATHS`` paths are kept in full.  The paths therefore take
+O(CHUNK_PATHS * n_steps + N * n_paths) memory, not O(N * n_paths * n_steps).
+Each player's utility maps terminal wealth and solved values to one scale.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ __all__ = [
 ]
 
 CLAMP_LIMIT = 0.01  # largest share of path-steps allowed to leave the price grid
-CHUNK_PATHS = 20000  # paths simulated per block of noise
+CHUNK_PATHS = 4096  # paths per block of noise: 16 MB of normals at 500 steps
+SAMPLE_PATHS = 100  # leading paths kept in full, for paths.csv and plots
+SEED_LIMIT = 2**128  # Philox keys are 128-bit: seeds lie in [0, SEED_LIMIT)
 
 
 class SimulationError(RuntimeError):
@@ -44,21 +50,26 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated paths and per-player accounting for one Monte-Carlo run."""
+    """Terminal state of every path, the first ``SAMPLE_PATHS`` paths in full
+    and per-player accounting for one Monte-Carlo run."""
 
     seed: int
     n_paths: int
-    times: np.ndarray
-    prices: np.ndarray        # (n_paths, n_steps + 1)
-    inventories: np.ndarray   # (N, n_paths, n_steps + 1)
-    costs: np.ndarray         # (N, n_paths, n_steps + 1)
-    objectives: np.ndarray    # (N, n_paths), utility applied
-    utilities: tuple          # each player's utility, which maps wealth to objectives
+    p0: float                          # the price every path starts from
+    times: np.ndarray                  # (n_steps + 1,)
+    terminal_prices: np.ndarray        # (n_paths,)
+    terminal_inventories: np.ndarray   # (N, n_paths)
+    terminal_costs: np.ndarray         # (N, n_paths)
+    sample_prices: np.ndarray          # (S, n_steps + 1), S = min(n_paths, SAMPLE_PATHS)
+    sample_inventories: np.ndarray     # (N, S, n_steps + 1)
+    sample_costs: np.ndarray           # (N, S, n_steps + 1)
+    objectives: np.ndarray             # (N, n_paths), utility applied
+    utilities: tuple                   # each player's utility, which maps wealth to objectives
     clamped_fraction: float
 
     @property
     def n_players(self) -> int:
-        return self.inventories.shape[0]
+        return self.terminal_inventories.shape[0]
 
 
 def simulate_paths(
@@ -73,12 +84,15 @@ def simulate_paths(
     Price lookups outside the solution's price range are clamped to the
     boundary columns and counted; if more than ``CLAMP_LIMIT`` of all
     path-steps clamp, the grid was too small and an error is raised.  At
-    least two paths are needed for a standard error.
+    least two paths are needed for a standard error, and the seed must be
+    an integer in [0, ``SEED_LIMIT``).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     if n_steps < 10:
         raise ValueError("n_steps must be >= 10")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     market = game.market
     n = game.n_players
     horizon = market.maturity
@@ -92,17 +106,23 @@ def simulate_paths(
     speed_rows = np.stack([_time_interp(sol.times, speeds_by_time, t) for t in times[:-1]])
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    prices = np.empty((n_paths, n_steps + 1))
-    inventories = np.zeros((n, n_paths, n_steps + 1))
-    costs = np.zeros((n, n_paths, n_steps + 1))
+    n_sample = min(n_paths, SAMPLE_PATHS)
+    terminal_prices = np.empty(n_paths)
+    terminal_inventories = np.empty((n, n_paths))
+    terminal_costs = np.empty((n, n_paths))
+    sample_prices = np.empty((n_sample, n_steps + 1))
+    sample_inventories = np.zeros((n, n_sample, n_steps + 1))
+    sample_costs = np.zeros((n, n_sample, n_steps + 1))
+    sample_prices[:, 0] = market.p0
+    block = np.empty((min(CHUNK_PATHS, n_paths), n_steps))  # one noise buffer for all chunks
     clamped = 0
     for row in range(0, n_paths, CHUNK_PATHS):
         m = min(CHUNK_PATHS, n_paths - row)
-        noise = rng.standard_normal((m, n_steps))
+        s = max(0, min(n_sample - row, m))  # sample paths in this chunk
+        noise = rng.standard_normal(out=block[:m])
         p = np.full(m, market.p0)
         x = np.zeros((n, m))
         r = np.zeros((n, m))
-        prices[row : row + m, 0] = p
         for k in range(n_steps):
             p_look = np.clip(p, p_grid[0], p_grid[-1])
             clamped += int(np.count_nonzero(p_look != p))
@@ -112,9 +132,13 @@ def simulate_paths(
             p = p + market.lam * agg * dt + market.sigma * sqrt_dt * noise[:, k]
             x = x + spd * dt
             r = r + spd * g_agg * dt
-            prices[row : row + m, k + 1] = p
-            inventories[:, row : row + m, k + 1] = x
-            costs[:, row : row + m, k + 1] = r
+            if s:
+                sample_prices[row : row + s, k + 1] = p[:s]
+                sample_inventories[:, row : row + s, k + 1] = x[:, :s]
+                sample_costs[:, row : row + s, k + 1] = r[:, :s]
+        terminal_prices[row : row + m] = p
+        terminal_inventories[:, row : row + m] = x
+        terminal_costs[:, row : row + m] = r
 
     frac = clamped / float(n_paths * n_steps)
     if frac > CLAMP_LIMIT:
@@ -123,16 +147,20 @@ def simulate_paths(
             f"{100 * CLAMP_LIMIT:.0f}%); enlarge the solution domain"
         )
 
-    raw = -costs[:, :, -1] + game.payoff_layer(prices[:, -1])
+    raw = -terminal_costs + game.payoff_layer(terminal_prices)
     utilities = tuple(pl.utility for pl in game.players)
     objectives = np.stack([u(raw[j]) for j, u in enumerate(utilities)])
     return PathBundle(
         seed=seed,
         n_paths=n_paths,
+        p0=float(market.p0),
         times=times,
-        prices=prices,
-        inventories=inventories,
-        costs=costs,
+        terminal_prices=terminal_prices,
+        terminal_inventories=terminal_inventories,
+        terminal_costs=terminal_costs,
+        sample_prices=sample_prices,
+        sample_inventories=sample_inventories,
+        sample_costs=sample_costs,
         objectives=objectives,
         utilities=utilities,
         clamped_fraction=frac,
@@ -149,7 +177,7 @@ def realized_objectives(bundle: PathBundle):
 def mc_consistency(bundle: PathBundle, sol: Solution) -> np.ndarray:
     """z-scores of the realized objective means against the solved values
     at (t=0, p0), each mapped to the utility scale by its player's utility."""
-    p0 = float(bundle.prices[0, 0])
+    p0 = bundle.p0
     means, ses = realized_objectives(bundle)
     z = np.empty(bundle.n_players)
     for j, u in enumerate(bundle.utilities):
@@ -193,12 +221,14 @@ def physical_delivery_value(theta_cap: float, strike: float, lam: float,
 
 
 def write_paths_csv(bundle: PathBundle, path) -> None:
-    """One row per (path, time), row-major: path,t,P,X_1..X_N,R_1..R_N, in the
-    CSV dialect of ``write_solution_csv``."""
+    """The sample paths (the run's first ``SAMPLE_PATHS``), one row per
+    (path, time), row-major: path,t,P,X_1..X_N,R_1..R_N, in the CSV dialect
+    of ``write_solution_csv``."""
     n = bundle.n_players
     fields = {
-        "P": bundle.prices,
-        **{f"X_{j+1}": bundle.inventories[j] for j in range(n)},
-        **{f"R_{j+1}": bundle.costs[j] for j in range(n)},
+        "P": bundle.sample_prices,
+        **{f"X_{j+1}": bundle.sample_inventories[j] for j in range(n)},
+        **{f"R_{j+1}": bundle.sample_costs[j] for j in range(n)},
     }
-    _write_lattice_csv(path, ("path", np.arange(bundle.n_paths)), ("t", bundle.times), fields)
+    n_sample = bundle.sample_prices.shape[0]
+    _write_lattice_csv(path, ("path", np.arange(n_sample)), ("t", bundle.times), fields)

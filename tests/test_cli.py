@@ -186,6 +186,15 @@ def test_simulate_needs_two_paths(config_path, tmp_path, capsys, paths):
     assert "--paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_rejects_seed_outside_philox_range(config_path, tmp_path, capsys, seed):
+    # checked before the solution is read, so none is needed
+    assert main(["simulate", "--config", str(config_path), "--solution",
+                 str(tmp_path / "solution.csv"), "--paths", "10", "--seed", seed,
+                 "--out", str(tmp_path / "sim")]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_simulate_hash_mismatch_exit_5(config_path, tmp_path):
     out = tmp_path / "sol"
     assert main(["solve", "--config", str(config_path), "--out", str(out),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,21 +41,23 @@ def zero_solution(market):
 def test_zero_game_is_driftless_brownian(zero_solution):
     game, sol = zero_solution
     bundle = simulate_paths(sol, game, n_paths=4000, seed=3, n_steps=50)
-    assert np.all(bundle.inventories == 0.0)
-    assert np.all(bundle.costs == 0.0)
+    assert np.all(bundle.terminal_inventories == 0.0)
+    assert np.all(bundle.terminal_costs == 0.0)
+    assert np.all(bundle.sample_inventories == 0.0)
+    assert np.all(bundle.sample_costs == 0.0)
     assert np.all(bundle.objectives == 0.0)
     sigma_t = game.market.sigma * math.sqrt(game.market.maturity)
-    drift = bundle.prices[:, -1].mean() - game.market.p0
+    drift = bundle.terminal_prices.mean() - game.market.p0
     assert abs(drift) <= 3 * sigma_t / math.sqrt(bundle.n_paths)
-    assert np.all(bundle.prices[:, 0] == game.market.p0)
+    assert np.all(bundle.sample_prices[:, 0] == game.market.p0)
     assert mc_consistency(bundle, sol)[0] == 0.0
 
 
 def test_zero_sum_game_price_is_martingale(zero_sum_game, coarse_grid):
     sol = solve_fd(zero_sum_game, coarse_grid)
     bundle = simulate_paths(sol, zero_sum_game, n_paths=4000, seed=5, n_steps=100)
-    se = bundle.prices[:, -1].std() / math.sqrt(bundle.n_paths)
-    assert abs(bundle.prices[:, -1].mean() - 100.0) <= 3 * se
+    se = bundle.terminal_prices.std() / math.sqrt(bundle.n_paths)
+    assert abs(bundle.terminal_prices.mean() - 100.0) <= 3 * se
 
 
 def test_strong_impact_call_pushes_price_up(linear_cost, call):
@@ -62,7 +65,7 @@ def test_strong_impact_call_pushes_price_up(linear_cost, call):
     game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),))
     sol = solve_fd(game, GridSpec(94.0, 106.0, 201, 400))
     bundle = simulate_paths(sol, game, n_paths=4000, seed=9, n_steps=200)
-    terminal = bundle.prices[:, -1]
+    terminal = bundle.terminal_prices
     se = terminal.std() / math.sqrt(bundle.n_paths)
     assert terminal.mean() - 100.0 >= 3 * se
 
@@ -99,16 +102,61 @@ def test_mc_consistency_flags_corrupted_solution(call_game, call_solution):
     assert abs(z_bad[0]) >= 5.0
 
 
+_STREAMED = ("objectives", "terminal_prices", "terminal_inventories", "terminal_costs",
+             "sample_prices", "sample_inventories", "sample_costs", "clamped_fraction")
+
+
+def _assert_same_run(a, b):
+    for name in _STREAMED:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def test_bitwise_determinism(call_game, call_solution, monkeypatch):
     a = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
     b = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
-    assert np.array_equal(a.prices, b.prices)
-    assert np.array_equal(a.inventories, b.inventories)
-    assert np.array_equal(a.costs, b.costs)
-    # chunking must not change the stream
-    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 100)
-    c = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
-    assert np.array_equal(a.prices, c.prices)
+    _assert_same_run(a, b)
+    # chunking must not change the stream, also when chunks do not divide
+    # the paths and the sample paths span several chunks
+    for chunk in (100, 7):
+        monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", chunk)
+        c = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
+        _assert_same_run(a, c)
+
+
+def test_sample_paths_end_at_terminal_state(call_game, call_solution):
+    bundle = simulate_paths(call_solution, call_game, n_paths=300, seed=43, n_steps=40)
+    s = illiq.simulate.SAMPLE_PATHS
+    assert bundle.sample_prices.shape == (s, 41)
+    assert bundle.sample_inventories.shape == bundle.sample_costs.shape == (1, s, 41)
+    assert np.array_equal(bundle.sample_prices[:, -1], bundle.terminal_prices[:s])
+    assert np.array_equal(bundle.sample_inventories[:, :, -1], bundle.terminal_inventories[:, :s])
+    assert np.array_equal(bundle.sample_costs[:, :, -1], bundle.terminal_costs[:, :s])
+    assert np.all(bundle.sample_prices[:, 0] == call_game.market.p0)
+
+
+def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monkeypatch):
+    # 8x the paths may add their terminal price, inventory, cost and objective
+    # (8 B each per player and path) plus the slack below; keeping whole paths
+    # would add 3 * 7 * 64 * 201 * 8 B = 2.2 MB here.  The sample is fixed
+    # below one chunk so both runs keep the same full paths.
+    chunk, n_steps = 64, 200
+    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", chunk)
+    monkeypatch.setattr(illiq.simulate, "SAMPLE_PATHS", 16)
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            simulate_paths(call_solution, call_game, n_paths=n_paths, seed=3, n_steps=n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = call_game.n_players
+    output = 7 * chunk * 8 * (1 + 3 * n)
+    # the payoff and utility build path-sized temporaries from the terminal
+    # prices (62 kB at 448 extra paths on the call); 32 kB of allocator noise
+    slack = 4 * output + 32 * 1024
+    assert peak(8 * chunk) - peak(chunk) <= output + slack
 
 
 def test_doubling_steps_moves_mean_within_noise(call_game, call_solution):
@@ -123,7 +171,7 @@ def test_inventory_bounded_by_speed_bound(call_game, call_solution):
     bundle = simulate_paths(call_solution, call_game, n_paths=1000, seed=13, n_steps=100)
     bound = call_solution.meta["speed_bound"]
     horizon = call_game.market.maturity
-    assert np.max(np.abs(bundle.inventories[:, :, -1])) <= bound * horizon + 1e-9
+    assert np.max(np.abs(bundle.terminal_inventories)) <= bound * horizon + 1e-9
 
 
 @pytest.mark.parametrize("n_paths", [-3, 0, 1])
@@ -149,12 +197,20 @@ def test_excessive_clamping_raises(market):
 
 def test_paths_csv_layout(tmp_path, zero_solution):
     game, sol = zero_solution
-    bundle = simulate_paths(sol, game, n_paths=4, seed=1, n_steps=10)
     path = tmp_path / "paths.csv"
-    write_paths_csv(bundle, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "path,t,P,X_1,R_1"
-    assert len(lines) == 1 + 4 * 11
+    for n_paths in (4, illiq.simulate.SAMPLE_PATHS + 5):
+        bundle = simulate_paths(sol, game, n_paths=n_paths, seed=1, n_steps=10)
+        write_paths_csv(bundle, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "path,t,P,X_1,R_1"
+        assert len(lines) == 1 + min(n_paths, illiq.simulate.SAMPLE_PATHS) * 11
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
+def test_seed_outside_philox_range_rejected(zero_solution, seed):
+    game, sol = zero_solution
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+        simulate_paths(sol, game, n_paths=10, seed=seed, n_steps=10)
 
 
 # ---------------------------------------------------------------------------
