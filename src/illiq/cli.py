@@ -12,8 +12,9 @@ whose speeds exceed the a-priori bound; its outputs are still written),
 5 solution/config hash mismatch, 6 sweep assertion failure.
 
 Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``.
-Numeric CSVs go through ``pdesolve._write_table``; only the sweep metrics
-table, whose value column mixes numbers and empty cells, is written by hand.
+Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
+only the sweep metrics table, whose value column mixes numbers and empty
+cells, is written by hand.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ raw payoff as well):
 Each route validates the grid, certifies the cost once and records the
 certificate, the a-priori speed bound and the speed-root tolerance in
 ``Solution.meta``; terminal data comes from ``GameSpec.payoff_layer``.
-``_write_table`` holds the CSV dialect of every numeric table the package
-writes; ``read_solution_csv`` reloads a ``solution.csv``.
+``_write_table`` and ``_write_lattice_csv`` write every numeric table the
+package writes, in one dialect whose number format is ``CSV_FLOAT``;
+``read_solution_csv`` reloads a ``solution.csv``.
 """
 
 from __future__ import annotations
@@ -376,14 +377,15 @@ def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+CSV_FLOAT = "%.17g"  # every number a CSV holds, in full double precision
 CSV_BLOCK_ROWS = 1024  # about this many lines are formatted per string operation
 
 
 def _write_table(path, header, blocks) -> None:
     """The package's one CSV dialect: a header row of column names, comma
-    delimiters, no comment prefix and every number in full double precision.
+    delimiters, no comment prefix and every number in ``CSV_FLOAT``.
     ``blocks`` yields 2-D arrays of rows; each is formatted with one ``%``."""
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    row = ",".join([CSV_FLOAT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
@@ -391,26 +393,24 @@ def _write_table(path, header, blocks) -> None:
 
 
 def _write_lattice_csv(path, rows, cols, fields: dict) -> None:
-    """Long form of lattices over two axes, row-major: one line per (row, col)
-    pair holding both axis values, then one column per field.  ``rows`` and
-    ``cols`` are (name, axis) pairs; each field has shape (rows, cols).  The
-    lines are built a few axis rows at a time, so memory stays flat."""
+    """Long form of lattices over two axes, row-major, in the dialect of
+    ``_write_table``: one line per (row, col) pair holding both axis values,
+    then one column per field.  ``rows`` and ``cols`` are (name, axis) pairs;
+    each field has shape (rows, cols).  Each axis value is formatted once; a
+    few axis rows at a time become one template that only the field values
+    fill, so memory stays flat."""
     (row_name, row_axis), (col_name, col_axis) = rows, cols
-    n_r, n_c = len(row_axis), len(col_axis)
-    values = [np.asarray(field) for field in fields.values()]
-    step = max(1, CSV_BLOCK_ROWS // n_c)
-
-    def blocks():
-        for r in range(0, n_r, step):
-            axis = row_axis[r:r + step]
-            block = np.empty((len(axis) * n_c, 2 + len(values)))
-            block[:, 0] = np.repeat(axis, n_c)
-            block[:, 1] = np.tile(col_axis, len(axis))
-            for k, field in enumerate(values):
-                block[:, 2 + k] = np.reshape(field[r:r + step], -1)
-            yield block
-
-    _write_table(path, [row_name, col_name, *fields], blocks())
+    values = [np.asarray(field, dtype=float) for field in fields.values()]
+    rest = ",".join([CSV_FLOAT] * len(values)) + "\n"
+    heads = [CSV_FLOAT % x + "," for x in np.asarray(row_axis, dtype=float).tolist()]
+    tails = [CSV_FLOAT % x + "," + rest for x in np.asarray(col_axis, dtype=float).tolist()]
+    step = max(1, CSV_BLOCK_ROWS // len(tails))
+    with open(path, "w") as fh:
+        fh.write(",".join([row_name, col_name, *fields]) + "\n")
+        for r in range(0, len(heads), step):
+            template = "".join(head + head.join(tails) for head in heads[r:r + step])
+            block = np.stack([field[r:r + step] for field in values], axis=-1)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def write_solution_csv(sol: Solution, path) -> None:

@@ -12,9 +12,17 @@ seed, consumed in path-major order), so results are bitwise reproducible
 for fixed (seed, n_paths, n_steps) and independent of chunking.  Paths are
 stepped ``CHUNK_PATHS`` at a time, carrying only their current state: every
 path keeps its terminal price, inventories and costs, and only the first
-``SAMPLE_PATHS`` paths are kept in full.  The paths therefore take
-O(CHUNK_PATHS * n_steps + N * n_paths) memory, not O(N * n_paths * n_steps).
-Each player's utility maps terminal wealth and solved values to one scale.
+``SAMPLE_PATHS`` paths are kept in full.
+
+Each step interpolates the speed rows in time once, then finds every path's
+price cell once and reads all N players' speeds from it in one gather.  The
+price axis must be uniform (to within a quarter cell, as the FD stencils
+assume), so the cell is an arithmetic index with one correction against the
+stored nodes, and each speed is bitwise what ``np.interp`` would return.  The
+paths therefore take O(CHUNK_PATHS * n_steps + N * n_paths + N * n_p) memory,
+not O(N * n_paths * n_steps) for whole paths nor O(n_steps * N * n_p) for
+speed rows precomputed per step.  Each player's utility maps terminal wealth
+and solved values to one scale.
 """
 
 from __future__ import annotations
@@ -83,9 +91,10 @@ def simulate_paths(
 
     Price lookups outside the solution's price range are clamped to the
     boundary columns and counted; if more than ``CLAMP_LIMIT`` of all
-    path-steps clamp, the grid was too small and an error is raised.  At
-    least two paths are needed for a standard error, and the seed must be
-    an integer in [0, ``SEED_LIMIT``).
+    path-steps clamp, the grid was too small and an error is raised, as it
+    is for a price axis that is not uniform.  At least two paths are needed
+    for a standard error, and the seed must be an integer in
+    [0, ``SEED_LIMIT``).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -100,10 +109,8 @@ def simulate_paths(
     times = np.linspace(0.0, horizon, n_steps + 1)
     sqrt_dt = math.sqrt(dt)
     p_grid = sol.prices
-
-    # per-step speed rows, interpolated once in time
+    speeds_at = _shared_interp(p_grid)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
-    speed_rows = np.stack([_time_interp(sol.times, speeds_by_time, t) for t in times[:-1]])
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_sample = min(n_paths, SAMPLE_PATHS)
@@ -126,7 +133,7 @@ def simulate_paths(
         for k in range(n_steps):
             p_look = np.clip(p, p_grid[0], p_grid[-1])
             clamped += int(np.count_nonzero(p_look != p))
-            spd = np.stack([np.interp(p_look, p_grid, speed_rows[k, j]) for j in range(n)])
+            spd = speeds_at(p_look, _time_interp(sol.times, speeds_by_time, times[k]))
             agg = spd.sum(axis=0)
             g_agg = np.asarray(game.cost.value(agg), dtype=float)
             p = p + market.lam * agg * dt + market.sigma * sqrt_dt * noise[:, k]
@@ -165,6 +172,45 @@ def simulate_paths(
         utilities=utilities,
         clamped_fraction=frac,
     )
+
+
+def _shared_interp(prices: np.ndarray):
+    """``interp(p, rows)``: ``np.interp(p, prices, rows[j])`` for every row j,
+    bitwise, from one cell search shared by all rows.
+
+    ``p`` must lie in [prices[0], prices[-1]].  The cell is the arithmetic
+    index on the uniform axis, corrected once in each direction against the
+    stored nodes; one correction suffices because no node lies more than a
+    quarter cell from its uniform position, which is checked here.  The speed
+    is ``np.interp``'s own slope * (p - node) + value, with a zero slope past
+    the last node so that the last node returns its value exactly.
+    """
+    n_p = prices.size
+    p_lo, p_hi = prices[0], prices[-1]
+    dp = (p_hi - p_lo) / (n_p - 1)
+    drift = np.abs(prices - (p_lo + dp * np.arange(n_p)))
+    off = np.flatnonzero(~(drift <= 0.25 * dp))
+    if off.size:
+        i = int(off[0])
+        raise SimulationError(
+            f"the price axis is not uniform: node {i} lies {drift[i] / dp:.3g} cells "
+            f"from p_0 + {i} dp; the speed lookup needs a uniform axis"
+        )
+    scale = (n_p - 1) / (p_hi - p_lo)
+    next_nodes = np.append(prices[1:], np.inf)
+    spacing = np.diff(prices)
+
+    def interp(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # every take clips the cell to [0, n_p - 1]; only a NaN price leaves it
+        cell = ((p - p_lo) * scale).astype(np.intp)
+        cell -= p < prices.take(cell, mode="clip")
+        cell += p >= next_nodes.take(cell, mode="clip")
+        slopes = np.zeros_like(rows)
+        np.divide(np.diff(rows, axis=1), spacing, out=slopes[:, :-1])
+        return (slopes.take(cell, axis=1, mode="clip") * (p - prices.take(cell, mode="clip"))
+                + rows.take(cell, axis=1, mode="clip"))
+
+    return interp
 
 
 def realized_objectives(bundle: PathBundle):

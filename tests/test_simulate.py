@@ -11,24 +11,40 @@ from illiq import (
     GridSpec,
     LinearCost,
     MarketParams,
+    Negated,
     PlayerSpec,
     RiskNeutral,
     Scaled,
     SimulationError,
     SmoothedCall,
+    SmoothedSpreadCost,
     Solution,
     heat_convolve,
     mc_consistency,
     physical_delivery_value,
+    read_solution_csv,
     realized_objectives,
     simulate_paths,
     solve_fd,
     write_paths_csv,
+    write_solution_csv,
 )
+from illiq.pdesolve import _time_interp
 
 
 def _zero_payoff():
     return Scaled(SmoothedCall(100.0, 10.0, 0.05), 0.0)
+
+
+def _synthetic_solution(prices, n_players, speed=0.0):
+    """A solution with zero values and the given constant speed on an 11-layer
+    lattice over ``prices``, built without a solve."""
+    times = np.linspace(0.0, 1.0, 11)
+    shape = (n_players, times.size, prices.size)
+    grid = GridSpec(94.0, 106.0, prices.size, times.size)
+    return Solution(grid, times, prices, np.zeros(shape), np.zeros(shape),
+                    np.full(shape, speed), np.full(shape[1:], n_players * speed),
+                    {"speed_bound": abs(speed)})
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +175,127 @@ def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monke
     assert peak(8 * chunk) - peak(chunk) <= output + slack
 
 
+def test_memory_does_not_grow_with_steps_times_players(monkeypatch):
+    # 4x the steps may add the noise block (chunk * 8 B per extra step), the
+    # sample paths ((1 + 2N) * S * 8 B per extra step) and slack; speed rows
+    # precomputed per step would add 2 * 300 * 10 * 401 * 8 B = 19 MB here
+    chunk, n_sample, n = 64, 16, 10
+    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", chunk)
+    monkeypatch.setattr(illiq.simulate, "SAMPLE_PATHS", n_sample)
+    market = MarketParams(sigma=1.0, lam=0.01, maturity=1.0, p0=100.0)
+    players = tuple(PlayerSpec(RiskNeutral(), _zero_payoff()) for _ in range(n))
+    game = GameSpec(market, LinearCost(0.01), players)
+    sol = _synthetic_solution(np.linspace(94.0, 106.0, 401), n, speed=0.01)
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            simulate_paths(sol, game, n_paths=2 * chunk, seed=3, n_steps=n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra_steps = 300
+    grown = extra_steps * 8 * (chunk + (1 + 2 * n) * n_sample + 1)
+    assert peak(400) - peak(100) <= grown + 256 * 1024
+
+
+def _reference_paths(sol, game, n_paths, seed, n_steps):
+    """The per-player ``np.interp`` step loop over whole paths, with the speed
+    rows interpolated in time for every step up front: the lookup the shared
+    cell search must reproduce bitwise.  Also counts clamps at each end."""
+    market, n = game.market, game.n_players
+    dt = market.maturity / n_steps
+    times = np.linspace(0.0, market.maturity, n_steps + 1)
+    speeds_by_time = sol.speeds.swapaxes(0, 1)
+    rows = np.stack([_time_interp(sol.times, speeds_by_time, t) for t in times[:-1]])
+    noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_paths, n_steps))
+    prices = np.full((n_paths, n_steps + 1), market.p0)
+    x = np.zeros((n, n_paths, n_steps + 1))
+    r = np.zeros((n, n_paths, n_steps + 1))
+    low = high = 0
+    for k in range(n_steps):
+        p = prices[:, k]
+        low += int(np.count_nonzero(p < sol.prices[0]))
+        high += int(np.count_nonzero(p > sol.prices[-1]))
+        p_look = np.clip(p, sol.prices[0], sol.prices[-1])
+        spd = np.stack([np.interp(p_look, sol.prices, rows[k, j]) for j in range(n)])
+        agg = spd.sum(axis=0)
+        g_agg = np.asarray(game.cost.value(agg), dtype=float)
+        prices[:, k + 1] = p + market.lam * agg * dt + market.sigma * math.sqrt(dt) * noise[:, k]
+        x[:, :, k + 1] = x[:, :, k] + spd * dt
+        r[:, :, k + 1] = r[:, :, k] + spd * g_agg * dt
+    raw = -r[:, :, -1] + game.payoff_layer(prices[:, -1])
+    s = min(n_paths, illiq.simulate.SAMPLE_PATHS)
+    run = {
+        "objectives": np.stack([pl.utility(raw[j]) for j, pl in enumerate(game.players)]),
+        "terminal_prices": prices[:, -1],
+        "terminal_inventories": x[:, :, -1],
+        "terminal_costs": r[:, :, -1],
+        "sample_prices": prices[:s],
+        "sample_inventories": x[:, :s],
+        "sample_costs": r[:, :s],
+        "clamped_fraction": (low + high) / float(n_paths * n_steps),
+    }
+    return run, low, high
+
+
+@pytest.fixture(scope="module")
+def spread_trio(tmp_path_factory):
+    # three players under the spread cost, solved at sigma = 0.5 and driven
+    # at sigma = 1.3, so that some paths clamp at each end of the price axis
+    call = SmoothedCall(100.0, 10.0, 0.05)
+    players = (PlayerSpec(RiskNeutral(), call), PlayerSpec(CARA(0.1), Negated(call)),
+               PlayerSpec(RiskNeutral(), Scaled(call, 0.5)))
+    cost = SmoothedSpreadCost(0.01, 0.004, 100.0)
+    solved = GameSpec(MarketParams(sigma=0.5, lam=0.01, maturity=1.0, p0=100.0), cost, players)
+    grid = GridSpec(97.0, 103.0, 81, 100)
+    sol = solve_fd(solved, grid)
+    path = tmp_path_factory.mktemp("trio") / "solution.csv"
+    write_solution_csv(sol, path)
+    driven = GameSpec(MarketParams(sigma=1.3, lam=0.01, maturity=1.0, p0=100.0), cost, players)
+    return driven, sol, read_solution_csv(path, grid)
+
+
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_shared_cell_search_is_per_player_interp(spread_trio, reloaded, monkeypatch):
+    game, solved, read_back = spread_trio
+    sol = read_back if reloaded else solved
+    # p0 is a node, so every path's first lookup lands exactly on one
+    assert game.market.p0 in sol.prices
+    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 700)  # two chunks, the second partial
+    bundle = simulate_paths(sol, game, n_paths=1200, seed=31, n_steps=60)
+    ref, low, high = _reference_paths(sol, game, n_paths=1200, seed=31, n_steps=60)
+    assert low > 0 and high > 0
+    for name in _STREAMED:
+        assert np.array_equal(getattr(bundle, name), ref[name]), name
+
+
+def test_cell_search_matches_interp_near_every_node():
+    # nodes, their floating-point neighbours, cell midpoints and both ends, on
+    # the uniform axis and on axes whose nodes sit up to 0.2 cells off it
+    rng = np.random.default_rng(5)
+    uniform = np.linspace(94.0, 106.0, 41)
+    dp = uniform[1] - uniform[0]
+    inner = rng.uniform(-0.2, 0.2, uniform.size) * dp
+    inner[[0, -1]] = 0.0
+    rows = rng.standard_normal((3, uniform.size))
+    for prices in (uniform, uniform + inner, uniform * (1 + 1e-15)):
+        p = np.concatenate([prices, np.nextafter(prices, -np.inf), np.nextafter(prices, np.inf),
+                            0.5 * (prices[1:] + prices[:-1]), rng.uniform(94.0, 106.0, 500)])
+        p = np.clip(p, prices[0], prices[-1])
+        expected = np.stack([np.interp(p, prices, row) for row in rows])
+        assert np.array_equal(illiq.simulate._shared_interp(prices)(p, rows), expected)
+
+
+def test_non_uniform_price_axis_rejected(market):
+    game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), _zero_payoff()),))
+    prices = np.linspace(94.0, 106.0, 41)
+    prices[20] += 0.3 * (prices[1] - prices[0])
+    with pytest.raises(SimulationError, match="node 20 lies 0.3 cells"):
+        simulate_paths(_synthetic_solution(prices, 1), game, n_paths=10, seed=1, n_steps=10)
+
+
 def test_doubling_steps_moves_mean_within_noise(call_game, call_solution):
     coarse = simulate_paths(call_solution, call_game, n_paths=20000, seed=29, n_steps=250)
     fine = simulate_paths(call_solution, call_game, n_paths=20000, seed=29, n_steps=500)
@@ -184,13 +321,7 @@ def test_fewer_than_two_paths_rejected(zero_solution, n_paths):
 def test_excessive_clamping_raises(market):
     # a synthetic solution on a sliver of the price axis: paths leave at once
     game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), _zero_payoff()),))
-    times = np.linspace(0.0, 1.0, 11)
-    prices = np.linspace(99.9, 100.1, 5)
-    shape = (1, 11, 5)
-    sol = Solution(
-        GridSpec(94.0, 106.0, 5, 11), times, prices, np.zeros(shape), np.zeros(shape),
-        np.zeros(shape), np.zeros((11, 5)), {"speed_bound": 0.0},
-    )
+    sol = _synthetic_solution(np.linspace(99.9, 100.1, 5), 1)
     with pytest.raises(SimulationError, match="left the price grid"):
         simulate_paths(sol, game, n_paths=500, seed=1, n_steps=50)
 

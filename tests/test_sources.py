@@ -43,10 +43,10 @@ def _holders(text: str) -> list:
 
 
 def test_one_function_writes_numeric_csv():
-    # every numeric table goes through one writer, so the CSV dialect lives in one place:
-    # nothing calls savetxt, and only the writer holds the number format
+    # the CSV dialect lives in one place: nothing calls savetxt, and only
+    # pdesolve's CSV_FLOAT, which both numeric writers use, holds the number format
     assert _callers("savetxt") == []
-    assert _holders("%.17g") == ["pdesolve._write_table"]
+    assert _holders("%.17g") == ["pdesolve.<module>"]
 
 
 def test_only_model_tells_utilities_apart():
