@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import QuadratureRule, central_gradient, rn_aggregate_value
+from .closedform import _cole_hopf_layers, _cole_hopf_problem, central_gradient
 from .manifest import digest
 from .model import (
     CARA,
@@ -134,15 +134,14 @@ def _split_game(h: Payoff, n: int, template: GameSpec) -> GameSpec:
 
 def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridSpec) -> dict:
     """Time-zero aggregate speed per N: the speed root at lambda times the
-    price gradient of the closed-form aggregate value."""
-    rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
+    price gradient of the closed-form aggregate value on the grid's prices."""
     rows = {}
     for n in ns:
         if n < 1:
             raise ValidationError(f"a sweep over player counts needs N >= 1, got N = {n}")
         game = make_game(h, n, template)
-        v0 = rn_aggregate_value(game, 0.0, grid.prices, rule)
-        v_p = central_gradient(np.asarray(v0), grid.dp)
+        v0 = _cole_hopf_layers(_cole_hopf_problem(game, "a sweep over N"), grid, [0.0])[0]
+        v_p = central_gradient(v0, grid.dp)
         eps = certify_for_game(game).eps_floor
         rows[n] = aggregate_speed_many(game.cost, n, game.market.lam * v_p, eps)
     return rows

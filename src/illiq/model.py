@@ -593,7 +593,10 @@ MAX_QUAD_NODES = 370
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform (time, price) lattice plus the Gauss-Hermite rule size."""
+    """Uniform (time, price) lattice.  ``quad_nodes`` sizes the one
+    Gauss-Hermite rule a lattice route still uses: the closed form of a
+    Cole-Hopf exponent that spreads too widely for the spectral heat operator
+    (``closedform.SPREAD_LIMIT``; a strongly risk-averse player)."""
 
     p_min: float
     p_max: float

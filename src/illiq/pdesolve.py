@@ -15,11 +15,11 @@ raw payoff as well):
                    in the nonlinear terms taken from the previous layer;
 * ``solve_picard`` fixed-point iteration of the mild (integral) form
                    v = e^{tL} H + int e^{(t-s)L} F(v_p(s)) ds on short
-                   subintervals, the semigroup applied by Gauss-Hermite
-                   quadrature (``heat_convolve_grid``) and the integral by
-                   the trapezoid sum ``duhamel_trapezoid`` that the closed
-                   form shares.  Serves as an independent oracle for the
-                   finite-difference route;
+                   subintervals, the semigroup applied by the cosine-transform
+                   multiplier of ``heat_convolve_grid`` and the integral by
+                   the trapezoid recursion ``duhamel_trapezoid`` that the
+                   closed form shares.  Serves as an independent oracle for
+                   the finite-difference route;
 * ``solve_closed`` the lattice that ``closedform.closed_form_values`` builds
                    for the games it covers (linear cost with risk-neutral
                    players or one exponential-utility player).
@@ -41,12 +41,11 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .closedform import (
-    QuadratureRule,
     central_gradient,
     closed_form_values,
     duhamel_trapezoid,
-    heat_convolve,
     heat_convolve_grid,
+    heat_convolve_payoff,
 )
 from .model import GameSpec, GridSpec
 from .speeds import ROOT_TOL, apriori_speed_bound, certify_for_game, equilibrium_fields
@@ -112,15 +111,20 @@ class Solution:
 
     def value_at(self, player: int, t: float, p: float) -> float:
         """Bilinear interpolation of one player's value surface."""
-        row = _time_interp(self.times, self.values[player], t)
+        row = _time_blend(self.values[player], *_time_weight(self.times, t))
         return float(np.interp(p, self.prices, row))
 
 
-def _time_interp(times: np.ndarray, layers: np.ndarray, t: float) -> np.ndarray:
+def _time_weight(times: np.ndarray, t: float) -> tuple:
+    """The layer k and weight w that interpolate linearly in time at t,
+    clamped to the time axis: the blend is (1 - w) layers[k] + w layers[k + 1]."""
     t = float(np.clip(t, times[0], times[-1]))
     k = int(np.searchsorted(times, t, side="right") - 1)
     k = min(max(k, 0), times.size - 2)
-    w = (t - times[k]) / (times[k + 1] - times[k])
+    return k, (t - times[k]) / (times[k + 1] - times[k])
+
+
+def _time_blend(layers: np.ndarray, k: int, w: float) -> np.ndarray:
     return (1.0 - w) * layers[k] + w * layers[k + 1]
 
 
@@ -232,13 +236,12 @@ def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     grid.validate_for(market)
     cert = certify_for_game(game)
     bound = apriori_speed_bound(game, cert)
-    rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
     tau = PICARD_TAU_FRACTION * market.maturity
 
     last_err: Exception | None = None
     for halving in range(PICARD_MAX_HALVINGS + 1):
         try:
-            values, times, log = _picard_march(game, grid, cert, rule, tau)
+            values, times, log = _picard_march(game, grid, cert, tau)
             break
         except _NonContraction as err:
             last_err = err
@@ -251,7 +254,7 @@ def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     return _lattice_solution(game, grid, cert, times, values, meta)
 
 
-def _picard_march(game, grid, cert, rule, tau):
+def _picard_march(game, grid, cert, tau):
     market = game.market
     horizon = market.maturity
     sig2 = market.sigma**2
@@ -269,7 +272,7 @@ def _picard_march(game, grid, cert, rule, tau):
     for step in range(n_tau):
         base = step * m_sub
         h0 = v_tau[:, base]
-        seed = np.stack([heat_convolve_grid(h0, prices, sig2 * m * h, rule)
+        seed = np.stack([heat_convolve_grid(h0, prices, sig2 * m * h)
                          for m in range(m_sub + 1)])
         cur = seed
 
@@ -278,7 +281,7 @@ def _picard_march(game, grid, cert, rule, tau):
             # one call on the (player, sub-layer, price) stack; roots are per entry
             grads = central_gradient(np.ascontiguousarray(np.swapaxes(cur, 0, 1)), grid.dp)
             source = np.swapaxes(equilibrium_fields(game, cert.eps_floor, grads)[2], 0, 1)
-            new = seed + duhamel_trapezoid(source, h, sig2, prices, rule)
+            new = seed + duhamel_trapezoid(source, h, sig2, prices)
             change = float(np.max(np.abs(new - cur)))
             changes.append(change)
             cur = new
@@ -320,7 +323,7 @@ def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
     times = grid.times(game.market.maturity)
     cert = certify_for_game(game)
     bound = apriori_speed_bound(game, cert)
-    meta = _meta("closed-form", cert, bound, quad_nodes=grid.quad_nodes)
+    meta = _meta("closed-form", cert, bound)
     return _lattice_solution(game, grid, cert, times, values, meta)
 
 
@@ -353,22 +356,17 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
 
 def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
     """Edge over never trading: v^j(t,p) minus the pure-diffusion expected
-    (utility of the) payoff, by the quadrature rule of the solution's grid.
-    Both sides are on the utility scale: each player's utility maps the
-    stored value, which is the identity for risk-neutral players."""
-    rule = QuadratureRule.gauss_hermite(sol.grid.quad_nodes)
-    maturity = game.market.maturity
-    sig2 = game.market.sigma**2
-    if time_indices is None:
-        time_indices = range(sol.times.size)
-    time_indices = list(time_indices)
-    out = np.empty((sol.n_players, len(time_indices), sol.prices.size))
+    (utility of the) payoff, variance sigma^2 (T - t), from
+    ``heat_convolve_payoff``.  Both sides are on the utility scale: each
+    player's utility maps the stored value, which is the identity for
+    risk-neutral players."""
+    rows = np.arange(sol.times.size) if time_indices is None else list(time_indices)
+    variances = game.market.sigma**2 * (game.market.maturity - sol.times[rows])
+    out = np.empty((sol.n_players, variances.size, sol.prices.size))
     for i, pl in enumerate(game.players):
         u, payoff = pl.utility, pl.endowment.value
-        for row, k in enumerate(time_indices):
-            var = sig2 * (maturity - sol.times[k])
-            expected = heat_convolve(lambda x: u(payoff(x)), var, sol.prices, rule)
-            out[i, row] = u(sol.values[i, k]) - expected
+        expected = heat_convolve_payoff(lambda x: u(payoff(x)), sol.prices, variances)
+        out[i] = u(sol.values[i, rows]) - expected
     return out
 
 

@@ -14,15 +14,16 @@ stepped ``CHUNK_PATHS`` at a time, carrying only their current state: every
 path keeps its terminal price, inventories and costs, and only the first
 ``SAMPLE_PATHS`` paths are kept in full.
 
-Each step interpolates the speed rows in time once, then finds every path's
-price cell once and reads all N players' speeds from it in one gather.  The
-price axis must be uniform (to within a quarter cell, as the FD stencils
-assume), so the cell is an arithmetic index with one correction against the
-stored nodes, and each speed is bitwise what ``np.interp`` would return.  The
-paths therefore take O(CHUNK_PATHS * n_steps + N * n_paths + N * n_p) memory,
-not O(N * n_paths * n_steps) for whole paths nor O(n_steps * N * n_p) for
-speed rows precomputed per step.  Each player's utility maps terminal wealth
-and solved values to one scale.
+Every step's time layer and weight are found once, before the first chunk;
+within a chunk each step blends the speed rows in time, then finds every
+path's price cell once and reads all N players' speeds from it in one
+gather.  The price axis must be uniform (to within a quarter cell, as the FD
+stencils assume), so the cell is an arithmetic index with one correction
+against the stored nodes, and each speed is bitwise what ``np.interp`` would
+return.  The paths therefore take O(CHUNK_PATHS * n_steps + N * n_paths +
+N * n_p) memory, not O(N * n_paths * n_steps) for whole paths nor
+O(n_steps * N * n_p) for speed rows precomputed per step.  Each player's
+utility maps terminal wealth and solved values to one scale.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec
-from .pdesolve import Solution, _time_interp, _write_lattice_csv
+from .pdesolve import Solution, _time_blend, _time_weight, _write_lattice_csv
 
 __all__ = [
     "SimulationError",
@@ -111,6 +112,7 @@ def simulate_paths(
     p_grid = sol.prices
     speeds_at = _shared_interp(p_grid)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
+    weights = [_time_weight(sol.times, t) for t in times[:-1]]  # (layer, weight) per step
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_sample = min(n_paths, SAMPLE_PATHS)
@@ -133,7 +135,7 @@ def simulate_paths(
         for k in range(n_steps):
             p_look = np.clip(p, p_grid[0], p_grid[-1])
             clamped += int(np.count_nonzero(p_look != p))
-            spd = speeds_at(p_look, _time_interp(sol.times, speeds_by_time, times[k]))
+            spd = speeds_at(p_look, _time_blend(speeds_by_time, *weights[k]))
             agg = spd.sum(axis=0)
             g_agg = np.asarray(game.cost.value(agg), dtype=float)
             p = p + market.lam * agg * dt + market.sigma * sqrt_dt * noise[:, k]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from illiq import (
     BurgersProblem,
@@ -24,8 +27,15 @@ from illiq import (
     rn_aggregate_grid,
     rn_aggregate_value,
     rn_individual_values,
+    Solution,
+    surplus,
 )
-from illiq.closedform import duhamel_trapezoid
+from illiq.closedform import (
+    SPREAD_LIMIT,
+    closed_form_values,
+    duhamel_trapezoid,
+    heat_convolve_payoff,
+)
 from illiq.model import MAX_QUAD_NODES
 from illiq.speeds import ROOT_TOL
 
@@ -64,80 +74,156 @@ def test_heat_convolve_zero_variance(rule):
 
 
 # ---------------------------------------------------------------------------
-# lattice heat operator and Duhamel sum, against the loops they replaced
+# lattice heat operator and Duhamel sum
 # ---------------------------------------------------------------------------
 
 
-def _reference_heat_grid(values, p_grid, variance, rule):
-    """One row at a time: np.interp inside the grid, the end slopes carried
-    on outside it."""
-    if variance == 0.0:
-        q, w = p_grid[:, None], np.array([1.0])
-    else:
-        q, w = p_grid[:, None] + np.sqrt(variance) * rule.z[None, :], rule.w
-    base = np.interp(q, p_grid, values)
-    slope_l = (values[1] - values[0]) / (p_grid[1] - p_grid[0])
-    slope_r = (values[-1] - values[-2]) / (p_grid[-1] - p_grid[-2])
-    base = base + np.where(q < p_grid[0], (q - p_grid[0]) * slope_l, 0.0)
-    base = base + np.where(q > p_grid[-1], (q - p_grid[-1]) * slope_r, 0.0)
-    return base @ w
-
-
-def _reference_duhamel(src, step, diff_coef, p_grid, rule):
+def _reference_duhamel(src, step, diff_coef, p_grid):
     """Double loop over (m, s) of the trapezoid sum for src of shape (L, N, n_p)."""
     out = np.zeros_like(src)
     for m in range(1, src.shape[0]):
         for s in range(m + 1):
             weight = 0.5 * step if s in (0, m) else step
-            for j in range(src.shape[1]):
-                out[m, j] += weight * _reference_heat_grid(src[s, j], p_grid,
-                                                           diff_coef * (m - s) * step, rule)
+            out[m] += weight * heat_convolve_grid(src[s], p_grid, diff_coef * (m - s) * step)
     return out
 
 
 _P_SMALL = np.linspace(-1.0, 1.0, 21)
+_P_WIDE = np.linspace(-12.0, 12.0, 241)
 
 
 @pytest.mark.parametrize("variance", [0.0, 1e-4, 0.05, 4.0])
-def test_heat_grid_matches_interp_reference(variance):
-    rule = QuadratureRule.gauss_hermite(16)
-    values = np.maximum(_P_SMALL - 0.1, 0.0) + 0.3 * _P_SMALL**2
-    got = heat_convolve_grid(values, _P_SMALL, variance, rule)
-    want = _reference_heat_grid(values, _P_SMALL, variance, rule)
+def test_heat_grid_matches_gaussian_closed_form(variance):
+    # a Gaussian bump plus a line: E[f(p + sqrt(v) Z)] is known in closed form,
+    # and the bump is flat to e^-72 at the ends, where the line continues
+    bump = lambda p, s2: np.sqrt(0.5 / s2) * np.exp(-p**2 / (2.0 * s2))
+    values = bump(_P_WIDE, 0.5) + 2.0 - 3.0 * _P_WIDE
+    got = heat_convolve_grid(values, _P_WIDE, variance)
+    want = bump(_P_WIDE, 0.5 + variance) + 2.0 - 3.0 * _P_WIDE
     if variance == 0.0:
-        assert np.array_equal(got, values) and np.array_equal(want, values)
+        assert np.array_equal(got, values)
     else:
-        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_heat_grid_reaches_past_both_ends():
-    # the widest variance above sends nodes from every price past both ends
-    rule = QuadratureRule.gauss_hermite(16)
+    # the widest variance above has a standard deviation as wide as the grid
     variance = 4.0
-    assert _P_SMALL[-1] + np.sqrt(variance) * rule.z.min() < _P_SMALL[0]
-    assert _P_SMALL[0] + np.sqrt(variance) * rule.z.max() > _P_SMALL[-1]
+    assert np.sqrt(variance) >= _P_SMALL[-1] - _P_SMALL[0]
     # the linear extension makes the operator exact on linear functions
     line = 2.0 - 3.0 * _P_SMALL
-    assert np.abs(heat_convolve_grid(line, _P_SMALL, variance, rule) - line).max() <= 1e-13
+    assert np.abs(heat_convolve_grid(line, _P_SMALL, variance) - line).max() <= 1e-13
 
 
 def test_heat_grid_stack_matches_rows():
-    rule = QuadratureRule.gauss_hermite(16)
     stack = np.random.default_rng(7).standard_normal((5, 3, _P_SMALL.size))
-    got = heat_convolve_grid(stack, _P_SMALL, 0.05, rule)
+    got = heat_convolve_grid(stack, _P_SMALL, 0.05)
     assert got.shape == stack.shape
     for idx in np.ndindex(stack.shape[:-1]):
-        row = heat_convolve_grid(stack[idx], _P_SMALL, 0.05, rule)
+        row = heat_convolve_grid(stack[idx], _P_SMALL, 0.05)
         assert np.abs(got[idx] - row).max() <= 1e-14
 
 
+def test_heat_grid_is_a_semigroup():
+    # K(a) K(b) = K(a + b): a capped call whose kinks sit 8 standard
+    # deviations inside the grid, so each result is linear at both ends
+    values = SmoothedCall(-1.0, 2.0, 0.3).value(_P_WIDE)
+    a, b = 0.3, 0.5
+    twice = heat_convolve_grid(heat_convolve_grid(values, _P_WIDE, b), _P_WIDE, a)
+    assert np.abs(twice - heat_convolve_grid(values, _P_WIDE, a + b)).max() <= 1e-13
+
+
 def test_duhamel_trapezoid_matches_double_loop():
-    rule = QuadratureRule.gauss_hermite(16)
-    src = np.random.default_rng(11).random((7, 2, _P_SMALL.size))
-    got = duhamel_trapezoid(src, 0.02, 1.5, _P_SMALL, rule)
-    want = _reference_duhamel(src, 0.02, 1.5, _P_SMALL, rule)
+    # sources the lattice resolves: random bumps inside, random lines at the ends
+    c = np.random.default_rng(11).random((4, 7, 2, 1))
+    src = c[0] * np.exp(-(_P_WIDE - 6.0 * c[1] + 3.0) ** 2) + c[2] + c[3] * _P_WIDE
+    got = duhamel_trapezoid(src, 0.02, 1.5, _P_WIDE)
+    want = _reference_duhamel(src, 0.02, 1.5, _P_WIDE)
     assert np.all(got[0] == 0.0)
     assert np.abs(got - want).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# lattice routes against adaptive quadrature
+# ---------------------------------------------------------------------------
+
+_TRUTH_GRID = GridSpec(94.0, 106.0, n_p=201, n_t=11, quad_nodes=128)
+_TRUTH_LAYERS = (0, 5, 9)  # tau = 1, 0.5 and 0.1
+_TRUTH_PRICES = (0, 60, 95, 100, 110, 150, 200)
+
+
+def _truth(fn, variance, p, kinks=(100.0, 110.0)):
+    """E[fn(p + sqrt(variance) Z)] by adaptive quadrature, split at the kinks
+    of the benchmark call."""
+    sd = math.sqrt(variance)
+    breaks = sorted(z for z in ((k - p) / sd for k in kinks) if abs(z) < 12.0)
+    density = lambda z: fn(p + sd * z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return integrate.quad(density, -14.0, 14.0, points=breaks or None, limit=500,
+                          epsabs=1e-15, epsrel=1e-14)[0]
+
+
+def _cole_hopf_truth(payoff, a, b, variance, p):
+    return (a / b) * math.log(_truth(lambda x: math.exp((b / a) * float(payoff.value(x))),
+                                     variance, p))
+
+
+def _assert_truth(lattice, want):
+    """``want(tau, p)`` at the truth points of a (n_t, n_p) lattice in calendar time."""
+    times = _TRUTH_GRID.times(1.0)
+    for k in _TRUTH_LAYERS:
+        for i in _TRUTH_PRICES:
+            truth = want(1.0 - times[k], _TRUTH_GRID.prices[i])
+            assert abs(lattice[k, i] - truth) <= 1e-6, (k, i, lattice[k, i], truth)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_aggregate_grid_matches_quadrature(call_game, call):
+    market = call_game.market
+    a, b = market.sigma**2, 2.0 * market.lam**2 / (0.01 * 4)
+    _assert_truth(rn_aggregate_grid(call_game, _TRUTH_GRID),
+                  lambda tau, p: _cole_hopf_truth(call, a, b, a * tau, p))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_payoff_heat_matches_quadrature(call):
+    # the heat terms of rn_individual_values, one row per variance
+    taus = 1.0 - _TRUTH_GRID.times(1.0)
+    _assert_truth(heat_convolve_payoff(call, _TRUTH_GRID.prices, taus),
+                  lambda tau, p: _truth(lambda x: float(call.value(x)), tau, p))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_surplus_payoff_matches_quadrature(market, linear_cost, call):
+    # with a zero value lattice the surplus is u(0) minus the expected utility
+    game = GameSpec(market, linear_cost, (PlayerSpec(CARA(1.0), call),))
+    zeros = np.zeros((1, _TRUTH_GRID.n_t, _TRUTH_GRID.n_p))
+    sol = Solution(_TRUTH_GRID, _TRUTH_GRID.times(1.0), _TRUTH_GRID.prices, zeros, zeros,
+                   zeros, zeros[0], {})
+    u = game.players[0].utility
+    _assert_truth(u(0.0) - surplus(sol, game)[0],
+                  lambda tau, p: _truth(lambda x: float(u(call.value(x))), tau, p))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_cara_single_grid_matches_quadrature(market, linear_cost, call, alpha):
+    # exponent spreads of about 10 and 20, both on the spectral route
+    game = GameSpec(market, linear_cost, (PlayerSpec(CARA(alpha), call),))
+    a, b = market.sigma**2, market.lam**2 / (2 * 0.01) - market.sigma**2 * alpha
+    _assert_truth(closed_form_values(game, _TRUTH_GRID)[0],
+                  lambda tau, p: _cole_hopf_truth(call, a, b, a * tau, p))
+
+
+@pytest.mark.parametrize("alpha", [3.0, 10.0])
+def test_cara_large_alpha_takes_gauss_hermite(market, linear_cost, call, alpha):
+    # alpha spreads the exponent (B/A) G over about 30 or 100 > SPREAD_LIMIT,
+    # so the lattice is the grid's Gauss-Hermite rule, layer by layer
+    game = GameSpec(market, linear_cost, (PlayerSpec(CARA(alpha), call),))
+    assert (alpha - market.lam**2 / (2 * 0.01)) * call.cap > SPREAD_LIMIT
+    rule = QuadratureRule.gauss_hermite(_TRUTH_GRID.quad_nodes)
+    want = np.stack([cara_single_value(game, float(t), _TRUTH_GRID.prices, rule)
+                     for t in _TRUTH_GRID.times(1.0)])
+    assert np.array_equal(closed_form_values(game, _TRUTH_GRID)[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from illiq import (
     MarketParams,
     Negated,
     PlayerSpec,
-    QuadratureRule,
     RiskNeutral,
     Scaled,
     SmoothedCall,
@@ -242,7 +241,6 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     sol = solve_picard(short_game, short_grid)
 
     market = short_game.market
-    rule = QuadratureRule.gauss_hermite(short_grid.quad_nodes)
     prices = short_grid.prices
     cert = certify_for_game(short_game)
     h0 = short_game.payoff_layer(prices)
@@ -250,11 +248,11 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     sig2 = market.sigma**2
 
     seed = [h0,
-            np.stack([heat_convolve_grid(h0[0], prices, sig2 * step, rule)]),
-            np.stack([heat_convolve_grid(h0[0], prices, sig2 * 2 * step, rule)])]
+            np.stack([heat_convolve_grid(h0[0], prices, sig2 * step)]),
+            np.stack([heat_convolve_grid(h0[0], prices, sig2 * 2 * step)])]
     f = [equilibrium_fields(short_game, cert.eps_floor, central_gradient(s, short_grid.dp))[2]
          for s in seed]
-    conv_f0 = np.stack([heat_convolve_grid(f[0][0], prices, sig2 * step, rule)])
+    conv_f0 = np.stack([heat_convolve_grid(f[0][0], prices, sig2 * step)])
     expected_mid = seed[1] + 0.5 * step * (conv_f0 + f[1])
     got_mid = sol.values[:, sol.times.size - 2]  # one sub-layer before maturity
     assert np.abs(got_mid - expected_mid).max() <= 1e-12
@@ -265,6 +263,17 @@ def test_picard_agrees_with_fd(short_game, short_grid):
     fsol = solve_fd(short_game, short_grid)
     assert psol.times.size == fsol.times.size
     assert np.abs(psol.values - fsol.values).max() <= 1e-2
+
+
+def test_picard_agrees_with_two_player_closed_form(market, linear_cost, call):
+    # the call holder against an endowment-free competitor: both routes apply
+    # the same heat operator, so only the fixed point separates them
+    game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),
+                                          PlayerSpec(RiskNeutral(), Scaled(call, 0.0))))
+    grid = GridSpec(94.0, 106.0, n_p=121, n_t=161, quad_nodes=96)
+    psol, csol = solve_picard(game, grid), solve_closed(game, grid)
+    assert np.array_equal(psol.times, csol.times)
+    assert np.abs(psol.values - csol.values).max() <= 1e-4
 
 
 def test_picard_contracts(short_game, short_grid):
@@ -278,11 +287,11 @@ def test_picard_halves_tau_after_a_non_contracting_step(short_game, monkeypatch)
     march = illiq.pdesolve._picard_march
     taus = []
 
-    def diverge_once(game, grid, cert, rule, tau):
+    def diverge_once(game, grid, cert, tau):
         taus.append(tau)
         if len(taus) == 1:
             raise illiq.pdesolve._NonContraction("forced")
-        return march(game, grid, cert, rule, tau)
+        return march(game, grid, cert, tau)
 
     monkeypatch.setattr(illiq.pdesolve, "_picard_march", diverge_once)
     sol = solve_picard(short_game, GridSpec(98.0, 102.0, 41, 41, quad_nodes=32))
@@ -295,7 +304,7 @@ def test_picard_halves_tau_after_a_non_contracting_step(short_game, monkeypatch)
 def test_picard_gives_up_when_halving_never_contracts(short_game, monkeypatch):
     taus = []
 
-    def diverge(game, grid, cert, rule, tau):
+    def diverge(game, grid, cert, tau):
         taus.append(tau)
         raise illiq.pdesolve._NonContraction("forced")
 

@@ -29,7 +29,7 @@ from illiq import (
     write_paths_csv,
     write_solution_csv,
 )
-from illiq.pdesolve import _time_interp
+from illiq.pdesolve import _time_blend, _time_weight
 
 
 def _zero_payoff():
@@ -208,7 +208,7 @@ def _reference_paths(sol, game, n_paths, seed, n_steps):
     dt = market.maturity / n_steps
     times = np.linspace(0.0, market.maturity, n_steps + 1)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
-    rows = np.stack([_time_interp(sol.times, speeds_by_time, t) for t in times[:-1]])
+    rows = np.stack([_time_blend(speeds_by_time, *_time_weight(sol.times, t)) for t in times[:-1]])
     noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_paths, n_steps))
     prices = np.full((n_paths, n_steps + 1), market.p0)
     x = np.zeros((n, n_paths, n_steps + 1))

@@ -60,3 +60,11 @@ def test_only_model_tells_utilities_apart():
         return bool(names & {"CARA", "RiskNeutral"})
 
     assert [f for f in _owners(utility_check) if not f.startswith("model.")] == []
+
+
+def test_one_spectral_heat_operator():
+    # only closedform applies the cosine transforms, and neither the solvers
+    # nor the studies build a Gauss-Hermite rule of their own
+    assert {f.split(".")[0] for f in _callers("dct") + _callers("idct")} == {"closedform"}
+    assert [f for f in _callers("gauss_hermite")
+            if f.split(".")[0] in ("pdesolve", "experiments")] == []
