@@ -67,13 +67,14 @@ from .pdesolve import (  # noqa: F401
     ResidualReport,
     Solution,
     SolverError,
-    read_solution_csv,
+    read_solution_npz,
     residual,
     solve_closed,
     solve_fd,
     solve_picard,
     surplus,
     write_solution_csv,
+    write_solution_npz,
 )
 from .simulate import (  # noqa: F401
     PathBundle,

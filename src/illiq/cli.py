@@ -2,16 +2,21 @@
 
 Subcommands
     check      validate a config and certify its cost function
-    solve      solve a game (fd, picard or closed form) and dump CSV grids
-    simulate   Monte-Carlo paths under a previously solved strategy field
+    solve      solve a game (fd, picard or closed form) and dump CSV grids,
+               plus the solution in binary (solution.npz)
+    simulate   Monte-Carlo paths under a previously solved strategy field,
+               loaded from the solution.npz next to --solution
     sweep      run one of the scripted studies and assert its claims
 
 Exit codes: 0 ok, 1 parse/missing input, 2 certification failure,
 3 method/game or study/game mismatch, 4 solver error (including a solve
 whose speeds exceed the a-priori bound; its outputs are still written),
-5 solution/config hash mismatch, 6 sweep assertion failure.
+5 solution/config hash mismatch (or a solution.npz whose SHA-256 differs
+from its manifest's), 6 sweep assertion failure.
 
-Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``.
+Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``,
+the SHA-256 of each output it lists as ``output_sha256`` and the seconds of
+each stage as ``timings_s``.
 Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
 only the sweep metrics table, whose value column mixes numbers and empty
 cells, is written by hand.
@@ -24,6 +29,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +47,7 @@ from .experiments import (
     spread_sweep,
     zero_sum_report,
 )
-from .manifest import RunManifest, digest, read_manifest, write_manifest
+from .manifest import RunManifest, digest, file_sha256, read_manifest, write_manifest
 from .model import (
     ConfigError,
     GameSpec,
@@ -56,13 +62,14 @@ from .pdesolve import (
     SolverError,
     _write_lattice_csv,
     _write_table,
-    read_solution_csv,
+    read_solution_npz,
     residual,
     solve_closed,
     solve_fd,
     solve_picard,
     surplus,
     write_solution_csv,
+    write_solution_npz,
 )
 from .simulate import (
     SEED_LIMIT,
@@ -84,6 +91,7 @@ EXIT_ASSERTION = 6
 
 DEFAULT_SIM_STEPS = 500
 SURPLUS_MAX_LAYERS = 201  # surplus.csv thins the time axis to at most this many layers
+SOLUTION_NPZ = "solution.npz"  # what simulate loads, next to the --solution it is given
 
 
 class MethodMismatch(RuntimeError):
@@ -130,18 +138,34 @@ def _apply_grid_flag(grid: GridSpec, flag: str | None) -> GridSpec:
     return replace(grid, n_p=n_p, n_t=n_t)
 
 
-def _manifest(command: str, config_hash: str, grid_hash: str, seed, t0: float,
-              outputs) -> RunManifest:
-    return RunManifest(
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the seconds the block takes as ``timings[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - t0
+
+
+def _write_run_manifest(out: Path, command: str, config_hash: str, grid_hash: str, seed,
+                        t0: float, outputs, timings: dict) -> Path:
+    """``out/manifest.json`` for the files ``outputs`` in ``out``, each with its
+    SHA-256; hashing them is timed as the stage ``sha256``."""
+    with _timed(timings, "sha256"):
+        sha = {str(name): file_sha256(out / name) for name in outputs}
+    path = out / "manifest.json"
+    write_manifest(RunManifest(
         command=command,
         config_hash=config_hash,
         grid_hash=grid_hash,
         seed=seed,
         tool_version=__version__,
         wall_time_s=time.time() - t0,
-        outputs=tuple(str(o) for o in outputs),
+        outputs=tuple(sha),
         threads=worker_cap(),
-    )
+        output_sha256=sha,
+        timings_s=timings,
+    ), path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -197,30 +221,40 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     solve = {"fd": solve_fd, "picard": solve_picard, "closed": solve_closed}[args.method]
-    sol = solve(game, grid)
+    timings: dict = {}
+    with _timed(timings, "solve"):
+        sol = solve(game, grid)
 
     bound = sol.meta["speed_bound"]
-    rep = residual(sol, game)
-    max_speed = float(np.max(np.abs(sol.speeds)))
+    with _timed(timings, "residual"):
+        rep = residual(sol, game)
+    layer_max = np.max(np.abs(sol.speeds), axis=(0, 2))
+    max_speed = float(np.max(layer_max))
     bound_ok = max_speed <= bound + 1e-6
 
-    sol_path = out / "solution.csv"
-    write_solution_csv(sol, sol_path)
+    sol_path, npz_path, surp_path = out / "solution.csv", out / SOLUTION_NPZ, out / "surplus.csv"
+    with _timed(timings, f"write {sol_path.name}"):
+        write_solution_csv(sol, sol_path)
+    with _timed(timings, f"write {npz_path.name}"):
+        write_solution_npz(sol, npz_path)
     idx = _surplus_time_indices(sol.times.size)
-    surp = surplus(sol, game, time_indices=idx)
-    surp_path = out / "surplus.csv"
-    _write_lattice_csv(surp_path, ("t", sol.times[idx]), ("p", sol.prices),
-                       {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
-    manifest_path = out / "manifest.json"
-    write_manifest(
-        _manifest(f"solve --method {args.method}", config_hash, grid_hash, None, t0,
-                  [sol_path.name, surp_path.name]),
-        manifest_path,
-    )
+    with _timed(timings, "surplus"):
+        surp = surplus(sol, game, time_indices=idx)
+    with _timed(timings, f"write {surp_path.name}"):
+        _write_lattice_csv(surp_path, ("t", sol.times[idx]), ("p", sol.prices),
+                           {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
+    manifest_path = _write_run_manifest(
+        out, f"solve --method {args.method}", config_hash, grid_hash, None, t0,
+        [sol_path.name, npz_path.name, surp_path.name], timings)
     print(f"max interior residual: {rep.overall:.6g}")
     print(f"speed bound check: max |speed| = {max_speed:.6g} vs bound {bound:.6g} "
           f"-> {'PASS' if bound_ok else 'FAIL'}")
-    print(f"wrote {sol_path} {surp_path} {manifest_path}")
+    if not bound_ok:
+        over = np.flatnonzero(~(layer_max <= bound + 1e-6))
+        k = int(over[0])
+        print(f"speed bound first exceeded at time layer {k} (t = {sol.times[k]:.6g}): "
+              f"max |speed| = {layer_max[k]:.6g}; {over.size} of {layer_max.size} layers exceed it")
+    print(f"wrote {sol_path} {npz_path} {surp_path} {manifest_path}")
     return EXIT_OK if bound_ok else EXIT_SOLVER
 
 
@@ -237,21 +271,35 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--seed must be in [0, 2**128), the Philox key range, got {args.seed}")
     game, grid, config_hash, grid_hash = _read_config(args.config)
     sol_path = Path(args.solution)
+    npz_path = sol_path.parent / SOLUTION_NPZ
+    if not npz_path.is_file():
+        raise FileNotFoundError(f"{npz_path} (written by illiq solve)")
     manifest_path = sol_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise HashMismatch(f"no manifest next to {sol_path}; cannot verify provenance")
     recorded = read_manifest(manifest_path)
     if recorded.get("config_hash") != config_hash or recorded.get("grid_hash") != grid_hash:
         raise HashMismatch("solution manifest hashes do not match the config")
-    sol = read_solution_csv(sol_path, grid)
+    timings: dict = {}
+    with _timed(timings, f"verify {SOLUTION_NPZ}"):
+        expected = recorded.get("output_sha256", {}).get(SOLUTION_NPZ)
+        if expected is None:
+            raise HashMismatch(f"{manifest_path} records no sha256 for {SOLUTION_NPZ}")
+        if file_sha256(npz_path) != expected:
+            raise HashMismatch(f"{npz_path} differs from the sha256 its manifest records")
+    with _timed(timings, "load"):
+        sol = read_solution_npz(npz_path, grid)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = simulate_paths(sol, game, args.paths, args.seed, DEFAULT_SIM_STEPS)
+    with _timed(timings, "simulate_paths"):
+        bundle = simulate_paths(sol, game, args.paths, args.seed, DEFAULT_SIM_STEPS)
     means, ses = realized_objectives(bundle)
-    z = mc_consistency(bundle, sol)
+    with _timed(timings, "mc_consistency"):
+        z = mc_consistency(bundle, sol)
     paths_path = out / "paths.csv"
-    write_paths_csv(bundle, paths_path)
+    with _timed(timings, f"write {paths_path.name}"):
+        write_paths_csv(bundle, paths_path)
     summary = {
         "n_paths": bundle.n_paths,
         "n_steps": DEFAULT_SIM_STEPS,
@@ -264,11 +312,8 @@ def cmd_simulate(args) -> int:
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    write_manifest(
-        _manifest("simulate", config_hash, grid_hash, args.seed, t0,
-                  [paths_path.name, summary_path.name]),
-        out / "manifest.json",
-    )
+    _write_run_manifest(out, "simulate", config_hash, grid_hash, args.seed, t0,
+                        [paths_path.name, summary_path.name], timings)
     print(json.dumps(summary["players"]))
     return EXIT_OK
 
@@ -354,7 +399,9 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     study = args.study
-    data = _run_study(study, game, grid, args)
+    timings: dict = {}
+    with _timed(timings, "study"):
+        data = _run_study(study, game, grid, args)
     results = data if isinstance(data, dict) else {"": data}
     prefix = study.split(":", 1)[1] if study.startswith("figure:") else "sweep"
 
@@ -372,10 +419,8 @@ def cmd_sweep(args) -> int:
     report_path = out / "assertions.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     outputs.append(report_path.name)
-    write_manifest(
-        _manifest(f"sweep --study {study}", config_hash, grid_hash, None, t0, outputs),
-        out / "manifest.json",
-    )
+    _write_run_manifest(out, f"sweep --study {study}", config_hash, grid_hash, None, t0,
+                        outputs, timings)
     if not report["passed"]:
         print(f"sweep assertions failed: {', '.join(report['failing'])}", file=sys.stderr)
         return EXIT_ASSERTION

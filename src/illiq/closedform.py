@@ -20,7 +20,8 @@ standard deviations past both ends.  It composes exactly, K(a) K(b) = K(a + b),
 so the trapezoid Duhamel sum is a one-step recursion.  Lattice layers are
 continued linearly into the padding; a payoff is sampled on an axis ``REFINE``
 times finer and cropped back.  ``closed_form_values`` picks the closed form
-that covers a game and builds its lattice.
+that covers a game and builds its lattice.  ``scipy.fft`` is imported by the
+functions that transform, so importing this module loads none of scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct, next_fast_len
 
 from .model import GameSpec, GridSpec, LinearCost, Payoff, SumPayoff
 
@@ -139,6 +139,8 @@ def _heat(ext: np.ndarray, step: float, variance) -> np.ndarray:
     the quadratic ramp that carries its end slopes, plus the ramp's exact heat
     flow.  Less the ramp, a row that is linear near its ends reflects evenly
     into a smooth row.  ``variance`` is a scalar or a column, one per row."""
+    from scipy.fft import dct, idct
+
     n = ext.shape[-1]
     j = np.arange(n)
     s_l = ext[..., 1:2] - ext[..., :1]
@@ -153,6 +155,8 @@ def _extend(values: np.ndarray, step: float, variance: float):
     """``values`` continued linearly past both ends of the last axis by at
     least ``PAD_SIGMAS`` sqrt(variance), on an axis of spacing ``step``, to a
     length the transforms take fast; and the number of cells put in front."""
+    from scipy.fft import next_fast_len
+
     n = values.shape[-1]
     pad = math.ceil(PAD_SIGMAS * math.sqrt(variance) / step)
     cells = np.arange(1.0, next_fast_len(n + 2 * pad, real=True) - n + 1)
@@ -202,6 +206,8 @@ def _refined_axis(p_grid: np.ndarray, variance: float):
     ``PAD_SIGMAS`` sqrt(variance) past both ends to a length the transforms
     take fast: its nodes, its spacing and the slice that crops it back to the
     nodes of ``p_grid``."""
+    from scipy.fft import next_fast_len
+
     dp = _spacing(p_grid)
     pad = REFINE * math.ceil(PAD_SIGMAS * math.sqrt(variance) / dp)
     last = REFINE * (p_grid.size - 1)

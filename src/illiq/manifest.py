@@ -18,8 +18,21 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, read a megabyte at a time."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            sha.update(chunk)
+    return sha.hexdigest()
+
+
 @dataclass(frozen=True)
 class RunManifest:
+    """What a command did: its inputs' hashes, the files it wrote (``outputs``,
+    names in the manifest's directory) with the SHA-256 of each
+    (``output_sha256``), and the seconds its stages took (``timings_s``)."""
+
     command: str
     config_hash: str
     grid_hash: str
@@ -28,6 +41,8 @@ class RunManifest:
     wall_time_s: float
     outputs: tuple
     threads: int
+    output_sha256: dict
+    timings_s: dict
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import ClassVar
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "ConfigError",
@@ -56,6 +55,14 @@ class ValidationError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
+
+
+def _pchip(x, y):
+    """Monotone cubic interpolant of samples (x, y); ``scipy.interpolate`` is
+    imported only by the table cost and the gridded payoff that need it."""
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(x, y)
 
 
 def _finite(x) -> bool:
@@ -212,15 +219,15 @@ class TableCost(CostFunction):
         _require(bool(np.all(np.diff(z) > 0)), "table z values must be strictly increasing")
         _require(z[0] < 0.0 < z[-1], "table must bracket z = 0")
         _require(np.all(np.isfinite(z)) and np.all(np.isfinite(g)), "table values must be finite")
-        interp = PchipInterpolator(z, g)
+        interp = _pchip(z, g)
         _require(abs(float(interp(0.0))) < 1e-12, "g(0) must be 0")
         _require(self.eps_floor > 0, "eps_floor must be > 0")
         object.__setattr__(self, "z_values", tuple(float(v) for v in z))
         object.__setattr__(self, "g_values", tuple(float(v) for v in g))
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
-        return PchipInterpolator(np.asarray(self.z_values), np.asarray(self.g_values))
+    def _interp(self):
+        return _pchip(np.asarray(self.z_values), np.asarray(self.g_values))
 
     @cached_property
     def _deriv(self):
@@ -471,7 +478,7 @@ class GridPayoff(Payoff):
         pad = float(np.median(np.diff(p)))
         p_aug = np.concatenate(([p[0] - pad], p, [p[-1] + pad]))
         v_aug = np.concatenate(([v[0]], v, [v[-1]]))
-        interp = PchipInterpolator(p_aug, v_aug)
+        interp = _pchip(p_aug, v_aug)
         return p_aug, interp, interp.derivative()
 
     def value(self, p):

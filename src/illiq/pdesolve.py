@@ -28,17 +28,21 @@ Each route validates the grid, certifies the cost once and records the
 certificate, the a-priori speed bound and the speed-root tolerance in
 ``Solution.meta``; terminal data comes from ``GameSpec.payoff_layer``.
 ``_write_table`` and ``_write_lattice_csv`` write every numeric table the
-package writes, in one dialect whose number format is ``CSV_FLOAT``;
-``read_solution_csv`` reloads a ``solution.csv``.
+package writes, in one dialect whose number format is ``CSV_FLOAT``.
+``write_solution_npz`` stores a ``Solution`` in binary and
+``read_solution_npz`` loads it back, exactly and without pickling.
+
+scipy is imported where it is used: ``scipy.linalg`` on the first call of
+``solve_banded``, so importing this module loads none of scipy.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .closedform import (
     central_gradient,
@@ -48,7 +52,13 @@ from .closedform import (
     heat_convolve_payoff,
 )
 from .model import GameSpec, GridSpec
-from .speeds import ROOT_TOL, apriori_speed_bound, certify_for_game, equilibrium_fields
+from .speeds import (
+    ROOT_TOL,
+    CostCertificate,
+    apriori_speed_bound,
+    certify_for_game,
+    equilibrium_fields,
+)
 
 __all__ = [
     "SolverError",
@@ -60,7 +70,8 @@ __all__ = [
     "residual",
     "surplus",
     "write_solution_csv",
-    "read_solution_csv",
+    "write_solution_npz",
+    "read_solution_npz",
 ]
 
 
@@ -156,6 +167,13 @@ def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on first call."""
+    from scipy.linalg import solve_banded as banded
+
+    return banded(l_and_u, ab, b)
 
 
 def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
@@ -423,20 +441,23 @@ def write_solution_csv(sol: Solution, path) -> None:
     _write_lattice_csv(path, ("t", sol.times), ("p", sol.prices), fields)
 
 
-def read_solution_csv(path, grid: GridSpec) -> Solution:
-    """Rebuild a Solution, with empty ``meta``, from the CSV that
-    ``write_solution_csv`` wrote; the grid comes from the config that produced it."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    n = sum(1 for c in header if c.startswith("v_"))
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    times = np.unique(data[:, 0])
-    prices = np.unique(data[:, 1])
-    n_t, n_p = times.size, prices.size
-    if n_t * n_p != data.shape[0]:
-        raise ValueError("solution CSV is not a complete (t, p) lattice")
-    values = np.stack([data[:, 2 + j].reshape(n_t, n_p) for j in range(n)])
-    grads = np.stack([data[:, 2 + n + j].reshape(n_t, n_p) for j in range(n)])
-    speeds = np.stack([data[:, 2 + 2 * n + j].reshape(n_t, n_p) for j in range(n)])
-    agg = data[:, -1].reshape(n_t, n_p)
-    return Solution(grid, times, prices, values, grads, speeds, agg, {})
+SOLUTION_ARRAYS = ("times", "prices", "values", "gradients", "speeds", "aggregate_speed")
+
+
+def write_solution_npz(sol: Solution, path) -> None:
+    """The solution's arrays, uncompressed, and its ``meta`` as one JSON
+    string (the certificate as a plain dict), so loading unpickles nothing."""
+    meta = json.dumps(sol.meta, default=asdict, sort_keys=True)
+    np.savez(path, meta=np.array(meta), **{name: getattr(sol, name) for name in SOLUTION_ARRAYS})
+
+
+def read_solution_npz(path, grid: GridSpec) -> Solution:
+    """Load what ``write_solution_npz`` wrote; the grid comes from the config
+    that produced it and takes its sizes from the arrays.
+    ``meta["certificate"]`` is a ``CostCertificate`` again."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = [data[name] for name in SOLUTION_ARRAYS]
+        meta = json.loads(data["meta"].item())
+    if "certificate" in meta:
+        meta["certificate"] = CostCertificate(**meta["certificate"])
+    return Solution(grid, *arrays, meta)

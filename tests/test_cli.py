@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import illiq.pdesolve
 from illiq.cli import main
+from illiq.manifest import file_sha256
 
 BASE = {
     "market": {"sigma": 1.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
@@ -108,8 +113,15 @@ def test_solve_speed_bound_failure_exit_4(config_path, tmp_path, monkeypatch, ca
     out = tmp_path / "fd"
     assert main(["solve", "--config", str(config_path), "--out", str(out),
                  "--method", "fd", "--grid", "41,41"]) == 4
-    assert "vs bound 0.001 -> FAIL" in capsys.readouterr().out
-    for name in ("solution.csv", "surplus.csv", "manifest.json"):
+    printed = capsys.readouterr().out
+    assert "vs bound 0.001 -> FAIL" in printed
+    # the layer line names the first (earliest) time layer over the bound
+    sol = illiq.pdesolve.read_solution_npz(out / "solution.npz", illiq.GridSpec(94, 106, 41, 41))
+    layer_max = np.abs(sol.speeds).max(axis=(0, 2))
+    k = int(np.flatnonzero(layer_max > 1e-3 + 1e-6)[0])
+    assert (f"speed bound first exceeded at time layer {k} (t = {sol.times[k]:.6g}): "
+            f"max |speed| = {layer_max[k]:.6g}; ") in printed
+    for name in ("solution.csv", "solution.npz", "surplus.csv", "manifest.json"):
         assert (out / name).is_file()
 
 
@@ -205,6 +217,73 @@ def test_simulate_hash_mismatch_exit_5(config_path, tmp_path):
     assert main(["simulate", "--config", str(other_path),
                  "--solution", str(out / "solution.csv"),
                  "--paths", "100", "--seed", "1", "--out", str(tmp_path / "sim")]) == 5
+
+
+def _solve_and_simulate(config_path, tmp_path):
+    out = tmp_path / "sol"
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--grid", "41,41"]) == 0
+    return out, ["simulate", "--config", str(config_path), "--solution",
+                 str(out / "solution.csv"), "--paths", "50", "--seed", "1",
+                 "--out", str(tmp_path / "sim")]
+
+
+def test_simulate_refuses_edited_solution_exit_5(config_path, tmp_path, capsys):
+    out, simulate = _solve_and_simulate(config_path, tmp_path)
+    assert main(simulate) == 0
+    npz = out / "solution.npz"
+    data = bytearray(npz.read_bytes())
+    data[len(data) // 2] ^= 1
+    npz.write_bytes(bytes(data))
+    assert main(simulate) == 5
+    assert "solution.npz" in capsys.readouterr().err
+
+
+def test_simulate_without_npz_exit_1(config_path, tmp_path, capsys):
+    out, simulate = _solve_and_simulate(config_path, tmp_path)
+    (out / "solution.npz").unlink()
+    assert main(simulate) == 1
+    assert "solution.npz" in capsys.readouterr().err
+
+
+def test_manifests_record_digests_and_stage_timings(config_path, tmp_path):
+    out, simulate = _solve_and_simulate(config_path, tmp_path)
+    assert main(simulate) == 0
+    expected = {
+        out: ["solve", "residual", "surplus", "write solution.csv", "write solution.npz",
+              "write surplus.csv", "sha256"],
+        tmp_path / "sim": ["verify solution.npz", "load", "simulate_paths", "mc_consistency",
+                           "write paths.csv", "sha256"],
+    }
+    for run, stages in expected.items():
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert sorted(manifest["timings_s"]) == sorted(stages)
+        assert all(isinstance(v, float) and v >= 0.0 for v in manifest["timings_s"].values())
+        assert list(manifest["output_sha256"]) == manifest["outputs"]
+        for name, sha in manifest["output_sha256"].items():
+            assert sha == file_sha256(run / name)
+
+
+def test_commands_load_no_scipy_submodule_they_do_not_use(config_path, tmp_path):
+    # a fresh interpreter: importing the package and running check and
+    # simulate on a linear-cost call leave the three heavy submodules unloaded
+    out, simulate = _solve_and_simulate(config_path, tmp_path)
+    code = (
+        "import json, sys\n"
+        "import illiq, illiq.cli\n"
+        "heavy = ('scipy.fft', 'scipy.linalg', 'scipy.interpolate')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "report = {'import': loaded()}\n"
+        f"report['check'] = [illiq.cli.main(['check', '--config', {str(config_path)!r}]), loaded()]\n"
+        f"report['simulate'] = [illiq.cli.main({simulate!r}), loaded()]\n"
+        "print(json.dumps(report))\n"
+    )
+    src = str(Path(illiq.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"import": [], "check": [0, []], "simulate": [0, []]}
 
 
 def test_sweep_split_passes(config_path, tmp_path):

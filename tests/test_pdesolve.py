@@ -18,7 +18,7 @@ from illiq import (
     Solution,
     equilibrium_fields,
     heat_convolve,
-    read_solution_csv,
+    read_solution_npz,
     residual,
     rn_aggregate_grid,
     solve_closed,
@@ -26,6 +26,7 @@ from illiq import (
     solve_picard,
     surplus,
     write_solution_csv,
+    write_solution_npz,
 )
 from illiq.closedform import central_gradient
 
@@ -412,16 +413,34 @@ def test_cara_surplus_uses_utility_scale(market, linear_cost, call):
 
 
 def test_solution_csv_roundtrip(tmp_path, call_solution):
+    # %.17g round-trips every double, so the CSV parses back to the lattices
     path = tmp_path / "solution.csv"
     write_solution_csv(call_solution, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,p,v_1,grad_1,speed_1,agg_speed"
-    back = read_solution_csv(path, call_solution.grid)
-    assert back.grid == call_solution.grid
-    assert np.array_equal(back.values, call_solution.values)
-    assert np.array_equal(back.gradients, call_solution.gradients)
-    assert np.array_equal(back.speeds, call_solution.speeds)
-    assert np.array_equal(back.aggregate_speed, call_solution.aggregate_speed)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    n_t, n_p = call_solution.values.shape[1:]
+    assert np.array_equal(data[::n_p, 0], call_solution.times)
+    assert np.array_equal(data[:n_p, 1], call_solution.prices)
+    for col, field in enumerate((call_solution.values[0], call_solution.gradients[0],
+                                 call_solution.speeds[0], call_solution.aggregate_speed), 2):
+        assert np.array_equal(data[:, col].reshape(n_t, n_p), field)
+
+
+@pytest.mark.parametrize("solver", [solve_fd, solve_picard], ids=["fd", "picard"])
+def test_solution_npz_roundtrip(tmp_path, zero_sum_game, solver):
+    sol = solver(zero_sum_game, GridSpec(94.0, 106.0, 41, 41, quad_nodes=64))
+    path = tmp_path / "solution.npz"
+    write_solution_npz(sol, path)
+    back = read_solution_npz(path, sol.grid)
+    assert back.grid == sol.grid
+    for name in ("times", "prices", "values", "gradients", "speeds", "aggregate_speed"):
+        assert np.array_equal(getattr(back, name), getattr(sol, name)), name
+    # the certificate comes back as the object residual reads, and the rest as JSON values
+    assert back.meta == sol.meta
+    assert isinstance(back.meta["certificate"], illiq.CostCertificate)
+    assert np.array_equal(residual(back, zero_sum_game).per_player,
+                          residual(sol, zero_sum_game).per_player)
 
 
 def test_read_solution_grid_follows_the_file(tmp_path, call_game):
@@ -429,9 +448,9 @@ def test_read_solution_grid_follows_the_file(tmp_path, call_game):
     # describes the file's prices and layers, not the config's sizes
     config_grid = GridSpec(94.0, 106.0, 81, 100, quad_nodes=64)
     sol = solve_fd(call_game, GridSpec(94.0, 106.0, 41, 100, quad_nodes=64))
-    path = tmp_path / "solution.csv"
-    write_solution_csv(sol, path)
-    back = read_solution_csv(path, config_grid)
+    path = tmp_path / "solution.npz"
+    write_solution_npz(sol, path)
+    back = read_solution_npz(path, config_grid)
     assert (back.grid.n_p, back.grid.n_t) == (41, sol.times.size)
     assert back.grid.dp == pytest.approx(0.3)
     assert np.array_equal(back.grid.prices, back.prices)

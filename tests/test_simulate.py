@@ -22,12 +22,12 @@ from illiq import (
     heat_convolve,
     mc_consistency,
     physical_delivery_value,
-    read_solution_csv,
+    read_solution_npz,
     realized_objectives,
     simulate_paths,
     solve_fd,
     write_paths_csv,
-    write_solution_csv,
+    write_solution_npz,
 )
 from illiq.pdesolve import _time_blend, _time_weight
 
@@ -251,10 +251,10 @@ def spread_trio(tmp_path_factory):
     solved = GameSpec(MarketParams(sigma=0.5, lam=0.01, maturity=1.0, p0=100.0), cost, players)
     grid = GridSpec(97.0, 103.0, 81, 100)
     sol = solve_fd(solved, grid)
-    path = tmp_path_factory.mktemp("trio") / "solution.csv"
-    write_solution_csv(sol, path)
+    path = tmp_path_factory.mktemp("trio") / "solution.npz"
+    write_solution_npz(sol, path)
     driven = GameSpec(MarketParams(sigma=1.3, lam=0.01, maturity=1.0, p0=100.0), cost, players)
-    return driven, sol, read_solution_csv(path, grid)
+    return driven, sol, read_solution_npz(path, grid)
 
 
 @pytest.mark.parametrize("reloaded", [False, True])
