@@ -19,12 +19,14 @@ the SHA-256 of each output it lists as ``output_sha256`` and the seconds of
 each stage as ``timings_s``.
 Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
 only the sweep metrics table, whose value column mixes numbers and empty
-cells, is written by hand.
+cells, is written by hand, its numbers in ``pdesolve.CSV_FLOAT``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import sys
@@ -59,6 +61,7 @@ from .model import (
     load_config,
 )
 from .pdesolve import (
+    CSV_FLOAT,
     SolverError,
     _write_lattice_csv,
     _write_table,
@@ -285,10 +288,11 @@ def cmd_simulate(args) -> int:
         expected = recorded.get("output_sha256", {}).get(SOLUTION_NPZ)
         if expected is None:
             raise HashMismatch(f"{manifest_path} records no sha256 for {SOLUTION_NPZ}")
-        if file_sha256(npz_path) != expected:
+        data = npz_path.read_bytes()  # hashed and loaded from the same bytes
+        if hashlib.sha256(data).hexdigest() != expected:
             raise HashMismatch(f"{npz_path} differs from the sha256 its manifest records")
     with _timed(timings, "load"):
-        sol = read_solution_npz(npz_path, grid)
+        sol = read_solution_npz(io.BytesIO(data), grid)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,10 +341,10 @@ def _write_sweep_csv(result: SweepResult, path) -> None:
         vals = np.atleast_1d(arr)
         if vals.size == len(result.values):
             for v, m in zip(result.values, vals):
-                lines.append(f"{result.param},{v},{name},{m:.17g}")
+                lines.append(f"{result.param},{v},{name},{CSV_FLOAT % m}")
         else:
             for m in vals:
-                lines.append(f"{result.param},,{name},{m:.17g}")
+                lines.append(f"{result.param},,{name},{CSV_FLOAT % m}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,0 +1,245 @@
+"""The CSV number kernel: ``pdesolve._g17`` against ``CSV_FLOAT % x``, and
+every numeric CSV the package writes against a writer that formats each
+number with ``%``."""
+
+import json
+import math
+import os
+import tracemalloc
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import illiq.cli
+import illiq.pdesolve
+import illiq.simulate
+from illiq import GridSpec, solve_closed, solve_fd
+from illiq.cli import main
+from illiq.pdesolve import CSV_FLOAT, Solution, _g17, _g17_digits, write_solution_csv
+from illiq.simulate import simulate_paths, write_paths_csv
+
+
+def _percent(x) -> list:
+    return [CSV_FLOAT % v for v in np.asarray(x, dtype=float).ravel().tolist()]
+
+
+def _kernel(x) -> list:
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _g17(np.asarray(x, dtype=float))]
+
+
+def _adversarial() -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # a few doubles either side of the fixed/exponent switches, where a
+    # rounding carry would change X from -5 to -4 or from 16 to 17
+    switch = []
+    for edge in (1e-5, 1e-4, 1e16, 1e17):
+        x = edge
+        for _ in range(8):
+            x = np.nextafter(x, 0.0)
+            switch.append(x)
+        x = edge
+        for _ in range(8):
+            x = np.nextafter(x, np.inf)
+            switch.append(x)
+    ends = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            math.inf, math.nan, 0.5, 1.0, 100.0, 1e16 + 2, 123456789.0, 0.1, 1 / 3]
+    values = np.concatenate([near, switch, ends])
+    return np.concatenate([values, -values])
+
+
+def _ties() -> np.ndarray:
+    """Doubles whose exact decimal value lies halfway between two 17-digit
+    numbers: m / 2^k with 18 significant digits, the last a 5."""
+    rng = np.random.default_rng(5)
+    ties = []
+    for digits in range(1, 6):  # digits before the point
+        k = 18 - digits
+        lo, hi = 10 ** (digits - 1) * 2**k, 10**digits * 2**k
+        for m in rng.integers(lo, hi, 40):
+            x = (int(m) | 1) / 2**k
+            text = format(Decimal(x), "f").rstrip("0")
+            if len(text.replace(".", "").lstrip("0")) == 18:
+                ties.append(x)
+    return np.array(ties)
+
+
+def test_kernel_matches_percent_on_adversarial_values():
+    x = _adversarial()
+    assert _kernel(x) == _percent(x)
+
+
+def test_kernel_matches_percent_on_exact_ties():
+    ties = _ties()
+    assert ties.size > 100
+    assert _kernel(ties) == _percent(ties)
+    # a tie is left to %, which rounds it half to even
+    assert _g17_digits(ties)[2].all()
+
+
+def test_kernel_matches_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(11).integers(0, 2**64, 50_000, dtype=np.uint64)
+    x = bits.view(np.float64)
+    assert _kernel(x) == _percent(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_kernel_matches_percent_on_any_floats(values):
+    assert _kernel(values) == _percent(values)
+
+
+def test_kernel_keeps_zeros_and_integers_on_the_vector_path():
+    x = np.concatenate([[0.0, -0.0], np.arange(1000.0)])
+    assert not _g17_digits(x)[2].any()
+    assert _kernel(x) == _percent(x)
+
+
+def test_fallback_share_on_the_call_lattice(call_solution):
+    sol = call_solution
+    numbers = np.concatenate([sol.times, sol.prices, sol.values.ravel(),
+                              sol.gradients.ravel(), sol.speeds.ravel(),
+                              sol.aggregate_speed.ravel()])
+    assert _g17_digits(numbers)[2].mean() < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# every numeric CSV, byte for byte against a writer that uses % per number
+# ---------------------------------------------------------------------------
+
+
+def _percent_table(path, header, blocks) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            for row in np.asarray(block, dtype=float):
+                fh.write(",".join(_percent(row)) + "\n")
+
+
+def _percent_lattice(path, rows, cols, fields: dict) -> None:
+    (row_name, row_axis), (col_name, col_axis) = rows, cols
+    values = [np.asarray(field, dtype=float) for field in fields.values()]
+    with open(path, "w") as fh:
+        fh.write(",".join([row_name, col_name, *fields]) + "\n")
+        for i, head in enumerate(_percent(row_axis)):
+            for j, tail in enumerate(_percent(col_axis)):
+                fh.write(",".join([head, tail, *_percent([v[i, j] for v in values])]) + "\n")
+
+
+@pytest.fixture()
+def percent_writers(monkeypatch):
+    """Switch every module that writes CSV over to the % writers."""
+
+    def switch():
+        for module in (illiq.pdesolve, illiq.cli, illiq.simulate):
+            monkeypatch.setattr(module, "_write_lattice_csv", _percent_lattice)
+        for module in (illiq.pdesolve, illiq.cli):
+            monkeypatch.setattr(module, "_write_table", _percent_table)
+
+    return switch
+
+
+def _run_twice(tmp_path, percent_writers, argv) -> tuple:
+    """Run the CLI with the kernel, then with the % writers; the two output dirs."""
+    fast, slow = tmp_path / "kernel", tmp_path / "percent"
+    assert main([*argv, "--out", str(fast)]) == 0
+    percent_writers()
+    assert main([*argv, "--out", str(slow)]) == 0
+    return fast, slow
+
+
+def _assert_same_csvs(fast, slow, names) -> None:
+    for name in names:
+        assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+
+def _config(tmp_path, players) -> str:
+    doc = {
+        "market": {"sigma": 1.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
+        "cost": {"kind": "linear", "kappa": 0.01},
+        "players": players,
+        "grid": {"p_min": 94.0, "p_max": 106.0, "n_p": 81, "n_t": 120, "quad_nodes": 64},
+    }
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_CALL = {"utility": {"kind": "risk_neutral"}, "payoff": {"kind": "smoothed_call", "K": 100.0}}
+_SHORT = {"utility": {"kind": "risk_neutral"},
+          "payoff": {"kind": "negated", "inner": {"kind": "smoothed_call", "K": 100.0}}}
+
+
+@pytest.mark.parametrize("players, method", [([_CALL], "fd"), ([_CALL, _SHORT], "closed")],
+                         ids=["N1-fd", "N2-closed"])
+def test_solve_csvs_match_percent_writer(tmp_path, percent_writers, players, method):
+    fast, slow = _run_twice(tmp_path, percent_writers,
+                            ["solve", "--config", _config(tmp_path, players), "--method", method])
+    _assert_same_csvs(fast, slow, ["solution.csv", "surplus.csv"])
+    # the manifests record the same digests for the same bytes
+    sha = [json.loads((d / "manifest.json").read_text())["output_sha256"] for d in (fast, slow)]
+    assert sha[0]["solution.csv"] == sha[1]["solution.csv"]
+
+
+def test_paths_csv_matches_percent_writer(tmp_path, percent_writers, call_game):
+    sol = solve_fd(call_game, GridSpec(94.0, 106.0, 81, 100))
+    bundle = simulate_paths(sol, call_game, 150, 3, 60)
+    write_paths_csv(bundle, tmp_path / "kernel.csv")
+    percent_writers()
+    write_paths_csv(bundle, tmp_path / "percent.csv")
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
+
+
+@pytest.mark.parametrize("study, names", [
+    (["--study", "spread", "--s", "0,0.003", "--grid", "61,40"],
+     ["sweep.csv", "sweep_grids.csv"]),
+    (["--study", "figure:fig1", "--grid", "61,21"], ["fig1_speed.csv", "fig1_surplus.csv"]),
+], ids=["spread", "fig1"])
+def test_sweep_csvs_match_percent_writer(tmp_path, percent_writers, study, names):
+    fast, slow = _run_twice(tmp_path, percent_writers,
+                            ["sweep", "--config", _config(tmp_path, [_CALL]), *study])
+    _assert_same_csvs(fast, slow, names)
+
+
+def test_n2_solution_csv_matches_percent_writer(tmp_path, percent_writers, zero_sum_game):
+    sol = solve_closed(zero_sum_game, GridSpec(94.0, 106.0, 61, 50))
+    write_solution_csv(sol, tmp_path / "kernel.csv")
+    percent_writers()
+    write_solution_csv(sol, tmp_path / "percent.csv")
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+def _synthetic_solution(n_t: int) -> Solution:
+    grid = GridSpec(94.0, 106.0, 401, n_t)
+    times = np.linspace(0.0, 1.0, n_t)
+    prices = grid.prices
+    field = np.sin(times[:, None] * 3.0 + prices[None, :] / 7.0)[None]
+    return Solution(grid, times, prices, field, field * 0.3, field * -2e-3, field[0] * 1e-5, {})
+
+
+def _write_peak(n_t: int) -> int:
+    sol = _synthetic_solution(n_t)
+    write_solution_csv(sol, os.devnull)  # tables built before measuring
+    tracemalloc.start()
+    try:
+        write_solution_csv(sol, os.devnull)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solution_csv_memory_is_flat_in_n_t():
+    # the writer holds one block of lines, not the file: the peak at
+    # 401 x 2000 is a few MB and the same as at 401 x 200
+    small, large = _write_peak(200), _write_peak(2000)
+    assert large < 8e6
+    assert large - small < 2e5

@@ -44,9 +44,10 @@ def _holders(text: str) -> list:
 
 def test_one_function_writes_numeric_csv():
     # the CSV dialect lives in one place: nothing calls savetxt, and only
-    # pdesolve's CSV_FLOAT, which both numeric writers use, holds the number format
+    # pdesolve's CSV_FLOAT, which both numeric writers and the sweep metrics
+    # table use, holds the number format, as a %-format or a format spec
     assert _callers("savetxt") == []
-    assert _holders("%.17g") == ["pdesolve.<module>"]
+    assert _holders(".17g") == ["pdesolve.<module>"]
 
 
 def test_only_model_tells_utilities_apart():
