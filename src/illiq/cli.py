@@ -40,6 +40,9 @@ import numpy as np
 from . import __version__
 from .closedform import ClosedFormError
 from .experiments import (
+    PLAYER_COUNTS,
+    SHARPNESS,
+    SPREADS,
     ExperimentError,
     SweepResult,
     cara_two_player_study,
@@ -375,13 +378,12 @@ def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
     if study == "zero_sum":
         return zero_sum_report(game, grid)
     if study in ("predator", "split"):
-        ns = _csv_list(args.n_list, int, "--N") if args.n_list else (1, 10, 100)
+        ns = _csv_list(args.n_list, int, "--N") if args.n_list else PLAYER_COUNTS
         fn = predator_sweep if study == "predator" else split_sweep
         return fn(game.players[0].endowment, ns, game, grid)
     if study == "spread":
-        spreads = (_csv_list(args.s_list, float, "--s") if args.s_list
-                   else (0.0, 0.001, 0.002, 0.003, 0.004))
-        sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else 100.0
+        spreads = _csv_list(args.s_list, float, "--s") if args.s_list else SPREADS
+        sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else SHARPNESS
         return spread_sweep(game, spreads, sharpness, grid)
     if study == "cara2":
         alphas = [a for a in game.alphas if a > 0.0]

@@ -6,6 +6,9 @@ Each study returns a SweepResult carrying its scalar metrics, any grids a
 plot would need (1-D rows over the price grid, or (n_t, n_p) lattices when
 the swept parameter is the time ``t``), the pass/fail state of its
 assertions and provenance hashes of the game and grid that produced it.
+``_result`` stamps those hashes on every result, the predator and split
+sweeps share ``_player_count_sweep``, every figure's game comes from
+``_benchmark_game``, and the CLI takes its sweep defaults from this module.
 """
 
 from __future__ import annotations
@@ -60,6 +63,12 @@ SPREAD_MONOTONE_TOL = 1e-6
 # the band around p0 on which they are checked
 SIGN_TOL = 1e-6
 BAND_HALF_WIDTH = 5.0
+# defaults shared by ``illiq sweep`` and the figures: the player counts of the
+# predator and split sweeps (fig6), and the spreads and sharpness C of the
+# spread sweep (fig3, fig4)
+PLAYER_COUNTS = (1, 10, 100)
+SPREADS = (0.0, 0.001, 0.002, 0.003, 0.004)
+SHARPNESS = 100.0
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,22 @@ class SweepResult:
         return all(self.assertions.values())
 
 
-def _hashes(game: GameSpec, grid: GridSpec):
-    return digest(game_to_dict(game)), digest(grid_to_dict(grid))
+def _result(game: GameSpec, grid: GridSpec, param: str, values, metrics: dict, grids: dict,
+            assertions: dict) -> SweepResult:
+    """A study's result, stamped with the digests of the game and grid behind it."""
+    return SweepResult(param, tuple(values), metrics, grids, assertions,
+                       digest(game_to_dict(game)), digest(grid_to_dict(grid)))
+
+
+def _column_keys(fmt: str, values) -> list:
+    """``fmt.format(v)`` for each swept value v, the suffix of its grid
+    columns; two values that would share a column are rejected."""
+    keys = [fmt.format(v) for v in values]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValidationError(f"swept values {values[keys.index(key)]!r} and {values[i]!r} "
+                                  f"share the grid column suffix '{key}'")
+    return keys
 
 
 def _non_increasing(values: np.ndarray, tol: float) -> bool:
@@ -97,10 +120,8 @@ def zero_sum_report(game: GameSpec, grid: GridSpec) -> SweepResult:
     max_agg = float(np.max(np.abs(sol.aggregate_speed)))
     max_vsum = float(np.max(np.abs(sol.values.sum(axis=0))))
     scale = max(1.0, max(pl.endowment.bound for pl in game.players))
-    game_hash, grid_hash = _hashes(game, grid)
-    return SweepResult(
-        param="study",
-        values=("zero_sum",),
+    return _result(
+        game, grid, "study", ("zero_sum",),
         metrics={
             "max_aggregate_speed": np.array([max_agg]),
             "max_value_sum": np.array([max_vsum]),
@@ -111,14 +132,7 @@ def zero_sum_report(game: GameSpec, grid: GridSpec) -> SweepResult:
             "offsetting_payoffs": max_payoff_sum <= 1e-9 * scale,
             "aggregate_speed_cancels": max_agg <= 10.0 * sol.meta["root_tol"],
         },
-        game_hash=game_hash,
-        grid_hash=grid_hash,
     )
-
-
-def _rn_linear_template(template: GameSpec, what: str) -> None:
-    if not isinstance(template.cost, LinearCost):
-        raise ExperimentError(f"{what} requires a linear cost template")
 
 
 def _predator_game(h1: Payoff, n: int, template: GameSpec) -> GameSpec:
@@ -132,10 +146,18 @@ def _split_game(h: Payoff, n: int, template: GameSpec) -> GameSpec:
     return GameSpec(template.market, template.cost, players)
 
 
-def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridSpec) -> dict:
-    """Time-zero aggregate speed per N: the speed root at lambda times the
-    price gradient of the closed-form aggregate value on the grid's prices."""
-    rows = {}
+def _player_count_sweep(what: str, make_game, h: Payoff, ns, template: GameSpec,
+                        grid: GridSpec, signed: bool, column: str, monotone,
+                        rate_name: str) -> SweepResult:
+    """Time-zero aggregate speed of ``make_game(h, N, template)`` per N (the
+    speed root at lambda times the gradient of the closed-form aggregate
+    value), signed or not, in the grid columns ``<column><N>``.  The claims:
+    ``monotone = (name, claim(rows, max_abs))`` and the 1/(N+1) rate."""
+    if not isinstance(template.cost, LinearCost):
+        raise ExperimentError(f"{what} requires a linear cost template")
+    ns = tuple(int(n) for n in ns)
+    keys = _column_keys("{}", ns)
+    rows = []
     for n in ns:
         if n < 1:
             raise ValidationError(f"a sweep over player counts needs N >= 1, got N = {n}")
@@ -143,60 +165,41 @@ def _closed_speed_rows(make_game, h: Payoff, ns, template: GameSpec, grid: GridS
         v0 = _cole_hopf_layers(_cole_hopf_problem(game, "a sweep over N"), grid, [0.0])[0]
         v_p = central_gradient(v0, grid.dp)
         eps = certify_for_game(game).eps_floor
-        rows[n] = aggregate_speed_many(game.cost, n, game.market.lam * v_p, eps)
-    return rows
+        row = aggregate_speed_many(game.cost, n, game.market.lam * v_p, eps)
+        rows.append(row if signed else np.abs(row))
+    max_abs = np.array([float(np.max(np.abs(row))) for row in rows])
+    name, claim = monotone
+    assertions = {name: claim(rows, max_abs)}
+    if len(ns) >= 2:
+        # 1/(N+1) rate with 10% slack for the value's own N dependence
+        rate = (ns[0] + 1) / (ns[-1] + 1)
+        assertions[rate_name] = bool(max_abs[-1] <= rate * 1.1 * max_abs[0])
+    return _result(
+        make_game(h, ns[0], template), grid, "N", ns,
+        metrics={"max_abs_aggregate_speed": max_abs},
+        grids={"prices": grid.prices, **{column + k: row for k, row in zip(keys, rows)}},
+        assertions=assertions,
+    )
 
 
 def predator_sweep(h1: Payoff, ns, template: GameSpec, grid: GridSpec) -> SweepResult:
     """One option holder against N-1 endowment-free competitors: the more
     competitors, the smaller the aggregate manipulation."""
-    _rn_linear_template(template, "predator_sweep")
-    ns = tuple(int(n) for n in ns)
-    rows = _closed_speed_rows(_predator_game, h1, ns, template, grid)
-    max_abs = np.array([float(np.max(np.abs(rows[n]))) for n in ns])
-    assertions = {"max_speed_decreasing": _non_increasing(max_abs, 0.0)}
-    if len(ns) >= 2:
-        # 1/(N+1) rate with 10% slack for the value's own N dependence
-        rate = (ns[0] + 1) / (ns[-1] + 1)
-        assertions["rate_bound"] = bool(max_abs[-1] <= rate * 1.1 * max_abs[0])
-    game_hash, grid_hash = _hashes(_predator_game(h1, ns[0], template), grid)
-    return SweepResult(
-        param="N",
-        values=ns,
-        metrics={"max_abs_aggregate_speed": max_abs},
-        grids={"prices": grid.prices, **{f"agg_speed_N{n}": rows[n] for n in ns}},
-        assertions=assertions,
-        game_hash=game_hash,
-        grid_hash=grid_hash,
-    )
+    return _player_count_sweep(
+        "predator_sweep", _predator_game, h1, ns, template, grid, True, "agg_speed_N",
+        ("max_speed_decreasing", lambda rows, max_abs: _non_increasing(max_abs, 0.0)),
+        "rate_bound")
 
 
 def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec) -> SweepResult:
     """The endowment h split equally over N holders: |aggregate speed| is
     pointwise non-increasing in N and decays toward zero."""
-    _rn_linear_template(template, "split_sweep")
-    ns = tuple(int(n) for n in ns)
-    rows = {n: np.abs(row)
-            for n, row in _closed_speed_rows(_split_game, h, ns, template, grid).items()}
-    max_abs = np.array([float(np.max(rows[n])) for n in ns])
-    pointwise = all(
-        bool(np.all(rows[ns[i + 1]] <= rows[ns[i]] + SPLIT_MONOTONE_TOL))
-        for i in range(len(ns) - 1)
-    )
-    assertions = {"pointwise_non_increasing": pointwise}
-    if len(ns) >= 2:
-        rate = (ns[0] + 1) / (ns[-1] + 1)
-        assertions["decays_toward_zero"] = bool(max_abs[-1] <= rate * 1.1 * max_abs[0])
-    game_hash, grid_hash = _hashes(_split_game(h, ns[0], template), grid)
-    return SweepResult(
-        param="N",
-        values=ns,
-        metrics={"max_abs_aggregate_speed": max_abs},
-        grids={"prices": grid.prices, **{f"abs_agg_speed_N{n}": rows[n] for n in ns}},
-        assertions=assertions,
-        game_hash=game_hash,
-        grid_hash=grid_hash,
-    )
+    def pointwise(rows, max_abs):
+        return all(bool(np.all(b <= a + SPLIT_MONOTONE_TOL)) for a, b in zip(rows, rows[1:]))
+
+    return _player_count_sweep(
+        "split_sweep", _split_game, h, ns, template, grid, False, "abs_agg_speed_N",
+        ("pointwise_non_increasing", pointwise), "decays_toward_zero")
 
 
 def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec) -> SweepResult:
@@ -208,32 +211,28 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec)
         raise ExperimentError("spread_sweep requires a linear or smoothed-spread cost")
     kappa = base_game.cost.kappa
     spreads = tuple(float(s) for s in spreads)
-    speed_rows, surplus_rows = {}, {}
+    keys = _column_keys("s{:g}", spreads)
+    speed_rows, surplus_rows = [], []
     for s in spreads:
         cost = SmoothedSpreadCost(kappa=kappa, spread=s, sharpness=sharpness)
         game_s = GameSpec(base_game.market, cost, base_game.players)
         sol = solve_fd(game_s, grid)
-        speed_rows[s] = sol.speeds[0, 0].copy()
-        surplus_rows[s] = surplus(sol, game_s, time_indices=[0])[0, 0]
-    max_speed = np.array([float(np.max(np.abs(speed_rows[s]))) for s in spreads])
-    max_surplus = np.array([float(np.max(surplus_rows[s])) for s in spreads])
-    assertions = {
-        "max_speed_non_increasing": _non_increasing(max_speed, SPREAD_MONOTONE_TOL),
-        "max_surplus_non_increasing": _non_increasing(max_surplus, SPREAD_MONOTONE_TOL),
-    }
-    game_hash, grid_hash = _hashes(base_game, grid)
-    return SweepResult(
-        param="s",
-        values=spreads,
+        speed_rows.append(sol.speeds[0, 0].copy())
+        surplus_rows.append(surplus(sol, game_s, time_indices=[0])[0, 0])
+    max_speed = np.array([float(np.max(np.abs(row))) for row in speed_rows])
+    max_surplus = np.array([float(np.max(row)) for row in surplus_rows])
+    return _result(
+        base_game, grid, "s", spreads,
         metrics={"max_abs_speed": max_speed, "max_surplus": max_surplus},
         grids={
             "prices": grid.prices,
-            **{f"speed_s{s:g}": speed_rows[s] for s in spreads},
-            **{f"surplus_s{s:g}": surplus_rows[s] for s in spreads},
+            **{f"speed_{k}": row for k, row in zip(keys, speed_rows)},
+            **{f"surplus_{k}": row for k, row in zip(keys, surplus_rows)},
         },
-        assertions=assertions,
-        game_hash=game_hash,
-        grid_hash=grid_hash,
+        assertions={
+            "max_speed_non_increasing": _non_increasing(max_speed, SPREAD_MONOTONE_TOL),
+            "max_surplus_non_increasing": _non_increasing(max_surplus, SPREAD_MONOTONE_TOL),
+        },
     )
 
 
@@ -257,14 +256,8 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
     writer_speed = sol.speeds[0, 0]
     issuer_speed = sol.speeds[1, 0]
     surp = surplus(sol, game, time_indices=[0])[:, 0, :]
-    assertions = {
-        "writer_buys": bool(np.min(writer_speed[mask]) >= -SIGN_TOL),
-        "issuer_sells": bool(np.max(issuer_speed[mask]) <= SIGN_TOL),
-    }
-    game_hash, grid_hash = _hashes(game, grid)
-    return SweepResult(
-        param="alpha",
-        values=(float(alphas[0]), float(alphas[1])),
+    return _result(
+        game, grid, "alpha", (float(alphas[0]), float(alphas[1])),
         metrics={
             "min_writer_speed_on_band": np.array([float(np.min(writer_speed[mask]))]),
             "max_issuer_speed_on_band": np.array([float(np.max(issuer_speed[mask]))]),
@@ -277,9 +270,10 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
             "writer_surplus": surp[0],
             "issuer_surplus": surp[1],
         },
-        assertions=assertions,
-        game_hash=game_hash,
-        grid_hash=grid_hash,
+        assertions={
+            "writer_buys": bool(np.min(writer_speed[mask]) >= -SIGN_TOL),
+            "issuer_sells": bool(np.max(issuer_speed[mask]) <= SIGN_TOL),
+        },
     )
 
 
@@ -288,74 +282,49 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
 # ---------------------------------------------------------------------------
 
 
-def _benchmark_market(sigma: float = 1.0) -> MarketParams:
-    return MarketParams(sigma=sigma, lam=0.01, maturity=1.0, p0=100.0)
-
-
-def _benchmark_payoff(kind: str, market: MarketParams) -> Payoff:
+def _benchmark_game(kind: str, sigma: float = 1.0) -> GameSpec:
+    """Single risk-neutral holder of the benchmark ``kind`` ("call" or
+    "digital"; K=100, T=1, lambda=kappa=0.01) on a market of volatility sigma."""
+    market = MarketParams(sigma=sigma, lam=0.01, maturity=1.0, p0=100.0)
     scale = market.scale
-    if kind == "call":
-        return SmoothedCall(strike=100.0, cap=10.0 * scale, width=0.05 * scale)
-    if kind == "digital":
-        return SmoothedDigital(strike=100.0, width=0.05 * scale)
-    raise ExperimentError(f"unknown payoff kind '{kind}'")
-
-
-def _speed_surplus_grid(kind: str, grid: GridSpec | None) -> SweepResult:
-    """Time-price grids of the single-holder speed and surplus under the
-    benchmark parameters (K=100, T=1, sigma=1, lambda=kappa=0.01), swept
-    over the time axis."""
-    market = _benchmark_market()
-    game = GameSpec(market, LinearCost(0.01),
-                    (PlayerSpec(RiskNeutral(), _benchmark_payoff(kind, market)),))
-    grid = grid or GridSpec.for_market(market, n_p=241, n_t=101)
-    sol = solve_closed(game, grid)
-    game_hash, grid_hash = _hashes(game, grid)
-    return SweepResult(
-        param="t",
-        values=tuple(sol.times.tolist()),
-        metrics={},
-        grids={"prices": sol.prices, "speed": sol.aggregate_speed,
-               "surplus": surplus(sol, game)[0]},
-        assertions={},
-        game_hash=game_hash,
-        grid_hash=grid_hash,
-    )
+    h = (SmoothedCall(strike=100.0, cap=10.0 * scale, width=0.05 * scale) if kind == "call"
+         else SmoothedDigital(strike=100.0, width=0.05 * scale))
+    return GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), h),))
 
 
 def figure_grids(which: str, grid: GridSpec | None = None):
     """Tabular data behind the benchmark figures.
 
-    fig1/fig2: single-holder speed and surplus grids (call / digital);
-    fig3/fig4: spread sweeps (call / digital); fig5: the two-player
-    exponential-utility study; fig6: the split sweep for N in {1, 10, 100}.
+    fig1/fig2: single-holder speed and surplus grids over (t, p) (call /
+    digital), from the closed form;
+    fig3/fig4: spread sweeps over ``SPREADS`` at ``SHARPNESS`` (call /
+    digital); fig5: the two-player exponential-utility study; fig6: the split
+    sweep over ``PLAYER_COUNTS``.
     fig5 spans its own sigma = 2 market, keeping only a given grid's sizes.
     """
-    market = _benchmark_market()
     if which in ("fig1", "fig2"):
-        return _speed_surplus_grid("call" if which == "fig1" else "digital", grid)
+        game = _benchmark_game("call" if which == "fig1" else "digital")
+        grid = grid or GridSpec.for_market(game.market, n_p=241, n_t=101)
+        sol = solve_closed(game, grid)
+        return _result(game, grid, "t", sol.times.tolist(), metrics={},
+                       grids={"prices": sol.prices, "speed": sol.aggregate_speed,
+                              "surplus": surplus(sol, game)[0]},
+                       assertions={})
     if which in ("fig3", "fig4"):
-        kind = "call" if which == "fig3" else "digital"
-        game = GameSpec(market, LinearCost(0.01),
-                        (PlayerSpec(RiskNeutral(), _benchmark_payoff(kind, market)),))
-        grid = grid or GridSpec.for_market(market, n_p=401, n_t=1000)
-        return spread_sweep(game, (0.0, 0.001, 0.002, 0.003, 0.004), 100.0, grid)
+        game = _benchmark_game("call" if which == "fig3" else "digital")
+        grid = grid or GridSpec.for_market(game.market, n_p=401, n_t=1000)
+        return spread_sweep(game, SPREADS, SHARPNESS, grid)
     if which == "fig5":
-        market2 = _benchmark_market(sigma=2.0)
-        game = GameSpec(market2, LinearCost(0.01),
-                        (PlayerSpec(RiskNeutral(), _benchmark_payoff("call", market2)),))
+        game = _benchmark_game("call", sigma=2.0)
         sizes = (grid.n_p, grid.n_t, grid.quad_nodes) if grid else (401, 1000, 128)
-        grid = GridSpec.for_market(market2, *sizes)
+        grid = GridSpec.for_market(game.market, *sizes)
         return {
             "plain": cara_two_player_study((0.01, 0.01), game, grid),
             "dashed": cara_two_player_study((0.001, 0.1), game, grid),
         }
     if which == "fig6":
-        game = GameSpec(market, LinearCost(0.01),
-                        (PlayerSpec(RiskNeutral(), _benchmark_payoff("call", market)),))
-        grid = grid or GridSpec.for_market(market, n_p=401, n_t=101)
-        return {
-            "call": split_sweep(_benchmark_payoff("call", market), (1, 10, 100), game, grid),
-            "digital": split_sweep(_benchmark_payoff("digital", market), (1, 10, 100), game, grid),
-        }
+        games = {kind: _benchmark_game(kind) for kind in ("call", "digital")}
+        grid = grid or GridSpec.for_market(games["call"].market, n_p=401, n_t=101)
+        return {kind: split_sweep(game.players[0].endowment, PLAYER_COUNTS, game, grid)
+                for kind, game in games.items()}
     raise ExperimentError(f"unknown figure id '{which}'")

@@ -678,8 +678,13 @@ def _get(obj: dict, key: str, where: str):
 
 
 def _number(obj: dict, key: str, where: str, default=None, cast=float):
-    """``cast(obj[key])``; ``default``, when given, stands in for an absent key."""
+    """``cast(obj[key])``; ``default``, when given, stands in for an absent key.
+    A JSON boolean is not a number, and an int is not read from a fraction."""
     value = default if default is not None and key not in obj else _get(obj, key, where)
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as err:
@@ -687,7 +692,7 @@ def _number(obj: dict, key: str, where: str, default=None, cast=float):
 
 
 def _samples(values, where: str) -> tuple:
-    if not isinstance(values, list):
+    if not isinstance(values, list) or any(isinstance(v, bool) for v in values):
         raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
     try:
         return tuple(float(v) for v in values)

@@ -107,17 +107,14 @@ def certify_for_game(game: GameSpec) -> CostCertificate:
     """Certify the game's cost on an interval wide enough for its own
     equilibrium speed range, growing the interval until it self-covers."""
     cost = game.cost
-    lam = game.market.lam
-    h = game.max_payoff_slope()
-    n = game.n_players
     if _bounded(cost):
         cert = certify_cost(cost, cost.domain)
-        _check_coverage(cert, n * (lam / cert.eps_floor) * h)
+        apriori_speed_bound(game, cert)  # the table's domain must cover the bound
         return cert
     interval = (-1.0, 1.0)
     for _ in range(4):
         cert = certify_cost(cost, interval)
-        bound = n * (lam / cert.eps_floor) * h
+        bound = _speed_bound(game, cert.eps_floor)
         if cert.covers(bound):
             return cert
         reach = 1.05 * bound + 1.0
@@ -130,19 +127,19 @@ def _bounded(cost: CostFunction) -> bool:
     return all(math.isfinite(d) for d in cost.domain)
 
 
-def _check_coverage(cert: CostCertificate, bound: float) -> None:
+def _speed_bound(game: GameSpec, eps: float) -> float:
+    return game.n_players * (game.market.lam / eps) * game.max_payoff_slope()
+
+
+def apriori_speed_bound(game: GameSpec, cert: CostCertificate) -> float:
+    """Uniform equilibrium speed bound N (lambda / eps) max_j sup|H^j_p|;
+    raises CertificationError when the certificate's interval does not cover it."""
+    bound = _speed_bound(game, cert.eps_floor)
     if not cert.covers(bound):
         raise CertificationError(
             f"working interval [{cert.z_lo:g}, {cert.z_hi:g}] does not cover the "
             f"a-priori speed range +/-{bound:g}"
         )
-
-
-def apriori_speed_bound(game: GameSpec, cert: CostCertificate) -> float:
-    """Uniform equilibrium speed bound N (lambda / eps) max_j sup|H^j_p|."""
-    h = game.max_payoff_slope()
-    bound = game.n_players * (game.market.lam / cert.eps_floor) * h
-    _check_coverage(cert, bound)
     return bound
 
 

@@ -52,10 +52,13 @@ def test_check_malformed(tmp_path):
     assert main(["check", "--config", str(path)]) == 1
 
 
-@pytest.mark.parametrize("section, key", [("market", "sigma"), ("grid", "n_p")])
-def test_check_non_numeric_value_reports_key(tmp_path, capsys, section, key):
+@pytest.mark.parametrize("section, key, value", [
+    ("market", "sigma", "abc"), ("grid", "n_p", "abc"),
+    ("market", "sigma", True), ("grid", "n_p", 81.9),
+], ids=["market-sigma", "grid-n_p", "bool_sigma", "fractional_n_p"])
+def test_check_non_numeric_value_reports_key(tmp_path, capsys, section, key, value):
     doc = json.loads(json.dumps(BASE))
-    doc[section][key] = "abc"
+    doc[section][key] = value
     path = _write(tmp_path, "bad.json", doc)
     assert main(["check", "--config", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -362,6 +365,25 @@ def test_sweep_fig5_spans_its_own_market(config_path, tmp_path):
     assert (rows[0, 0], rows[-1, 0]) == (88.0, 112.0)
 
 
+@pytest.mark.parametrize("study, figure, prefix", [
+    ("spread", "fig3", "fig3"), ("split", "fig6", "fig6_call")])
+def test_sweep_defaults_match_figures(config_path, tmp_path, study, figure, prefix):
+    # the config's game is the benchmark call, so a study on its defaults
+    # (no --N, no --s) writes the same bytes as the figure built on that game
+    def run(name, stem):
+        out = tmp_path / name.replace(":", "_")
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--study", name, "--grid", "61,40"]) == 0
+        files = [(out / f"{stem}{suffix}").read_bytes() for suffix in (".csv", "_grids.csv")]
+        return files, json.loads((out / "assertions.json").read_text())
+
+    study_files, study_report = run(study, "sweep")
+    figure_files, figure_report = run(f"figure:{figure}", prefix)
+    assert study_files == figure_files
+    if figure == "fig3":  # fig6 holds two results, so its report names no one game
+        assert study_report["game_hash"] == figure_report["game_hash"]
+
+
 CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
                                  "payoff": {"kind": "smoothed_call", "K": 100.0}}]}
 
@@ -373,8 +395,11 @@ CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
     (BASE, ["--study", "spread", "--s", "0,x"], 1, "--s expects"),
     (BASE, ["--study", "predator", "--N", "0,1"], 1, "N >= 1"),
     (BASE, ["--study", "split", "--N", "0,1"], 1, "N >= 1"),
+    (BASE, ["--study", "spread", "--s", "0.001,0.0010000001"], 1,
+     "swept values 0.001 and 0.0010000001 share the grid column suffix 's0.001'"),
+    (BASE, ["--study", "split", "--N", "1,1"], 1, "swept values 1 and 1 share"),
 ], ids=["study_game_mismatch", "unknown_figure", "N_not_int", "s_not_float",
-        "predator_N0", "split_N0"])
+        "predator_N0", "split_N0", "s_shared_column", "N_repeated"])
 def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == code

@@ -16,6 +16,7 @@ from illiq import (
     SmoothedCall,
     SmoothedDigital,
     SumPayoff,
+    ValidationError,
     cara_two_player_study,
     figure_grids,
     predator_sweep,
@@ -256,6 +257,19 @@ def test_figure_grid_split_study():
 def test_figure_grid_unknown_id():
     with pytest.raises(ExperimentError, match="unknown figure id"):
         figure_grids("fig99")
+
+
+@pytest.mark.parametrize("sweep, values", [
+    (lambda values, game: spread_sweep(game, values, 100.0, SMALL_GRID), (0.001, 0.0010000001)),
+    (lambda values, game: predator_sweep(game.players[0].endowment, values, game, SMALL_GRID),
+     (1, 10, 1)),
+    (lambda values, game: split_sweep(game.players[0].endowment, values, game, SMALL_GRID),
+     (2, 2)),
+], ids=["spread", "predator", "split"])
+def test_sweep_values_sharing_a_grid_column_are_rejected(call_game, sweep, values):
+    # a later value would overwrite an earlier one's grid columns
+    with pytest.raises(ValidationError, match="share the grid column"):
+        sweep(values, call_game)
 
 
 def test_sweep_provenance_hashes(call, call_game):

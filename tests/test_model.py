@@ -119,7 +119,13 @@ def test_load_game_rejects_keys_of_another_kind(section, obj):
                    "payoff": {"kind": "smoothed_call", "K": 100.0, "cap": {}}}]}, "payoff.cap"),
     ({"grid": {"n_p": "abc"}}, "grid.n_p"),
     ({"grid": {"p_min": "low"}}, "grid.p_min"),
-], ids=["sigma", "kappa", "table", "alpha", "cap", "n_p", "p_min"])
+    ({"market": {"sigma": True, "lambda": 0.01, "T": 1.0, "p0": 100.0}}, "market.sigma"),
+    ({"grid": {"n_p": 81.9}}, "grid.n_p"),
+    ({"grid": {"quad_nodes": False}}, "grid.quad_nodes"),
+    ({"cost": {"kind": "custom_table", "table": {"z": [-1, 0, True, 2], "g": [0, 0, 0, 0]}}},
+     "cost.table.z"),
+], ids=["sigma", "kappa", "table", "alpha", "cap", "n_p", "p_min", "bool_sigma",
+        "fractional_n_p", "bool_quad_nodes", "bool_table"])
 def test_load_config_non_numeric_value_names_key(overrides, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(_config(**overrides))

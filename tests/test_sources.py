@@ -69,3 +69,9 @@ def test_one_spectral_heat_operator():
     assert {f.split(".")[0] for f in _callers("dct") + _callers("idct")} == {"closedform"}
     assert [f for f in _callers("gauss_hermite")
             if f.split(".")[0] in ("pdesolve", "experiments")] == []
+
+
+def test_one_function_stamps_sweep_results():
+    # every study's result carries the digests of its game and grid, and only
+    # experiments._result builds one
+    assert _callers("SweepResult") == ["experiments._result"]
