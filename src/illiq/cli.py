@@ -14,7 +14,8 @@ whose speeds exceed the a-priori bound; its outputs are still written),
 5 solution/config hash mismatch (or a solution.npz whose SHA-256 differs
 from its manifest's), 6 sweep assertion failure.
 
-Every manifest.json records the validated ILLIQ_THREADS cap as ``threads``,
+Every manifest.json records as ``command`` the subcommand with every option
+that shapes its outputs (all but the --config, --solution and --out paths),
 the SHA-256 of each output it lists as ``output_sha256`` and the seconds of
 each stage as ``timings_s``.
 Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
@@ -28,7 +29,6 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -113,21 +113,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def worker_cap() -> int:
-    """Worker count cap from ILLIQ_THREADS (the library itself runs
-    sequentially for determinism, so any positive cap is honored)."""
-    raw = os.environ.get("ILLIQ_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"ILLIQ_THREADS must be an integer, got {raw!r}") from err
-    if cap < 1:
-        raise ConfigError("ILLIQ_THREADS must be >= 1")
-    return cap
-
-
 def _read_config(path: str) -> tuple[GameSpec, GridSpec, str, str]:
     text = Path(path).read_text()
     game, grid = load_config(text)
@@ -152,7 +137,15 @@ def _timed(timings: dict, stage: str):
     timings[stage] = time.perf_counter() - t0
 
 
-def _write_run_manifest(out: Path, command: str, config_hash: str, grid_hash: str, seed,
+def _command(args) -> str:
+    """The subcommand and each option it was given or defaulted, as typed, but
+    for the paths, which say where files are rather than what they hold."""
+    options = [f"--{dest} {value}" for dest, value in vars(args).items()
+               if dest not in ("command", "config", "solution", "out") and value is not None]
+    return " ".join([args.command, *options])
+
+
+def _write_run_manifest(out: Path, args, config_hash: str, grid_hash: str, seed,
                         t0: float, outputs, timings: dict) -> Path:
     """``out/manifest.json`` for the files ``outputs`` in ``out``, each with its
     SHA-256; hashing them is timed as the stage ``sha256``."""
@@ -160,14 +153,13 @@ def _write_run_manifest(out: Path, command: str, config_hash: str, grid_hash: st
         sha = {str(name): file_sha256(out / name) for name in outputs}
     path = out / "manifest.json"
     write_manifest(RunManifest(
-        command=command,
+        command=_command(args),
         config_hash=config_hash,
         grid_hash=grid_hash,
         seed=seed,
         tool_version=__version__,
         wall_time_s=time.time() - t0,
         outputs=tuple(sha),
-        threads=worker_cap(),
         output_sha256=sha,
         timings_s=timings,
     ), path)
@@ -250,7 +242,7 @@ def cmd_solve(args) -> int:
         _write_lattice_csv(surp_path, ("t", sol.times[idx]), ("p", sol.prices),
                            {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
     manifest_path = _write_run_manifest(
-        out, f"solve --method {args.method}", config_hash, grid_hash, None, t0,
+        out, args, config_hash, grid_hash, None, t0,
         [sol_path.name, npz_path.name, surp_path.name], timings)
     print(f"max interior residual: {rep.overall:.6g}")
     print(f"speed bound check: max |speed| = {max_speed:.6g} vs bound {bound:.6g} "
@@ -319,7 +311,7 @@ def cmd_simulate(args) -> int:
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    _write_run_manifest(out, "simulate", config_hash, grid_hash, args.seed, t0,
+    _write_run_manifest(out, args, config_hash, grid_hash, args.seed, t0,
                         [paths_path.name, summary_path.name], timings)
     print(json.dumps(summary["players"]))
     return EXIT_OK
@@ -378,11 +370,11 @@ def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
     if study == "zero_sum":
         return zero_sum_report(game, grid)
     if study in ("predator", "split"):
-        ns = _csv_list(args.n_list, int, "--N") if args.n_list else PLAYER_COUNTS
+        ns = _csv_list(args.N, int, "--N") if args.N else PLAYER_COUNTS
         fn = predator_sweep if study == "predator" else split_sweep
         return fn(game.players[0].endowment, ns, game, grid)
     if study == "spread":
-        spreads = _csv_list(args.s_list, float, "--s") if args.s_list else SPREADS
+        spreads = _csv_list(args.s, float, "--s") if args.s else SPREADS
         sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else SHARPNESS
         return spread_sweep(game, spreads, sharpness, grid)
     if study == "cara2":
@@ -425,7 +417,7 @@ def cmd_sweep(args) -> int:
     report_path = out / "assertions.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     outputs.append(report_path.name)
-    _write_run_manifest(out, f"sweep --study {study}", config_hash, grid_hash, None, t0,
+    _write_run_manifest(out, args, config_hash, grid_hash, None, t0,
                         outputs, timings)
     if not report["passed"]:
         print(f"sweep assertions failed: {', '.join(report['failing'])}", file=sys.stderr)
@@ -463,8 +455,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--study", required=True)
-    p_sweep.add_argument("--N", dest="n_list", default=None, metavar="CSVLIST")
-    p_sweep.add_argument("--s", dest="s_list", default=None, metavar="CSVLIST")
+    p_sweep.add_argument("--N", default=None, metavar="CSVLIST")
+    p_sweep.add_argument("--s", default=None, metavar="CSVLIST")
     p_sweep.add_argument("--grid", default=None, metavar="np,nt")
     return parser
 
@@ -473,7 +465,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        worker_cap()  # validate the env var early
         if args.command == "check":
             return cmd_check(args)
         if args.command == "solve":

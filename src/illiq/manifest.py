@@ -40,7 +40,6 @@ class RunManifest:
     tool_version: str
     wall_time_s: float
     outputs: tuple
-    threads: int
     output_sha256: dict
     timings_s: dict
 

@@ -1,5 +1,7 @@
 """Problem definitions: market parameters, liquidity cost curves, terminal
-payoffs, player preferences, grids and JSON configuration loading.
+payoffs, player preferences, grids and JSON configuration loading.  The tables
+``_COSTS``, ``_PAYOFFS``, ``_UTILITIES`` and ``_MARKET`` are the config schema:
+``load_game`` reads a config through them and ``game_to_dict`` writes one back.
 
 Everything in this module is an immutable value object.  Construction
 validates the invariants that the solvers rely on (positive volatility,
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import ClassVar
@@ -65,8 +68,11 @@ def _pchip(x, y):
     return PchipInterpolator(x, y)
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+def _finite(name: str, x) -> bool:
+    """True for a finite number ``x``, else a ValidationError naming ``name``:
+    the check that comes before a range check on ``x``."""
+    _require(isinstance(x, (int, float)) and math.isfinite(x), f"{name} must be finite, got {x}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +90,10 @@ class MarketParams:
     p0: float
 
     def __post_init__(self):
-        _require(_finite(self.sigma) and self.sigma > 0, "sigma must be > 0")
-        _require(_finite(self.lam) and self.lam > 0, "lambda must be > 0")
-        _require(_finite(self.maturity) and self.maturity > 0, "T must be > 0 and finite")
-        _require(_finite(self.p0), "p0 must be finite")
+        _require(_finite("sigma", self.sigma) and self.sigma > 0, "sigma must be > 0")
+        _require(_finite("lambda", self.lam) and self.lam > 0, "lambda must be > 0")
+        _require(_finite("T", self.maturity) and self.maturity > 0, "T must be > 0 and finite")
+        _finite("p0", self.p0)
 
     @property
     def scale(self) -> float:
@@ -126,9 +132,6 @@ class CostFunction:
         """The root z of N g(z) + z g'(z) = s when it has a closed form, else None."""
         return None
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class LinearCost(CostFunction):
@@ -138,10 +141,10 @@ class LinearCost(CostFunction):
     eps_floor: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        _require(_finite(self.kappa) and self.kappa > 0, "kappa must be > 0")
+        _require(_finite("kappa", self.kappa) and self.kappa > 0, "kappa must be > 0")
         if self.eps_floor is None:
             object.__setattr__(self, "eps_floor", 0.5 * self.kappa)
-        _require(self.eps_floor > 0, "eps_floor must be > 0")
+        _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
 
     def value(self, z):
         return self.kappa * np.asarray(z, dtype=float)
@@ -155,9 +158,6 @@ class LinearCost(CostFunction):
     def exact_speed_root(self, n_players: int, s):
         # N kappa z + kappa z = s
         return s / ((n_players + 1) * self.kappa)
-
-    def to_dict(self) -> dict:
-        return {"kind": "linear", "kappa": self.kappa}
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,12 @@ class SmoothedSpreadCost(CostFunction):
     eps_floor: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        _require(_finite(self.kappa) and self.kappa > 0, "kappa must be > 0")
-        _require(_finite(self.spread) and self.spread >= 0, "s must be >= 0")
-        _require(_finite(self.sharpness) and self.sharpness > 0, "C must be > 0")
+        _require(_finite("kappa", self.kappa) and self.kappa > 0, "kappa must be > 0")
+        _require(_finite("s", self.spread) and self.spread >= 0, "s must be >= 0")
+        _require(_finite("C", self.sharpness) and self.sharpness > 0, "C must be > 0")
         if self.eps_floor is None:
             object.__setattr__(self, "eps_floor", 0.5 * self.kappa)
-        _require(self.eps_floor > 0, "eps_floor must be > 0")
+        _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
@@ -194,9 +194,6 @@ class SmoothedSpreadCost(CostFunction):
         z = np.asarray(z, dtype=float)
         c = self.sharpness
         return -4.0 * self.spread * c**3 * z / (np.pi * (1.0 + (c * z) ** 2) ** 2)
-
-    def to_dict(self) -> dict:
-        return {"kind": "smoothed_spread", "kappa": self.kappa, "s": self.spread, "C": self.sharpness}
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,7 @@ class TableCost(CostFunction):
         _require(np.all(np.isfinite(z)) and np.all(np.isfinite(g)), "table values must be finite")
         interp = _pchip(z, g)
         _require(abs(float(interp(0.0))) < 1e-12, "g(0) must be 0")
-        _require(self.eps_floor > 0, "eps_floor must be > 0")
+        _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
         object.__setattr__(self, "z_values", tuple(float(v) for v in z))
         object.__setattr__(self, "g_values", tuple(float(v) for v in g))
 
@@ -257,9 +254,6 @@ class TableCost(CostFunction):
     @property
     def domain(self) -> tuple:
         return (self.z_values[0], self.z_values[-1])
-
-    def to_dict(self) -> dict:
-        return {"kind": "custom_table", "table": {"z": list(self.z_values), "g": list(self.g_values)}}
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +294,6 @@ class Payoff:
     def slope_bound(self) -> float:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class SmoothedCall(Payoff):
@@ -314,9 +305,9 @@ class SmoothedCall(Payoff):
     width: float
 
     def __post_init__(self):
-        _require(_finite(self.strike), "K must be finite")
-        _require(_finite(self.cap) and self.cap > 0, "cap must be > 0")
-        _require(_finite(self.width) and self.width > 0, "width must be > 0")
+        _finite("K", self.strike)
+        _require(_finite("cap", self.cap) and self.cap > 0, "cap must be > 0")
+        _require(_finite("width", self.width) and self.width > 0, "width must be > 0")
 
     def value(self, p):
         p = np.asarray(p, dtype=float)
@@ -335,9 +326,6 @@ class SmoothedCall(Payoff):
         # max_p [sigmoid(x) - sigmoid(x - cap/width)] attained midway
         return float(math.tanh(self.cap / (4.0 * self.width)))
 
-    def to_dict(self) -> dict:
-        return {"kind": "smoothed_call", "K": self.strike, "cap": self.cap, "width": self.width}
-
 
 @dataclass(frozen=True)
 class SmoothedDigital(Payoff):
@@ -347,8 +335,8 @@ class SmoothedDigital(Payoff):
     width: float
 
     def __post_init__(self):
-        _require(_finite(self.strike), "K must be finite")
-        _require(_finite(self.width) and self.width > 0, "width must be > 0")
+        _finite("K", self.strike)
+        _require(_finite("width", self.width) and self.width > 0, "width must be > 0")
 
     def value(self, p):
         p = np.asarray(p, dtype=float)
@@ -366,9 +354,6 @@ class SmoothedDigital(Payoff):
     def slope_bound(self) -> float:
         return 1.0 / (4.0 * self.width)
 
-    def to_dict(self) -> dict:
-        return {"kind": "smoothed_digital", "K": self.strike, "width": self.width}
-
 
 @dataclass(frozen=True)
 class Scaled(Payoff):
@@ -376,7 +361,7 @@ class Scaled(Payoff):
     factor: float
 
     def __post_init__(self):
-        _require(_finite(self.factor), "factor must be finite")
+        _finite("factor", self.factor)
 
     def value(self, p):
         return self.factor * self.inner.value(p)
@@ -391,9 +376,6 @@ class Scaled(Payoff):
     @property
     def slope_bound(self) -> float:
         return abs(self.factor) * self.inner.slope_bound
-
-    def to_dict(self) -> dict:
-        return {"kind": "scaled", "factor": self.factor, "inner": self.inner.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -415,9 +397,6 @@ class Negated(Payoff):
     @property
     def slope_bound(self) -> float:
         return self.inner.slope_bound
-
-    def to_dict(self) -> dict:
-        return {"kind": "negated", "inner": self.inner.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -447,9 +426,6 @@ class SumPayoff(Payoff):
     @property
     def slope_bound(self) -> float:
         return sum(t.slope_bound for t in self.terms)
-
-    def to_dict(self) -> dict:
-        return {"kind": "sum", "terms": [t.to_dict() for t in self.terms]}
 
 
 @dataclass(frozen=True)
@@ -508,9 +484,6 @@ class GridPayoff(Payoff):
         # 1% headroom over the densely scanned interpolant slope
         return 1.01 * self._scan[1]
 
-    def to_dict(self) -> dict:
-        return {"kind": "custom_grid", "grid": {"p": list(self.p_values), "values": list(self.values)}}
-
 
 # ---------------------------------------------------------------------------
 # preferences and the game
@@ -526,9 +499,6 @@ class RiskNeutral:
     def __call__(self, z):
         return z
 
-    def to_dict(self) -> dict:
-        return {"kind": "risk_neutral"}
-
 
 @dataclass(frozen=True)
 class CARA:
@@ -537,13 +507,10 @@ class CARA:
     alpha: float
 
     def __post_init__(self):
-        _require(_finite(self.alpha) and self.alpha > 0, "alpha must be > 0")
+        _require(_finite("alpha", self.alpha) and self.alpha > 0, "alpha must be > 0")
 
     def __call__(self, z):
         return -np.exp(-self.alpha * z)
-
-    def to_dict(self) -> dict:
-        return {"kind": "cara", "alpha": self.alpha}
 
 
 Utility = RiskNeutral | CARA
@@ -553,9 +520,6 @@ Utility = RiskNeutral | CARA
 class PlayerSpec:
     utility: Utility
     endowment: Payoff
-
-    def to_dict(self) -> dict:
-        return {"utility": self.utility.to_dict(), "payoff": self.endowment.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -612,8 +576,8 @@ class GridSpec:
     quad_nodes: int = 128
 
     def __post_init__(self):
-        _require(_finite(self.p_min) and _finite(self.p_max) and self.p_min < self.p_max,
-                 "p_min must be < p_max")
+        _require(_finite("p_min", self.p_min) and _finite("p_max", self.p_max)
+                 and self.p_min < self.p_max, "p_min must be < p_max")
         _require(self.n_p >= 3, "n_p must be >= 3")
         _require(self.n_p % 2 == 1, "n_p must be odd")
         _require(self.n_t >= 2, "n_t must be >= 2")
@@ -649,18 +613,35 @@ class GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# configuration loading
+# configuration schema
 # ---------------------------------------------------------------------------
 
-_MARKET_KEYS = {"sigma", "lambda", "T", "p0"}
+# A config key: the field it fills and its reading, "number" (``default``, in
+# units of sigma sqrt(T), stands in for an absent key), "payoff", "payoffs" (a
+# non-empty list) or "samples" (an object of sample lists; ``field`` maps their
+# keys to fields).  Each kind gives the class it builds and its keys besides
+# "kind", read in order: a config's first fault in that order is reported.
+_Key = namedtuple("_Key", "field reading default", defaults=("number", None))
+_COSTS = {
+    "linear": (LinearCost, {"kappa": _Key("kappa")}),
+    "smoothed_spread": (SmoothedSpreadCost, {"kappa": _Key("kappa"), "s": _Key("spread"),
+                                             "C": _Key("sharpness")}),
+    "custom_table": (TableCost, {"table": _Key({"z": "z_values", "g": "g_values"}, "samples")}),
+}
+_PAYOFFS = {
+    "smoothed_call": (SmoothedCall, {"K": _Key("strike"), "cap": _Key("cap", default=10.0),
+                                     "width": _Key("width", default=0.05)}),
+    "smoothed_digital": (SmoothedDigital, {"K": _Key("strike"),
+                                           "width": _Key("width", default=0.05)}),
+    "scaled": (Scaled, {"inner": _Key("inner", "payoff"), "factor": _Key("factor")}),
+    "negated": (Negated, {"inner": _Key("inner", "payoff")}),
+    "sum": (SumPayoff, {"terms": _Key("terms", "payoffs")}),
+    "custom_grid": (GridPayoff, {"grid": _Key({"p": "p_values", "values": "values"}, "samples")}),
+}
+_UTILITIES = {"risk_neutral": (RiskNeutral, {}), "cara": (CARA, {"alpha": _Key("alpha")})}
+_KINDS = {"cost": _COSTS, "payoff": _PAYOFFS, "utility": _UTILITIES}
+_MARKET = {"sigma": "sigma", "lambda": "lam", "T": "maturity", "p0": "p0"}  # key -> field
 _PLAYER_KEYS = {"utility", "payoff"}
-# keys each kind takes besides "kind"
-_COST_KINDS = {"linear": {"kappa"}, "smoothed_spread": {"kappa", "s", "C"},
-               "custom_table": {"table"}}
-_PAYOFF_KINDS = {"smoothed_call": {"K", "cap", "width"}, "smoothed_digital": {"K", "width"},
-                 "scaled": {"factor", "inner"}, "negated": {"inner"}, "sum": {"terms"},
-                 "custom_grid": {"grid"}}
-_UTILITY_KINDS = {"risk_neutral": set(), "cara": {"alpha"}}
 _GRID_CASTS = {"p_min": float, "p_max": float, "n_p": int, "n_t": int, "quad_nodes": int}
 _TOP_KEYS = {"market", "cost", "players", "grid"}
 
@@ -700,83 +681,51 @@ def _samples(values, where: str) -> tuple:
         raise ConfigError(f"{where} must be a list of numbers") from err
 
 
-def _kind(obj, kinds: dict, where: str) -> str:
-    """The kind of a config object, after checking its keys against that kind's."""
+def _parse(obj, where: str, market: MarketParams):
+    """The cost, payoff or utility (``where``) that a config object describes."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
     kind = _get(obj, "kind", where)
-    if not isinstance(kind, str) or kind not in kinds:
+    if not isinstance(kind, str) or kind not in _KINDS[where]:
         raise ConfigError(f"unknown {where} kind '{kind}'")
-    _check_keys(obj, {"kind"} | kinds[kind], f"{where} of kind '{kind}'")
-    return kind
+    cls, keys = _KINDS[where][kind]
+    _check_keys(obj, {"kind", *keys}, f"{where} of kind '{kind}'")
+    fields = {}
+    for key, (field, reading, default) in keys.items():
+        if reading == "number":
+            scaled = None if default is None else default * market.scale
+            fields[field] = _number(obj, key, where, default=scaled)
+            continue
+        value = _get(obj, key, where)
+        if reading == "samples":
+            if not isinstance(value, dict) or set(value) != set(field):
+                names = " and ".join(f"'{k}'" for k in field)
+                raise ConfigError(f"{where}.{key} must be an object with keys {names}")
+            fields.update({f: _samples(value[k], f"{where}.{key}.{k}") for k, f in field.items()})
+        elif reading == "payoffs":
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{where}.{key} must be a non-empty list")
+            fields[field] = tuple(_parse(v, "payoff", market) for v in value)
+        else:
+            fields[field] = _parse(value, reading, market)
+    return cls(**fields)
 
 
-def _parse_market(obj) -> MarketParams:
-    if not isinstance(obj, dict):
-        raise ConfigError("market must be an object")
-    _check_keys(obj, _MARKET_KEYS, "market")
-    return MarketParams(
-        sigma=_number(obj, "sigma", "market"),
-        lam=_number(obj, "lambda", "market"),
-        maturity=_number(obj, "T", "market"),
-        p0=_number(obj, "p0", "market"),
-    )
-
-
-def _parse_cost(obj) -> CostFunction:
-    kind = _kind(obj, _COST_KINDS, "cost")
-    if kind == "linear":
-        return LinearCost(kappa=_number(obj, "kappa", "cost"))
-    if kind == "smoothed_spread":
-        return SmoothedSpreadCost(
-            kappa=_number(obj, "kappa", "cost"),
-            spread=_number(obj, "s", "cost"),
-            sharpness=_number(obj, "C", "cost"),
-        )
-    table = _get(obj, "table", "cost")
-    if not isinstance(table, dict) or set(table) != {"z", "g"}:
-        raise ConfigError("cost.table must be an object with keys 'z' and 'g'")
-    return TableCost(z_values=_samples(table["z"], "cost.table.z"),
-                     g_values=_samples(table["g"], "cost.table.g"))
-
-
-def _parse_payoff(obj, market: MarketParams) -> Payoff:
-    kind = _kind(obj, _PAYOFF_KINDS, "payoff")
-    scale = market.scale
-    if kind == "smoothed_call":
-        return SmoothedCall(
-            strike=_number(obj, "K", "payoff"),
-            cap=_number(obj, "cap", "payoff", default=10.0 * scale),
-            width=_number(obj, "width", "payoff", default=0.05 * scale),
-        )
-    if kind == "smoothed_digital":
-        return SmoothedDigital(
-            strike=_number(obj, "K", "payoff"),
-            width=_number(obj, "width", "payoff", default=0.05 * scale),
-        )
-    if kind == "scaled":
-        return Scaled(
-            inner=_parse_payoff(_get(obj, "inner", "payoff"), market),
-            factor=_number(obj, "factor", "payoff"),
-        )
-    if kind == "negated":
-        return Negated(inner=_parse_payoff(_get(obj, "inner", "payoff"), market))
-    if kind == "sum":
-        terms = _get(obj, "terms", "payoff")
-        if not isinstance(terms, list) or not terms:
-            raise ConfigError("payoff.terms must be a non-empty list")
-        return SumPayoff(terms=tuple(_parse_payoff(t, market) for t in terms))
-    grid = _get(obj, "grid", "payoff")
-    if not isinstance(grid, dict) or set(grid) != {"p", "values"}:
-        raise ConfigError("payoff.grid must be an object with keys 'p' and 'values'")
-    return GridPayoff(p_values=_samples(grid["p"], "payoff.grid.p"),
-                      values=_samples(grid["values"], "payoff.grid.values"))
-
-
-def _parse_utility(obj) -> Utility:
-    if _kind(obj, _UTILITY_KINDS, "utility") == "risk_neutral":
-        return RiskNeutral()
-    return CARA(alpha=_number(obj, "alpha", "utility"))
+def _unparse(obj, where: str) -> dict:
+    """The config object that ``_parse`` reads back as ``obj``."""
+    kind = next((k for k, (cls, _) in _KINDS[where].items() if isinstance(obj, cls)), None)
+    if kind is None:
+        raise TypeError(f"{type(obj).__name__} is no {where} kind of the config schema")
+    out = {"kind": kind}
+    for key, (field, reading, _) in _KINDS[where][kind][1].items():
+        if reading == "samples":
+            out[key] = {k: list(getattr(obj, f)) for k, f in field.items()}
+        elif reading == "payoffs":
+            out[key] = [_unparse(v, "payoff") for v in getattr(obj, field)]
+        else:
+            value = getattr(obj, field)
+            out[key] = value if reading == "number" else _unparse(value, reading)
+    return out
 
 
 def _parse_document(config_text: str) -> dict:
@@ -793,8 +742,13 @@ def _parse_document(config_text: str) -> dict:
 def load_game(config_text: str) -> GameSpec:
     """Parse and validate a JSON problem description into a GameSpec."""
     doc = _parse_document(config_text)
-    market = _parse_market(_get(doc, "market", "config"))
-    cost = _parse_cost(_get(doc, "cost", "config"))
+    market_obj = _get(doc, "market", "config")
+    if not isinstance(market_obj, dict):
+        raise ConfigError("market must be an object")
+    _check_keys(market_obj, set(_MARKET), "market")
+    market = MarketParams(**{field: _number(market_obj, key, "market")
+                             for key, field in _MARKET.items()})
+    cost = _parse(_get(doc, "cost", "config"), "cost", market)
     players_obj = _get(doc, "players", "config")
     if not isinstance(players_obj, list) or not players_obj:
         raise ConfigError("players must be a non-empty list")
@@ -803,12 +757,10 @@ def load_game(config_text: str) -> GameSpec:
         if not isinstance(pobj, dict):
             raise ConfigError(f"players[{i}] must be an object")
         _check_keys(pobj, _PLAYER_KEYS, f"players[{i}]")
-        players.append(
-            PlayerSpec(
-                utility=_parse_utility(_get(pobj, "utility", f"players[{i}]")),
-                endowment=_parse_payoff(_get(pobj, "payoff", f"players[{i}]"), market),
-            )
-        )
+        players.append(PlayerSpec(
+            utility=_parse(_get(pobj, "utility", f"players[{i}]"), "utility", market),
+            endowment=_parse(_get(pobj, "payoff", f"players[{i}]"), "payoff", market),
+        ))
     return GameSpec(market=market, cost=cost, players=tuple(players))
 
 
@@ -836,14 +788,10 @@ def load_config(config_text: str) -> tuple[GameSpec, GridSpec]:
 def game_to_dict(game: GameSpec) -> dict:
     """Canonical dict form of a game, used for hashing and manifests."""
     return {
-        "market": {
-            "sigma": game.market.sigma,
-            "lambda": game.market.lam,
-            "T": game.market.maturity,
-            "p0": game.market.p0,
-        },
-        "cost": game.cost.to_dict(),
-        "players": [pl.to_dict() for pl in game.players],
+        "market": {key: getattr(game.market, field) for key, field in _MARKET.items()},
+        "cost": _unparse(game.cost, "cost"),
+        "players": [{"utility": _unparse(pl.utility, "utility"),
+                     "payoff": _unparse(pl.endowment, "payoff")} for pl in game.players],
     }
 
 

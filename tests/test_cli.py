@@ -66,6 +66,18 @@ def test_check_non_numeric_value_reports_key(tmp_path, capsys, section, key, val
     assert f"{section}.{key}" in report["error"]
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("market", "sigma", float("nan"), "sigma must be finite, got nan"),
+    ("cost", "kappa", float("inf"), "kappa must be finite, got inf"),
+], ids=["nan_sigma", "inf_kappa"])
+def test_check_names_non_finite_value(tmp_path, capsys, section, key, value, message):
+    # json writes and reads these as NaN and Infinity, which fail every range check
+    doc = json.loads(json.dumps(BASE))
+    doc[section][key] = value
+    assert main(["check", "--config", str(_write(tmp_path, "bad.json", doc))]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "error": message}
+
+
 @pytest.mark.parametrize("section, value, key", [
     ("players", [{"utility": {"kind": "risk_neutral"},
                   "payoff": {"kind": "custom_grid", "grid": {"p": "1234", "values": "5678"}}}],
@@ -128,20 +140,27 @@ def test_solve_speed_bound_failure_exit_4(config_path, tmp_path, monkeypatch, ca
         assert (out / name).is_file()
 
 
-def test_manifests_record_thread_cap(config_path, tmp_path, monkeypatch):
-    out = tmp_path / "sol"
-    assert main(["solve", "--config", str(config_path), "--out", str(out),
-                 "--grid", "41,41"]) == 0
-    assert json.loads((out / "manifest.json").read_text())["threads"] == 1
-    monkeypatch.setenv("ILLIQ_THREADS", "3")
-    sim, sweep = tmp_path / "sim", tmp_path / "sweep"
-    assert main(["simulate", "--config", str(config_path), "--solution",
-                 str(out / "solution.csv"), "--paths", "50", "--seed", "1",
-                 "--out", str(sim)]) == 0
-    assert main(["sweep", "--config", str(config_path), "--out", str(sweep),
-                 "--study", "split", "--N", "1,2"]) == 0
-    for run in (sim, sweep):
-        assert json.loads((run / "manifest.json").read_text())["threads"] == 3
+def test_manifests_record_output_options(config_path, tmp_path):
+    # command names every option that shapes the outputs, paths aside, so runs
+    # that differ only in --grid or --paths are told apart; grid_hash still
+    # digests the config's grid, before --grid
+    def manifest(name, *argv):
+        out = tmp_path / name
+        assert main([*argv, "--config", str(config_path), "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    coarse = manifest("coarse", "solve", "--grid", "41,41")
+    fine = manifest("fine", "solve", "--grid", "61,41")
+    assert coarse["command"] == "solve --method fd --grid 41,41"
+    assert fine["command"] == "solve --method fd --grid 61,41"
+    assert coarse["grid_hash"] == fine["grid_hash"]
+    solution = str(tmp_path / "coarse" / "solution.csv")
+    assert manifest("sim50", "simulate", "--solution", solution,
+                    "--paths", "50")["command"] == "simulate --paths 50 --seed 0"
+    assert manifest("sim60", "simulate", "--solution", solution, "--paths", "60",
+                    "--seed", "1")["command"] == "simulate --paths 60 --seed 1"
+    assert manifest("sweep", "sweep", "--study", "split", "--N", "1,2", "--grid",
+                    "41,41")["command"] == "sweep --study split --N 1,2 --grid 41,41"
 
 
 def test_solve_picard_method(config_path, tmp_path):
@@ -398,8 +417,10 @@ CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
     (BASE, ["--study", "spread", "--s", "0.001,0.0010000001"], 1,
      "swept values 0.001 and 0.0010000001 share the grid column suffix 's0.001'"),
     (BASE, ["--study", "split", "--N", "1,1"], 1, "swept values 1 and 1 share"),
+    (BASE, ["--study", "spread", "--s", "0,nan"], 1, "s must be finite, got nan"),
+    (BASE, ["--study", "spread", "--s", "inf"], 1, "s must be finite, got inf"),
 ], ids=["study_game_mismatch", "unknown_figure", "N_not_int", "s_not_float",
-        "predator_N0", "split_N0", "s_shared_column", "N_repeated"])
+        "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf"])
 def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == code
@@ -414,10 +435,3 @@ def test_sweep_unknown_study(config_path, tmp_path):
 def test_bad_grid_flag(config_path, tmp_path):
     assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "x"),
                  "--grid", "nope"]) == 1
-
-
-def test_invalid_thread_env(config_path, monkeypatch):
-    monkeypatch.setenv("ILLIQ_THREADS", "zero")
-    assert main(["check", "--config", str(config_path)]) == 1
-    monkeypatch.setenv("ILLIQ_THREADS", "2")
-    assert main(["check", "--config", str(config_path)]) == 0

@@ -1,28 +1,33 @@
 import json
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from illiq import (
     CARA,
     ConfigError,
     GridPayoff,
     GridSpec,
+    LinearCost,
     MarketParams,
     Negated,
     RiskNeutral,
     Scaled,
     SmoothedCall,
     SmoothedDigital,
+    SmoothedSpreadCost,
     SumPayoff,
     ValidationError,
     load_config,
     load_game,
     load_grid,
 )
-from illiq.model import MAX_QUAD_NODES
+from illiq.model import MAX_QUAD_NODES, Payoff, game_to_dict
 
 BASE_CONFIG = {
     "market": {"sigma": 1.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
@@ -172,6 +177,74 @@ def test_load_game_fills_market_scaled_payoff_defaults():
     assert h.width == pytest.approx(0.05)
 
 
+# configs drawn over every cost, payoff (nested to depth 2) and utility kind
+_finite_floats = st.floats(-1e3, 1e3, allow_nan=False)
+_positive = st.floats(1e-3, 1e3)
+_samples = st.integers(4, 7).flatmap(lambda n: st.tuples(
+    st.lists(_finite_floats, min_size=n, max_size=n, unique=True).map(sorted),
+    st.lists(_finite_floats, min_size=n, max_size=n)))
+_cost_docs = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("linear"), "kappa": _positive}),
+    st.fixed_dictionaries({"kind": st.just("smoothed_spread"), "kappa": _positive,
+                           "s": st.floats(0.0, 1.0), "C": _positive}),
+    st.tuples(st.lists(st.floats(-10.0, -1e-3), min_size=1, max_size=3, unique=True),
+              st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=3, unique=True),
+              st.floats(1e-3, 1.0)).map(lambda t: {
+                  "kind": "custom_table",
+                  "table": {"z": sorted(t[0]) + [0.0] + sorted(t[1]),
+                            "g": [t[2] * z for z in sorted(t[0])] + [0.0]
+                            + [t[2] * z for z in sorted(t[1])]}}),
+)
+_leaf_payoffs = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("smoothed_call"), "K": _finite_floats},
+                          optional={"cap": _positive, "width": _positive}),
+    st.fixed_dictionaries({"kind": st.just("smoothed_digital"), "K": _finite_floats},
+                          optional={"width": _positive}),
+    _samples.map(lambda pv: {"kind": "custom_grid", "grid": {"p": pv[0], "values": pv[1]}}),
+)
+
+
+def _wrapped(inner):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("scaled"), "factor": _finite_floats,
+                               "inner": inner}),
+        st.fixed_dictionaries({"kind": st.just("negated"), "inner": inner}),
+        st.fixed_dictionaries({"kind": st.just("sum"),
+                               "terms": st.lists(inner, min_size=1, max_size=3)}),
+    )
+
+
+_payoff_docs = st.one_of(_leaf_payoffs, _wrapped(st.one_of(_leaf_payoffs, _wrapped(_leaf_payoffs))))
+_utility_docs = st.one_of(st.just({"kind": "risk_neutral"}),
+                          st.fixed_dictionaries({"kind": st.just("cara"), "alpha": _positive}))
+_game_docs = st.fixed_dictionaries({
+    "market": st.fixed_dictionaries({"sigma": _positive, "lambda": _positive,
+                                     "T": _positive, "p0": _finite_floats}),
+    "cost": _cost_docs,
+    "players": st.lists(st.fixed_dictionaries({"utility": _utility_docs, "payoff": _payoff_docs}),
+                        min_size=1, max_size=3),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_game_docs)
+def test_game_to_dict_loads_back_to_the_same_game(doc):
+    # every config_hash and game_hash digests game_to_dict, so it must name
+    # the game that load_game built, defaulted cap and width included
+    game = load_game(json.dumps(doc))
+    assert load_game(json.dumps(game_to_dict(game))) == game
+
+
+def test_game_to_dict_rejects_an_object_of_no_config_kind():
+    class Ramp(Payoff):  # a user's own payoff, which no config kind names
+        pass
+
+    game = load_game(_config())
+    game = replace(game, players=(replace(game.players[0], endowment=Ramp()),))
+    with pytest.raises(TypeError, match="Ramp"):
+        game_to_dict(game)
+
+
 def test_load_grid_defaults_cover_six_sigmas():
     game = load_game(_config())
     grid = load_grid(_config(), game.market)
@@ -315,6 +388,33 @@ def test_market_validation():
         MarketParams(1.0, 0.01, -1.0, 100.0)
     with pytest.raises(ValidationError, match="p0 must be finite"):
         MarketParams(1.0, 0.01, 1.0, float("nan"))
+
+
+_NON_FINITE_FIELDS = {
+    "sigma": lambda v: MarketParams(v, 0.01, 1.0, 100.0),
+    "lambda": lambda v: MarketParams(1.0, v, 1.0, 100.0),
+    "T": lambda v: MarketParams(1.0, 0.01, v, 100.0),
+    "p0": lambda v: MarketParams(1.0, 0.01, 1.0, v),
+    "kappa": lambda v: LinearCost(v),
+    "s": lambda v: SmoothedSpreadCost(0.01, v, 100.0),
+    "C": lambda v: SmoothedSpreadCost(0.01, 0.001, v),
+    "K": lambda v: SmoothedCall(v, 10.0, 0.05),
+    "cap": lambda v: SmoothedCall(100.0, v, 0.05),
+    "width": lambda v: SmoothedDigital(100.0, v),
+    "factor": lambda v: Scaled(SmoothedCall(100.0, 10.0, 0.05), v),
+    "alpha": lambda v: CARA(v),
+    "eps_floor": lambda v: LinearCost(0.01, eps_floor=v),
+    "p_min": lambda v: GridSpec(v, 106.0),
+    "p_max": lambda v: GridSpec(94.0, v),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_FINITE_FIELDS))
+def test_non_finite_field_is_named_before_its_range(name):
+    # a NaN fails every range comparison, so it must not be reported as out of range
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be finite, got {value}$"):
+            _NON_FINITE_FIELDS[name](value)
 
 
 def test_cara_requires_positive_alpha():

@@ -75,3 +75,19 @@ def test_one_function_stamps_sweep_results():
     # every study's result carries the digests of its game and grid, and only
     # experiments._result builds one
     assert _callers("SweepResult") == ["experiments._result"]
+
+
+CONFIG_KINDS = ("linear", "smoothed_spread", "custom_table", "smoothed_call", "smoothed_digital",
+                "scaled", "negated", "sum", "custom_grid", "risk_neutral", "cara")
+
+
+def test_one_schema_entry_per_config_kind():
+    # each kind is named once, in model's schema tables, which load_game reads
+    # a config through and game_to_dict writes one back with; no class writes
+    # its own config dict
+    for kind in CONFIG_KINDS:
+        assert _owners(lambda node, kind=kind: isinstance(node, ast.Constant)
+                       and node.value == kind) == ["model.<module>"], kind
+    model = ast.parse((PACKAGE / "model.py").read_text())
+    assert [node.lineno for node in ast.walk(model)
+            if isinstance(node, ast.FunctionDef) and node.name == "to_dict"] == []
