@@ -10,9 +10,11 @@ term is absent for risk-neutral players; exponential-utility players are
 solved entirely in the log-transformed variable, whose terminal data is the
 raw payoff as well):
 
-* ``solve_fd``     backward march, implicit in the diffusion term
-                   (one tridiagonal solve per player per layer) and explicit
-                   in the nonlinear terms taken from the previous layer;
+* ``solve_fd``     backward march, implicit in the diffusion term (one
+                   constant tridiagonal matrix, factored once per solve and
+                   applied to every player's layer) and explicit in the
+                   nonlinear terms taken from the previous layer, whose speed
+                   roots start from the roots of the layers before;
 * ``solve_picard`` fixed-point iteration of the mild (integral) form
                    v = e^{tL} H + int e^{(t-s)L} F(v_p(s)) ds on short
                    subintervals, the semigroup applied by the cosine-transform
@@ -33,8 +35,8 @@ numpy kernel ``_g17`` gives the bytes of ``CSV_FLOAT % x`` for whole blocks.
 ``write_solution_npz`` stores a ``Solution`` in binary and
 ``read_solution_npz`` loads it back, exactly and without pickling.
 
-scipy is imported where it is used: ``scipy.linalg`` on the first call of
-``solve_banded``, so importing this module loads none of scipy.
+scipy is imported where it is used: ``scipy.linalg`` when ``solve_fd``
+factors its matrix, so importing this module loads none of scipy.
 """
 
 from __future__ import annotations
@@ -171,11 +173,25 @@ def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on first call."""
-    from scipy.linalg import solve_banded as banded
+def _factor_tridiagonal(ab) -> list:
+    """LAPACK ``dgttrf`` of the tridiagonal matrix in (1, 1)-banded storage
+    ``ab``: the factors that ``solve_banded`` takes."""
+    from scipy.linalg.lapack import dgttrf
 
-    return banded(l_and_u, ab, b)
+    *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise SolverError(f"the diffusion matrix is singular (dgttrf info {info})")
+    return factors
+
+
+def solve_banded(factors, b):
+    """Solve with the factors of ``_factor_tridiagonal`` (LAPACK ``dgttrs``)
+    for each column of ``b``.  Same bits as ``scipy.linalg.solve_banded((1, 1),
+    ab, b)``, which hands a tridiagonal system to ``dgtsv``: both run the same
+    partially pivoted elimination."""
+    from scipy.linalg.lapack import dgttrs
+
+    return dgttrs(*factors, b)[0]
 
 
 def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
@@ -187,7 +203,11 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     B the a-priori speed bound.  The time grid is refined automatically if
     the requested one violates that bound.  Boundary rows impose a zero
     second derivative (payoffs are flat or linear six standard deviations
-    from the spot).
+    from the spot).  The diffusion matrix is the same on every layer, so it
+    is factored once.  Each layer's speed root starts from the time
+    extrapolation 2 z[k+1] - z[k+2] of the roots already stored (from z[k+1]
+    on the layer below maturity); ``meta["root_sweeps"]`` records the Newton
+    sweeps per layer, its max and mean (0 for an exact root).
     """
     market = game.market
     grid.validate_for(market)
@@ -219,19 +239,29 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     ab[1, :] = 1.0 + 2.0 * c
     ab[1, 0] = ab[1, -1] = 1.0
     ab[2, :-2] = -c
+    factors = _factor_tridiagonal(ab)
 
     # layer k's fields are stored and drive the step to layer k - 1
+    sweeps: list = []
     for k in range(n_t - 1, -1, -1):
         grads[:, k] = central_gradient(values[:, k], dp)
-        speeds[:, k], agg[k], source = equilibrium_fields(game, cert.eps_floor, grads[:, k])
+        if k == n_t - 1:
+            start = None
+        elif k == n_t - 2:
+            start = agg[k + 1]
+        else:
+            start = 2.0 * agg[k + 1] - agg[k + 2]
+        speeds[:, k], agg[k], source = equilibrium_fields(game, cert.eps_floor, grads[:, k],
+                                                          start, sweeps)
         if k > 0:
             rhs = values[:, k] + dt * source
             if not np.all(np.isfinite(rhs)):
                 raise SolverError(f"the march overflowed stepping back from time layer {k} "
                                   f"of {n_t}; the explicit step is unstable on this grid")
-            values[:, k - 1] = solve_banded((1, 1), ab, rhs.T).T
+            values[:, k - 1] = solve_banded(factors, rhs.T).T
 
-    meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t)
+    meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t,
+                 root_sweeps={"max": max(sweeps), "mean": sum(sweeps) / len(sweeps)})
     return Solution(grid, times, prices, values, grads, speeds, agg, meta)
 
 
@@ -367,7 +397,9 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     v_t = (v[:, 2:, :] - v[:, :-2, :]) / (2.0 * dt)
     v_pp = (v[:, :, 2:] - 2.0 * v[:, :, 1:-1] + v[:, :, :-2]) / dp**2
     grads = central_gradient(v, dp)[..., inner]
-    _, _, source = equilibrium_fields(game, cert.eps_floor, grads)
+    # the stored roots start Newton; each root still passes the residual test
+    _, _, source = equilibrium_fields(game, cert.eps_floor, grads,
+                                      sol.aggregate_speed[:, inner])
     sig2 = game.market.sigma**2
     res = v_t[:, :, inner] + 0.5 * sig2 * v_pp[:, inner, :] + source[:, inner, :]
     per_player = np.max(np.abs(res), axis=(1, 2))

@@ -12,9 +12,14 @@ bracket's sign change is checked first, whatever the cost.  A cost whose
 root has a closed form supplies it (the linear cost: z = S / ((N+1) kappa));
 every other cost supplies g'', and Newton steps, with derivative
 (N+1) g' + z g'', run inside the shrinking bracket, bisecting whenever a
-step would leave it.  Each player's speed and the PDE source term follow
-pointwise from the root (``equilibrium_fields``, the one place every solver
-takes them from).
+step would leave it or would not be shorter than half the step before last
+(the guard of Numerical Recipes' rtsafe, without which Newton can cycle on a
+kinked cost from a start far from the root).  Newton starts at 0, or at a
+caller's guess clipped into the bracket (the finite-difference march passes
+the root extrapolated from the layers before); every entry iterates on its
+own either way, and the guess only changes how many steps it takes.  Each
+player's speed and the PDE source term follow pointwise from the root
+(``equilibrium_fields``, the one place every solver takes them from).
 """
 
 from __future__ import annotations
@@ -147,13 +152,18 @@ def _phi(cost: CostFunction, n: int, z, s):
     return n * cost.value(z) + z * cost.slope(z) - s
 
 
-def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor: float):
+def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor: float,
+                         start=None, sweeps: list | None = None):
     """Vectorized root of N g(z) + z g'(z) = S for an array of S values.
 
     The returned z solves the equation to |residual| <= N * eps * ROOT_TOL,
     so it sits within that residual over the slope (N+1) g' + z g'' of the
-    exact root.  Each entry iterates on its own until its residual passes,
-    so a root does not depend on the others in the call.
+    exact root.  Newton starts from ``start`` (an array of S's shape, which
+    must be finite) clipped into the bracket, or from 0 without one; an exact
+    root ignores it.  Each entry iterates on its own from its own start until
+    its residual passes, so a root does not depend on the others in the call.
+    When ``sweeps`` is a list, the number of Newton sweeps the call took is
+    appended to it (0 for an exact root).
     """
     s = np.atleast_1d(np.asarray(grad_sums, dtype=float))
     if not np.all(np.isfinite(s)):
@@ -168,13 +178,26 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
         )
     exact = cost.exact_speed_root(n_players, s)
     if exact is not None:
+        if sweeps is not None:
+            sweeps.append(0)
         return exact
     f_tol = n_players * eps_floor * ROOT_TOL
     shape = s.shape
     s, lo, hi = s.ravel(), lo.ravel(), hi.ravel()
-    z = np.zeros_like(s)  # every bracket holds 0
+    if start is None:
+        z = np.zeros_like(s)  # every bracket holds 0
+    else:
+        z = np.broadcast_to(np.asarray(start, dtype=float), shape).ravel()
+        # checked before np.clip, which keeps NaN (and |NaN| > f_tol is
+        # False, so NaN would pass as a root) and turns +-inf into an end
+        if not np.all(np.isfinite(z)):
+            raise SpeedSolverError("the root's start must be finite")
+        z = np.clip(z, lo, hi)
+    # each entry's last two step lengths, for the rtsafe guard
+    last = np.full_like(s, np.inf)
+    before = np.full_like(s, np.inf)
     todo = np.arange(s.size)
-    for _ in range(MAX_ITER):
+    for sweep in range(MAX_ITER):
         zt = z[todo]
         gp = cost.slope(zt)
         f = n_players * cost.value(zt) + zt * gp - s[todo]
@@ -188,15 +211,23 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
         with np.errstate(divide="ignore", invalid="ignore"):
             step = zt - f / ((n_players + 1) * gp + zt * cost.curvature(zt))
         # a comparison with NaN is False, so a failed step bisects too
-        z[todo] = np.where((step > lo_t) & (step < hi_t), step, 0.5 * (lo_t + hi_t))
+        newton = (step > lo_t) & (step < hi_t) & (np.abs(step - zt) < 0.5 * before[todo])
+        z_new = np.where(newton, step, 0.5 * (lo_t + hi_t))
+        before[todo] = last[todo]
+        last[todo] = np.abs(z_new - zt)
+        z[todo] = z_new
     else:
         raise SpeedSolverError(f"speed root did not converge in {MAX_ITER} iterations")
+    if sweeps is not None:
+        sweeps.append(sweep)
     return z.reshape(shape)
 
 
-def equilibrium_fields(game: GameSpec, eps_floor: float, gradients):
+def equilibrium_fields(game: GameSpec, eps_floor: float, gradients, start=None,
+                       sweeps: list | None = None):
     """Per-player gradients (N, ...) -> speeds (N, ...), aggregate speed and
-    the nonlinear source term (N, ...) of the value equations.
+    the nonlinear source term (N, ...) of the value equations.  ``start``
+    and ``sweeps`` go to ``aggregate_speed_many``.
 
     The aggregate speed z* is the root of N g(z) + z g'(z) = lambda sum_j v^j_p;
     player j trades at (lambda v^j_p - g(z*)) / g'(z*), well defined because
@@ -207,7 +238,8 @@ def equilibrium_fields(game: GameSpec, eps_floor: float, gradients):
     grads = np.asarray(gradients, dtype=float)
     cost = game.cost
     eff = game.market.lam * grads
-    z_star = aggregate_speed_many(cost, game.n_players, eff.sum(axis=0), eps_floor)
+    z_star = aggregate_speed_many(cost, game.n_players, eff.sum(axis=0), eps_floor, start,
+                                  sweeps)
     g_z = cost.value(z_star)
     gp_z = cost.slope(z_star)
     speeds = (eff - g_z) / gp_z

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,8 +119,8 @@ def test_fd_overflow_names_the_layer(call_game, monkeypatch):
     fields = illiq.pdesolve.equilibrium_fields
     calls = []
 
-    def poisoned(game, eps_floor, grads):
-        speeds, agg, source = fields(game, eps_floor, grads)
+    def poisoned(game, eps_floor, grads, start=None, sweeps=None):
+        speeds, agg, source = fields(game, eps_floor, grads, start, sweeps)
         calls.append(1)
         if len(calls) == 3:  # the march visits layers 19, 18, 17, ...
             source = np.where(np.arange(source.shape[-1]) == 5, np.inf, source)
@@ -144,23 +146,68 @@ def test_fd_cara_cap_keeps_speeds_inside_bound():
     assert np.abs(sol.speeds).max() <= sol.meta["speed_bound"]
 
 
-@pytest.mark.parametrize("which", ["call", "cara_pair"])
+@pytest.mark.parametrize("which", ["call", "cara_pair", "spread"])
 def test_fd_stored_fields_match_per_layer_recomputation(which, call_game, call_solution,
                                                         market, linear_cost, call):
     # the march stores each layer's fields before stepping to the previous
-    # layer; an off-by-one layer would pair fields with the wrong values
+    # layer; an off-by-one layer would pair fields with the wrong values.
+    # Each layer is recomputed from the march's own root start, the time
+    # extrapolation of the two stored layers above it
     if which == "call":
         game, sol = call_game, call_solution
     else:
-        game = _cara_pair(market, linear_cost, call)
+        cost = SmoothedSpreadCost(0.01, 0.004, 100.0) if which == "spread" else linear_cost
+        game = (_cara_pair(market, cost, call) if which == "cara_pair"
+                else GameSpec(market, cost, (PlayerSpec(RiskNeutral(), call),)))
         sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 100))
     eps = sol.meta["certificate"].eps_floor
-    for k in range(sol.times.size):
+    agg_stored = sol.aggregate_speed
+    n_t = sol.times.size
+    for k in range(n_t):
         grads = central_gradient(sol.values[:, k], sol.grid.dp)
-        speeds, agg, _ = equilibrium_fields(game, eps, grads)
+        start = (None if k == n_t - 1 else agg_stored[k + 1] if k == n_t - 2
+                 else 2.0 * agg_stored[k + 1] - agg_stored[k + 2])
+        speeds, agg, _ = equilibrium_fields(game, eps, grads, start)
         assert np.array_equal(sol.gradients[:, k], grads)
         assert np.array_equal(sol.speeds[:, k], speeds)
-        assert np.array_equal(sol.aggregate_speed[k], agg)
+        assert np.array_equal(agg_stored[k], agg)
+    # every stored root passes the speed root's residual test
+    cost, n = game.cost, game.n_players
+    phi = n * cost.value(agg_stored) + agg_stored * cost.slope(agg_stored) \
+        - game.market.lam * sol.gradients.sum(axis=0)
+    assert np.abs(phi).max() <= n * eps * sol.meta["root_tol"]
+    sweeps = sol.meta["root_sweeps"]
+    assert (sweeps["max"] > 0) == (which == "spread")
+    assert 0.0 <= sweeps["mean"] <= sweeps["max"]
+
+
+@pytest.mark.parametrize("n_p", [51, 401])
+@pytest.mark.parametrize("n_rhs", [1, 2, 3])
+def test_factored_solve_matches_scipy_banded_solve(n_p, n_rhs, market):
+    # the march's once-factored solve gives the bits of solve_banded on its
+    # matrix (I - dt sigma^2/2 D2) with identity boundary rows
+    from scipy.linalg import solve_banded
+
+    grid = GridSpec(94.0, 106.0, n_p, 200)
+    dt = market.maturity / (grid.n_t - 1)
+    c = dt * market.sigma**2 / (2.0 * grid.dp**2)
+    ab = np.zeros((3, n_p))
+    ab[0, 2:] = -c
+    ab[1, :] = 1.0 + 2.0 * c
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[2, :-2] = -c
+    factors = illiq.pdesolve._factor_tridiagonal(ab)
+    b = np.random.default_rng(n_p + n_rhs).standard_normal((n_rhs, n_p))
+    got = illiq.pdesolve.solve_banded(factors, b.T).T
+    assert np.array_equal(got, solve_banded((1, 1), ab, b.T).T)
+
+
+def test_singular_diffusion_matrix_raises():
+    ab = np.zeros((3, 5))
+    ab[1, :] = 1.0
+    ab[1, 2] = 0.0
+    with pytest.raises(illiq.pdesolve.SolverError, match="singular"):
+        illiq.pdesolve._factor_tridiagonal(ab)
 
 
 def test_solution_value_interpolation(call_solution):
@@ -333,6 +380,25 @@ def test_residual_of_sampled_closed_form(market, linear_cost):
     grads = np.gradient(cf, grid.dp, axis=1)
     scale = 1.0 + 2 * market.lam**2 / (4 * 0.01) * float(np.max(grads**2))
     assert rep.overall <= 1e-3 * scale
+
+
+def test_residual_roots_start_from_the_stored_speeds(market, call, monkeypatch):
+    # the stored interior roots start Newton and only that: zeroing them (a
+    # cold start) leaves the residual unchanged to root accuracy
+    game = GameSpec(market, SmoothedSpreadCost(0.01, 0.004, 100.0),
+                    (PlayerSpec(RiskNeutral(), call),))
+    sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 60))
+    fields, starts = illiq.pdesolve.equilibrium_fields, []
+
+    def recorded(game, eps_floor, grads, start=None, sweeps=None):
+        starts.append(start)
+        return fields(game, eps_floor, grads, start, sweeps)
+
+    monkeypatch.setattr(illiq.pdesolve, "equilibrium_fields", recorded)
+    warm = residual(sol, game).overall
+    assert np.array_equal(starts[0], sol.aggregate_speed[:, 1:-1])
+    cold = replace(sol, aggregate_speed=np.zeros_like(sol.aggregate_speed))
+    assert abs(warm - residual(cold, game).overall) <= 1e-10
 
 
 def test_residual_zero_game(market):

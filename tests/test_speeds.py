@@ -246,6 +246,35 @@ def test_aggregate_speed_rejects_non_finite_sums(cost):
             aggregate_speed_many(cost, 2, [0.01, bad], 0.0099)
 
 
+@pytest.mark.parametrize("cost", [SmoothedSpreadCost(0.01, 0.002, 100.0), _tanh_table()],
+                         ids=["spread", "table"])
+def test_aggregate_speed_rejects_non_finite_start(cost):
+    # np.clip keeps NaN and |NaN| > tol is False: a NaN start would pass as a root
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SpeedSolverError, match="start must be finite"):
+            aggregate_speed_many(cost, 2, [0.01, 0.0], 0.0099, start=[0.0, bad])
+
+
+def test_aggregate_speed_records_sweeps():
+    sweeps = []
+    aggregate_speed_many(LinearCost(0.01), 2, [0.01], 0.0099, sweeps=sweeps)
+    cost = SmoothedSpreadCost(0.01, 0.002, 100.0)
+    z = aggregate_speed_many(cost, 2, [0.01, -0.003], 0.0099, sweeps=sweeps)
+    aggregate_speed_many(cost, 2, [0.01, -0.003], 0.0099, start=z, sweeps=sweeps)
+    assert sweeps[0] == 0 and sweeps[1] > 0 and sweeps[2] == 0
+
+
+def test_far_start_does_not_cycle():
+    # Newton alone, kept inside the bracket, swings across the kink of this
+    # cost from the bracket's end for 197 sweeps before it converges
+    cost = SmoothedSpreadCost(0.0152, 0.0042, 79.0)
+    eps = certify_cost(cost, (-3.0, 3.0)).eps_floor
+    sweeps = []
+    z = aggregate_speed_many(cost, 7, [-0.022], eps, start=[-1.0], sweeps=sweeps)
+    assert abs(7 * cost.value(z[0]) + z[0] * cost.slope(z[0]) + 0.022) <= 7 * eps * ROOT_TOL
+    assert sweeps[0] <= 12
+
+
 def test_aggregate_speed_monotone_in_gradient():
     cost = SmoothedSpreadCost(0.02, 0.001, 50.0)
     cert = certify_cost(cost, (-50.0, 50.0))
@@ -284,15 +313,13 @@ def test_single_player_speed_equals_aggregate():
 # properties
 # ---------------------------------------------------------------------------
 
-cost_strategy = st.one_of(
-    st.builds(LinearCost, kappa=st.floats(1e-3, 0.1)),
-    st.builds(
-        SmoothedSpreadCost,
-        kappa=st.floats(1e-3, 0.1),
-        spread=st.floats(0.0, 0.005),
-        sharpness=st.floats(1.0, 200.0),
-    ),
+spread_strategy = st.builds(
+    SmoothedSpreadCost,
+    kappa=st.floats(1e-3, 0.1),
+    spread=st.floats(0.0, 0.005),
+    sharpness=st.floats(1.0, 200.0),
 )
+cost_strategy = st.one_of(st.builds(LinearCost, kappa=st.floats(1e-3, 0.1)), spread_strategy)
 
 
 def test_root_consistency_thousand_draws():
@@ -359,3 +386,28 @@ def test_sign_property(cost, n, s):
         assert z == 0.0
     else:
         assert z * s >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(cost=st.one_of(spread_strategy, st.just(_tanh_table())), n=st.integers(1, 10),
+       data=st.data())
+def test_warm_start_reaches_the_cold_root(cost, n, data):
+    # Newton from a start inside the bracket, outside it or at the root it
+    # finds from 0: the root passes the residual test within 1e-12 of the
+    # cold one, and a start at the cold root returns it bit for bit
+    if isinstance(cost, TableCost):
+        scale, cert = 0.02, certify_cost(cost)
+    else:
+        scale, cert = 1.0, certify_cost(cost, (-200.0, 200.0))
+    m = data.draw(st.integers(1, 8))
+    floats = st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)
+    s = scale * np.array(data.draw(floats))
+    cold = aggregate_speed_many(cost, n, s, cert.eps_floor)
+    # offsets up to three bracket half-widths, plus 0.1, from the cold root
+    half = np.abs(s) / ((n + 1) * cert.eps_floor) + 0.1
+    start = cold + 3.0 * half * np.array(data.draw(floats))
+    warm = aggregate_speed_many(cost, n, s, cert.eps_floor, start=start)
+    phi = n * cost.value(warm) + warm * cost.slope(warm) - s
+    assert np.all(np.abs(phi) <= n * cert.eps_floor * ROOT_TOL)
+    assert np.all(np.abs(warm - cold) <= 1e-12)
+    assert np.array_equal(aggregate_speed_many(cost, n, s, cert.eps_floor, start=cold), cold)
