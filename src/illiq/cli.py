@@ -16,8 +16,9 @@ from its manifest's), 6 sweep assertion failure.
 
 Every manifest.json records as ``command`` the subcommand with every option
 that shapes its outputs (all but the --config, --solution and --out paths),
-the SHA-256 of each output it lists as ``output_sha256`` and the seconds of
-each stage as ``timings_s``.
+the SHA-256 of each output it lists as ``output_sha256``, the seconds of
+each stage as ``timings_s`` and other measurements as ``meta`` (simulate:
+its ``clamped_fraction`` and the ``path_steps`` it ran).
 Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
 only the sweep metrics table, whose value column mixes numbers and empty
 cells, is written by hand, its numbers in ``pdesolve.CSV_FLOAT``.
@@ -146,9 +147,10 @@ def _command(args) -> str:
 
 
 def _write_run_manifest(out: Path, args, config_hash: str, grid_hash: str, seed,
-                        t0: float, outputs, timings: dict) -> Path:
+                        t0: float, outputs, timings: dict, meta: dict | None = None) -> Path:
     """``out/manifest.json`` for the files ``outputs`` in ``out``, each with its
-    SHA-256; hashing them is timed as the stage ``sha256``."""
+    SHA-256, and the run's ``meta`` numbers; hashing is timed as the stage
+    ``sha256``."""
     with _timed(timings, "sha256"):
         sha = {str(name): file_sha256(out / name) for name in outputs}
     path = out / "manifest.json"
@@ -162,6 +164,7 @@ def _write_run_manifest(out: Path, args, config_hash: str, grid_hash: str, seed,
         outputs=tuple(sha),
         output_sha256=sha,
         timings_s=timings,
+        meta=meta or {},
     ), path)
     return path
 
@@ -312,7 +315,9 @@ def cmd_simulate(args) -> int:
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     _write_run_manifest(out, args, config_hash, grid_hash, args.seed, t0,
-                        [paths_path.name, summary_path.name], timings)
+                        [paths_path.name, summary_path.name], timings,
+                        {"clamped_fraction": bundle.clamped_fraction,
+                         "path_steps": bundle.n_paths * DEFAULT_SIM_STEPS})
     print(json.dumps(summary["players"]))
     return EXIT_OK
 

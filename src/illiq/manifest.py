@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 
 def canonical_json(obj) -> str:
@@ -31,7 +31,8 @@ def file_sha256(path) -> str:
 class RunManifest:
     """What a command did: its inputs' hashes, the files it wrote (``outputs``,
     names in the manifest's directory) with the SHA-256 of each
-    (``output_sha256``), and the seconds its stages took (``timings_s``)."""
+    (``output_sha256``), the seconds its stages took (``timings_s``) and
+    what else it measured, as plain numbers (``meta``)."""
 
     command: str
     config_hash: str
@@ -42,6 +43,7 @@ class RunManifest:
     outputs: tuple
     output_sha256: dict
     timings_s: dict
+    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -14,14 +14,25 @@ stepped ``CHUNK_PATHS`` at a time, carrying only their current state: every
 path keeps its terminal price, inventories and costs, and only the first
 ``SAMPLE_PATHS`` paths are kept in full.
 
-Every step's time layer and weight are found once, before the first chunk;
-within a chunk each step blends the speed rows in time, then finds every
-path's price cell once and reads all N players' speeds from it in one
-gather.  The price axis must be uniform (to within a quarter cell, as the FD
-stencils assume), so the cell is an arithmetic index with one correction
-against the stored nodes, and each speed is bitwise what ``np.interp`` would
-return.  The paths therefore take O(CHUNK_PATHS * n_steps + N * n_paths +
-N * n_p) memory, not O(N * n_paths * n_steps) for whole paths nor
+Before any path is stepped, every speed, price node and time layer of the
+solution must be finite; the first that is not is named (player, time layer,
+price), since one NaN speed would otherwise send paths off the grid and read
+as too small a domain.  Every step's time layer and weight are found once,
+before the first chunk.  A chunk's noise block stays path-major, as the
+stream fills it; every ``TILE_STEPS`` steps its next columns are copied into
+a small (paths, TILE_STEPS) buffer, and their transpose, times sigma
+sqrt(dt), into a (TILE_STEPS, paths) tile, so that each step adds one
+contiguous tile row instead of reading a column across the whole block.
+Each step then blends the speed rows in time, finds every path's price cell
+once and reads all N players' speeds from it in one gather into buffers
+the lookup owns, and updates the prices, inventories and costs in place in
+the operation order of p + (lambda sum_j Xdot^j) dt + (sigma sqrt(dt)) dB,
+so each is bitwise that expression's value.  The price axis must be
+uniform (to within a quarter cell, as the FD stencils assume), so the cell
+is an arithmetic index with one correction against the stored nodes, and
+each speed is bitwise what ``np.interp`` would return.  The paths therefore
+take O(CHUNK_PATHS * (n_steps + TILE_STEPS) + N * n_paths + N * n_p)
+memory, not O(N * n_paths * n_steps) for whole paths nor
 O(n_steps * N * n_p) for speed rows precomputed per step.  Each player's
 utility maps terminal wealth and solved values to one scale.
 """
@@ -34,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GameSpec
-from .pdesolve import Solution, _time_blend, _time_weight, _write_lattice_csv
+from .pdesolve import Solution, _time_weight, _write_lattice_csv
 
 __all__ = [
     "SimulationError",
@@ -51,6 +62,7 @@ CLAMP_LIMIT = 0.01  # largest share of path-steps allowed to leave the price gri
 CHUNK_PATHS = 4096  # paths per block of noise: 16 MB of normals at 500 steps
 SAMPLE_PATHS = 100  # leading paths kept in full, for paths.csv and plots
 SEED_LIMIT = 2**128  # Philox keys are 128-bit: seeds lie in [0, SEED_LIMIT)
+TILE_STEPS = 16  # steps per noise tile: two 0.5 MB buffers at 4096 paths
 
 
 class SimulationError(RuntimeError):
@@ -93,9 +105,9 @@ def simulate_paths(
     Price lookups outside the solution's price range are clamped to the
     boundary columns and counted; if more than ``CLAMP_LIMIT`` of all
     path-steps clamp, the grid was too small and an error is raised, as it
-    is for a price axis that is not uniform.  At least two paths are needed
-    for a standard error, and the seed must be an integer in
-    [0, ``SEED_LIMIT``).
+    is for a price axis that is not uniform and for a speed, price or time
+    in the solution that is not finite.  At least two paths are needed for a
+    standard error, and the seed must be an integer in [0, ``SEED_LIMIT``).
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -103,14 +115,15 @@ def simulate_paths(
         raise ValueError("n_steps must be >= 10")
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    _require_finite(sol)
     market = game.market
     n = game.n_players
     horizon = market.maturity
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
-    sqrt_dt = math.sqrt(dt)
-    p_grid = sol.prices
-    speeds_at = _shared_interp(p_grid)
+    kick = market.sigma * math.sqrt(dt)  # the noise's scale, sigma sqrt(dt)
+    p_lo, p_hi = sol.prices[0], sol.prices[-1]
+    speeds_at = _SharedInterp(sol.prices, n)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
     weights = [_time_weight(sol.times, t) for t in times[:-1]]  # (layer, weight) per step
 
@@ -123,7 +136,10 @@ def simulate_paths(
     sample_inventories = np.zeros((n, n_sample, n_steps + 1))
     sample_costs = np.zeros((n, n_sample, n_steps + 1))
     sample_prices[:, 0] = market.p0
-    block = np.empty((min(CHUNK_PATHS, n_paths), n_steps))  # one noise buffer for all chunks
+    width = min(CHUNK_PATHS, n_paths)
+    block = np.empty((width, n_steps))      # one noise buffer for all chunks
+    columns = np.empty((width, TILE_STEPS))  # the next TILE_STEPS columns of the block
+    tile = np.empty((TILE_STEPS, width))     # their transpose times sigma sqrt(dt)
     clamped = 0
     for row in range(0, n_paths, CHUNK_PATHS):
         m = min(CHUNK_PATHS, n_paths - row)
@@ -132,15 +148,33 @@ def simulate_paths(
         p = np.full(m, market.p0)
         x = np.zeros((n, m))
         r = np.zeros((n, m))
+        spd = np.empty((n, m))
+        work = np.empty((n, m))
+        agg = np.empty(m)
+        g_agg = np.empty(m)
         for k in range(n_steps):
-            p_look = np.clip(p, p_grid[0], p_grid[-1])
-            clamped += int(np.count_nonzero(p_look != p))
-            spd = speeds_at(p_look, _time_blend(speeds_by_time, *weights[k]))
-            agg = spd.sum(axis=0)
-            g_agg = np.asarray(game.cost.value(agg), dtype=float)
-            p = p + market.lam * agg * dt + market.sigma * sqrt_dt * noise[:, k]
-            x = x + spd * dt
-            r = r + spd * g_agg * dt
+            j = k % TILE_STEPS
+            if j == 0:
+                t = min(TILE_STEPS, n_steps - k)
+                np.copyto(columns[:m, :t], noise[:, k : k + t])
+                np.multiply(columns[:m, :t].T, kick, out=tile[:t, :m])
+            if p_lo <= p.min() and p.max() <= p_hi:  # False for any NaN
+                p_look = p
+            else:
+                p_look = np.clip(p, p_lo, p_hi)
+                clamped += int(np.count_nonzero(p_look != p))
+            speeds_at(p_look, speeds_at.blend(speeds_by_time, *weights[k]), out=spd)
+            spd.sum(axis=0, out=agg)
+            g_agg[...] = game.cost.value(agg)
+            agg *= market.lam
+            agg *= dt
+            p += agg
+            p += tile[j, :m]
+            np.multiply(spd, dt, out=work)
+            x += work
+            np.multiply(spd, g_agg, out=work)
+            work *= dt
+            r += work
             if s:
                 sample_prices[row : row + s, k + 1] = p[:s]
                 sample_inventories[:, row : row + s, k + 1] = x[:, :s]
@@ -176,8 +210,27 @@ def simulate_paths(
     )
 
 
-def _shared_interp(prices: np.ndarray):
-    """``interp(p, rows)``: ``np.interp(p, prices, rows[j])`` for every row j,
+def _require_finite(sol: Solution) -> None:
+    """Raise if a price node, time layer or speed of ``sol`` is not finite,
+    naming the first such entry: one NaN speed would otherwise send paths off
+    the price grid and be reported as too small a domain."""
+    for name, axis in (("price node", sol.prices), ("time layer", sol.times)):
+        bad = np.flatnonzero(~np.isfinite(axis))
+        if bad.size:
+            i = int(bad[0])
+            raise SimulationError(f"the solution's {name} {i} is {axis[i]}")
+    bad = np.argwhere(~np.isfinite(sol.speeds))
+    if bad.size:
+        j, k, i = (int(v) for v in bad[0])
+        raise SimulationError(
+            f"player {j + 1}'s solved speed is {sol.speeds[j, k, i]} at time layer {k} "
+            f"(t = {sol.times[k]:.6g}) and price {sol.prices[i]:.6g}; the paths need a "
+            f"finite speed lattice"
+        )
+
+
+class _SharedInterp:
+    """``lookup(p, rows)``: ``np.interp(p, prices, rows[j])`` for every row j,
     bitwise, from one cell search shared by all rows.
 
     ``p`` must lie in [prices[0], prices[-1]].  The cell is the arithmetic
@@ -185,34 +238,70 @@ def _shared_interp(prices: np.ndarray):
     stored nodes; one correction suffices because no node lies more than a
     quarter cell from its uniform position, which is checked here.  The speed
     is ``np.interp``'s own slope * (p - node) + value, with a zero slope past
-    the last node so that the last node returns its value exactly.
+    the last node so that the last node returns its value exactly.  The
+    lookup owns its (n_rows, n_p) blend and slope buffers, which ``blend``
+    and each call overwrite, and its per-price scratch.
     """
-    n_p = prices.size
-    p_lo, p_hi = prices[0], prices[-1]
-    dp = (p_hi - p_lo) / (n_p - 1)
-    drift = np.abs(prices - (p_lo + dp * np.arange(n_p)))
-    off = np.flatnonzero(~(drift <= 0.25 * dp))
-    if off.size:
-        i = int(off[0])
-        raise SimulationError(
-            f"the price axis is not uniform: node {i} lies {drift[i] / dp:.3g} cells "
-            f"from p_0 + {i} dp; the speed lookup needs a uniform axis"
-        )
-    scale = (n_p - 1) / (p_hi - p_lo)
-    next_nodes = np.append(prices[1:], np.inf)
-    spacing = np.diff(prices)
 
-    def interp(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def __init__(self, prices: np.ndarray, n_rows: int):
+        n_p = prices.size
+        p_lo, p_hi = prices[0], prices[-1]
+        dp = (p_hi - p_lo) / (n_p - 1)
+        drift = np.abs(prices - (p_lo + dp * np.arange(n_p)))
+        off = np.flatnonzero(~(drift <= 0.25 * dp))
+        if off.size:
+            i = int(off[0])
+            raise SimulationError(
+                f"the price axis is not uniform: node {i} lies {drift[i] / dp:.3g} cells "
+                f"from p_0 + {i} dp; the speed lookup needs a uniform axis"
+            )
+        self.prices = prices
+        self.p_lo = p_lo
+        self.scale = (n_p - 1) / (p_hi - p_lo)
+        self.next_nodes = np.append(prices[1:], np.inf)
+        self.spacing = np.diff(prices)
+        self.blended = np.empty((n_rows, n_p))
+        self.upper = np.empty((n_rows, n_p))
+        self.slopes = np.zeros((n_rows, n_p))
+        self._resize(0)
+
+    def _resize(self, m: int) -> None:
+        """Size the per-price scratch for m prices; a chunk's steps all look
+        up the same number, so this happens once a chunk."""
+        self.cell = np.empty(m, dtype=np.intp)
+        self.node = np.empty(m)
+        self.below = np.empty(m, dtype=bool)
+        self.values = np.empty((self.slopes.shape[0], m))
+
+    def blend(self, layers: np.ndarray, k: int, w: float) -> np.ndarray:
+        """(1 - w) layers[k] + w layers[k + 1], bitwise ``_time_blend``."""
+        np.multiply(layers[k], 1.0 - w, out=self.blended)
+        np.multiply(layers[k + 1], w, out=self.upper)
+        self.blended += self.upper
+        return self.blended
+
+    def __call__(self, p: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+        if p.size != self.cell.size:
+            self._resize(p.size)
+        prices, slopes, cell, node, below = self.prices, self.slopes, self.cell, self.node, self.below
         # every take clips the cell to [0, n_p - 1]; only a NaN price leaves it
-        cell = ((p - p_lo) * scale).astype(np.intp)
-        cell -= p < prices.take(cell, mode="clip")
-        cell += p >= next_nodes.take(cell, mode="clip")
-        slopes = np.zeros_like(rows)
-        np.divide(np.diff(rows, axis=1), spacing, out=slopes[:, :-1])
-        return (slopes.take(cell, axis=1, mode="clip") * (p - prices.take(cell, mode="clip"))
-                + rows.take(cell, axis=1, mode="clip"))
-
-    return interp
+        np.subtract(p, self.p_lo, out=node)
+        node *= self.scale
+        np.copyto(cell, node, casting="unsafe")  # truncates, as astype(np.intp) does
+        prices.take(cell, mode="clip", out=node)
+        np.less(p, node, out=below)
+        np.subtract(cell, below, out=cell, casting="unsafe")
+        self.next_nodes.take(cell, mode="clip", out=node)
+        np.greater_equal(p, node, out=below)
+        np.add(cell, below, out=cell, casting="unsafe")
+        np.subtract(rows[:, 1:], rows[:, :-1], out=slopes[:, :-1])
+        slopes[:, :-1] /= self.spacing
+        out = slopes.take(cell, axis=1, mode="clip", out=out)
+        prices.take(cell, mode="clip", out=node)
+        np.subtract(p, node, out=node)
+        out *= node
+        out += rows.take(cell, axis=1, mode="clip", out=self.values)
+        return out
 
 
 def realized_objectives(bundle: PathBundle):

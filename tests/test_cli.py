@@ -284,6 +284,13 @@ def test_manifests_record_digests_and_stage_timings(config_path, tmp_path):
         assert list(manifest["output_sha256"]) == manifest["outputs"]
         for name, sha in manifest["output_sha256"].items():
             assert sha == file_sha256(run / name)
+    # simulate also records its clamp fraction and path-steps, as plain numbers
+    meta = json.loads((tmp_path / "sim" / "manifest.json").read_text())["meta"]
+    summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+    assert isinstance(meta["clamped_fraction"], float)
+    assert meta["clamped_fraction"] == summary["clamped_fraction"]
+    assert type(meta["path_steps"]) is int
+    assert meta["path_steps"] == summary["n_paths"] * summary["n_steps"] == 50 * 500
 
 
 def test_commands_load_no_scipy_submodule_they_do_not_use(config_path, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -139,6 +140,18 @@ def test_bitwise_determinism(call_game, call_solution, monkeypatch):
         _assert_same_run(a, c)
 
 
+@pytest.mark.parametrize("tile", [1, 7, 64])
+def test_noise_tiles_do_not_change_the_stream(call_game, call_solution, monkeypatch, tile):
+    # 45 steps: a multiple of neither 7 nor the default tile, and fewer than
+    # 64; 300 paths in chunks of 128, the last one partial
+    assert 45 % illiq.simulate.TILE_STEPS != 0
+    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 128)
+    default = simulate_paths(call_solution, call_game, n_paths=300, seed=47, n_steps=45)
+    monkeypatch.setattr(illiq.simulate, "TILE_STEPS", tile)
+    tiled = simulate_paths(call_solution, call_game, n_paths=300, seed=47, n_steps=45)
+    _assert_same_run(default, tiled)
+
+
 def test_sample_paths_end_at_terminal_state(call_game, call_solution):
     bundle = simulate_paths(call_solution, call_game, n_paths=300, seed=43, n_steps=40)
     s = illiq.simulate.SAMPLE_PATHS
@@ -264,6 +277,7 @@ def test_shared_cell_search_is_per_player_interp(spread_trio, reloaded, monkeypa
     # p0 is a node, so every path's first lookup lands exactly on one
     assert game.market.p0 in sol.prices
     monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 700)  # two chunks, the second partial
+    assert 60 % illiq.simulate.TILE_STEPS != 0  # the last noise tile is partial
     bundle = simulate_paths(sol, game, n_paths=1200, seed=31, n_steps=60)
     ref, low, high = _reference_paths(sol, game, n_paths=1200, seed=31, n_steps=60)
     assert low > 0 and high > 0
@@ -285,7 +299,7 @@ def test_cell_search_matches_interp_near_every_node():
                             0.5 * (prices[1:] + prices[:-1]), rng.uniform(94.0, 106.0, 500)])
         p = np.clip(p, prices[0], prices[-1])
         expected = np.stack([np.interp(p, prices, row) for row in rows])
-        assert np.array_equal(illiq.simulate._shared_interp(prices)(p, rows), expected)
+        assert np.array_equal(illiq.simulate._SharedInterp(prices, len(rows))(p, rows), expected)
 
 
 def test_non_uniform_price_axis_rejected(market):
@@ -294,6 +308,30 @@ def test_non_uniform_price_axis_rejected(market):
     prices[20] += 0.3 * (prices[1] - prices[0])
     with pytest.raises(SimulationError, match="node 20 lies 0.3 cells"):
         simulate_paths(_synthetic_solution(prices, 1), game, n_paths=10, seed=1, n_steps=10)
+
+
+def test_non_finite_speed_is_named(market):
+    # one NaN speed used to send the paths off the grid, reported as too
+    # small a domain ("32.01% of path-steps left the price grid")
+    game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), _zero_payoff()),))
+    sol = _synthetic_solution(np.linspace(94.0, 106.0, 41), 1)
+    speeds = sol.speeds.copy()
+    speeds[0, 5, 20] = np.nan
+    sol = dataclasses.replace(sol, speeds=speeds)
+    with pytest.raises(SimulationError, match=r"player 1's solved speed is nan at time layer 5 "
+                                              r"\(t = 0.5\) and price 100"):
+        simulate_paths(sol, game, 1000, 1, 50)
+
+
+@pytest.mark.parametrize("axis, name", [("prices", "price node 3"), ("times", "time layer 3")])
+def test_non_finite_axis_is_named(market, axis, name):
+    game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), _zero_payoff()),))
+    sol = _synthetic_solution(np.linspace(94.0, 106.0, 41), 1)
+    poisoned = getattr(sol, axis).copy()
+    poisoned[3] = np.inf
+    sol = dataclasses.replace(sol, **{axis: poisoned})
+    with pytest.raises(SimulationError, match=f"the solution's {name} is inf"):
+        simulate_paths(sol, game, 100, 1, 10)
 
 
 def test_doubling_steps_moves_mean_within_noise(call_game, call_solution):
