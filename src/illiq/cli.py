@@ -14,11 +14,12 @@ whose speeds exceed the a-priori bound; its outputs are still written),
 5 solution/config hash mismatch (or a solution.npz whose SHA-256 differs
 from its manifest's), 6 sweep assertion failure.
 
-Every manifest.json records as ``command`` the subcommand with every option
-that shapes its outputs (all but the --config, --solution and --out paths),
-the SHA-256 of each output it lists as ``output_sha256``, the seconds of
-each stage as ``timings_s`` and other measurements as ``meta`` (simulate:
-its ``clamped_fraction`` and the ``path_steps`` it ran).
+Each command's manifest.json is the plain dict its ``_Run`` builds: as
+``command`` the subcommand with every option that shapes its outputs (all
+but the --config, --solution and --out paths), the SHA-256 of each output
+it lists as ``output_sha256``, the seconds of each stage as ``timings_s``
+and other measurements as ``meta`` (simulate: its ``clamped_fraction`` and
+the ``path_steps`` it ran).
 Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
 only the sweep metrics table, whose value column mixes numbers and empty
 cells, is written by hand, its numbers in ``pdesolve.CSV_FLOAT``.
@@ -53,7 +54,7 @@ from .experiments import (
     spread_sweep,
     zero_sum_report,
 )
-from .manifest import RunManifest, digest, file_sha256, read_manifest, write_manifest
+from .manifest import digest, file_sha256, write_manifest
 from .model import (
     ConfigError,
     GameSpec,
@@ -114,59 +115,57 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _read_config(path: str) -> tuple[GameSpec, GridSpec, str, str]:
-    text = Path(path).read_text()
-    game, grid = load_config(text)
-    return game, grid, digest(game_to_dict(game)), digest(grid_to_dict(grid))
+class _Run:
+    """One command's record, made on its first line: the seconds of each stage
+    (``timed``) and what else it measured (``meta``), as plain numbers.
+    ``finish`` hashes the files the command wrote and writes the record as
+    ``manifest.json``."""
 
+    def __init__(self, args):
+        self.args, self.start = args, time.time()
+        self.hashes: dict = {}
+        self.timings_s: dict = {}
+        self.meta: dict = {}
 
-def _apply_grid_flag(grid: GridSpec, flag: str | None) -> GridSpec:
-    if flag is None:
-        return grid
-    try:
-        n_p, n_t = (int(v) for v in flag.split(","))
-    except Exception as err:
-        raise ConfigError("--grid expects 'np,nt'") from err
-    return replace(grid, n_p=n_p, n_t=n_t)
+    def read_config(self) -> tuple[GameSpec, GridSpec]:
+        """The config's game and grid, with ``--grid`` applied where the command
+        has it.  The hashes digest the grid the config gives, so ``simulate``
+        matches its own config against a solve run with ``--grid``."""
+        game, grid = load_config(Path(self.args.config).read_text())
+        self.hashes = {"config_hash": digest(game_to_dict(game)),
+                       "grid_hash": digest(grid_to_dict(grid))}
+        flag = vars(self.args).get("grid")
+        if flag is None:
+            return game, grid
+        try:
+            n_p, n_t = (int(v) for v in flag.split(","))
+        except Exception as err:
+            raise ConfigError("--grid expects 'np,nt'") from err
+        return game, replace(grid, n_p=n_p, n_t=n_t)
 
+    @contextmanager
+    def timed(self, stage: str):
+        """Record the seconds the block takes as the stage ``stage``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings_s[stage] = time.perf_counter() - t0
 
-@contextmanager
-def _timed(timings: dict, stage: str):
-    """Record the seconds the block takes as ``timings[stage]``."""
-    t0 = time.perf_counter()
-    yield
-    timings[stage] = time.perf_counter() - t0
-
-
-def _command(args) -> str:
-    """The subcommand and each option it was given or defaulted, as typed, but
-    for the paths, which say where files are rather than what they hold."""
-    options = [f"--{dest} {value}" for dest, value in vars(args).items()
-               if dest not in ("command", "config", "solution", "out") and value is not None]
-    return " ".join([args.command, *options])
-
-
-def _write_run_manifest(out: Path, args, config_hash: str, grid_hash: str, seed,
-                        t0: float, outputs, timings: dict, meta: dict | None = None) -> Path:
-    """``out/manifest.json`` for the files ``outputs`` in ``out``, each with its
-    SHA-256, and the run's ``meta`` numbers; hashing is timed as the stage
-    ``sha256``."""
-    with _timed(timings, "sha256"):
-        sha = {str(name): file_sha256(out / name) for name in outputs}
-    path = out / "manifest.json"
-    write_manifest(RunManifest(
-        command=_command(args),
-        config_hash=config_hash,
-        grid_hash=grid_hash,
-        seed=seed,
-        tool_version=__version__,
-        wall_time_s=time.time() - t0,
-        outputs=tuple(sha),
-        output_sha256=sha,
-        timings_s=timings,
-        meta=meta or {},
-    ), path)
-    return path
+    def finish(self, out: Path, outputs) -> Path:
+        """``out/manifest.json`` for the files ``outputs`` in ``out``, each with
+        its SHA-256; hashing is timed as the stage ``sha256``."""
+        with self.timed("sha256"):
+            sha = {name: file_sha256(out / name) for name in outputs}
+        # the subcommand and each option it was given or defaulted, as typed,
+        # but for the paths, which say where files are rather than what they hold
+        options = [f"--{dest} {value}" for dest, value in vars(self.args).items()
+                   if dest not in ("command", "config", "solution", "out") and value is not None]
+        path = out / "manifest.json"
+        write_manifest({"command": " ".join([self.args.command, *options]), **self.hashes,
+                        "seed": vars(self.args).get("seed"), "tool_version": __version__,
+                        "wall_time_s": time.time() - self.start, "outputs": list(sha),
+                        "output_sha256": sha, "timings_s": self.timings_s,
+                        "meta": self.meta}, path)
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +174,9 @@ def _write_run_manifest(out: Path, args, config_hash: str, grid_hash: str, seed,
 
 
 def cmd_check(args) -> int:
+    run = _Run(args)
     try:
-        game, grid, config_hash, grid_hash = _read_config(args.config)
+        game, _ = run.read_config()
     except FileNotFoundError as err:
         print(json.dumps({"ok": False, "error": f"missing file: {err}"}))
         return EXIT_PARSE
@@ -191,8 +191,7 @@ def cmd_check(args) -> int:
         return EXIT_CERTIFICATION
     report = {
         "ok": True,
-        "config_hash": config_hash,
-        "grid_hash": grid_hash,
+        **run.hashes,
         "n_players": game.n_players,
         "eps_floor": cert.eps_floor,
         "marginal_monotone": cert.marginal_monotone,
@@ -215,38 +214,34 @@ def _surplus_time_indices(n_t: int):
 
 
 def cmd_solve(args) -> int:
-    t0 = time.time()
-    game, grid, config_hash, grid_hash = _read_config(args.config)
-    grid = _apply_grid_flag(grid, args.grid)
+    run = _Run(args)
+    game, grid = run.read_config()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     solve = {"fd": solve_fd, "picard": solve_picard, "closed": solve_closed}[args.method]
-    timings: dict = {}
-    with _timed(timings, "solve"):
+    with run.timed("solve"):
         sol = solve(game, grid)
 
     bound = sol.meta["speed_bound"]
-    with _timed(timings, "residual"):
+    with run.timed("residual"):
         rep = residual(sol, game)
     layer_max = np.max(np.abs(sol.speeds), axis=(0, 2))
     max_speed = float(np.max(layer_max))
     bound_ok = max_speed <= bound + 1e-6
 
     sol_path, npz_path, surp_path = out / "solution.csv", out / SOLUTION_NPZ, out / "surplus.csv"
-    with _timed(timings, f"write {sol_path.name}"):
+    with run.timed(f"write {sol_path.name}"):
         write_solution_csv(sol, sol_path)
-    with _timed(timings, f"write {npz_path.name}"):
+    with run.timed(f"write {npz_path.name}"):
         write_solution_npz(sol, npz_path)
     idx = _surplus_time_indices(sol.times.size)
-    with _timed(timings, "surplus"):
+    with run.timed("surplus"):
         surp = surplus(sol, game, time_indices=idx)
-    with _timed(timings, f"write {surp_path.name}"):
+    with run.timed(f"write {surp_path.name}"):
         _write_lattice_csv(surp_path, ("t", sol.times[idx]), ("p", sol.prices),
                            {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
-    manifest_path = _write_run_manifest(
-        out, args, config_hash, grid_hash, None, t0,
-        [sol_path.name, npz_path.name, surp_path.name], timings)
+    manifest_path = run.finish(out, [sol_path.name, npz_path.name, surp_path.name])
     print(f"max interior residual: {rep.overall:.6g}")
     print(f"speed bound check: max |speed| = {max_speed:.6g} vs bound {bound:.6g} "
           f"-> {'PASS' if bound_ok else 'FAIL'}")
@@ -265,12 +260,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.time()
+    run = _Run(args)
     if args.paths < 2:
         raise ConfigError(f"--paths must be >= 2 for a standard error, got {args.paths}")
     if not 0 <= args.seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2**128), the Philox key range, got {args.seed}")
-    game, grid, config_hash, grid_hash = _read_config(args.config)
+    game, grid = run.read_config()
     sol_path = Path(args.solution)
     npz_path = sol_path.parent / SOLUTION_NPZ
     if not npz_path.is_file():
@@ -278,29 +273,28 @@ def cmd_simulate(args) -> int:
     manifest_path = sol_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise HashMismatch(f"no manifest next to {sol_path}; cannot verify provenance")
-    recorded = read_manifest(manifest_path)
-    if recorded.get("config_hash") != config_hash or recorded.get("grid_hash") != grid_hash:
+    recorded = json.loads(manifest_path.read_text())
+    if any(recorded.get(key) != value for key, value in run.hashes.items()):
         raise HashMismatch("solution manifest hashes do not match the config")
-    timings: dict = {}
-    with _timed(timings, f"verify {SOLUTION_NPZ}"):
+    with run.timed(f"verify {SOLUTION_NPZ}"):
         expected = recorded.get("output_sha256", {}).get(SOLUTION_NPZ)
         if expected is None:
             raise HashMismatch(f"{manifest_path} records no sha256 for {SOLUTION_NPZ}")
         data = npz_path.read_bytes()  # hashed and loaded from the same bytes
         if hashlib.sha256(data).hexdigest() != expected:
             raise HashMismatch(f"{npz_path} differs from the sha256 its manifest records")
-    with _timed(timings, "load"):
+    with run.timed("load"):
         sol = read_solution_npz(io.BytesIO(data), grid)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with _timed(timings, "simulate_paths"):
+    with run.timed("simulate_paths"):
         bundle = simulate_paths(sol, game, args.paths, args.seed, DEFAULT_SIM_STEPS)
     means, ses = realized_objectives(bundle)
-    with _timed(timings, "mc_consistency"):
+    with run.timed("mc_consistency"):
         z = mc_consistency(bundle, sol)
     paths_path = out / "paths.csv"
-    with _timed(timings, f"write {paths_path.name}"):
+    with run.timed(f"write {paths_path.name}"):
         write_paths_csv(bundle, paths_path)
     summary = {
         "n_paths": bundle.n_paths,
@@ -314,10 +308,9 @@ def cmd_simulate(args) -> int:
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    _write_run_manifest(out, args, config_hash, grid_hash, args.seed, t0,
-                        [paths_path.name, summary_path.name], timings,
-                        {"clamped_fraction": bundle.clamped_fraction,
-                         "path_steps": bundle.n_paths * DEFAULT_SIM_STEPS})
+    run.meta.update(clamped_fraction=bundle.clamped_fraction,
+                    path_steps=bundle.n_paths * DEFAULT_SIM_STEPS)
+    run.finish(out, [paths_path.name, summary_path.name])
     print(json.dumps(summary["players"]))
     return EXIT_OK
 
@@ -396,14 +389,12 @@ def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.time()
-    game, grid, config_hash, grid_hash = _read_config(args.config)
-    grid = _apply_grid_flag(grid, args.grid)
+    run = _Run(args)
+    game, grid = run.read_config()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     study = args.study
-    timings: dict = {}
-    with _timed(timings, "study"):
+    with run.timed("study"):
         data = _run_study(study, game, grid, args)
     results = data if isinstance(data, dict) else {"": data}
     prefix = study.split(":", 1)[1] if study.startswith("figure:") else "sweep"
@@ -422,8 +413,7 @@ def cmd_sweep(args) -> int:
     report_path = out / "assertions.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     outputs.append(report_path.name)
-    _write_run_manifest(out, args, config_hash, grid_hash, None, t0,
-                        outputs, timings)
+    run.finish(out, outputs)
     if not report["passed"]:
         print(f"sweep assertions failed: {', '.join(report['failing'])}", file=sys.stderr)
         return EXIT_ASSERTION

@@ -390,7 +390,7 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     if n_t < 5 or n_p < 5:
         raise ValueError("residual needs at least a 5x5 grid")
     dt = sol.times[1] - sol.times[0]
-    dp = sol.prices[1] - sol.prices[0]
+    dp = sol.grid.dp  # the step every route takes its gradients with
     cert = sol.meta.get("certificate") or certify_for_game(game)
 
     inner = slice(1, -1)

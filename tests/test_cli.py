@@ -102,6 +102,25 @@ def test_check_certification_failure(tmp_path):
     assert main(["check", "--config", str(path)]) == 2
 
 
+def test_table_cost_end_to_end(tmp_path, capsys):
+    # a certifiable table, g = 0.01 z + 0.001 z^3 on [-3, 3]: the bounded-cost
+    # branch of certify_for_game feeds check, both lattice solvers and simulate
+    z = np.linspace(-3.0, 3.0, 41)
+    doc = {**BASE, "cost": {"kind": "custom_table",
+                            "table": {"z": list(z), "g": list(0.01 * z + 0.001 * z**3)}}}
+    path = str(_write(tmp_path, "table.json", doc))
+    assert main(["check", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["working_interval"] == [-3.0, 3.0]
+    for method in ("fd", "picard"):
+        assert main(["solve", "--config", path, "--out", str(tmp_path / method),
+                     "--method", method, "--grid", "81,60"]) == 0
+        assert "-> PASS" in capsys.readouterr().out
+    assert main(["simulate", "--config", path, "--solution", str(tmp_path / "fd" / "solution.csv"),
+                 "--paths", "2000", "--out", str(tmp_path / "sim")]) == 0
+    (player,) = json.loads((tmp_path / "sim" / "summary.json").read_text())["players"]
+    assert abs(player["z"]) <= 4.0
+
+
 def test_solve_closed_and_fd_agree(config_path, tmp_path, capsys):
     out_c = tmp_path / "closed"
     out_f = tmp_path / "fd"
@@ -138,6 +157,19 @@ def test_solve_speed_bound_failure_exit_4(config_path, tmp_path, monkeypatch, ca
             f"max |speed| = {layer_max[k]:.6g}; ") in printed
     for name in ("solution.csv", "solution.npz", "surplus.csv", "manifest.json"):
         assert (out / name).is_file()
+
+
+def test_surplus_thins_the_time_axis(config_path, tmp_path):
+    # more than 201 layers: surplus.csv keeps 201 of them, first and last
+    # included, while solution.csv keeps every layer
+    out = tmp_path / "fd"
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--grid", "41,450"]) == 0
+    surplus_t = np.unique(np.loadtxt(out / "surplus.csv", delimiter=",", skiprows=1)[:, 0])
+    assert (surplus_t.size, surplus_t[0], surplus_t[-1]) == (201, 0.0, BASE["market"]["T"])
+    solution_t = np.unique(np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 0])
+    assert solution_t.size == 450
+    assert np.all(np.isin(surplus_t, solution_t))
 
 
 def test_manifests_record_output_options(config_path, tmp_path):
@@ -367,6 +399,20 @@ def test_sweep_zero_sum_passes(tmp_path):
     ]
 
 
+def test_sweep_cara2_passes(tmp_path):
+    cara = {"kind": "cara", "alpha": 0.5}
+    doc = {**BASE, "players": [
+        {"utility": cara, "payoff": {"kind": "smoothed_call", "K": 100.0}},
+        {"utility": cara, "payoff": {"kind": "negated",
+                                     "inner": {"kind": "smoothed_call", "K": 100.0}}}]}
+    out = tmp_path / "cara2"
+    assert main(["sweep", "--config", str(_write(tmp_path, "cara2.json", doc)), "--out", str(out),
+                 "--study", "cara2", "--grid", "81,60"]) == 0
+    assert json.loads((out / "assertions.json").read_text())["passed"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["sweep.csv", "sweep_grids.csv", "assertions.json"]
+
+
 def test_sweep_figure_study(config_path, tmp_path):
     out = tmp_path / "fig"
     assert main(["sweep", "--config", str(config_path), "--out", str(out),
@@ -416,6 +462,7 @@ CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
 
 @pytest.mark.parametrize("doc, argv, code, message", [
     (CARA_ONE, ["--study", "zero_sum"], 3, "requires risk-neutral players"),
+    (BASE, ["--study", "cara2"], 3, "exactly two CARA players"),
     (BASE, ["--study", "figure:fig9"], 1, "unknown figure id 'fig9'"),
     (BASE, ["--study", "predator", "--N", "a"], 1, "--N expects"),
     (BASE, ["--study", "spread", "--s", "0,x"], 1, "--s expects"),
@@ -426,7 +473,7 @@ CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
     (BASE, ["--study", "split", "--N", "1,1"], 1, "swept values 1 and 1 share"),
     (BASE, ["--study", "spread", "--s", "0,nan"], 1, "s must be finite, got nan"),
     (BASE, ["--study", "spread", "--s", "inf"], 1, "s must be finite, got inf"),
-], ids=["study_game_mismatch", "unknown_figure", "N_not_int", "s_not_float",
+], ids=["study_game_mismatch", "cara2_no_cara_pair", "unknown_figure", "N_not_int", "s_not_float",
         "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf"])
 def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)

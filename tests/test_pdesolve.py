@@ -401,6 +401,23 @@ def test_residual_roots_start_from_the_stored_speeds(market, call, monkeypatch):
     assert abs(warm - residual(cold, game).overall) <= 1e-10
 
 
+def test_residual_takes_gradients_with_the_solver_step(call_game, monkeypatch):
+    # on the README lattice prices[1] - prices[0] is 0.030000000000001137, not
+    # the grid's dp = 0.03 that every route divides by; residual takes the
+    # latter, so the gradients it passes on are the solution's, bit for bit
+    sol = solve_fd(call_game, GridSpec(94.0, 106.0, 401, 60))
+    assert sol.prices[1] - sol.prices[0] != sol.grid.dp
+    fields, passed = illiq.pdesolve.equilibrium_fields, []
+
+    def recorded(game, eps_floor, grads, start=None, sweeps=None):
+        passed.append(grads)
+        return fields(game, eps_floor, grads, start, sweeps)
+
+    monkeypatch.setattr(illiq.pdesolve, "equilibrium_fields", recorded)
+    residual(sol, call_game)
+    assert np.array_equal(passed[0], sol.gradients[..., 1:-1])
+
+
 def test_residual_zero_game(market):
     game = _zero_game(market)
     sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 50))

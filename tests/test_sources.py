@@ -91,3 +91,11 @@ def test_one_schema_entry_per_config_kind():
     model = ast.parse((PACKAGE / "model.py").read_text())
     assert [node.lineno for node in ast.walk(model)
             if isinstance(node, ast.FunctionDef) and node.name == "to_dict"] == []
+
+
+def test_one_function_writes_run_manifests():
+    # every command's manifest.json is the plain dict cli._Run.finish builds,
+    # and manifest.py keeps no record type of its own: it hashes and writes
+    assert _callers("write_manifest") == ["cli.finish"]
+    manifest = ast.parse((PACKAGE / "manifest.py").read_text())
+    assert [node.name for node in ast.walk(manifest) if isinstance(node, ast.ClassDef)] == []
