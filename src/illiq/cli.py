@@ -8,11 +8,12 @@ Subcommands
                loaded from the solution.npz next to --solution
     sweep      run one of the scripted studies and assert its claims
 
-Exit codes: 0 ok, 1 parse/missing input, 2 certification failure,
-3 method/game or study/game mismatch, 4 solver error (including a solve
-whose speeds exceed the a-priori bound; its outputs are still written),
-5 solution/config hash mismatch (or a solution.npz whose SHA-256 differs
-from its manifest's), 6 sweep assertion failure.
+Exit codes: 0 ok, 1 parse/missing input (also a usage error, and a solve
+grid under 5 x 5), 2 certification failure, 3 method/game or study/game
+mismatch, 4 solver error (including a solve whose speeds exceed the
+a-priori bound; its outputs are still written), 5 solution/config hash
+mismatch (or a solution.npz whose SHA-256 differs from its manifest's, or
+a manifest simulate cannot read), 6 sweep assertion failure.
 
 Each command's manifest.json is the plain dict its ``_Run`` builds: as
 ``command`` the subcommand with every option that shapes its outputs (all
@@ -20,9 +21,8 @@ but the --config, --solution and --out paths), the SHA-256 of each output
 it lists as ``output_sha256``, the seconds of each stage as ``timings_s``
 and other measurements as ``meta`` (simulate: its ``clamped_fraction`` and
 the ``path_steps`` it ran).
-Numeric CSVs go through ``pdesolve._write_table`` or ``_write_lattice_csv``;
-only the sweep metrics table, whose value column mixes numbers and empty
-cells, is written by hand, its numbers in ``pdesolve.CSV_FLOAT``.
+Every CSV goes through ``manifest``: ``write_csv`` for the lattices and
+grids, ``write_sweep_csv`` for a study's metrics table.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .experiments import (
     spread_sweep,
     zero_sum_report,
 )
-from .manifest import digest, file_sha256, write_manifest
+from .manifest import digest, file_sha256, write_csv, write_manifest, write_sweep_csv
 from .model import (
     ConfigError,
     GameSpec,
@@ -66,10 +66,7 @@ from .model import (
     load_config,
 )
 from .pdesolve import (
-    CSV_FLOAT,
     SolverError,
-    _write_lattice_csv,
-    _write_table,
     read_solution_npz,
     residual,
     solve_closed,
@@ -216,6 +213,9 @@ def _surplus_time_indices(n_t: int):
 def cmd_solve(args) -> int:
     run = _Run(args)
     game, grid = run.read_config()
+    if grid.n_p < 5 or grid.n_t < 5:  # the residual's central differences need them
+        raise ConfigError(f"solve needs at least a 5 x 5 grid, "
+                          f"got {grid.n_p} x {grid.n_t} (np x nt)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -239,8 +239,8 @@ def cmd_solve(args) -> int:
     with run.timed("surplus"):
         surp = surplus(sol, game, time_indices=idx)
     with run.timed(f"write {surp_path.name}"):
-        _write_lattice_csv(surp_path, ("t", sol.times[idx]), ("p", sol.prices),
-                           {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
+        write_csv(surp_path, (("t", sol.times[idx]), ("p", sol.prices)),
+                  {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
     manifest_path = run.finish(out, [sol_path.name, npz_path.name, surp_path.name])
     print(f"max interior residual: {rep.overall:.6g}")
     print(f"speed bound check: max |speed| = {max_speed:.6g} vs bound {bound:.6g} "
@@ -271,13 +271,19 @@ def cmd_simulate(args) -> int:
     if not npz_path.is_file():
         raise FileNotFoundError(f"{npz_path} (written by illiq solve)")
     manifest_path = sol_path.parent / "manifest.json"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise HashMismatch(f"no manifest next to {sol_path}; cannot verify provenance")
-    recorded = json.loads(manifest_path.read_text())
+    try:
+        recorded = json.loads(manifest_path.read_text())
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise HashMismatch(f"cannot read {manifest_path}: {err}") from err
+    sha = recorded.get("output_sha256", {}) if isinstance(recorded, dict) else None
+    if not isinstance(sha, dict):
+        raise HashMismatch(f"{manifest_path} is no run manifest: it holds no output_sha256 object")
     if any(recorded.get(key) != value for key, value in run.hashes.items()):
         raise HashMismatch("solution manifest hashes do not match the config")
     with run.timed(f"verify {SOLUTION_NPZ}"):
-        expected = recorded.get("output_sha256", {}).get(SOLUTION_NPZ)
+        expected = sha.get(SOLUTION_NPZ)
         if expected is None:
             raise HashMismatch(f"{manifest_path} records no sha256 for {SOLUTION_NPZ}")
         data = npz_path.read_bytes()  # hashed and loaded from the same bytes
@@ -328,37 +334,24 @@ def _csv_list(raw: str, cast, flag: str):
                           f"got {raw!r}") from err
 
 
-def _write_sweep_csv(result: SweepResult, path) -> None:
-    lines = ["param,value,metric,metric_value"]
-    for name, arr in result.metrics.items():
-        vals = np.atleast_1d(arr)
-        if vals.size == len(result.values):
-            for v, m in zip(result.values, vals):
-                lines.append(f"{result.param},{v},{name},{CSV_FLOAT % m}")
-        else:
-            for m in vals:
-                lines.append(f"{result.param},,{name},{CSV_FLOAT % m}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
     """Write one study's files and return the names of those written:
     ``<prefix>.csv`` for the metrics, ``<prefix>_grids.csv`` for the 1-D grids
-    (when any besides the price axis) and ``<prefix>_<name>.csv`` in long
+    over the price axis (when there are any) and ``<prefix>_<name>.csv`` in long
     ``<param>,p,<name>`` form for each 2-D grid."""
     written = []
     if result.metrics:
-        _write_sweep_csv(result, out / f"{prefix}.csv")
+        write_sweep_csv(out / f"{prefix}.csv", result.param, result.values, result.metrics)
         written.append(f"{prefix}.csv")
-    one_d = {k: np.asarray(v) for k, v in result.grids.items() if np.ndim(v) == 1}
-    if set(one_d) - {"prices"}:
-        _write_table(out / f"{prefix}_grids.csv", list(one_d),
-                     [np.column_stack(list(one_d.values()))])
+    prices = result.grids.get("prices")
+    one_d = {k: v for k, v in result.grids.items() if np.ndim(v) == 1 and k != "prices"}
+    if one_d:
+        write_csv(out / f"{prefix}_grids.csv", (("prices", prices),), one_d)
         written.append(f"{prefix}_grids.csv")
     for name, arr in result.grids.items():
         if np.ndim(arr) == 2:
-            _write_lattice_csv(out / f"{prefix}_{name}.csv", (result.param, result.values),
-                               ("p", result.grids["prices"]), {name: arr})
+            write_csv(out / f"{prefix}_{name}.csv",
+                      ((result.param, result.values), ("p", prices)), {name: arr})
             written.append(f"{prefix}_{name}.csv")
     return written
 

@@ -29,10 +29,9 @@ raw payoff as well):
 Each route validates the grid, certifies the cost once and records the
 certificate, the a-priori speed bound and the speed-root tolerance in
 ``Solution.meta``; terminal data comes from ``GameSpec.payoff_layer``.
-``_write_table`` and ``_write_lattice_csv`` write every numeric table the
-package writes, in one dialect whose number format is ``CSV_FLOAT``; the
-numpy kernel ``_g17`` gives the bytes of ``CSV_FLOAT % x`` for whole blocks.
-``write_solution_npz`` stores a ``Solution`` in binary and
+A ``Solution`` has its own files: ``write_solution_csv`` hands its lattices
+to ``manifest.write_csv``, which writes every numeric CSV of the package;
+``write_solution_npz`` stores it in binary and
 ``read_solution_npz`` loads it back, exactly and without pickling.
 
 scipy is imported where it is used: ``scipy.linalg`` when ``solve_fd``
@@ -41,7 +40,6 @@ factors its matrix, so importing this module loads none of scipy.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -55,6 +53,7 @@ from .closedform import (
     heat_convolve_grid,
     heat_convolve_payoff,
 )
+from .manifest import write_csv
 from .model import GameSpec, GridSpec
 from .speeds import (
     ROOT_TOL,
@@ -427,227 +426,6 @@ def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-CSV_FLOAT = "%.17g"  # every number a CSV holds, in full double precision
-CSV_BLOCK_ROWS = 4096  # about this many lines are assembled per block
-
-# ``_g17`` writes the bytes of ``CSV_FLOAT % x`` for a whole array.  A finite
-# x != 0 with E = floor(log10|x|) has the 17 significant digits
-# D = round(y), y = |x| 10^(16 - E) in [10^16, 10^17); D = 10^17 carries into
-# the next power of ten.  y, as |x| times the double-double 10^(16 - E) =
-# hi + lo with Dekker's exact two-product for |x| hi (Numer. Math. 18, 1971),
-# is within about 1e-14 of its exact value, so D is exact unless y lies within
-# ``_G17_TIE`` of a rounding tie.  Those entries, non-finite ones and those
-# with |E| > ``_G17_EXP`` are formatted with ``%`` one at a time.  A y just
-# under 10^16 (by at most 0.01) keeps E: at E - 1 it would carry back to
-# D = 10^16.
-_G17_EXP = 280  # the largest |E| the power table serves
-_G17_WIDTH = 24  # the longest result, "-1.2345678901234567e-308"
-_G17_TIE = 1e-6  # in units of the 17th digit
-_G17_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-
-# Byte offsets in the 24-byte source row of one number: the 16 digits after
-# the leading one, NUL where %g strips them; the leading digit, the point
-# (NUL when no digit follows it), '0' and the sign (NUL when positive); NULs.
-_G17_LEAD, _G17_POINT, _G17_ZERO, _G17_SIGN, _G17_NUL = 16, 17, 18, 19, 20
-_G17_DIGITS = (_G17_LEAD, *range(16))
-
-
-@functools.cache
-def _g17_tables() -> dict:
-    """The tables ``_g17`` reads, built on first use.  For E in
-    [-_G17_EXP - 1, _G17_EXP + 1]: 10^(16 - E) as hi + lo, hi also split into
-    Dekker's head + tail, and the exponent bytes ("e+05", "e-308").  For
-    0..9999: the ASCII of the four digits and the count of trailing zeros.
-    For 0..8: the mask that keeps that many bytes of a uint64.  One
-    layout template per class, fixed notation with X = -4..16 or exponent
-    notation: the source-row byte of each output byte (the exponent is not in
-    the source row)."""
-    exps = range(-_G17_EXP - 1, _G17_EXP + 2)
-    hi, lo = [], []
-    for e in exps:
-        # int -> float and int / int are correctly rounded in Python
-        if e <= 16:
-            power = 10 ** (16 - e)
-            hi.append(float(power))
-            lo.append(float(power - int(hi[-1])))
-        else:
-            den = 10 ** (e - 16)
-            hi.append(1 / den)
-            num, hi_den = hi[-1].as_integer_ratio()
-            lo.append((hi_den - num * den) / (hi_den * den))
-    hi = np.array(hi)
-    split = _G17_SPLIT * hi
-    head = split - (split - hi)
-
-    quads = np.arange(10_000)
-    ascii4 = np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10, quads % 10], axis=1)
-    zeros4 = sum((quads % 10**k == 0).astype(np.int64) for k in range(1, 5))
-
-    exponent = np.zeros((len(exps), 5), np.uint8)
-    for i, e in enumerate(exps):
-        text = b"e%+03d" % e
-        exponent[i, :len(text)] = list(text)
-    keep = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
-
-    templates = np.full((22, _G17_WIDTH), _G17_NUL, np.intp)
-    digits = _G17_DIGITS
-    for cls in range(22):
-        if cls == 21:  # d.ddde+XX
-            body = [digits[0], _G17_POINT, *digits[1:]]
-        elif cls >= 4:  # X = cls - 4 >= 0: X + 1 digits before the point
-            body = [*digits[:cls - 3], _G17_POINT, *digits[cls - 3:]]
-        else:  # X = cls - 4 < 0: 0.000ddd
-            body = [_G17_ZERO, _G17_POINT, *[_G17_ZERO] * (3 - cls), *digits]
-        templates[cls, :len(body) + 1] = [_G17_SIGN, *body]
-
-    tables = {
-        "hi": hi, "head": head, "tail": hi - head, "lo": np.array(lo),
-        "ascii4": (ascii4 + ord("0")).astype(np.uint8).view("<u4").ravel(), "zeros4": zeros4,
-        "keep": keep, "exponent": exponent, "templates": templates,
-    }
-    for table in tables.values():
-        table.setflags(write=False)  # shared by every call
-    return tables
-
-
-def _g17_scaled(a: np.ndarray, e: np.ndarray):
-    """|x| 10^(16 - e) as p + t: p = fl(a hi) and t its rounding error, which
-    Dekker's two-product gives exactly, plus a lo."""
-    tab = _g17_tables()
-    i = e + (_G17_EXP + 1)
-    hi, head, tail = tab["hi"][i], tab["head"][i], tab["tail"][i]
-    split = _G17_SPLIT * a
-    a_head = split - (split - a)
-    a_tail = a - a_head
-    p = a * hi
-    err = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
-    return p, err + a * tab["lo"][i]
-
-
-def _g17_digits(x: np.ndarray):
-    """The 17 significant digits D of each entry as an int64 (0 for zeros),
-    its decimal exponent E after rounding, and the mask of the entries left
-    to ``%``, on which D and E are 0."""
-    a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-    fast = np.abs(e) <= _G17_EXP  # False for zeros, infinities and nan
-    a = np.where(fast, a, 1.0)
-    e = np.where(fast, e, 0.0).astype(np.int64)
-    p, t = _g17_scaled(a, e)
-    # log10 can round across a power of ten; p - 10^k is exact near 10^k
-    off = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < -0.01)
-    redo = np.flatnonzero(off)
-    if redo.size:
-        e[redo] += off[redo]
-        p[redo], t[redo] = _g17_scaled(a[redo], e[redo])
-    whole = np.floor(t)
-    frac = t - whole
-    digits = p.astype(np.int64) + whole.astype(np.int64) + (frac >= 0.5)
-    carry = digits == 10**17  # rounded up to the next power of ten
-    digits[carry] = 10**16
-    e += carry
-    ok = fast & (digits >= 10**16) & (digits < 10**17) & (np.abs(frac - 0.5) >= _G17_TIE)
-    return np.where(ok, digits, 0), np.where(ok, e, 0), ~ok & (x != 0)
-
-
-def _g17(x: np.ndarray) -> np.ndarray:
-    """``CSV_FLOAT % v`` for every entry v of the float array x, as rows of
-    ``_G17_WIDTH`` ASCII bytes padded with NULs, in the order of ``x.ravel()``.
-    The %g rules: fixed notation for -4 <= X <= 16, else d.ddde+XX; trailing
-    zeros of the fraction and a point with no digit after it are dropped."""
-    x = np.ravel(x)
-    tab = _g17_tables()
-    digits, e, slow = _g17_digits(x)
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    quads = (upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4)
-    zeros4 = tab["zeros4"]
-    zeros = zeros4[quads[3]]
-    left = np.flatnonzero(quads[3] == 0)  # the last four digits are zeros: look further left
-    if left.size:
-        q1, q2, q3 = (quad[left] for quad in quads[:3])
-        zeros[left] += np.where(q3 > 0, zeros4[q3], 4 + np.where(
-            q2 > 0, zeros4[q2], 4 + zeros4[q1]))
-    fixed = (e >= -4) & (e <= 16)
-    point = np.where(fixed, np.maximum(e + 1, 0), 1)  # digits before the point
-    shown = np.maximum(17 - zeros, point)  # digits printed
-
-    src = np.zeros((x.size, _G17_WIDTH // 4), np.uint32)
-    for col, quad in enumerate(quads):
-        src[:, col] = tab["ascii4"][quad]
-    src[:, 4] = (lead + (ord("0") | ord("0") << 16) + (shown > point) * (ord(".") << 8)
-                 + np.signbit(x) * (ord("-") << 24))
-    after = shown - 1  # digits shown after the leading one, 8 per uint64
-    src64 = src.view(np.uint64)
-    src64[:, 0] &= tab["keep"][np.minimum(after, 8)]
-    src64[:, 1] &= tab["keep"][np.clip(after - 8, 0, 8)]
-    src = src.view(np.uint8)
-
-    cls = np.where(fixed, e + 4, 21)
-    out = np.empty((x.size, _G17_WIDTH), np.uint8)
-    templates = tab["templates"]
-    for k in np.flatnonzero(np.bincount(cls, minlength=len(templates))):
-        rows = np.flatnonzero(cls == k)
-        out[rows] = src[rows][:, templates[k]]
-    rows = np.flatnonzero(~fixed)
-    out[rows, -5:] = tab["exponent"][e[rows] + (_G17_EXP + 1)]
-    for i in np.flatnonzero(slow):
-        text = (CSV_FLOAT % float(x[i])).encode()
-        out[i] = 0
-        out[i, :len(text)] = list(text)
-    return out
-
-
-def _csv_lines(cells: np.ndarray) -> bytes:
-    """The CSV lines of ``cells``, (lines, columns, _G17_WIDTH + 1) bytes whose
-    first ``_G17_WIDTH`` bytes per cell hold a number from ``_g17``; the last
-    byte becomes the delimiter or the line end, and the NULs are dropped."""
-    cells[..., -1] = ord(",")
-    cells[:, -1, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0")
-
-
-def _write_table(path, header, blocks) -> None:
-    """The package's one CSV dialect: a header row of column names, comma
-    delimiters, no comment prefix and every number in ``CSV_FLOAT``, written
-    by ``_g17``.  ``blocks`` yields 2-D arrays of rows."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            block = np.asarray(block, dtype=float)
-            for r in range(0, len(block), CSV_BLOCK_ROWS):
-                part = block[r:r + CSV_BLOCK_ROWS]
-                cells = np.empty((*part.shape, _G17_WIDTH + 1), np.uint8)
-                cells[..., :-1] = _g17(part).reshape(*part.shape, _G17_WIDTH)
-                fh.write(_csv_lines(cells))
-
-
-def _write_lattice_csv(path, rows, cols, fields: dict) -> None:
-    """Long form of lattices over two axes, row-major, in the dialect of
-    ``_write_table``: one line per (row, col) pair holding both axis values,
-    then one column per field.  ``rows`` and ``cols`` are (name, axis) pairs;
-    each field has shape (rows, cols).  Each axis value is formatted once, and
-    a few axis rows at a time are assembled into lines, so memory stays flat."""
-    (row_name, row_axis), (col_name, col_axis) = rows, cols
-    values = [np.asarray(field, dtype=float) for field in fields.values()]
-    row_text = _g17(np.asarray(row_axis, dtype=float))
-    col_text = _g17(np.asarray(col_axis, dtype=float))
-    n_cols, width = len(col_text), 2 + len(values)
-    step = max(1, CSV_BLOCK_ROWS // n_cols)
-    with open(path, "wb") as fh:
-        fh.write((",".join([row_name, col_name, *fields]) + "\n").encode())
-        for r in range(0, len(row_text), step):
-            block = np.stack([field[r:r + step] for field in values], axis=-1)
-            cells = np.empty((len(block), n_cols, width, _G17_WIDTH + 1), np.uint8)
-            cells[:, :, 0, :-1] = row_text[r:r + step, None]
-            cells[:, :, 1, :-1] = col_text
-            cells[:, :, 2:, :-1] = _g17(block).reshape(*block.shape, _G17_WIDTH)
-            fh.write(_csv_lines(cells.reshape(-1, width, _G17_WIDTH + 1)))
-
-
 def write_solution_csv(sol: Solution, path) -> None:
     """Row-major (t, p) dump in full double precision."""
     n = sol.n_players
@@ -657,7 +435,7 @@ def write_solution_csv(sol: Solution, path) -> None:
         **{f"speed_{j+1}": sol.speeds[j] for j in range(n)},
         "agg_speed": sol.aggregate_speed,
     }
-    _write_lattice_csv(path, ("t", sol.times), ("p", sol.prices), fields)
+    write_csv(path, (("t", sol.times), ("p", sol.prices)), fields)
 
 
 SOLUTION_ARRAYS = ("times", "prices", "values", "gradients", "speeds", "aggregate_speed")

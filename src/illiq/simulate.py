@@ -44,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .manifest import write_csv
 from .model import GameSpec
-from .pdesolve import Solution, _time_weight, _write_lattice_csv
+from .pdesolve import Solution, _time_weight
 
 __all__ = [
     "SimulationError",
@@ -368,4 +369,4 @@ def write_paths_csv(bundle: PathBundle, path) -> None:
         **{f"R_{j+1}": bundle.sample_costs[j] for j in range(n)},
     }
     n_sample = bundle.sample_prices.shape[0]
-    _write_lattice_csv(path, ("path", np.arange(n_sample)), ("t", bundle.times), fields)
+    write_csv(path, (("path", np.arange(n_sample)), ("t", bundle.times)), fields)

@@ -93,13 +93,50 @@ def test_check_reports_rejected_input(tmp_path, capsys, section, value, key):
     assert key in report["error"]
 
 
+_ARCTAN_Z = np.linspace(-100.0, 100.0, 801)
+ARCTAN_COST = {**BASE, "cost": {"kind": "custom_table", "table": {
+    "z": list(_ARCTAN_Z), "g": list(np.arctan(_ARCTAN_Z))}}}  # a cost that fails certification
+
+
 def test_check_certification_failure(tmp_path):
-    z = np.linspace(-100.0, 100.0, 801)
-    doc = dict(BASE)
-    doc["cost"] = {"kind": "custom_table",
-                   "table": {"z": list(z), "g": list(np.arctan(z))}}
-    path = _write(tmp_path, "table.json", doc)
+    path = _write(tmp_path, "table.json", ARCTAN_COST)
     assert main(["check", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({k: v for k, v in BASE.items() if k != "cost"}, "missing key 'cost' in config"),
+    ({**BASE, "cost": 5}, "cost must be an object"),
+    ({**BASE, "cost": {"kind": "quadratic"}}, "unknown cost kind 'quadratic'"),
+    ({**BASE, "cost": {"kind": "custom_table", "table": [1, 2]}},
+     "cost.table must be an object with keys 'z' and 'g'"),
+    ({**BASE, "players": [{"utility": {"kind": "risk_neutral"},
+                           "payoff": {"kind": "sum", "terms": []}}]},
+     "payoff.terms must be a non-empty list"),
+    ([1], "config root must be a JSON object"),
+    ({**BASE, "market": 1}, "market must be an object"),
+    ({**BASE, "players": []}, "players must be a non-empty list"),
+    ({**BASE, "players": [1]}, "players[0] must be an object"),
+    ({**BASE, "grid": [1]}, "grid must be an object"),
+], ids=["missing_key", "section_not_object", "unknown_kind", "samples_not_object", "empty_sum",
+        "root_not_object", "market_not_object", "no_players", "player_not_object",
+        "grid_not_object"])
+def test_check_rejects_config_shape(tmp_path, capsys, doc, message):
+    assert main(["check", "--config", str(_write(tmp_path, "bad.json", doc))]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "error": message}
+
+
+def test_usage_error_exits_1(capsys):
+    # argparse would exit 2, the code of a certification failure
+    assert main(["solve", "--out", "x"]) == 1
+    assert "--config" in capsys.readouterr().err
+
+
+def test_solve_certification_failure_exit_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(_write(tmp_path, "table.json", ARCTAN_COST)),
+                 "--out", str(out)]) == 2
+    assert "certification failure" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_table_cost_end_to_end(tmp_path, capsys):
@@ -293,6 +330,41 @@ def test_simulate_refuses_edited_solution_exit_5(config_path, tmp_path, capsys):
     assert "solution.npz" in capsys.readouterr().err
 
 
+def _manifest_edit(change):
+    """A manifest edit: the recorded manifest, as a dict, changed in place."""
+
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (None, "no manifest next to"),
+    (lambda text: "{oops", "cannot read"),
+    (lambda text: "[1]", "holds no output_sha256 object"),
+    (_manifest_edit(lambda doc: doc.update(output_sha256=list(doc["output_sha256"]))),
+     "holds no output_sha256 object"),
+    (_manifest_edit(lambda doc: doc["output_sha256"].pop("solution.npz")),
+     "records no sha256 for solution.npz"),
+], ids=["missing", "not_json", "not_object", "sha_list", "no_npz_sha"])
+def test_simulate_unreadable_manifest_exit_5(config_path, tmp_path, capsys, edit, message):
+    # the manifest is outside input: one simulate cannot read is a provenance
+    # failure, named in the error, not a traceback
+    out, simulate = _solve_and_simulate(config_path, tmp_path)
+    manifest = out / "manifest.json"
+    if edit is None:
+        manifest.unlink()
+    else:
+        manifest.write_text(edit(manifest.read_text()))
+    assert main(simulate) == 5
+    err = capsys.readouterr().err
+    assert message in err
+    assert "manifest" in err
+
+
 def test_simulate_without_npz_exit_1(config_path, tmp_path, capsys):
     out, simulate = _solve_and_simulate(config_path, tmp_path)
     (out / "solution.npz").unlink()
@@ -484,6 +556,14 @@ def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
 def test_sweep_unknown_study(config_path, tmp_path):
     assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "x"),
                  "--study", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("flag", ["41,4", "3,60"])
+def test_solve_rejects_grid_under_5x5(config_path, tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    assert main(["solve", "--config", str(config_path), "--out", str(out), "--grid", flag]) == 1
+    assert "at least a 5 x 5 grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_grid_flag(config_path, tmp_path):

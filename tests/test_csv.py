@@ -1,4 +1,4 @@
-"""The CSV number kernel: ``pdesolve._g17`` against ``CSV_FLOAT % x``, and
+"""The CSV number kernel: ``manifest._g17`` against ``CSV_FLOAT % x``, and
 every numeric CSV the package writes against a writer that formats each
 number with ``%``."""
 
@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import illiq
 import illiq.cli
-import illiq.pdesolve
-import illiq.simulate
 from illiq import GridSpec, solve_closed, solve_fd
 from illiq.cli import main
-from illiq.pdesolve import CSV_FLOAT, Solution, _g17, _g17_digits, write_solution_csv
+from illiq.manifest import CSV_FLOAT, _g17, _g17_digits, write_csv
+from illiq.pdesolve import Solution, write_solution_csv
 from illiq.simulate import simulate_paths, write_paths_csv
 
 
@@ -112,33 +112,27 @@ def test_fallback_share_on_the_call_lattice(call_solution):
 # ---------------------------------------------------------------------------
 
 
-def _percent_table(path, header, blocks) -> None:
+def _percent_csv(path, axes, fields: dict) -> None:
+    """``write_csv`` with one ``%`` per number: every point of the axes, row-major."""
+    points = np.meshgrid(*(np.asarray(axis, dtype=float) for _, axis in axes), indexing="ij")
+    columns = [_percent(column) for column in (*points, *fields.values())]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for block in blocks:
-            for row in np.asarray(block, dtype=float):
-                fh.write(",".join(_percent(row)) + "\n")
-
-
-def _percent_lattice(path, rows, cols, fields: dict) -> None:
-    (row_name, row_axis), (col_name, col_axis) = rows, cols
-    values = [np.asarray(field, dtype=float) for field in fields.values()]
-    with open(path, "w") as fh:
-        fh.write(",".join([row_name, col_name, *fields]) + "\n")
-        for i, head in enumerate(_percent(row_axis)):
-            for j, tail in enumerate(_percent(col_axis)):
-                fh.write(",".join([head, tail, *_percent([v[i, j] for v in values])]) + "\n")
+        fh.write(",".join([*(name for name, _ in axes), *fields]) + "\n")
+        for line in zip(*columns):
+            fh.write(",".join(line) + "\n")
 
 
 @pytest.fixture()
 def percent_writers(monkeypatch):
-    """Switch every module that writes CSV over to the % writers."""
+    """Switch every package module that binds ``write_csv`` over to the % writer."""
 
     def switch():
-        for module in (illiq.pdesolve, illiq.cli, illiq.simulate):
-            monkeypatch.setattr(module, "_write_lattice_csv", _percent_lattice)
-        for module in (illiq.pdesolve, illiq.cli):
-            monkeypatch.setattr(module, "_write_table", _percent_table)
+        bound = [module for module in vars(illiq).values()
+                 if getattr(module, "write_csv", None) is write_csv]
+        assert {module.__name__ for module in bound} >= {
+            "illiq.manifest", "illiq.pdesolve", "illiq.cli", "illiq.simulate"}
+        for module in bound:
+            monkeypatch.setattr(module, "write_csv", _percent_csv)
 
     return switch
 

@@ -43,11 +43,35 @@ def _holders(text: str) -> list:
 
 
 def test_one_function_writes_numeric_csv():
-    # the CSV dialect lives in one place: nothing calls savetxt, and only
-    # pdesolve's CSV_FLOAT, which both numeric writers and the sweep metrics
-    # table use, holds the number format, as a %-format or a format spec
+    # the CSV dialect lives in one place: nothing calls savetxt, only
+    # manifest's CSV_FLOAT, which write_csv and the sweep metrics table use,
+    # holds the number format, as a %-format or a format spec, and only
+    # write_csv calls the kernel
     assert _callers("savetxt") == []
-    assert _holders(".17g") == ["pdesolve.<module>"]
+    assert _holders(".17g") == ["manifest.<module>"]
+    assert set(_callers("_g17")) == {"manifest.write_csv"}
+
+
+def _imports(module: str) -> dict:
+    """The names each package module imports from the package module ``module``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+                found.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+    return found
+
+
+def test_csv_writers_come_public_from_manifest():
+    # every module that writes a CSV takes write_csv from manifest, and no
+    # module imports a private name from manifest or a private writer at all
+    assert {name for name, names in _imports("manifest").items() if "write_csv" in names} == {
+        "cli", "pdesolve", "simulate"}
+    assert [(name, n) for name, names in _imports("manifest").items()
+            for n in names if n.startswith("_")] == []
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert [(name, n) for module in modules for name, names in _imports(module).items()
+            for n in names if n.startswith("_write")] == []
 
 
 def test_only_model_tells_utilities_apart():
