@@ -40,6 +40,7 @@ from .model import (  # noqa: F401
     load_config,
     load_game,
     load_grid,
+    stack_costs,
 )
 from .speeds import (  # noqa: F401
     CertificationError,
@@ -64,6 +65,7 @@ from .closedform import (  # noqa: F401
     rn_individual_values,
 )
 from .pdesolve import (  # noqa: F401
+    InitialLayers,
     ResidualReport,
     Solution,
     SolverError,
@@ -71,8 +73,10 @@ from .pdesolve import (  # noqa: F401
     residual,
     solve_closed,
     solve_fd,
+    solve_fd_initial,
     solve_picard,
     surplus,
+    surplus_at,
     write_solution_csv,
     write_solution_npz,
 )

@@ -19,8 +19,12 @@ Each command's manifest.json is the plain dict its ``_Run`` builds: as
 ``command`` the subcommand with every option that shapes its outputs (all
 but the --config, --solution and --out paths), the SHA-256 of each output
 it lists as ``output_sha256``, the seconds of each stage as ``timings_s``
-and other measurements as ``meta`` (simulate: its ``clamped_fraction`` and
-the ``path_steps`` it ran).
+and other measurements as ``meta``: for solve the plain numbers of the
+solution's ``meta`` (``speed_bound``, ``root_tol``; fd's ``n_t_requested``,
+``n_t_used`` and ``root_sweeps``; Picard's ``tau``, ``tau_halvings`` and
+``sublayers``), for a spread sweep its march's ``n_t_used``, ``marches``
+and ``root_sweeps``, for simulate its ``clamped_fraction`` and the
+``path_steps`` it ran.
 Every CSV goes through ``manifest``: ``write_csv`` for the lattices and
 grids, ``write_sweep_csv`` for a study's metrics table.
 """
@@ -210,6 +214,16 @@ def _surplus_time_indices(n_t: int):
     return sorted(set(np.linspace(0, n_t - 1, SURPLUS_MAX_LAYERS).round().astype(int).tolist()))
 
 
+def _plain_numbers(meta: dict) -> dict:
+    """The entries of a solver's ``meta`` that are numbers or dicts of numbers
+    (``root_sweeps``), for the run manifest."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    return {k: v for k, v in meta.items()
+            if number(v) or (isinstance(v, dict) and v and all(map(number, v.values())))}
+
+
 def cmd_solve(args) -> int:
     run = _Run(args)
     game, grid = run.read_config()
@@ -223,6 +237,7 @@ def cmd_solve(args) -> int:
     with run.timed("solve"):
         sol = solve(game, grid)
 
+    run.meta.update(_plain_numbers(sol.meta))
     bound = sol.meta["speed_bound"]
     with run.timed("residual"):
         rep = residual(sol, game)
@@ -397,6 +412,7 @@ def cmd_sweep(args) -> int:
     for key, result in results.items():
         outputs += _sweep_outputs(result, out, f"{prefix}_{key}" if key else prefix)
         assertions.update({f"{key}.{k}" if key else k: ok for k, ok in result.assertions.items()})
+        run.meta.update({f"{key}.{k}" if key else k: v for k, v in result.meta.items()})
     report = {"assertions": assertions, "passed": all(assertions.values()),
               "failing": [k for k, ok in assertions.items() if not ok]}
     if len(results) == 1:

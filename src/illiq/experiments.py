@@ -9,6 +9,11 @@ assertions and provenance hashes of the game and grid that produced it.
 ``_result`` stamps those hashes on every result, the predator and split
 sweeps share ``_player_count_sweep``, every figure's game comes from
 ``_benchmark_game``, and the CLI takes its sweep defaults from this module.
+A result's ``meta`` holds plain numbers on how it ran for the run manifest.
+The spread sweep marches all its spreads as one stack
+(``pdesolve.solve_fd_initial``) and keeps only their t = 0 layers, so its
+memory is flat in n_t, and takes the no-trade term of the surplus, which the
+spreads share, from one ``surplus_at`` call.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .model import (
     game_to_dict,
     grid_to_dict,
 )
-from .pdesolve import solve_closed, solve_fd, surplus
+from .pdesolve import solve_closed, solve_fd, solve_fd_initial, surplus, surplus_at
 from .speeds import aggregate_speed_many, certify_for_game
 
 __all__ = [
@@ -80,6 +85,7 @@ class SweepResult:
     assertions: dict
     game_hash: str
     grid_hash: str
+    meta: dict  # plain numbers on how the study ran, for the run manifest
 
     @property
     def passed(self) -> bool:
@@ -87,10 +93,10 @@ class SweepResult:
 
 
 def _result(game: GameSpec, grid: GridSpec, param: str, values, metrics: dict, grids: dict,
-            assertions: dict) -> SweepResult:
+            assertions: dict, meta: dict | None = None) -> SweepResult:
     """A study's result, stamped with the digests of the game and grid behind it."""
     return SweepResult(param, tuple(values), metrics, grids, assertions,
-                       digest(game_to_dict(game)), digest(grid_to_dict(grid)))
+                       digest(game_to_dict(game)), digest(grid_to_dict(grid)), meta or {})
 
 
 def _column_keys(fmt: str, values) -> list:
@@ -204,7 +210,8 @@ def split_sweep(h: Payoff, ns, template: GameSpec, grid: GridSpec) -> SweepResul
 
 def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec) -> SweepResult:
     """Single risk-neutral holder under increasing spread-crossing costs:
-    both the time-zero speed and the surplus shrink as the spread grows."""
+    both the time-zero speed and the surplus shrink as the spread grows.
+    ``meta`` is that of the march (``n_t_used``, ``marches``, ``root_sweeps``)."""
     if base_game.n_players != 1 or not base_game.all_risk_neutral:
         raise ExperimentError("spread_sweep requires a single risk-neutral player")
     if not isinstance(base_game.cost, (SmoothedSpreadCost, LinearCost)):
@@ -212,13 +219,13 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec)
     kappa = base_game.cost.kappa
     spreads = tuple(float(s) for s in spreads)
     keys = _column_keys("s{:g}", spreads)
-    speed_rows, surplus_rows = [], []
-    for s in spreads:
-        cost = SmoothedSpreadCost(kappa=kappa, spread=s, sharpness=sharpness)
-        game_s = GameSpec(base_game.market, cost, base_game.players)
-        sol = solve_fd(game_s, grid)
-        speed_rows.append(sol.speeds[0, 0].copy())
-        surplus_rows.append(surplus(sol, game_s, time_indices=[0])[0, 0])
+    games = [GameSpec(base_game.market, SmoothedSpreadCost(kappa=kappa, spread=s,
+                                                           sharpness=sharpness),
+                      base_game.players) for s in spreads]
+    initial = solve_fd_initial(games, grid)
+    speed_rows = initial.speeds[0]
+    # the players and market are the base game's, so the no-trade term is too
+    surplus_rows = surplus_at(base_game, initial.values, 0.0, grid.prices)[0]
     max_speed = np.array([float(np.max(np.abs(row))) for row in speed_rows])
     max_surplus = np.array([float(np.max(row)) for row in surplus_rows])
     return _result(
@@ -233,6 +240,7 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec)
             "max_speed_non_increasing": _non_increasing(max_speed, SPREAD_MONOTONE_TOL),
             "max_surplus_non_increasing": _non_increasing(max_surplus, SPREAD_MONOTONE_TOL),
         },
+        meta=initial.meta,
     )
 
 

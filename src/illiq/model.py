@@ -11,6 +11,7 @@ code can assume a well-formed problem instance.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import namedtuple
@@ -27,6 +28,7 @@ __all__ = [
     "LinearCost",
     "SmoothedSpreadCost",
     "TableCost",
+    "stack_costs",
     "Payoff",
     "SmoothedCall",
     "SmoothedDigital",
@@ -172,6 +174,9 @@ class SmoothedSpreadCost(CostFunction):
     spread: float
     sharpness: float
     eps_floor: float = None  # type: ignore[assignment]
+    # C^3 of g'', taken once from the scalar C: numpy's vectorized power can
+    # differ from it in the last bit, and a stacked cost must not
+    _cube: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require(_finite("kappa", self.kappa) and self.kappa > 0, "kappa must be > 0")
@@ -180,6 +185,7 @@ class SmoothedSpreadCost(CostFunction):
         if self.eps_floor is None:
             object.__setattr__(self, "eps_floor", 0.5 * self.kappa)
         _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
+        object.__setattr__(self, "_cube", self.sharpness**3)
 
     def value(self, z):
         z = np.asarray(z, dtype=float)
@@ -193,7 +199,7 @@ class SmoothedSpreadCost(CostFunction):
     def curvature(self, z):
         z = np.asarray(z, dtype=float)
         c = self.sharpness
-        return -4.0 * self.spread * c**3 * z / (np.pi * (1.0 + (c * z) ** 2) ** 2)
+        return -4.0 * self.spread * self._cube * z / (np.pi * (1.0 + (c * z) ** 2) ** 2)
 
 
 @dataclass(frozen=True)
@@ -254,6 +260,26 @@ class TableCost(CostFunction):
     @property
     def domain(self) -> tuple:
         return (self.z_values[0], self.z_values[-1])
+
+
+def stack_costs(costs) -> CostFunction:
+    """One cost for a stack of games: the fields of the already-validated
+    ``costs``, all linear or all smoothed-spread, as (B, 1) columns, so that
+    one call on a (B, ...) array evaluates game b's cost on row b, bit for
+    bit as that game's own cost would (the methods only multiply, add and
+    divide the fields, and take C^3 from each cost's scalar ``_cube``).  A
+    single cost is returned as it is, so any cost stacks alone."""
+    costs = tuple(costs)
+    if len(costs) == 1:
+        return costs[0]
+    kind = type(costs[0])
+    _require(kind in (LinearCost, SmoothedSpreadCost) and all(type(c) is kind for c in costs),
+             "only linear costs, or smoothed-spread costs, stack with one another")
+    stacked = object.__new__(kind)
+    for f in dataclasses.fields(kind):
+        column = np.array([getattr(c, f.name) for c in costs], dtype=float)[:, None]
+        object.__setattr__(stacked, f.name, column)
+    return stacked
 
 
 # ---------------------------------------------------------------------------

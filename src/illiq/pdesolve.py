@@ -29,6 +29,16 @@ raw payoff as well):
 Each route validates the grid, certifies the cost once and records the
 certificate, the a-priori speed bound and the speed-root tolerance in
 ``Solution.meta``; terminal data comes from ``GameSpec.payoff_layer``.
+
+The package has one march, ``_march``: it steps a stack of games that share
+market, players and time grid, each with its own cost (linear or smoothed
+spread, stacked by ``model.stack_costs``), laid out (players, games, prices)
+so that one ``equilibrium_fields`` call and one banded solve serve the whole
+stack, bit for bit as each game alone.  ``solve_fd`` is the stack of one
+that keeps every layer; ``solve_fd_initial`` marches many games as one
+stack per refined time grid and keeps only the three layers each step
+reads, returning each game's t = 0 layer (``InitialLayers``), so its memory
+does not grow with n_t.  ``surplus`` and ``surplus_at`` share one formula.
 A ``Solution`` has its own files: ``write_solution_csv`` hands its lattices
 to ``manifest.write_csv``, which writes every numeric CSV of the package;
 ``write_solution_npz`` stores it in binary and
@@ -54,7 +64,7 @@ from .closedform import (
     heat_convolve_payoff,
 )
 from .manifest import write_csv
-from .model import GameSpec, GridSpec
+from .model import GameSpec, GridSpec, stack_costs
 from .speeds import (
     ROOT_TOL,
     CostCertificate,
@@ -67,11 +77,14 @@ __all__ = [
     "SolverError",
     "Solution",
     "ResidualReport",
+    "InitialLayers",
     "solve_fd",
+    "solve_fd_initial",
     "solve_picard",
     "solve_closed",
     "residual",
     "surplus",
+    "surplus_at",
     "write_solution_csv",
     "write_solution_npz",
     "read_solution_npz",
@@ -193,43 +206,47 @@ def solve_banded(factors, b):
     return dgttrs(*factors, b)[0]
 
 
-def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
-    """Backward finite-difference solution of the coupled value system.
-
-    Implicit Euler handles the diffusion unconditionally; the advection,
-    cost and exponential-utility terms are explicit, which imposes
-    dt <= dp / (2 (lambda N B + sigma^2 max_j alpha_j max_j sup|H^j_p|)) with
-    B the a-priori speed bound.  The time grid is refined automatically if
-    the requested one violates that bound.  Boundary rows impose a zero
-    second derivative (payoffs are flat or linear six standard deviations
-    from the spot).  The diffusion matrix is the same on every layer, so it
-    is factored once.  Each layer's speed root starts from the time
-    extrapolation 2 z[k+1] - z[k+2] of the roots already stored (from z[k+1]
-    on the layer below maturity); ``meta["root_sweeps"]`` records the Newton
-    sweeps per layer, its max and mean (0 for an exact root).
-    """
+def _fd_layers(game: GameSpec, grid: GridSpec, bound: float) -> int:
+    """The time layers the march takes: the grid's ``n_t``, or more when its
+    step breaks the explicit terms' bound (see ``solve_fd``)."""
     market = game.market
-    grid.validate_for(market)
-    cert = certify_for_game(game)
-    bound = apriori_speed_bound(game, cert)
-    n = game.n_players
-
-    prices = grid.prices
-    dp = grid.dp
-    drift_cap = 2.0 * (market.lam * n * bound
+    drift_cap = 2.0 * (market.lam * game.n_players * bound
                        + market.sigma**2 * float(np.max(game.alphas)) * game.max_payoff_slope())
-    dt_cap = dp / drift_cap if drift_cap > 0 else math.inf
+    dt_cap = grid.dp / drift_cap if drift_cap > 0 else math.inf
     n_t = grid.n_t
     if market.maturity / (n_t - 1) > dt_cap:
         n_t = int(math.ceil(market.maturity / dt_cap)) + 1
+    return n_t
+
+
+def _march(games, certs, grid: GridSpec, n_t: int, depth: int):
+    """The backward march of a stack of B games that share market, players
+    and the time grid of ``n_t`` layers, each with its own cost and
+    certificate.  Every field is laid out (players, layer, game, price), so
+    one ``equilibrium_fields`` call takes a layer's (N, B, P) gradients with
+    the cost of ``stack_costs`` and the certificates' (B, 1) slope floors,
+    and one ``solve_banded`` call steps its N * B columns; each game's
+    numbers are bit for bit those of a march of that game alone.  Layer k is
+    kept in slot k % ``depth``: ``depth = n_t`` keeps every layer, and
+    ``depth = 3`` only the three that each step reads, the last of which is
+    t = 0 (slot 0).  Returns the times, the value, gradient, speed and
+    aggregate-speed slots, and the Newton sweeps of each layer's roots."""
+    game = games[0]
+    market = game.market
+    n, b = game.n_players, len(games)
+    stack = replace(game, cost=stack_costs([g.cost for g in games]))
+    eps = np.array([cert.eps_floor for cert in certs])[:, None]
+
+    prices = grid.prices
+    dp = grid.dp
     times = np.linspace(0.0, market.maturity, n_t)
     dt = times[1] - times[0]
 
-    values = np.empty((n, n_t, prices.size))
-    values[:, -1] = game.payoff_layer(prices)
+    values = np.empty((n, depth, b, prices.size))
+    values[:, (n_t - 1) % depth] = game.payoff_layer(prices)[:, None]
     grads = np.empty_like(values)
     speeds = np.empty_like(values)
-    agg = np.empty((n_t, prices.size))
+    agg = np.empty((depth, b, prices.size))
 
     # (I - dt sigma^2/2 D2) with identity boundary rows, banded storage
     c = dt * market.sigma**2 / (2.0 * dp**2)
@@ -243,25 +260,98 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     # layer k's fields are stored and drive the step to layer k - 1
     sweeps: list = []
     for k in range(n_t - 1, -1, -1):
-        grads[:, k] = central_gradient(values[:, k], dp)
+        i = k % depth
+        grads[:, i] = central_gradient(values[:, i], dp)
         if k == n_t - 1:
             start = None
         elif k == n_t - 2:
-            start = agg[k + 1]
+            start = agg[(k + 1) % depth]
         else:
-            start = 2.0 * agg[k + 1] - agg[k + 2]
-        speeds[:, k], agg[k], source = equilibrium_fields(game, cert.eps_floor, grads[:, k],
-                                                          start, sweeps)
+            start = 2.0 * agg[(k + 1) % depth] - agg[(k + 2) % depth]
+        speeds[:, i], agg[i], source = equilibrium_fields(stack, eps, grads[:, i], start, sweeps)
         if k > 0:
-            rhs = values[:, k] + dt * source
+            rhs = values[:, i] + dt * source
             if not np.all(np.isfinite(rhs)):
                 raise SolverError(f"the march overflowed stepping back from time layer {k} "
                                   f"of {n_t}; the explicit step is unstable on this grid")
-            values[:, k - 1] = solve_banded(factors, rhs.T).T
+            columns = solve_banded(factors, rhs.reshape(n * b, -1).T)
+            values[:, (k - 1) % depth] = columns.T.reshape(n, b, -1)
+    return times, values, grads, speeds, agg, sweeps
 
+
+def _sweep_stats(sweeps) -> dict:
+    return {"max": max(sweeps), "mean": sum(sweeps) / len(sweeps)}
+
+
+def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
+    """Backward finite-difference solution of the coupled value system.
+
+    Implicit Euler handles the diffusion unconditionally; the advection,
+    cost and exponential-utility terms are explicit, which imposes
+    dt <= dp / (2 (lambda N B + sigma^2 max_j alpha_j max_j sup|H^j_p|)) with
+    B the a-priori speed bound.  The time grid is refined automatically if
+    the requested one violates that bound.  Boundary rows impose a zero
+    second derivative (payoffs are flat or linear six standard deviations
+    from the spot).  The diffusion matrix is the same on every layer, so it
+    is factored once.  Each layer's speed root starts from the time
+    extrapolation 2 z[k+1] - z[k+2] of the roots already stored (from z[k+1]
+    on the layer below maturity); ``meta["root_sweeps"]`` records the Newton
+    sweeps per layer, its max and mean (0 for an exact root).  The march is
+    ``_march`` on a stack of one game that keeps every layer.
+    """
+    grid.validate_for(game.market)
+    cert = certify_for_game(game)
+    bound = apriori_speed_bound(game, cert)
+    n_t = _fd_layers(game, grid, bound)
+    times, values, grads, speeds, agg, sweeps = _march([game], [cert], grid, n_t, n_t)
     meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t,
-                 root_sweeps={"max": max(sweeps), "mean": sum(sweeps) / len(sweeps)})
-    return Solution(grid, times, prices, values, grads, speeds, agg, meta)
+                 root_sweeps=_sweep_stats(sweeps))
+    return Solution(grid, times, grid.prices, values[:, :, 0], grads[:, :, 0],
+                    speeds[:, :, 0], agg[:, 0], meta)
+
+
+@dataclass(frozen=True)
+class InitialLayers:
+    """The t = 0 layer of ``solve_fd`` for each game of a stack, in the
+    order given: ``values``, ``gradients`` and ``speeds`` are (N, B, n_p),
+    ``aggregate_speed`` is (B, n_p).  ``meta`` holds the plain numbers of
+    the marches: the most layers a game took as ``n_t_used``, the number of
+    ``marches`` (one per refined time grid) and the Newton sweeps per layer
+    over all of them as ``root_sweeps`` (max and mean)."""
+
+    values: np.ndarray
+    gradients: np.ndarray
+    speeds: np.ndarray
+    aggregate_speed: np.ndarray
+    meta: dict
+
+
+def solve_fd_initial(games, grid: GridSpec) -> InitialLayers:
+    """The t = 0 layers of ``solve_fd`` for games that share market and
+    players and whose costs are all linear or all smoothed-spread, bit for
+    bit, from one ``_march`` per refined time grid: the games whose
+    certificates give the same ``n_t`` march as one stack that keeps only
+    the layers each step reads, so memory does not grow with ``n_t``."""
+    games = tuple(games)
+    game = games[0]
+    for other in games[1:]:
+        if other.market != game.market or other.players != game.players:
+            raise SolverError("a stack of games shares its market and players")
+    grid.validate_for(game.market)
+    certs = [certify_for_game(g) for g in games]
+    layers = [_fd_layers(g, grid, apriori_speed_bound(g, cert)) for g, cert in zip(games, certs)]
+    n, b, n_p = game.n_players, len(games), grid.n_p
+    values, grads, speeds = (np.empty((n, b, n_p)) for _ in range(3))
+    agg = np.empty((b, n_p))
+    sweeps: list = []
+    groups = {n_t: [j for j in range(b) if layers[j] == n_t] for n_t in layers}
+    for n_t, rows in groups.items():
+        _, v, g, sp, z, sw = _march([games[j] for j in rows], [certs[j] for j in rows], grid,
+                                    n_t, 3)
+        values[:, rows], grads[:, rows], speeds[:, rows], agg[rows] = v[:, 0], g[:, 0], sp[:, 0], z[0]
+        sweeps += sw
+    meta = {"n_t_used": max(layers), "marches": len(groups), "root_sweeps": _sweep_stats(sweeps)}
+    return InitialLayers(values, grads, speeds, agg, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +497,26 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
 
 def surplus(sol: Solution, game: GameSpec, time_indices=None) -> np.ndarray:
     """Edge over never trading: v^j(t,p) minus the pure-diffusion expected
-    (utility of the) payoff, variance sigma^2 (T - t), from
-    ``heat_convolve_payoff``.  Both sides are on the utility scale: each
-    player's utility maps the stored value, which is the identity for
-    risk-neutral players."""
+    (utility of the) payoff, variance sigma^2 (T - t), on the solution's
+    layers ``time_indices`` (all of them by default); ``surplus_at`` gives
+    the formula."""
     rows = np.arange(sol.times.size) if time_indices is None else list(time_indices)
-    variances = game.market.sigma**2 * (game.market.maturity - sol.times[rows])
-    out = np.empty((sol.n_players, variances.size, sol.prices.size))
+    return surplus_at(game, sol.values[:, rows], sol.times[rows], sol.prices)
+
+
+def surplus_at(game: GameSpec, values, times, prices) -> np.ndarray:
+    """The surplus of value layers ``values`` (N, m, P) at ``times`` (m
+    times, or one time that all m layers share, such as the t = 0 layers of
+    a stack of games): u_j(v^j) minus E[u_j(H^j(p + sigma sqrt(T - t) Z))]
+    from ``heat_convolve_payoff``, one call per player.  Both sides are on
+    the utility scale: each player's utility maps the stored value, which is
+    the identity for risk-neutral players."""
+    variances = game.market.sigma**2 * (game.market.maturity - np.asarray(times))
+    out = np.empty(np.shape(values))
     for i, pl in enumerate(game.players):
         u, payoff = pl.utility, pl.endowment.value
-        expected = heat_convolve_payoff(lambda x: u(payoff(x)), sol.prices, variances)
-        out[i] = u(sol.values[i, rows]) - expected
+        expected = heat_convolve_payoff(lambda x: u(payoff(x)), prices, variances)
+        out[i] = u(values[i]) - expected
     return out
 
 

@@ -17,9 +17,14 @@ step would leave it or would not be shorter than half the step before last
 kinked cost from a start far from the root).  Newton starts at 0, or at a
 caller's guess clipped into the bracket (the finite-difference march passes
 the root extrapolated from the layers before); every entry iterates on its
-own either way, and the guess only changes how many steps it takes.  Each
-player's speed and the PDE source term follow pointwise from the root
-(``equilibrium_fields``, the one place every solver takes them from).
+own either way, and the guess only changes how many steps it takes.  A
+Newton sweep runs over the whole array and updates only the entries whose
+residual has not passed, so the roots of a stack of games (a cost from
+``model.stack_costs`` and one slope floor per game, as (B, 1) columns) come
+from one call per layer, each game's on its own row and bit for bit as in a
+call of its own.  Each player's speed and the PDE source term follow
+pointwise from the root (``equilibrium_fields``, the one place every solver
+takes them from).
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ def _phi(cost: CostFunction, n: int, z, s):
     return n * cost.value(z) + z * cost.slope(z) - s
 
 
-def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor: float,
+def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor,
                          start=None, sweeps: list | None = None):
     """Vectorized root of N g(z) + z g'(z) = S for an array of S values.
 
@@ -161,9 +166,14 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
     exact root.  Newton starts from ``start`` (an array of S's shape, which
     must be finite) clipped into the bracket, or from 0 without one; an exact
     root ignores it.  Each entry iterates on its own from its own start until
-    its residual passes, so a root does not depend on the others in the call.
-    When ``sweeps`` is a list, the number of Newton sweeps the call took is
-    appended to it (0 for an exact root).
+    its residual passes: a sweep evaluates the whole array and updates only
+    the entries not yet solved, so a root does not depend on the others in
+    the call.  ``eps_floor`` may be an array that broadcasts against S, with
+    a cost from ``model.stack_costs``: the (B, 1) columns of a stack of games,
+    each game's roots on its own row of a (B, P) array of sums.  When
+    ``sweeps`` is a list, the number of Newton sweeps the call took is
+    appended to it (0 for an exact root; on a stack, the sweeps its slowest
+    entry took).
     """
     s = np.atleast_1d(np.asarray(grad_sums, dtype=float))
     if not np.all(np.isfinite(s)):
@@ -182,12 +192,10 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
             sweeps.append(0)
         return exact
     f_tol = n_players * eps_floor * ROOT_TOL
-    shape = s.shape
-    s, lo, hi = s.ravel(), lo.ravel(), hi.ravel()
     if start is None:
         z = np.zeros_like(s)  # every bracket holds 0
     else:
-        z = np.broadcast_to(np.asarray(start, dtype=float), shape).ravel()
+        z = np.broadcast_to(np.asarray(start, dtype=float), s.shape)
         # checked before np.clip, which keeps NaN (and |NaN| > f_tol is
         # False, so NaN would pass as a root) and turns +-inf into an end
         if not np.all(np.isfinite(z)):
@@ -196,38 +204,36 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
     # each entry's last two step lengths, for the rtsafe guard
     last = np.full_like(s, np.inf)
     before = np.full_like(s, np.inf)
-    todo = np.arange(s.size)
     for sweep in range(MAX_ITER):
-        zt = z[todo]
-        gp = cost.slope(zt)
-        f = n_players * cost.value(zt) + zt * gp - s[todo]
+        gp = cost.slope(z)
+        f = n_players * cost.value(z) + z * gp - s
         unsolved = np.abs(f) > f_tol
         if not unsolved.any():
             break
-        todo, zt, gp, f = todo[unsolved], zt[unsolved], gp[unsolved], f[unsolved]
-        lo_t = np.where(f < 0.0, zt, lo[todo])
-        hi_t = np.where(f > 0.0, zt, hi[todo])
-        lo[todo], hi[todo] = lo_t, hi_t
+        # a solved entry's bracket, step and step lengths are updated too but
+        # never read: its z is kept, so its residual keeps passing.  A
+        # comparison with NaN is False, so a failed step bisects
+        lo = np.where(f < 0.0, z, lo)
+        hi = np.where(f > 0.0, z, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = zt - f / ((n_players + 1) * gp + zt * cost.curvature(zt))
-        # a comparison with NaN is False, so a failed step bisects too
-        newton = (step > lo_t) & (step < hi_t) & (np.abs(step - zt) < 0.5 * before[todo])
-        z_new = np.where(newton, step, 0.5 * (lo_t + hi_t))
-        before[todo] = last[todo]
-        last[todo] = np.abs(z_new - zt)
-        z[todo] = z_new
+            step = z - f / ((n_players + 1) * gp + z * cost.curvature(z))
+            newton = (step > lo) & (step < hi) & (np.abs(step - z) < 0.5 * before)
+        z_new = np.where(newton, step, 0.5 * (lo + hi))
+        before, last = last, np.abs(z_new - z)
+        z = np.where(unsolved, z_new, z)
     else:
         raise SpeedSolverError(f"speed root did not converge in {MAX_ITER} iterations")
     if sweeps is not None:
         sweeps.append(sweep)
-    return z.reshape(shape)
+    return z
 
 
-def equilibrium_fields(game: GameSpec, eps_floor: float, gradients, start=None,
+def equilibrium_fields(game: GameSpec, eps_floor, gradients, start=None,
                        sweeps: list | None = None):
     """Per-player gradients (N, ...) -> speeds (N, ...), aggregate speed and
-    the nonlinear source term (N, ...) of the value equations.  ``start``
-    and ``sweeps`` go to ``aggregate_speed_many``.
+    the nonlinear source term (N, ...) of the value equations.  ``eps_floor``
+    (a number, or a stack's (B, 1) column), ``start`` and ``sweeps`` go to
+    ``aggregate_speed_many``.
 
     The aggregate speed z* is the root of N g(z) + z g'(z) = lambda sum_j v^j_p;
     player j trades at (lambda v^j_p - g(z*)) / g'(z*), well defined because

@@ -232,6 +232,36 @@ def test_manifests_record_output_options(config_path, tmp_path):
                     "41,41")["command"] == "sweep --study split --N 1,2 --grid 41,41"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def test_manifests_record_what_the_solver_did(config_path, tmp_path):
+    # solve copies the plain numbers of Solution.meta, and a spread sweep
+    # those of its march, into the manifest's meta
+    def meta(name, *argv, config=config_path):
+        out = tmp_path / name
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["meta"]
+
+    fd = meta("fd", "solve", "--grid", "41,41")
+    for key in ("speed_bound", "root_tol", "n_t_requested", "n_t_used"):
+        assert _is_number(fd[key]), key
+    assert set(fd["root_sweeps"]) == {"max", "mean"}
+    assert all(_is_number(v) for v in fd["root_sweeps"].values())
+    with np.load(tmp_path / "fd" / "solution.npz") as npz:
+        solved = json.loads(npz["meta"].item())
+    assert {k: solved[k] for k in fd} == fd
+    doc = {**BASE, "market": {**BASE["market"], "T": 0.1},
+           "grid": {"p_min": 98.0, "p_max": 102.0, "n_p": 41, "n_t": 41, "quad_nodes": 48}}
+    picard = meta("picard", "solve", "--method", "picard", config=_write(tmp_path, "p.json", doc))
+    for key in ("speed_bound", "root_tol", "tau", "tau_halvings"):
+        assert _is_number(picard[key]), key
+    sweep = meta("sweep", "sweep", "--study", "spread", "--s", "0,0.004", "--grid", "41,41")
+    assert _is_number(sweep["n_t_used"]) and sweep["root_sweeps"]["max"] > 0
+    assert all(_is_number(v) for v in sweep["root_sweeps"].values())
+
+
 def test_solve_picard_method(config_path, tmp_path):
     doc = dict(BASE)
     doc["market"] = {"sigma": 1.0, "lambda": 0.01, "T": 0.1, "p0": 100.0}

@@ -1,8 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import illiq.pdesolve
 from illiq import (
     ExperimentError,
     GameSpec,
@@ -15,6 +19,7 @@ from illiq import (
     Scaled,
     SmoothedCall,
     SmoothedDigital,
+    SmoothedSpreadCost,
     SumPayoff,
     ValidationError,
     cara_two_player_study,
@@ -157,6 +162,39 @@ def test_spread_sweep_zero_spread_matches_closed_form(call_game, rule):
     v0 = rn_aggregate_value(call_game, 0.0, grid.prices, rule)
     speed_cf = 0.01 / (2 * 0.01) * central_gradient(np.asarray(v0), grid.dp)
     assert np.max(np.abs(speed_fd - speed_cf)) <= 1e-2
+
+
+def _spread_sweep_peak(game, n_t: int) -> int:
+    grid = GridSpec(94.0, 106.0, 401, n_t)
+    tracemalloc.start()
+    try:
+        spread_sweep(game, (0.0, 0.002, 0.004), 100.0, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spread_sweep_memory_is_flat_in_n_t(call_game):
+    # the sweep keeps each game's t = 0 layer, not its lattice: a value,
+    # gradient and speed lattice per spread would add 3 * 3 * 300 * 401 * 8 B
+    # = 8.7 MB at 400 layers over 100 (the peak is about 0.4 MB at both)
+    _spread_sweep_peak(call_game, 20)  # lazy imports and tables before measuring
+    small, large = _spread_sweep_peak(call_game, 100), _spread_sweep_peak(call_game, 400)
+    assert large < 1.25 * small
+
+
+def test_spread_sweep_takes_the_no_trade_term_once(call_game, monkeypatch):
+    # the spreads share players and market, so one heat_convolve_payoff
+    # call serves every surplus row; the march's numbers go to meta
+    calls = []
+    heat = illiq.pdesolve.heat_convolve_payoff
+    monkeypatch.setattr(illiq.pdesolve, "heat_convolve_payoff",
+                        lambda *args: calls.append(args) or heat(*args))
+    res = spread_sweep(call_game, (0.0, 0.002, 0.004), 100.0, SMALL_GRID)
+    assert len(calls) == 1
+    assert res.meta["n_t_used"] == solve_fd(replace(call_game, cost=SmoothedSpreadCost(
+        0.01, 0.004, 100.0)), SMALL_GRID).meta["n_t_used"]
+    assert res.meta["marches"] == 1 and res.meta["root_sweeps"]["max"] > 0
 
 
 def test_spread_sweep_requires_single_rn_player(zero_sum_game):

@@ -25,8 +25,10 @@ from illiq import (
     rn_aggregate_grid,
     solve_closed,
     solve_fd,
+    solve_fd_initial,
     solve_picard,
     surplus,
+    surplus_at,
     write_solution_csv,
     write_solution_npz,
 )
@@ -179,6 +181,79 @@ def test_fd_stored_fields_match_per_layer_recomputation(which, call_game, call_s
     sweeps = sol.meta["root_sweeps"]
     assert (sweeps["max"] > 0) == (which == "spread")
     assert 0.0 <= sweeps["mean"] <= sweeps["max"]
+
+
+def _spread_costs(*spreads):
+    return [SmoothedSpreadCost(0.01, s, 100.0) for s in spreads]
+
+
+def _stack(game, costs):
+    return [replace(game, cost=cost) for cost in costs]
+
+
+def _assert_initial_layers_match(games, grid):
+    """The stack's t = 0 layers are each game's own solve_fd, bit for bit."""
+    initial = solve_fd_initial(games, grid)
+    sols = [solve_fd(g, grid) for g in games]
+    for b, sol in enumerate(sols):
+        assert np.array_equal(initial.values[:, b], sol.values[:, 0])
+        assert np.array_equal(initial.gradients[:, b], sol.gradients[:, 0])
+        assert np.array_equal(initial.speeds[:, b], sol.speeds[:, 0])
+        assert np.array_equal(initial.aggregate_speed[b], sol.aggregate_speed[0])
+    assert initial.meta["n_t_used"] == max(sol.meta["n_t_used"] for sol in sols)
+    assert initial.meta["root_sweeps"]["max"] == max(sol.meta["root_sweeps"]["max"]
+                                                     for sol in sols)
+    return initial
+
+
+@pytest.mark.parametrize("which", ["spreads", "linear", "two_rn", "cara_pair"])
+def test_stack_matches_one_game_solves(which, market, call, call_game):
+    # every game of a stack has its own cost, so a stack that read one game's
+    # cost, slope floor or layer for another would not match that game alone
+    grid = GridSpec(94.0, 106.0, 101, 80)
+    if which == "spreads":
+        games = _stack(call_game, _spread_costs(0.004, 0.0, 0.001, 0.002))
+    elif which == "linear":
+        games = _stack(call_game, [LinearCost(k) for k in (0.01, 0.02, 0.005)])
+    elif which == "two_rn":
+        pair = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),
+                                                   PlayerSpec(RiskNeutral(), Scaled(call, 0.5))))
+        games = _stack(pair, _spread_costs(0.0, 0.003, 0.001))
+    else:
+        games = _stack(_cara_pair(market, LinearCost(0.01), call), _spread_costs(0.002, 0.0))
+    initial = _assert_initial_layers_match(games, grid)
+    assert initial.meta["marches"] == 1
+    assert initial.values.shape == (games[0].n_players, len(games), grid.n_p)
+
+
+def test_stack_marches_each_time_grid_apart(call_game):
+    # on 5 layers the explicit step's bound refines the time grid by kappa:
+    # the two games of one refined grid (their spreads differ) march as one
+    # stack, the third alone
+    grid = GridSpec(94.0, 106.0, 61, 5)
+    market = replace(call_game.market, lam=0.5)
+    costs = [SmoothedSpreadCost(k, s, 100.0) for k, s in ((0.01, 0.0), (0.02, 0.001),
+                                                          (0.01, 0.002))]
+    games = [replace(call_game, market=market, cost=cost) for cost in costs]
+    layers = [solve_fd(g, grid).meta["n_t_used"] for g in games]
+    assert layers[0] == layers[2] != layers[1] and min(layers) > grid.n_t
+    assert _assert_initial_layers_match(games, grid).meta["marches"] == 2
+
+
+def test_stack_needs_shared_market_and_players(call_game, zero_sum_game):
+    with pytest.raises(illiq.pdesolve.SolverError, match="shares its market and players"):
+        solve_fd_initial([call_game, zero_sum_game], GridSpec(94.0, 106.0, 61, 20))
+
+
+def test_surplus_at_one_time_matches_surplus(call_game):
+    # the t = 0 surplus of a stack's layers, from one no-trade term, is each
+    # game's surplus on its own solution
+    grid = GridSpec(94.0, 106.0, 101, 60)
+    games = _stack(call_game, _spread_costs(0.0, 0.004))
+    initial = solve_fd_initial(games, grid)
+    got = surplus_at(call_game, initial.values, 0.0, grid.prices)
+    for b, game in enumerate(games):
+        assert np.array_equal(got[:, b], surplus(solve_fd(game, grid), game, [0])[:, 0])
 
 
 @pytest.mark.parametrize("n_p", [51, 401])

@@ -123,3 +123,19 @@ def test_one_function_writes_run_manifests():
     assert _callers("write_manifest") == ["cli.finish"]
     manifest = ast.parse((PACKAGE / "manifest.py").read_text())
     assert [node.name for node in ast.walk(manifest) if isinstance(node, ast.ClassDef)] == []
+
+
+def test_one_march_steps_every_fd_solve():
+    # solve_fd is the stack of one that keeps every layer: only the march
+    # factors and applies the diffusion matrix, the spread sweep marches its
+    # spreads through solve_fd_initial instead of one solve_fd per spread,
+    # and only model builds a stacked cost
+    assert _callers("_factor_tridiagonal") == ["pdesolve._march"]
+    assert _callers("solve_banded") == ["pdesolve._march"]
+    assert sorted(_callers("_march")) == ["pdesolve.solve_fd", "pdesolve.solve_fd_initial"]
+    assert _callers("solve_fd_initial") == ["experiments.spread_sweep"]
+    assert "experiments.spread_sweep" not in _callers("solve_fd")
+    assert _callers("stack_costs") == ["pdesolve._march"]
+    assert _owners(lambda node: isinstance(node, ast.FunctionDef)
+                   and node.name == "stack_costs") == ["model.stack_costs"]
+    assert _callers("__new__") == ["model.stack_costs"]

@@ -22,6 +22,7 @@ from illiq import (
     apriori_speed_bound,
     certify_cost,
     equilibrium_fields,
+    stack_costs,
 )
 from illiq.speeds import ROOT_TOL
 
@@ -273,6 +274,71 @@ def test_far_start_does_not_cycle():
     z = aggregate_speed_many(cost, 7, [-0.022], eps, start=[-1.0], sweeps=sweeps)
     assert abs(7 * cost.value(z[0]) + z[0] * cost.slope(z[0]) + 0.022) <= 7 * eps * ROOT_TOL
     assert sweeps[0] <= 12
+
+
+# the far-start cost above, a spread-free one, and a C whose cube numpy's
+# vectorized power rounds otherwise than Python's
+STACKED_SPREADS = (SmoothedSpreadCost(0.0152, 0.0042, 79.0), SmoothedSpreadCost(0.01, 0.0, 100.0),
+                   SmoothedSpreadCost(0.013, 0.0031, 3.3), SmoothedSpreadCost(0.01, 0.002, 100.0))
+
+
+def test_stacked_cost_evaluates_each_row_as_its_own_cost():
+    costs = STACKED_SPREADS
+    stacked = stack_costs(costs)
+    z = np.random.default_rng(4).uniform(-0.5, 0.5, (len(costs), 257))
+    for name in ("value", "slope", "curvature"):
+        rows = np.array([getattr(c, name)(z[b]) for b, c in enumerate(costs)])
+        assert np.array_equal(getattr(stacked, name)(z), rows), name
+
+
+def test_stack_costs_rejects_mixed_or_table_costs():
+    assert stack_costs([_tanh_table()]) == _tanh_table()  # one cost stacks alone
+    for costs in ([LinearCost(0.01), SmoothedSpreadCost(0.01, 0.0, 100.0)],
+                  [_tanh_table(), _tanh_table()]):
+        with pytest.raises(ValueError, match="stack"):
+            stack_costs(costs)
+
+
+def _stacked_and_per_row(costs, n, s, start=None):
+    """Roots and sweeps of one call on the stack and of one call per row."""
+    eps = np.array([certify_cost(c, (-3.0, 3.0)).eps_floor for c in costs])
+    swept, per_row = [], []
+    whole = aggregate_speed_many(stack_costs(costs), n, s, eps[:, None], start, swept)
+    rows = np.array([aggregate_speed_many(c, n, s[b], eps[b],
+                                          None if start is None else start[b], per_row)
+                     for b, c in enumerate(costs)])
+    return whole, rows, swept, per_row
+
+
+def test_stacked_roots_equal_per_row_roots():
+    # the far-start root of row 0 takes its rtsafe sweeps inside a stack whose
+    # other rows are solved sooner; each row keeps its own root, bit for bit,
+    # and the stack takes as many sweeps as its slowest row
+    s = np.random.default_rng(11).uniform(-0.03, 0.03, (len(STACKED_SPREADS), 64))
+    s[0, 0], s[:, 1] = -0.022, 0.0
+    start = np.zeros_like(s)
+    start[0, 0] = -1.0  # beyond the bracket: clipped to its end
+    for begin in (None, start):
+        whole, rows, swept, per_row = _stacked_and_per_row(STACKED_SPREADS, 7, s, begin)
+        assert np.array_equal(whole, rows)
+        assert swept == [max(per_row)] and max(per_row) > 0
+
+
+def test_stacked_linear_roots_are_exact():
+    costs = (LinearCost(0.01), LinearCost(0.013), LinearCost(0.0071))
+    s = np.random.default_rng(12).uniform(-1.0, 1.0, (3, 50))
+    whole, rows, swept, per_row = _stacked_and_per_row(costs, 4, s)
+    assert np.array_equal(whole, rows)
+    assert np.array_equal(whole, s / (5 * np.array([0.01, 0.013, 0.0071]))[:, None])
+    assert swept == [0] and per_row == [0, 0, 0]
+
+
+def test_stacked_roots_reject_non_finite_start():
+    s = np.full((len(STACKED_SPREADS), 3), 0.01)
+    start = np.zeros_like(s)
+    start[2, 1] = np.nan
+    with pytest.raises(SpeedSolverError, match="start must be finite"):
+        _stacked_and_per_row(STACKED_SPREADS, 2, s, start)
 
 
 def test_aggregate_speed_monotone_in_gradient():
