@@ -6,7 +6,8 @@ Subcommands
                plus the solution in binary (solution.npz)
     simulate   Monte-Carlo paths under a previously solved strategy field,
                loaded from the solution.npz next to --solution
-    sweep      run one of the scripted studies and assert its claims
+    sweep      run one of the scripted studies and assert its claims; the
+               study, its inputs and the games it fits are ``run_study``'s
 
 Exit codes: 0 ok, 1 parse/missing input (also a usage error, and a solve
 grid under 5 x 5), 2 certification failure, 3 method/game or study/game
@@ -22,8 +23,9 @@ it lists as ``output_sha256``, the seconds of each stage as ``timings_s``
 and other measurements as ``meta``: for solve the plain numbers of the
 solution's ``meta`` (``speed_bound``, ``root_tol``; fd's ``n_t_requested``,
 ``n_t_used`` and ``root_sweeps``; Picard's ``tau``, ``tau_halvings`` and
-``sublayers``), for a spread sweep its march's ``n_t_used``, ``marches``
-and ``root_sweeps``, for simulate its ``clamped_fraction`` and the
+``sublayers``), for a sweep its results' ``meta`` (the spread and cara2
+studies and fig3-fig5 their march's ``n_t_used``, ``marches`` and
+``root_sweeps``), for simulate its ``clamped_fraction`` and the
 ``path_steps`` it ran.
 Every CSV goes through ``manifest``: ``write_csv`` for the lattices and
 grids, ``write_sweep_csv`` for a study's metrics table.
@@ -45,25 +47,12 @@ import numpy as np
 
 from . import __version__
 from .closedform import ClosedFormError
-from .experiments import (
-    PLAYER_COUNTS,
-    SHARPNESS,
-    SPREADS,
-    ExperimentError,
-    SweepResult,
-    cara_two_player_study,
-    figure_grids,
-    predator_sweep,
-    split_sweep,
-    spread_sweep,
-    zero_sum_report,
-)
+from .experiments import ExperimentError, SweepResult, run_study
 from .manifest import digest, file_sha256, write_csv, write_manifest, write_sweep_csv
 from .model import (
     ConfigError,
     GameSpec,
     GridSpec,
-    SmoothedSpreadCost,
     ValidationError,
     game_to_dict,
     grid_to_dict,
@@ -101,10 +90,6 @@ EXIT_ASSERTION = 6
 DEFAULT_SIM_STEPS = 500
 SURPLUS_MAX_LAYERS = 201  # surplus.csv thins the time axis to at most this many layers
 SOLUTION_NPZ = "solution.npz"  # what simulate loads, next to the --solution it is given
-
-
-class MethodMismatch(RuntimeError):
-    pass
 
 
 class HashMismatch(RuntimeError):
@@ -371,41 +356,17 @@ def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
     return written
 
 
-def _run_study(study: str, game: GameSpec, grid: GridSpec, args):
-    """One SweepResult, or several keyed by name (fig5, fig6)."""
-    if study == "zero_sum":
-        return zero_sum_report(game, grid)
-    if study in ("predator", "split"):
-        ns = _csv_list(args.N, int, "--N") if args.N else PLAYER_COUNTS
-        fn = predator_sweep if study == "predator" else split_sweep
-        return fn(game.players[0].endowment, ns, game, grid)
-    if study == "spread":
-        spreads = _csv_list(args.s, float, "--s") if args.s else SPREADS
-        sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else SHARPNESS
-        return spread_sweep(game, spreads, sharpness, grid)
-    if study == "cara2":
-        alphas = [a for a in game.alphas if a > 0.0]
-        if len(alphas) != 2:
-            raise MethodMismatch("cara2 study needs a config with exactly two CARA players")
-        return cara_two_player_study(alphas, game, grid)
-    if study.startswith("figure:"):
-        try:
-            return figure_grids(study.split(":", 1)[1], grid)
-        except ExperimentError as err:  # figures build their own games: a bad figure id
-            raise ConfigError(str(err)) from err
-    raise ConfigError(f"unknown study '{study}'")
-
-
 def cmd_sweep(args) -> int:
     run = _Run(args)
     game, grid = run.read_config()
+    ns = _csv_list(args.N, int, "--N") if args.N else None
+    spreads = _csv_list(args.s, float, "--s") if args.s else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    study = args.study
     with run.timed("study"):
-        data = _run_study(study, game, grid, args)
+        data = run_study(args.study, game, grid, ns, spreads)
     results = data if isinstance(data, dict) else {"": data}
-    prefix = study.split(":", 1)[1] if study.startswith("figure:") else "sweep"
+    prefix = args.study.split(":", 1)[1] if args.study.startswith("figure:") else "sweep"
 
     outputs: list = []
     assertions: dict = {}
@@ -426,7 +387,7 @@ def cmd_sweep(args) -> int:
     if not report["passed"]:
         print(f"sweep assertions failed: {', '.join(report['failing'])}", file=sys.stderr)
         return EXIT_ASSERTION
-    print(f"sweep '{study}' passed; outputs in {out}")
+    print(f"sweep '{args.study}' passed; outputs in {out}")
     return EXIT_OK
 
 
@@ -485,7 +446,7 @@ def main(argv=None) -> int:
     except CertificationError as err:
         print(f"certification failure: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (MethodMismatch, ClosedFormError, ExperimentError) as err:
+    except (ClosedFormError, ExperimentError) as err:
         print(f"method/game mismatch: {err}", file=sys.stderr)
         return EXIT_METHOD
     except HashMismatch as err:

@@ -1,19 +1,19 @@
 """Scripted studies: zero-sum cancellation, predator and split scaling,
 spread-crossing sweeps, the two-player exponential-utility study and the
-benchmark figure grids.
+benchmark figure grids.  ``run_study``, the one dispatch of ``illiq sweep``,
+reads each study's inputs from the configured game and refuses a game the
+study does not fit.
 
 Each study returns a SweepResult carrying its scalar metrics, any grids a
 plot would need (1-D rows over the price grid, or (n_t, n_p) lattices when
 the swept parameter is the time ``t``), the pass/fail state of its
-assertions and provenance hashes of the game and grid that produced it.
-``_result`` stamps those hashes on every result, the predator and split
-sweeps share ``_player_count_sweep``, every figure's game comes from
-``_benchmark_game``, and the CLI takes its sweep defaults from this module.
-A result's ``meta`` holds plain numbers on how it ran for the run manifest.
-The spread sweep marches all its spreads as one stack
-(``pdesolve.solve_fd_initial``) and keeps only their t = 0 layers, so its
-memory is flat in n_t, and takes the no-trade term of the surplus, which the
-spreads share, from one ``surplus_at`` call.
+assertions (swept N and spreads are sorted first), provenance hashes of the
+game and grid that produced it (``_result``) and, in ``meta``, plain numbers
+on how it ran for the run manifest.  The spread and two-player studies
+march through ``pdesolve.solve_fd_initial`` and keep only their t = 0
+layers, so their memory is flat in n_t (the spread sweep's spreads march as
+one stack and share one ``surplus_at`` call for the no-trade term); the
+zero-sum study keeps its lattice, as its claims are maxima over every layer.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .closedform import _cole_hopf_layers, _cole_hopf_problem, central_gradient
 from .manifest import digest
 from .model import (
     CARA,
+    ConfigError,
     GameSpec,
     GridSpec,
     LinearCost,
@@ -48,6 +49,7 @@ from .speeds import aggregate_speed_many, certify_for_game
 __all__ = [
     "ExperimentError",
     "SweepResult",
+    "run_study",
     "zero_sum_report",
     "predator_sweep",
     "split_sweep",
@@ -68,7 +70,7 @@ SPREAD_MONOTONE_TOL = 1e-6
 # the band around p0 on which they are checked
 SIGN_TOL = 1e-6
 BAND_HALF_WIDTH = 5.0
-# defaults shared by ``illiq sweep`` and the figures: the player counts of the
+# defaults shared by ``run_study`` and the figures: the player counts of the
 # predator and split sweeps (fig6), and the spreads and sharpness C of the
 # spread sweep (fig3, fig4)
 PLAYER_COUNTS = (1, 10, 100)
@@ -161,7 +163,7 @@ def _player_count_sweep(what: str, make_game, h: Payoff, ns, template: GameSpec,
     ``monotone = (name, claim(rows, max_abs))`` and the 1/(N+1) rate."""
     if not isinstance(template.cost, LinearCost):
         raise ExperimentError(f"{what} requires a linear cost template")
-    ns = tuple(int(n) for n in ns)
+    ns = tuple(sorted(int(n) for n in ns))
     keys = _column_keys("{}", ns)
     rows = []
     for n in ns:
@@ -217,7 +219,7 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec)
     if not isinstance(base_game.cost, (SmoothedSpreadCost, LinearCost)):
         raise ExperimentError("spread_sweep requires a linear or smoothed-spread cost")
     kappa = base_game.cost.kappa
-    spreads = tuple(float(s) for s in spreads)
+    spreads = tuple(sorted(float(s) for s in spreads))
     keys = _column_keys("s{:g}", spreads)
     games = [GameSpec(base_game.market, SmoothedSpreadCost(kappa=kappa, spread=s,
                                                            sharpness=sharpness),
@@ -247,7 +249,7 @@ def spread_sweep(base_game: GameSpec, spreads, sharpness: float, grid: GridSpec)
 def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepResult:
     """Long call holder (player 1) versus its issuer (player 2), both with
     exponential utility: the holder buys and the issuer sells on the band
-    p0 +/- ``BAND_HALF_WIDTH``."""
+    p0 +/- ``BAND_HALF_WIDTH``.  ``meta`` is that of the march."""
     h = base_game.players[0].endowment
     game = GameSpec(
         market=base_game.market,
@@ -257,13 +259,13 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
             PlayerSpec(CARA(float(alphas[1])), Negated(h)),
         ),
     )
-    sol = solve_fd(game, grid)
+    initial = solve_fd_initial([game], grid)
     prices = grid.prices
     p0 = game.market.p0
     mask = (prices >= p0 - BAND_HALF_WIDTH) & (prices <= p0 + BAND_HALF_WIDTH)
-    writer_speed = sol.speeds[0, 0]
-    issuer_speed = sol.speeds[1, 0]
-    surp = surplus(sol, game, time_indices=[0])[:, 0, :]
+    writer_speed = initial.speeds[0, 0]
+    issuer_speed = initial.speeds[1, 0]
+    surp = surplus_at(game, initial.values, 0.0, prices)[:, 0]
     return _result(
         game, grid, "alpha", (float(alphas[0]), float(alphas[1])),
         metrics={
@@ -274,7 +276,7 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
             "prices": prices,
             "writer_speed": writer_speed,
             "issuer_speed": issuer_speed,
-            "aggregate_speed": sol.aggregate_speed[0].copy(),
+            "aggregate_speed": initial.aggregate_speed[0],
             "writer_surplus": surp[0],
             "issuer_surplus": surp[1],
         },
@@ -282,6 +284,7 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
             "writer_buys": bool(np.min(writer_speed[mask]) >= -SIGN_TOL),
             "issuer_sells": bool(np.max(issuer_speed[mask]) <= SIGN_TOL),
         },
+        meta=initial.meta,
     )
 
 
@@ -336,3 +339,29 @@ def figure_grids(which: str, grid: GridSpec | None = None):
         return {kind: split_sweep(game.players[0].endowment, PLAYER_COUNTS, game, grid)
                 for kind, game in games.items()}
     raise ExperimentError(f"unknown figure id '{which}'")
+
+
+def run_study(study: str, game: GameSpec, grid: GridSpec, ns=None, spreads=None):
+    """The study ``illiq sweep --study`` names, on the configured ``game``: one
+    SweepResult, or several keyed by name (fig5, fig6)."""
+    if study == "zero_sum":
+        return zero_sum_report(game, grid)
+    if study in ("predator", "split"):
+        fn = predator_sweep if study == "predator" else split_sweep
+        return fn(game.players[0].endowment, PLAYER_COUNTS if ns is None else ns, game, grid)
+    if study == "spread":
+        sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else SHARPNESS
+        return spread_sweep(game, SPREADS if spreads is None else spreads, sharpness, grid)
+    if study == "cara2":
+        h = game.players[0].endowment
+        if not (game.n_players == 2 and np.all(game.alphas > 0.0)
+                and game.players[1].endowment == Negated(h)):
+            raise ExperimentError("cara2 study needs a config with exactly two CARA players, "
+                                  "the second holding the negated payoff of the first")
+        return cara_two_player_study(game.alphas, game, grid)
+    if study.startswith("figure:"):
+        try:
+            return figure_grids(study.split(":", 1)[1], grid)
+        except ExperimentError as err:  # figures build their own games: a bad figure id
+            raise ConfigError(str(err)) from err
+    raise ConfigError(f"unknown study '{study}'")

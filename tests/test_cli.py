@@ -19,6 +19,11 @@ BASE = {
     ],
     "grid": {"p_min": 94.0, "p_max": 106.0, "n_p": 101, "n_t": 101, "quad_nodes": 64},
 }
+CARA_CALL = {"utility": {"kind": "cara", "alpha": 0.5},
+             "payoff": {"kind": "smoothed_call", "K": 100.0}}
+# the game of the cara2 study: a CARA call holder against its CARA issuer
+CARA2_GAME = {**BASE, "players": [
+    CARA_CALL, {**CARA_CALL, "payoff": {"kind": "negated", "inner": CARA_CALL["payoff"]}}]}
 
 
 @pytest.fixture()
@@ -237,8 +242,8 @@ def _is_number(value) -> bool:
 
 
 def test_manifests_record_what_the_solver_did(config_path, tmp_path):
-    # solve copies the plain numbers of Solution.meta, and a spread sweep
-    # those of its march, into the manifest's meta
+    # solve copies the plain numbers of Solution.meta, and the spread and
+    # cara2 studies and fig5 those of their march, into the manifest's meta
     def meta(name, *argv, config=config_path):
         out = tmp_path / name
         assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
@@ -260,6 +265,13 @@ def test_manifests_record_what_the_solver_did(config_path, tmp_path):
     sweep = meta("sweep", "sweep", "--study", "spread", "--s", "0,0.004", "--grid", "41,41")
     assert _is_number(sweep["n_t_used"]) and sweep["root_sweeps"]["max"] > 0
     assert all(_is_number(v) for v in sweep["root_sweeps"].values())
+    cara = meta("cara2", "sweep", "--study", "cara2", "--grid", "41,41",
+                config=_write(tmp_path, "cara2.json", CARA2_GAME))
+    fig5 = meta("fig5", "sweep", "--study", "figure:fig5", "--grid", "41,41")
+    for prefix, record in (("", cara), ("plain.", fig5), ("dashed.", fig5)):
+        assert set(record) >= {f"{prefix}{k}" for k in ("n_t_used", "marches", "root_sweeps")}
+        assert record[f"{prefix}n_t_used"] >= 41 and record[f"{prefix}marches"] == 1
+        assert set(record[f"{prefix}root_sweeps"]) == {"max", "mean"}
 
 
 def test_solve_picard_method(config_path, tmp_path):
@@ -502,17 +514,15 @@ def test_sweep_zero_sum_passes(tmp_path):
 
 
 def test_sweep_cara2_passes(tmp_path):
-    cara = {"kind": "cara", "alpha": 0.5}
-    doc = {**BASE, "players": [
-        {"utility": cara, "payoff": {"kind": "smoothed_call", "K": 100.0}},
-        {"utility": cara, "payoff": {"kind": "negated",
-                                     "inner": {"kind": "smoothed_call", "K": 100.0}}}]}
     out = tmp_path / "cara2"
-    assert main(["sweep", "--config", str(_write(tmp_path, "cara2.json", doc)), "--out", str(out),
+    path = _write(tmp_path, "cara2.json", CARA2_GAME)
+    assert main(["sweep", "--config", str(path), "--out", str(out),
                  "--study", "cara2", "--grid", "81,60"]) == 0
-    assert json.loads((out / "assertions.json").read_text())["passed"]
+    report = json.loads((out / "assertions.json").read_text())
+    assert report["passed"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["sweep.csv", "sweep_grids.csv", "assertions.json"]
+    assert report["game_hash"] == manifest["config_hash"]  # the game configured is solved
 
 
 def test_sweep_figure_study(config_path, tmp_path):
@@ -558,13 +568,21 @@ def test_sweep_defaults_match_figures(config_path, tmp_path, study, figure, pref
         assert study_report["game_hash"] == figure_report["game_hash"]
 
 
-CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
-                                 "payoff": {"kind": "smoothed_call", "K": 100.0}}]}
+CARA_ONE = {**BASE, "players": [CARA_CALL]}
+# cara2 solves CARA2_GAME: a third player, or an issuer of another payoff,
+# is a game the study does not fit
+CARA_THIRD = {**BASE, "players": [
+    {"utility": {"kind": "risk_neutral"}, "payoff": {"kind": "smoothed_digital", "K": 100.0}},
+    *CARA2_GAME["players"]]}
+CARA_OTHER = {**BASE, "players": [
+    CARA_CALL, {**CARA_CALL, "payoff": {"kind": "smoothed_digital", "K": 100.0}}]}
 
 
 @pytest.mark.parametrize("doc, argv, code, message", [
     (CARA_ONE, ["--study", "zero_sum"], 3, "requires risk-neutral players"),
     (BASE, ["--study", "cara2"], 3, "exactly two CARA players"),
+    (CARA_THIRD, ["--study", "cara2", "--grid", "81,60"], 3, "exactly two CARA players"),
+    (CARA_OTHER, ["--study", "cara2", "--grid", "81,60"], 3, "exactly two CARA players"),
     (BASE, ["--study", "figure:fig9"], 1, "unknown figure id 'fig9'"),
     (BASE, ["--study", "predator", "--N", "a"], 1, "--N expects"),
     (BASE, ["--study", "spread", "--s", "0,x"], 1, "--s expects"),
@@ -575,7 +593,8 @@ CARA_ONE = {**BASE, "players": [{"utility": {"kind": "cara", "alpha": 0.5},
     (BASE, ["--study", "split", "--N", "1,1"], 1, "swept values 1 and 1 share"),
     (BASE, ["--study", "spread", "--s", "0,nan"], 1, "s must be finite, got nan"),
     (BASE, ["--study", "spread", "--s", "inf"], 1, "s must be finite, got inf"),
-], ids=["study_game_mismatch", "cara2_no_cara_pair", "unknown_figure", "N_not_int", "s_not_float",
+], ids=["study_game_mismatch", "cara2_no_cara_pair", "cara2_third_player",
+        "cara2_other_payoff", "unknown_figure", "N_not_int", "s_not_float",
         "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf"])
 def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)

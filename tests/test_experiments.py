@@ -129,6 +129,19 @@ def test_split_sweep_zero_payoff(call, call_game):
     assert np.all(res.metrics["max_abs_aggregate_speed"] == 0.0)
 
 
+@pytest.mark.parametrize("sweep, counts", [(predator_sweep, (100, 10, 1)),
+                                           (split_sweep, (10, 100, 1))])
+def test_player_count_sweeps_sort_their_counts(call, call_game, sweep, counts):
+    # the claims compare neighbours in N order, whatever order N is given in:
+    # at (100, 10, 1) the predator sweep would call its falling speeds rising
+    # and its rate bound (101/2) would hold vacuously
+    res, ref = (sweep(call, ns, call_game, SMALL_GRID) for ns in (counts, sorted(counts)))
+    assert res.values == ref.values == (1, 10, 100)
+    assert res.assertions == ref.assertions and res.passed
+    np.testing.assert_array_equal(res.metrics["max_abs_aggregate_speed"],
+                                  ref.metrics["max_abs_aggregate_speed"])
+
+
 def test_split_sweep_closed_form_matches_fd(call, call_game, market, linear_cost):
     # the sweep's closed-form time-zero speeds agree with the full solver
     grid = GridSpec(94.0, 106.0, 201, 400, quad_nodes=96)
@@ -151,6 +164,18 @@ def test_spread_sweep_monotone(call_game):
     assert res.assertions["max_speed_non_increasing"]
     assert res.assertions["max_surplus_non_increasing"]
     assert np.all(np.diff(res.metrics["max_abs_speed"]) < -1e-3)
+
+
+def test_spread_sweep_sorts_its_spreads(call_game):
+    # the claims compare neighbours in spread order, whatever order the
+    # spreads are given in, and the grid columns follow that order
+    res = spread_sweep(call_game, (0.004, 0.0, 0.002), 100.0, SMALL_GRID)
+    ref = spread_sweep(call_game, (0.0, 0.002, 0.004), 100.0, SMALL_GRID)
+    assert res.values == ref.values == (0.0, 0.002, 0.004)
+    assert res.assertions == ref.assertions and res.passed
+    assert list(res.grids) == list(ref.grids)
+    for key in res.grids:
+        np.testing.assert_array_equal(res.grids[key], ref.grids[key])
 
 
 def test_spread_sweep_zero_spread_matches_closed_form(call_game, rule):
@@ -236,6 +261,26 @@ def test_cara_two_player_band_follows_p0():
     assert res.metrics["min_writer_speed_on_band"][0] == np.min(res.grids["writer_speed"][band])
     assert res.metrics["max_issuer_speed_on_band"][0] == np.max(res.grids["issuer_speed"][band])
     assert res.passed
+
+
+def _cara_study_peak(base, n_t: int) -> int:
+    grid = GridSpec(88.0, 112.0, 401, n_t)
+    tracemalloc.start()
+    try:
+        res = cara_two_player_study((0.01, 0.01), base, grid)
+        assert res.meta["n_t_used"] == n_t  # no refined time grid evens the sizes out
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cara_two_player_memory_is_flat_in_n_t(cara_base):
+    # the study reads only t = 0: a value, gradient and speed lattice per
+    # player would add 2 * 3 * 300 * 401 * 8 B = 5.8 MB at 400 layers over
+    # 100 (the peak is about 0.3 MB at both)
+    _cara_study_peak(cara_base, 20)  # lazy imports and tables before measuring
+    small, large = _cara_study_peak(cara_base, 100), _cara_study_peak(cara_base, 400)
+    assert large < 1.25 * small
 
 
 def test_cara_two_player_zero_payoff(cara_base):

@@ -128,14 +128,24 @@ def test_one_function_writes_run_manifests():
 def test_one_march_steps_every_fd_solve():
     # solve_fd is the stack of one that keeps every layer: only the march
     # factors and applies the diffusion matrix, the spread sweep marches its
-    # spreads through solve_fd_initial instead of one solve_fd per spread,
-    # and only model builds a stacked cost
+    # spreads and the two-player study its one game through solve_fd_initial,
+    # which keeps only the t = 0 layer they read, and only model builds a
+    # stacked cost
     assert _callers("_factor_tridiagonal") == ["pdesolve._march"]
     assert _callers("solve_banded") == ["pdesolve._march"]
     assert sorted(_callers("_march")) == ["pdesolve.solve_fd", "pdesolve.solve_fd_initial"]
-    assert _callers("solve_fd_initial") == ["experiments.spread_sweep"]
-    assert "experiments.spread_sweep" not in _callers("solve_fd")
+    assert sorted(_callers("solve_fd_initial")) == ["experiments.cara_two_player_study",
+                                                    "experiments.spread_sweep"]
+    assert {"experiments.spread_sweep", "experiments.cara_two_player_study"}.isdisjoint(
+        _callers("solve_fd"))
     assert _callers("stack_costs") == ["pdesolve._march"]
     assert _owners(lambda node: isinstance(node, ast.FunctionDef)
                    and node.name == "stack_costs") == ["model.stack_costs"]
     assert _callers("__new__") == ["model.stack_costs"]
+
+
+def test_one_dispatch_per_sweep_study():
+    # experiments.run_study picks each study's inputs and the games it fits,
+    # so the CLI takes nothing else from experiments and holds no study rule
+    assert _imports("experiments")["cli"] == {"run_study", "ExperimentError", "SweepResult"}
+    assert _callers("run_study") == ["cli.cmd_sweep"]
