@@ -77,7 +77,7 @@ from .simulate import (
     simulate_paths,
     write_paths_csv,
 )
-from .speeds import CertificationError, SpeedSolverError, apriori_speed_bound, certify_for_game
+from .speeds import CertificationError, SpeedSolverError, certify_for_game
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -170,8 +170,7 @@ def cmd_check(args) -> int:
         print(json.dumps({"ok": False, "error": str(err)}))
         return EXIT_PARSE
     try:
-        cert = certify_for_game(game)
-        bound = apriori_speed_bound(game, cert)
+        cert, bound = certify_for_game(game)
     except CertificationError as err:
         print(json.dumps({"ok": False, "error": str(err)}))
         return EXIT_CERTIFICATION

@@ -2,7 +2,9 @@
 spread-crossing sweeps, the two-player exponential-utility study and the
 benchmark figure grids.  ``run_study``, the one dispatch of ``illiq sweep``,
 reads each study's inputs from the configured game and refuses a game the
-study does not fit.
+study does not fit (predator and split need a risk-neutral player 0) and
+swept values it does not read (player counts but for predator and split,
+spreads but for spread).
 
 Each study returns a SweepResult carrying its scalar metrics, any grids a
 plot would need (1-D rows over the price grid, or (n_t, n_p) lattices when
@@ -172,7 +174,7 @@ def _player_count_sweep(what: str, make_game, h: Payoff, ns, template: GameSpec,
         game = make_game(h, n, template)
         v0 = _cole_hopf_layers(_cole_hopf_problem(game, "a sweep over N"), grid, [0.0])[0]
         v_p = central_gradient(v0, grid.dp)
-        eps = certify_for_game(game).eps_floor
+        eps = certify_for_game(game)[0].eps_floor
         row = aggregate_speed_many(game.cost, n, game.market.lam * v_p, eps)
         rows.append(row if signed else np.abs(row))
     max_abs = np.array([float(np.max(np.abs(row))) for row in rows])
@@ -343,10 +345,17 @@ def figure_grids(which: str, grid: GridSpec | None = None):
 
 def run_study(study: str, game: GameSpec, grid: GridSpec, ns=None, spreads=None):
     """The study ``illiq sweep --study`` names, on the configured ``game``: one
-    SweepResult, or several keyed by name (fig5, fig6)."""
+    SweepResult, or several keyed by name (fig5, fig6).  Only predator and
+    split take player counts ``ns``, and only spread takes ``spreads``."""
+    if ns is not None and study not in ("predator", "split"):
+        raise ConfigError(f"--N sets the player counts of predator and split, not of '{study}'")
+    if spreads is not None and study != "spread":
+        raise ConfigError(f"--s sets the spreads of the spread study, not of '{study}'")
     if study == "zero_sum":
         return zero_sum_report(game, grid)
     if study in ("predator", "split"):
+        if game.alphas[0] != 0.0:  # the sweep's games are all risk-neutral
+            raise ExperimentError(f"{study} study requires a risk-neutral player 0")
         fn = predator_sweep if study == "predator" else split_sweep
         return fn(game.players[0].endowment, PLAYER_COUNTS if ns is None else ns, game, grid)
     if study == "spread":

@@ -1,8 +1,9 @@
 """The files a run leaves and their record: every numeric CSV, in one dialect
 (a header row, comma delimiters, no comment prefix, every number in
-``CSV_FLOAT``), the SHA-256 digests of configs and outputs, and the atomic
-write of a run's ``manifest.json``, a plain dict that ``cli._Run.finish``
-builds.  Only ``write_csv`` calls ``_g17``, the numpy kernel that gives the
+``CSV_FLOAT`` but the swept ``value`` column of a sweep table, which is
+written with ``str``), the SHA-256 digests of configs and outputs, and the
+atomic write of a run's ``manifest.json``, a plain dict that
+``cli._Run.finish`` builds.  Only ``write_csv`` calls ``_g17``, the numpy kernel that gives the
 bytes of ``CSV_FLOAT % x`` for whole blocks."""
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def write_csv(path, axes, fields: dict) -> None:
 
 def write_sweep_csv(path, param: str, values, metrics: dict) -> None:
     """A study's ``param,value,metric,metric_value`` table: a metric with one
-    entry per swept value is written against each value, any other against none."""
+    entry per swept value is written against each value, any other against none.
+    A metric is written in ``CSV_FLOAT``, a swept value with ``str`` (``0.003``)."""
     lines = ["param,value,metric,metric_value"]
     for name, arr in metrics.items():
         vals = np.atleast_1d(arr)

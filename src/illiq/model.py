@@ -112,13 +112,13 @@ class CostFunction:
     """Liquidity premium g applied to the aggregate trading speed.
 
     Subclasses provide ``value`` (g), ``slope`` (g') and ``curvature`` (g''),
-    all vectorized.  ``eps_floor`` is the admissibility floor the
-    certification scan checks g' against; it is a declared requirement, not
-    the measured minimum.  ``domain`` is the interval where g is defined,
-    unbounded for analytic costs.
+    all vectorized.  ``SLOPE_FLOOR``, declared per kind, is the floor the
+    certification scan checks g' against (0 where g' >= kappa > 0 holds by
+    construction), not the measured minimum.  ``domain`` is the interval
+    where g is defined, unbounded for analytic costs.
     """
 
-    eps_floor: float
+    SLOPE_FLOOR: ClassVar[float] = 0.0
     domain = (-math.inf, math.inf)
 
     def value(self, z):
@@ -140,13 +140,9 @@ class LinearCost(CostFunction):
     """g(z) = kappa * z, the block-shaped book without a spread."""
 
     kappa: float
-    eps_floor: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         _require(_finite("kappa", self.kappa) and self.kappa > 0, "kappa must be > 0")
-        if self.eps_floor is None:
-            object.__setattr__(self, "eps_floor", 0.5 * self.kappa)
-        _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
 
     def value(self, z):
         return self.kappa * np.asarray(z, dtype=float)
@@ -173,7 +169,6 @@ class SmoothedSpreadCost(CostFunction):
     kappa: float
     spread: float
     sharpness: float
-    eps_floor: float = None  # type: ignore[assignment]
     # C^3 of g'', taken once from the scalar C: numpy's vectorized power can
     # differ from it in the last bit, and a stacked cost must not
     _cube: float = dataclasses.field(init=False, repr=False, compare=False)
@@ -182,9 +177,6 @@ class SmoothedSpreadCost(CostFunction):
         _require(_finite("kappa", self.kappa) and self.kappa > 0, "kappa must be > 0")
         _require(_finite("s", self.spread) and self.spread >= 0, "s must be >= 0")
         _require(_finite("C", self.sharpness) and self.sharpness > 0, "C must be > 0")
-        if self.eps_floor is None:
-            object.__setattr__(self, "eps_floor", 0.5 * self.kappa)
-        _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
         object.__setattr__(self, "_cube", self.sharpness**3)
 
     def value(self, z):
@@ -210,9 +202,10 @@ class TableCost(CostFunction):
     statement can be made there.
     """
 
+    SLOPE_FLOOR: ClassVar[float] = 1e-3
+
     z_values: tuple
     g_values: tuple
-    eps_floor: float = 1e-3
 
     def __post_init__(self):
         z = np.asarray(self.z_values, dtype=float)
@@ -224,7 +217,6 @@ class TableCost(CostFunction):
         _require(np.all(np.isfinite(z)) and np.all(np.isfinite(g)), "table values must be finite")
         interp = _pchip(z, g)
         _require(abs(float(interp(0.0))) < 1e-12, "g(0) must be 0")
-        _require(_finite("eps_floor", self.eps_floor) and self.eps_floor > 0, "eps_floor must be > 0")
         object.__setattr__(self, "z_values", tuple(float(v) for v in z))
         object.__setattr__(self, "g_values", tuple(float(v) for v in g))
 

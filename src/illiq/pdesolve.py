@@ -44,8 +44,9 @@ to ``manifest.write_csv``, which writes every numeric CSV of the package;
 ``write_solution_npz`` stores it in binary and
 ``read_solution_npz`` loads it back, exactly and without pickling.
 
-scipy is imported where it is used: ``scipy.linalg`` when ``solve_fd``
-factors its matrix, so importing this module loads none of scipy.
+scipy is imported where it is used: ``scipy.linalg`` when ``_march``
+factors its matrix (for ``solve_fd`` and ``solve_fd_initial`` alike), so
+importing this module loads none of scipy.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .model import GameSpec, GridSpec, stack_costs
 from .speeds import (
     ROOT_TOL,
     CostCertificate,
-    apriori_speed_bound,
     certify_for_game,
     equilibrium_fields,
 )
@@ -300,8 +300,7 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     ``_march`` on a stack of one game that keeps every layer.
     """
     grid.validate_for(game.market)
-    cert = certify_for_game(game)
-    bound = apriori_speed_bound(game, cert)
+    cert, bound = certify_for_game(game)
     n_t = _fd_layers(game, grid, bound)
     times, values, grads, speeds, agg, sweeps = _march([game], [cert], grid, n_t, n_t)
     meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t,
@@ -338,8 +337,8 @@ def solve_fd_initial(games, grid: GridSpec) -> InitialLayers:
         if other.market != game.market or other.players != game.players:
             raise SolverError("a stack of games shares its market and players")
     grid.validate_for(game.market)
-    certs = [certify_for_game(g) for g in games]
-    layers = [_fd_layers(g, grid, apriori_speed_bound(g, cert)) for g, cert in zip(games, certs)]
+    certs, bounds = zip(*(certify_for_game(g) for g in games))
+    layers = [_fd_layers(g, grid, bound) for g, bound in zip(games, bounds)]
     n, b, n_p = game.n_players, len(games), grid.n_p
     values, grads, speeds = (np.empty((n, b, n_p)) for _ in range(3))
     agg = np.empty((b, n_p))
@@ -373,8 +372,7 @@ def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     """
     market = game.market
     grid.validate_for(market)
-    cert = certify_for_game(game)
-    bound = apriori_speed_bound(game, cert)
+    cert, bound = certify_for_game(game)
     tau = PICARD_TAU_FRACTION * market.maturity
 
     last_err: Exception | None = None
@@ -460,8 +458,7 @@ def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
     grid.validate_for(game.market)
     values = closed_form_values(game, grid)
     times = grid.times(game.market.maturity)
-    cert = certify_for_game(game)
-    bound = apriori_speed_bound(game, cert)
+    cert, bound = certify_for_game(game)
     meta = _meta("closed-form", cert, bound)
     return _lattice_solution(game, grid, cert, times, values, meta)
 
@@ -480,7 +477,7 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
         raise ValueError("residual needs at least a 5x5 grid")
     dt = sol.times[1] - sol.times[0]
     dp = sol.grid.dp  # the step every route takes its gradients with
-    cert = sol.meta.get("certificate") or certify_for_game(game)
+    cert = sol.meta.get("certificate") or certify_for_game(game)[0]
 
     inner = slice(1, -1)
     v_t = (v[:, 2:, :] - v[:, :-2, :]) / (2.0 * dt)

@@ -25,6 +25,10 @@ from one call per layer, each game's on its own row and bit for bit as in a
 call of its own.  Each player's speed and the PDE source term follow
 pointwise from the root (``equilibrium_fields``, the one place every solver
 takes them from).
+
+``certify_for_game`` certifies eps by sampling (g' above its cost kind's
+``SLOPE_FLOOR``, increasing marginal cost) and returns the certificate with
+the a-priori speed bound N (lambda / eps) max_j sup|H^j_p| the solvers use.
 """
 
 from __future__ import annotations
@@ -75,18 +79,16 @@ MAX_ITER = 200
 CERT_SAMPLES = 2001  # uniform sample size of the cost scan
 
 
-def certify_cost(cost: CostFunction, interval=None) -> CostCertificate:
+def certify_cost(cost: CostFunction, interval) -> CostCertificate:
     """Scan g' and g + z g' over ``CERT_SAMPLES`` uniform points of the
     working interval.
 
     Returns a certificate whose ``eps_floor`` is the scanned minimum of g'
     shaved by 1% (the safety margin absorbs sampling error).  Raises
     CertificationError when the scan finds a nonpositive slope, a slope
-    below the cost function's declared ``eps_floor``, or a non-increasing
+    below the ``SLOPE_FLOOR`` its cost kind declares, or a non-increasing
     marginal cost.
     """
-    if interval is None:
-        interval = cost.domain if _bounded(cost) else (-100.0, 100.0)
     z_lo, z_hi = float(interval[0]), float(interval[1])
     if not z_lo < 0.0 < z_hi:
         raise ValueError("working interval must contain 0")
@@ -98,10 +100,10 @@ def certify_cost(cost: CostFunction, interval=None) -> CostCertificate:
             f"g' reaches {min_slope:.3g} <= 0 on [{z_lo:g}, {z_hi:g}]; cost is inadmissible"
         )
     eps = 0.99 * min_slope
-    if eps < cost.eps_floor:
+    if eps < cost.SLOPE_FLOOR:
         raise CertificationError(
             f"certified slope floor {eps:.3g} falls below the declared eps_floor "
-            f"{cost.eps_floor:.3g} on [{z_lo:g}, {z_hi:g}]"
+            f"{cost.SLOPE_FLOOR:.3g} on [{z_lo:g}, {z_hi:g}]"
         )
     marginal = np.asarray(cost.value(zs), dtype=float) + zs * slopes
     if not bool(np.all(np.diff(marginal) > 0.0)):
@@ -113,28 +115,23 @@ def certify_cost(cost: CostFunction, interval=None) -> CostCertificate:
     )
 
 
-def certify_for_game(game: GameSpec) -> CostCertificate:
-    """Certify the game's cost on an interval wide enough for its own
-    equilibrium speed range, growing the interval until it self-covers."""
+def certify_for_game(game: GameSpec) -> tuple[CostCertificate, float]:
+    """The certificate of the game's cost and the a-priori speed bound it
+    covers: a table is certified on its domain, which must cover the bound,
+    any other cost on an interval grown until it does."""
     cost = game.cost
-    if _bounded(cost):
+    if all(math.isfinite(d) for d in cost.domain):
         cert = certify_cost(cost, cost.domain)
-        apriori_speed_bound(game, cert)  # the table's domain must cover the bound
-        return cert
+        return cert, apriori_speed_bound(game, cert)
     interval = (-1.0, 1.0)
     for _ in range(4):
         cert = certify_cost(cost, interval)
         bound = _speed_bound(game, cert.eps_floor)
         if cert.covers(bound):
-            return cert
+            return cert, bound
         reach = 1.05 * bound + 1.0
         interval = (-reach, reach)
     raise CertificationError("could not certify an interval covering the speed bound")
-
-
-def _bounded(cost: CostFunction) -> bool:
-    """Whether the cost is only defined on a finite interval (a table)."""
-    return all(math.isfinite(d) for d in cost.domain)
 
 
 def _speed_bound(game: GameSpec, eps: float) -> float:

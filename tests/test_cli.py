@@ -185,7 +185,8 @@ def test_solve_closed_and_fd_agree(config_path, tmp_path, capsys):
 
 def test_solve_speed_bound_failure_exit_4(config_path, tmp_path, monkeypatch, capsys):
     # a bound below the solved speeds fails the check; outputs are still written
-    monkeypatch.setattr(illiq.pdesolve, "apriori_speed_bound", lambda game, cert: 1e-3)
+    certify = illiq.pdesolve.certify_for_game
+    monkeypatch.setattr(illiq.pdesolve, "certify_for_game", lambda game: (certify(game)[0], 1e-3))
     out = tmp_path / "fd"
     assert main(["solve", "--config", str(config_path), "--out", str(out),
                  "--method", "fd", "--grid", "41,41"]) == 4
@@ -593,9 +594,21 @@ CARA_OTHER = {**BASE, "players": [
     (BASE, ["--study", "split", "--N", "1,1"], 1, "swept values 1 and 1 share"),
     (BASE, ["--study", "spread", "--s", "0,nan"], 1, "s must be finite, got nan"),
     (BASE, ["--study", "spread", "--s", "inf"], 1, "s must be finite, got inf"),
+    # a flag the study does not read is refused, not recorded as shaping its files
+    (BASE, ["--study", "spread", "--N", "5,6", "--grid", "41,30"], 1, "--N sets the player "
+     "counts of predator and split, not of 'spread'"),
+    (BASE, ["--study", "predator", "--s", "0.1"], 1, "--s sets the spreads of the spread "
+     "study, not of 'predator'"),
+    (BASE, ["--study", "figure:fig1", "--N", "3"], 1, "not of 'figure:fig1'"),
+    # predator and split solve risk-neutral games built from player 0's payoff
+    (CARA_ONE, ["--study", "predator", "--N", "1,2", "--grid", "81,60"], 3,
+     "predator study requires a risk-neutral player 0"),
+    (CARA_ONE, ["--study", "split", "--N", "1,2", "--grid", "81,60"], 3,
+     "split study requires a risk-neutral player 0"),
 ], ids=["study_game_mismatch", "cara2_no_cara_pair", "cara2_third_player",
         "cara2_other_payoff", "unknown_figure", "N_not_int", "s_not_float",
-        "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf"])
+        "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf",
+        "spread_N", "predator_s", "figure_N", "predator_cara", "split_cara"])
 def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == code

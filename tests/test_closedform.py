@@ -425,7 +425,7 @@ def test_cara_requires_single_player(market, linear_cost, call, rule):
 
 
 def _fields(game, grads):
-    speeds, agg, _ = equilibrium_fields(game, certify_for_game(game).eps_floor, grads)
+    speeds, agg, _ = equilibrium_fields(game, certify_for_game(game)[0].eps_floor, grads)
     return speeds, agg
 
 

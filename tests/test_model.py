@@ -403,7 +403,6 @@ _NON_FINITE_FIELDS = {
     "width": lambda v: SmoothedDigital(100.0, v),
     "factor": lambda v: Scaled(SmoothedCall(100.0, 10.0, 0.05), v),
     "alpha": lambda v: CARA(v),
-    "eps_floor": lambda v: LinearCost(0.01, eps_floor=v),
     "p_min": lambda v: GridSpec(v, 106.0),
     "p_max": lambda v: GridSpec(94.0, v),
 }

@@ -365,7 +365,7 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
 
     market = short_game.market
     prices = short_grid.prices
-    cert = certify_for_game(short_game)
+    cert, _ = certify_for_game(short_game)
     h0 = short_game.payoff_layer(prices)
     step = market.maturity / 2
     sig2 = market.sigma**2

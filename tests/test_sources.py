@@ -149,3 +149,31 @@ def test_one_dispatch_per_sweep_study():
     # so the CLI takes nothing else from experiments and holds no study rule
     assert _imports("experiments")["cli"] == {"run_study", "ExperimentError", "SweepResult"}
     assert _callers("run_study") == ["cli.cmd_sweep"]
+
+
+def test_certify_for_game_returns_the_speed_bound():
+    # certify_for_game returns the certificate with the a-priori speed bound,
+    # so no other module pairs it with apriori_speed_bound
+    assert {f.split(".")[0] for f in _callers("apriori_speed_bound")} == {"speeds"}
+
+
+def test_certify_cost_takes_its_interval():
+    # a working interval is always given: certify_cost has no fallback of its own
+    speeds = ast.parse((PACKAGE / "speeds.py").read_text())
+    (certify_cost,) = [node for node in ast.walk(speeds)
+                       if isinstance(node, ast.FunctionDef) and node.name == "certify_cost"]
+    assert [a.arg for a in certify_cost.args.args] == ["cost", "interval"]
+    assert certify_cost.args.defaults == []
+
+
+def test_cost_kinds_declare_their_slope_floor():
+    # the declared slope floor is a class constant of each cost kind, not a
+    # constructor argument, and only a certificate holds an eps_floor
+    model = ast.parse((PACKAGE / "model.py").read_text())
+    costs = [node for node in ast.walk(model) if isinstance(node, ast.ClassDef)
+             and any(getattr(base, "id", None) == "CostFunction" for base in node.bases)]
+    assert sorted(c.name for c in costs) == ["LinearCost", "SmoothedSpreadCost", "TableCost"]
+    assert [(c.name, n.target.id) for c in costs for n in c.body
+            if isinstance(n, ast.AnnAssign) and n.target.id == "eps_floor"] == []
+    assert _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "eps_floor"
+                   and getattr(node.value, "id", None) == "cost") == []

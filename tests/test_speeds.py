@@ -74,7 +74,7 @@ def test_spread_cost_slope_at_zero_and_tails():
 def _tanh_table():
     """A table cost with a spread-like kink, whose g'' jumps at every knot."""
     z = np.linspace(-3.0, 3.0, 61)
-    return TableCost(tuple(z), tuple(0.01 * z + 0.004 * np.tanh(5.0 * z)), eps_floor=1e-3)
+    return TableCost(tuple(z), tuple(0.01 * z + 0.004 * np.tanh(5.0 * z)))
 
 
 @pytest.mark.parametrize("cost", [LinearCost(0.01), SmoothedSpreadCost(0.01, 0.002, 100.0),
@@ -89,7 +89,7 @@ def test_curvature_matches_central_difference_of_slope(cost):
 
 def test_table_cost_out_of_domain():
     z = np.linspace(-2.0, 2.0, 41)
-    cost = TableCost(tuple(z), tuple(0.01 * z), eps_floor=1e-3)
+    cost = TableCost(tuple(z), tuple(0.01 * z))
     with pytest.raises(Exception, match="table domain"):
         cost.value(5.0)
 
@@ -116,16 +116,16 @@ def test_certify_rejects_vanishing_slope_table():
     z = np.linspace(-100.0, 100.0, 4001)
     cost = TableCost(tuple(z), tuple(np.arctan(z)))
     with pytest.raises(CertificationError, match="eps_floor"):
-        certify_cost(cost)
+        certify_cost(cost, cost.domain)
 
 
 def test_certify_rejects_nonmonotone_marginal_cost():
     # strong concave bump: g' stays above the floor but g + z g' dips
     z = np.linspace(-2.0, 2.0, 801)
     g = 0.05 * z + 0.8 * np.sign(z) * (1.0 - np.exp(-5.0 * np.abs(z)))
-    cost = TableCost(tuple(z), tuple(g), eps_floor=0.01)
+    cost = TableCost(tuple(z), tuple(g))
     with pytest.raises(CertificationError, match="strictly increasing"):
-        certify_cost(cost)
+        certify_cost(cost, cost.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_aggregate_speed_spread_matches_dense_scan():
 
 def test_aggregate_speed_table_matches_dense_scan():
     cost = _tanh_table()
-    cert = certify_cost(cost)
+    cert = certify_cost(cost, cost.domain)
     got = aggregate_speed_many(cost, 2, [0.01], cert.eps_floor)[0]
     # dense-scan oracle: sign change of Phi over [-1, 1] at step 1e-6
     z = np.arange(-1.0, 1.0, 1e-6)
@@ -462,7 +462,7 @@ def test_warm_start_reaches_the_cold_root(cost, n, data):
     # finds from 0: the root passes the residual test within 1e-12 of the
     # cold one, and a start at the cold root returns it bit for bit
     if isinstance(cost, TableCost):
-        scale, cert = 0.02, certify_cost(cost)
+        scale, cert = 0.02, certify_cost(cost, cost.domain)
     else:
         scale, cert = 1.0, certify_cost(cost, (-200.0, 200.0))
     m = data.draw(st.integers(1, 8))
