@@ -2,7 +2,7 @@
 spread-crossing sweeps, the two-player exponential-utility study and the
 benchmark figure grids.  ``run_study``, the one dispatch of ``illiq sweep``,
 reads each study's inputs from the configured game and refuses a game the
-study does not fit (predator and split need a risk-neutral player 0) and
+study does not fit (predator and split need a single risk-neutral player) and
 swept values it does not read (player counts but for predator and split,
 spreads but for spread).
 
@@ -354,6 +354,8 @@ def run_study(study: str, game: GameSpec, grid: GridSpec, ns=None, spreads=None)
     if study == "zero_sum":
         return zero_sum_report(game, grid)
     if study in ("predator", "split"):
+        if game.n_players != 1:  # its games hold copies of player 0's payoff, no other
+            raise ExperimentError(f"{study} study requires a single player, got {game.n_players}")
         if game.alphas[0] != 0.0:  # the sweep's games are all risk-neutral
             raise ExperimentError(f"{study} study requires a risk-neutral player 0")
         fn = predator_sweep if study == "predator" else split_sweep

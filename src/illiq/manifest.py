@@ -3,8 +3,10 @@
 ``CSV_FLOAT`` but the swept ``value`` column of a sweep table, which is
 written with ``str``), the SHA-256 digests of configs and outputs, and the
 atomic write of a run's ``manifest.json``, a plain dict that
-``cli._Run.finish`` builds.  Only ``write_csv`` calls ``_g17``, the numpy kernel that gives the
-bytes of ``CSV_FLOAT % x`` for whole blocks."""
+``cli._Run.finish`` builds.  Only ``write_csv`` calls ``_g17``, the numpy
+kernel that gives the bytes of ``CSV_FLOAT % x`` for whole blocks: each
+number a NUL-padded cell of four uint64 words (sign, prefix and leading
+digit; the 16 digits after it, the point shifted in; exponent and delimiter)."""
 
 from __future__ import annotations
 
@@ -67,15 +69,17 @@ def write_csv(path, axes, fields: dict) -> None:
         fh.write((",".join([*(name for name, _ in axes), *fields]) + "\n").encode())
         for r in range(0, n_rows, step):
             block = np.stack([field[r:r + step] for field in values], axis=-1)
-            # each cell is a number from _g17 and one byte for the delimiter
-            cells = np.empty((len(block), n_cols, width, _G17_WIDTH + 1), np.uint8)
-            cells[:, :, 0, :-1] = texts[0][r:r + step, None]
+            numbers = _g17(block).reshape(*block.shape, 4)
+            # each cell is a number from _g17; the top byte of its word 3 is the delimiter
+            cells = np.empty((len(block), n_cols, width, 4), "<u8")
+            cells[:, :, 0] = texts[0][r:r + step, None]
             if len(texts) == 2:
-                cells[:, :, 1, :-1] = texts[1]
-            cells[:, :, len(texts):, :-1] = _g17(block).reshape(*block.shape, _G17_WIDTH)
-            cells[..., -1] = ord(",")
-            cells[:, :, -1, -1] = ord("\n")
+                cells[:, :, 1] = texts[1]
+            cells[:, :, len(texts):] = numbers
+            cells[:, :, :-1, 3] |= ord(",") << 56
+            cells[:, :, -1, 3] |= ord("\n") << 56
             fh.write(cells.tobytes().translate(None, b"\0"))
+            del block, numbers, cells  # freed before the next block's kernel runs
 
 
 def write_sweep_csv(path, param: str, values, metrics: dict) -> None:
@@ -105,28 +109,33 @@ def write_sweep_csv(path, param: str, values, metrics: dict) -> None:
 # with |E| > ``_G17_EXP`` are formatted with ``%`` one at a time.  A y just
 # under 10^16 (by at most 0.01) keeps E: at E - 1 it would carry back to
 # D = 10^16.
+#
+# Each number is a cell of four little-endian uint64 words, 32 bytes whose
+# NULs ``write_csv`` strips.  Word 0 holds the sign (byte 0), the "0.000"
+# prefix of X < 0 (bytes 1-5), the leading digit (byte 6) and, for X = 0 and
+# exponent notation, its point (byte 7), from one table by class (X = -4..16
+# or exponent notation) and by whether a fraction is shown.  Words 1-2 hold
+# the 16 digits after the leading one, trailing zeros masked to NUL; for
+# 1 <= X <= 15 the bytes from X on move up one byte, through per-class masks,
+# and the point fills byte X.  Word 3 holds the byte that move pushed out of
+# word 2 (byte 0), the exponent (bytes 1-5) and the delimiter (byte 7), which
+# ``write_csv`` ORs in.
 _G17_EXP = 280  # the largest |E| the power table serves
-_G17_WIDTH = 24  # the longest result, "-1.2345678901234567e-308"
 _G17_TIE = 1e-6  # in units of the 17th digit
 _G17_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-
-# Byte offsets in the 24-byte source row of one number: the 16 digits after
-# the leading one, NUL where %g strips them; the leading digit, the point
-# (NUL when no digit follows it), '0' and the sign (NUL when positive); NULs.
-_G17_LEAD, _G17_POINT, _G17_ZERO, _G17_SIGN, _G17_NUL = 16, 17, 18, 19, 20
-_G17_DIGITS = (_G17_LEAD, *range(16))
 
 
 @functools.cache
 def _g17_tables() -> dict:
-    """The tables ``_g17`` reads, built on first use.  For E in
+    """The tables ``_g17`` reads, built on first use.  By E in
     [-_G17_EXP - 1, _G17_EXP + 1]: 10^(16 - E) as hi + lo, hi also split into
-    Dekker's head + tail, and the exponent bytes ("e+05", "e-308").  For
-    0..9999: the ASCII of the four digits and the count of trailing zeros.
-    For 0..8: the mask that keeps that many bytes of a uint64.  One
-    layout template per class, fixed notation with X = -4..16 or exponent
-    notation: the source-row byte of each output byte (the exponent is not in
-    the source row)."""
+    Dekker's head + tail; the digits before the point, twice the class, and
+    word 3's exponent bytes ("e+05", "e-308"; none in fixed notation).  By
+    0..9999: the ASCII of the four digits, in the low and in the high half of
+    a word, and the count of trailing zeros.  By the digits shown after the
+    leading one: the bytes of words 1 and 2 kept.  By 2 class + (a fraction is
+    shown): word 0 with the leading digit '0', the bytes of words 1 and 2
+    that move up one byte, and the point in each."""
     exps = range(-_G17_EXP - 1, _G17_EXP + 2)
     hi, lo = [], []
     for e in exps:
@@ -144,31 +153,42 @@ def _g17_tables() -> dict:
     split = _G17_SPLIT * hi
     head = split - (split - hi)
 
+    def word(text: bytes) -> int:
+        return int.from_bytes(text, "little")
+
     quads = np.arange(10_000)
     ascii4 = np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10, quads % 10], axis=1)
+    ascii4 = (ascii4 + ord("0")).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
     zeros4 = sum((quads % 10**k == 0).astype(np.int64) for k in range(1, 5))
+    fixed = [-4 <= e <= 16 for e in exps]
+    point = [max(e + 1, 0) if f else 1 for e, f in zip(exps, fixed)]
+    twice_class = [2 * (e + 4 if f else 21) for e, f in zip(exps, fixed)]
+    exponent = [0 if f else word(b"\0e%+03d" % e) for e, f in zip(exps, fixed)]
+    # the bytes of words 1 and 2 that hold the first n of the 16 digits, and all of a word
+    keep1 = [(1 << 8 * min(n, 8)) - 1 for n in range(17)]
+    keep2, full = [0] * 8 + keep1[:9], keep1[8]
 
-    exponent = np.zeros((len(exps), 5), np.uint8)
-    for i, e in enumerate(exps):
-        text = b"e%+03d" % e
-        exponent[i, :len(text)] = list(text)
-    keep = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
-
-    templates = np.full((22, _G17_WIDTH), _G17_NUL, np.intp)
-    digits = _G17_DIGITS
+    word0, move1, move2, point1, point2 = ([] for _ in range(5))
     for cls in range(22):
-        if cls == 21:  # d.ddde+XX
-            body = [digits[0], _G17_POINT, *digits[1:]]
-        elif cls >= 4:  # X = cls - 4 >= 0: X + 1 digits before the point
-            body = [*digits[:cls - 3], _G17_POINT, *digits[cls - 3:]]
-        else:  # X = cls - 4 < 0: 0.000ddd
-            body = [_G17_ZERO, _G17_POINT, *[_G17_ZERO] * (3 - cls), *digits]
-        templates[cls, :len(body) + 1] = [_G17_SIGN, *body]
+        x = cls - 4  # 17: exponent notation
+        at = x if 1 <= x <= 15 else 16  # where the point enters words 1-2
+        for frac in (0, 1):
+            prefix = b"0." + b"0" * (-x - 1) if x < 0 else b""
+            digit = b"0." if frac and x in (0, 17) else b"0"
+            word0.append(word(b"\0" + prefix.ljust(5, b"\0") + digit))
+            move1.append(full - keep1[at])
+            move2.append(full - keep2[at])
+            dot = ord(".") << 8 * at if frac and at < 16 else 0
+            point1.append(dot & full)
+            point2.append(dot >> 64)
 
     tables = {
         "hi": hi, "head": head, "tail": hi - head, "lo": np.array(lo),
-        "ascii4": (ascii4 + ord("0")).astype(np.uint8).view("<u4").ravel(), "zeros4": zeros4,
-        "keep": keep, "exponent": exponent, "templates": templates,
+        "point": np.array(point), "class": np.array(twice_class),
+        "ascii4": ascii4, "ascii4_hi": ascii4 << 32, "zeros4": zeros4,
+        **{name: np.array(table, np.uint64) for name, table in [
+            ("exponent", exponent), ("keep1", keep1), ("keep2", keep2), ("word0", word0),
+            ("move1", move1), ("move2", move2), ("point1", point1), ("point2", point2)]},
     }
     for table in tables.values():
         table.setflags(write=False)  # shared by every call
@@ -217,18 +237,16 @@ def _g17_digits(x: np.ndarray):
 
 
 def _g17(x: np.ndarray) -> np.ndarray:
-    """``CSV_FLOAT % v`` for every entry v of the float array x, as rows of
-    ``_G17_WIDTH`` ASCII bytes padded with NULs, in the order of ``x.ravel()``.
-    The %g rules: fixed notation for -4 <= X <= 16, else d.ddde+XX; trailing
-    zeros of the fraction and a point with no digit after it are dropped."""
+    """``CSV_FLOAT % v`` for every entry v of the float array x, as cells of
+    four uint64 words (32 ASCII bytes padded with NULs), in the order of
+    ``x.ravel()``.  The %g rules: fixed notation for -4 <= X <= 16, else
+    d.ddde+XX; trailing zeros of the fraction and a point with no digit after
+    it are dropped."""
     x = np.ravel(x)
     tab = _g17_tables()
     digits, e, slow = _g17_digits(x)
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    quads = (upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4)
+    lead, rest = np.divmod(digits, 10**16)
+    quads = (*np.divmod(rest // 10**8, 10**4), *np.divmod(rest % 10**8, 10**4))
     zeros4 = tab["zeros4"]
     zeros = zeros4[quads[3]]
     left = np.flatnonzero(quads[3] == 0)  # the last four digits are zeros: look further left
@@ -236,31 +254,22 @@ def _g17(x: np.ndarray) -> np.ndarray:
         q1, q2, q3 = (quad[left] for quad in quads[:3])
         zeros[left] += np.where(q3 > 0, zeros4[q3], 4 + np.where(
             q2 > 0, zeros4[q2], 4 + zeros4[q1]))
-    fixed = (e >= -4) & (e <= 16)
-    point = np.where(fixed, np.maximum(e + 1, 0), 1)  # digits before the point
+    ei = e + (_G17_EXP + 1)
+    point = tab["point"][ei]  # digits before the point
     shown = np.maximum(17 - zeros, point)  # digits printed
+    k = tab["class"][ei] + (shown > point)  # 2 class + (a fraction is shown)
 
-    src = np.zeros((x.size, _G17_WIDTH // 4), np.uint32)
-    for col, quad in enumerate(quads):
-        src[:, col] = tab["ascii4"][quad]
-    src[:, 4] = (lead + (ord("0") | ord("0") << 16) + (shown > point) * (ord(".") << 8)
-                 + np.signbit(x) * (ord("-") << 24))
-    after = shown - 1  # digits shown after the leading one, 8 per uint64
-    src64 = src.view(np.uint64)
-    src64[:, 0] &= tab["keep"][np.minimum(after, 8)]
-    src64[:, 1] &= tab["keep"][np.clip(after - 8, 0, 8)]
-    src = src.view(np.uint8)
-
-    cls = np.where(fixed, e + 4, 21)
-    out = np.empty((x.size, _G17_WIDTH), np.uint8)
-    templates = tab["templates"]
-    for k in np.flatnonzero(np.bincount(cls, minlength=len(templates))):
-        rows = np.flatnonzero(cls == k)
-        out[rows] = src[rows][:, templates[k]]
-    rows = np.flatnonzero(~fixed)
-    out[rows, -5:] = tab["exponent"][e[rows] + (_G17_EXP + 1)]
+    after = shown - 1  # digits shown after the leading one, 8 per word
+    w1 = (tab["ascii4"][quads[0]] | tab["ascii4_hi"][quads[1]]) & tab["keep1"][after]
+    w2 = (tab["ascii4"][quads[2]] | tab["ascii4_hi"][quads[3]]) & tab["keep2"][after]
+    up1 = w1 & tab["move1"][k]
+    up2 = w2 & tab["move2"][k]
+    out = np.empty((x.size, 4), "<u8")
+    out[:, 0] = (tab["word0"][k] | lead.astype(np.uint64) << 48
+                 | np.signbit(x).astype(np.uint64) * ord("-"))
+    out[:, 1] = (w1 ^ up1) | up1 << 8 | tab["point1"][k]
+    out[:, 2] = (w2 ^ up2) | up2 << 8 | up1 >> 56 | tab["point2"][k]
+    out[:, 3] = up2 >> 56 | tab["exponent"][ei]
     for i in np.flatnonzero(slow):
-        text = (CSV_FLOAT % float(x[i])).encode()
-        out[i] = 0
-        out[i, :len(text)] = list(text)
+        out[i] = np.frombuffer((CSV_FLOAT % float(x[i])).encode().ljust(32, b"\0"), "<u8")
     return out

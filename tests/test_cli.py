@@ -570,6 +570,10 @@ def test_sweep_defaults_match_figures(config_path, tmp_path, study, figure, pref
 
 
 CARA_ONE = {**BASE, "players": [CARA_CALL]}
+# a risk-neutral call holder against its risk-neutral issuer
+RN_PAIR = {**BASE, "players": [
+    BASE["players"][0], {**BASE["players"][0], "payoff": {"kind": "negated",
+                                                          "inner": BASE["players"][0]["payoff"]}}]}
 # cara2 solves CARA2_GAME: a third player, or an issuer of another payoff,
 # is a game the study does not fit
 CARA_THIRD = {**BASE, "players": [
@@ -605,10 +609,16 @@ CARA_OTHER = {**BASE, "players": [
      "predator study requires a risk-neutral player 0"),
     (CARA_ONE, ["--study", "split", "--N", "1,2", "--grid", "81,60"], 3,
      "split study requires a risk-neutral player 0"),
+    # ... and would drop every other player of the config
+    (RN_PAIR, ["--study", "predator", "--grid", "81,60"], 3,
+     "predator study requires a single player, got 2"),
+    (RN_PAIR, ["--study", "split", "--N", "1,2", "--grid", "81,60"], 3,
+     "split study requires a single player, got 2"),
 ], ids=["study_game_mismatch", "cara2_no_cara_pair", "cara2_third_player",
         "cara2_other_payoff", "unknown_figure", "N_not_int", "s_not_float",
         "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf",
-        "spread_N", "predator_s", "figure_N", "predator_cara", "split_cara"])
+        "spread_N", "predator_s", "figure_N", "predator_cara", "split_cara",
+        "predator_pair", "split_pair"])
 def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == code

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import illiq
 import illiq.cli
-from illiq import GridSpec, solve_closed, solve_fd
+from illiq import GridSpec, manifest, solve_closed, solve_fd
 from illiq.cli import main
 from illiq.manifest import CSV_FLOAT, _g17, _g17_digits, write_csv
 from illiq.pdesolve import Solution, write_solution_csv
@@ -27,7 +27,10 @@ def _percent(x) -> list:
 
 
 def _kernel(x) -> list:
-    return [row.tobytes().replace(b"\0", b"").decode() for row in _g17(np.asarray(x, dtype=float))]
+    """The text of each number: its 32-byte cell of four uint64 words, NULs stripped."""
+    cells = _g17(np.asarray(x, dtype=float))
+    assert cells.dtype == np.uint64 and cells.shape[1:] == (4,)
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
 
 
 def _adversarial() -> np.ndarray:
@@ -120,6 +123,29 @@ def _percent_csv(path, axes, fields: dict) -> None:
         fh.write(",".join([*(name for name, _ in axes), *fields]) + "\n")
         for line in zip(*columns):
             fh.write(",".join(line) + "\n")
+
+
+def _notations() -> np.ndarray:
+    """Numbers in every %g notation, both signs: fixed with X = -4..16, with
+    and without a fraction, exponent form either side of it, integers and zeros."""
+    fixed = [float(f"{m}e{e}") for e in range(-4, 17) for m in ("1", "1.2345678901234565", "9.87")]
+    exponent = [1e-5, 2.5e-17, 1.2345678901234567e-200, 1e17, 3.25e21, 9.87e280]
+    values = np.array([*fixed, *exponent, 7.0, 42.0, 123456789.0, 1e16 + 2])
+    return np.concatenate([[0.0, -0.0], values, -values])
+
+
+def test_write_csv_matches_percent_with_fallbacks_mid_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(manifest, "CSV_BLOCK_ROWS", 40)  # blocks of 4 rows of 10 columns
+    n_rows, n_cols = 16, 10
+    fallbacks = [math.nan, math.inf, -math.inf, 5e-324, _ties()[0]]
+    mixed = np.resize(np.insert(_notations(), [13, 44, 56, 92, 123], fallbacks), n_rows * n_cols)
+    # only these go to %: inside lines of all four blocks
+    assert np.flatnonzero(_g17_digits(mixed)[2]).tolist() == [13, 45, 58, 95, 127]
+    axes = [("t", np.linspace(0.0, 1.1, n_rows)), ("p", _notations()[:n_cols])]
+    fields = {"a": mixed.reshape(n_rows, n_cols), "b": mixed[::-1].reshape(n_rows, n_cols)}
+    write_csv(tmp_path / "kernel.csv", axes, fields)
+    _percent_csv(tmp_path / "percent.csv", axes, fields)
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
 
 
 @pytest.fixture()
