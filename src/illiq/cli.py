@@ -290,6 +290,7 @@ def cmd_simulate(args) -> int:
             raise HashMismatch(f"{npz_path} differs from the sha256 its manifest records")
     with run.timed("load"):
         sol = read_solution_npz(io.BytesIO(data), grid)
+    del data  # the loaded arrays are copies: the npz bytes need not outlive the load
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -445,8 +446,11 @@ def main(argv=None) -> int:
     except CertificationError as err:
         print(f"certification failure: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (ClosedFormError, ExperimentError) as err:
+    except ClosedFormError as err:
         print(f"method/game mismatch: {err}", file=sys.stderr)
+        return EXIT_METHOD
+    except ExperimentError as err:
+        print(f"study/game mismatch: {err}", file=sys.stderr)
         return EXIT_METHOD
     except HashMismatch as err:
         print(f"hash mismatch: {err}", file=sys.stderr)

@@ -138,17 +138,38 @@ def _heat(ext: np.ndarray, step: float, variance) -> np.ndarray:
     exp(-v w_k^2 / 2) times the DCT-II (ortho norm) coefficients of ext less
     the quadratic ramp that carries its end slopes, plus the ramp's exact heat
     flow.  Less the ramp, a row that is linear near its ends reflects evenly
-    into a smooth row.  ``variance`` is a scalar or a column, one per row."""
+    into a smooth row.  ``variance`` is a scalar or a column, one per row.
+    The ramp, the multipliers, the coefficients and the result are each
+    built in one array and updated in place (``out=``, ``overwrite_x``), in
+    the order of operations of the plain expression and so to the same bits;
+    a column's multipliers take the product, a scalar's the coefficients."""
     from scipy.fft import dct, idct
 
     n = ext.shape[-1]
     j = np.arange(n)
     s_l = ext[..., 1:2] - ext[..., :1]
     a = (ext[..., -1:] - ext[..., -2:-1] - s_l) / (2.0 * n)
-    ramp = (a * j + s_l + a) * j  # slopes s_l and s_r half a cell past the ends
-    mult = np.exp(-0.5 * variance * (np.pi * j / (n * step)) ** 2)
-    smooth = idct(mult * dct(ext - ramp, norm="ortho"), norm="ortho")
-    return smooth + ramp + a * (variance / step**2)
+    ramp = a * j  # (a j + s_l + a) j: slopes s_l and s_r half a cell past the ends
+    ramp += s_l
+    ramp += a
+    ramp *= j
+    mult = np.pi * j
+    mult /= n * step
+    mult **= 2
+    coef = dct(ext - ramp, norm="ortho", overwrite_x=True)
+    if np.ndim(variance):  # a column: the product takes the multipliers' rows
+        mult = np.multiply(-0.5 * variance, mult)
+        np.exp(mult, out=mult)
+        mult *= coef
+        coef = mult
+    else:
+        mult *= -0.5 * variance
+        np.exp(mult, out=mult)
+        coef *= mult
+    smooth = idct(coef, norm="ortho", overwrite_x=True)
+    smooth += ramp
+    smooth += a * (variance / step**2)
+    return smooth
 
 
 def _extend(values: np.ndarray, step: float, variance: float):

@@ -38,7 +38,10 @@ stack, bit for bit as each game alone.  ``solve_fd`` is the stack of one
 that keeps every layer; ``solve_fd_initial`` marches many games as one
 stack per refined time grid and keeps only the three layers each step
 reads, returning each game's t = 0 layer (``InitialLayers``), so its memory
-does not grow with n_t.  ``surplus`` and ``surplus_at`` share one formula.
+does not grow with n_t.  ``residual`` checks a solution in one pass over
+blocks of time layers that keeps a running max per player, so its memory
+does not grow with n_t either.  ``surplus`` and ``surplus_at`` share one
+formula.
 A ``Solution`` has its own files: ``write_solution_csv`` hands its lattices
 to ``manifest.write_csv``, which writes every numeric CSV of the package;
 ``write_solution_npz`` stores it in binary and
@@ -107,6 +110,10 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 60
 PICARD_SUBLAYERS = 8
 PICARD_MAX_HALVINGS = 3
+
+# lattice points per player in one block of the residual pass: 32 kB per
+# temporary, so a block's temporaries stay in cache
+_RESIDUAL_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -470,25 +477,39 @@ def solve_closed(game: GameSpec, grid: GridSpec) -> Solution:
 
 def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     """Max absolute interior residual of the value system, all derivative
-    terms recomputed with central differences from the stored values."""
+    terms recomputed with central differences from the stored values.
+
+    One pass over blocks of time layers, about ``_RESIDUAL_POINTS`` lattice
+    points per player each, keeps a running max per player.  The blocks
+    cover every layer once, 0 and n_t - 1 included: each takes its speeds
+    from one ``equilibrium_fields`` call on its layers' gradients, started
+    from the stored roots, so every root and every guard sees the entries
+    of one whole-lattice call, and the max is the same number.  Its
+    temporaries are a block's, so memory does not grow with n_t."""
     v = sol.values
-    _, n_t, n_p = v.shape
+    n, n_t, n_p = v.shape
     if n_t < 5 or n_p < 5:
         raise ValueError("residual needs at least a 5x5 grid")
     dt = sol.times[1] - sol.times[0]
     dp = sol.grid.dp  # the step every route takes its gradients with
     cert = sol.meta.get("certificate") or certify_for_game(game)[0]
-
-    inner = slice(1, -1)
-    v_t = (v[:, 2:, :] - v[:, :-2, :]) / (2.0 * dt)
-    v_pp = (v[:, :, 2:] - 2.0 * v[:, :, 1:-1] + v[:, :, :-2]) / dp**2
-    grads = central_gradient(v, dp)[..., inner]
-    # the stored roots start Newton; each root still passes the residual test
-    _, _, source = equilibrium_fields(game, cert.eps_floor, grads,
-                                      sol.aggregate_speed[:, inner])
-    sig2 = game.market.sigma**2
-    res = v_t[:, :, inner] + 0.5 * sig2 * v_pp[:, inner, :] + source[:, inner, :]
-    per_player = np.max(np.abs(res), axis=(1, 2))
+    half_sig2 = 0.5 * game.market.sigma**2
+    rows = max(1, _RESIDUAL_POINTS // n_p)
+    per_player = np.zeros(n)
+    for k0 in range(0, n_t, rows):
+        k1 = min(k0 + rows, n_t)
+        grads = central_gradient(v[:, k0:k1], dp)[..., 1:-1]
+        # the stored roots start Newton; each root still passes the residual test
+        _, _, source = equilibrium_fields(game, cert.eps_floor, grads,
+                                          sol.aggregate_speed[k0:k1, 1:-1])
+        lo, hi = max(k0, 1), min(k1, n_t - 1)  # the block's interior layers
+        if lo == hi:
+            continue
+        v_t = (v[:, lo + 1:hi + 1, 1:-1] - v[:, lo - 1:hi - 1, 1:-1]) / (2.0 * dt)
+        u = v[:, lo:hi]
+        v_pp = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dp**2
+        res = v_t + half_sig2 * v_pp + source[:, lo - k0:hi - k0]
+        np.maximum(per_player, np.max(np.abs(res), axis=(1, 2)), out=per_player)
     return ResidualReport(per_player=per_player, overall=float(np.max(per_player)))
 
 

@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import illiq.cli
 import illiq.pdesolve
 from illiq.cli import main
 from illiq.manifest import file_sha256
+from illiq.pdesolve import SOLUTION_ARRAYS
+from illiq.simulate import simulate_paths
 
 BASE = {
     "market": {"sigma": 1.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
@@ -415,6 +419,35 @@ def test_simulate_without_npz_exit_1(config_path, tmp_path, capsys):
     assert "solution.npz" in capsys.readouterr().err
 
 
+def test_simulate_drops_the_npz_bytes_once_loaded(config_path, tmp_path, monkeypatch):
+    # the npz is hashed and loaded from one read of its bytes; once loaded,
+    # the solution's arrays are all simulate holds of it, so the traced
+    # memory when the paths start stays under them plus slack, well short of
+    # them plus the npz (about as large again: 1.3 MB at 201 x 200)
+    out = tmp_path / "sol"
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--grid", "201,200"]) == 0
+    npz_bytes = (out / "solution.npz").stat().st_size
+    held = []
+
+    def recorded(sol, *args):
+        held.append((tracemalloc.get_traced_memory()[0],
+                     sum(getattr(sol, name).nbytes for name in SOLUTION_ARRAYS)))
+        return simulate_paths(sol, *args)
+
+    monkeypatch.setattr(illiq.cli, "simulate_paths", recorded)
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(config_path), "--solution",
+                     str(out / "solution.csv"), "--paths", "50", "--seed", "1",
+                     "--out", str(tmp_path / "sim")]) == 0
+    finally:
+        tracemalloc.stop()
+    (traced, arrays), = held
+    assert npz_bytes > arrays > 1_000_000
+    assert traced <= arrays + 256 * 1024
+
+
 def test_manifests_record_digests_and_stage_timings(config_path, tmp_path):
     out, simulate = _solve_and_simulate(config_path, tmp_path)
     assert main(simulate) == 0
@@ -623,6 +656,20 @@ def test_sweep_input_errors(tmp_path, capsys, doc, argv, code, message):
     path = _write(tmp_path, "game.json", doc)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"), *argv]) == code
     assert message in capsys.readouterr().err
+
+
+def test_refused_sweep_names_the_study_not_the_method(tmp_path, capsys):
+    # sweep takes no --method: a study that does not fit the game is a
+    # study/game mismatch, with the exit code of a method/game one
+    path = _write(tmp_path, "game.json", RN_PAIR)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--study", "predator", "--grid", "81,60"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "study/game mismatch: predator study requires a single player, got 2")
+    path = _write(tmp_path, "spread.json", {**BASE, **SPREAD_COST})
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "y"),
+                 "--method", "closed"]) == 3
+    assert capsys.readouterr().err.startswith("method/game mismatch: ")
 
 
 def test_sweep_unknown_study(config_path, tmp_path):

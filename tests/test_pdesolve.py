@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from illiq import (
     SmoothedCall,
     SmoothedSpreadCost,
     Solution,
+    SpeedSolverError,
     equilibrium_fields,
     heat_convolve,
     read_solution_npz,
@@ -471,7 +473,9 @@ def test_residual_roots_start_from_the_stored_speeds(market, call, monkeypatch):
 
     monkeypatch.setattr(illiq.pdesolve, "equilibrium_fields", recorded)
     warm = residual(sol, game).overall
-    assert np.array_equal(starts[0], sol.aggregate_speed[:, 1:-1])
+    # one call per block of layers; in order they start from every stored root
+    assert len(starts) > 1
+    assert np.array_equal(np.concatenate(starts), sol.aggregate_speed[:, 1:-1])
     cold = replace(sol, aggregate_speed=np.zeros_like(sol.aggregate_speed))
     assert abs(warm - residual(cold, game).overall) <= 1e-10
 
@@ -490,7 +494,70 @@ def test_residual_takes_gradients_with_the_solver_step(call_game, monkeypatch):
 
     monkeypatch.setattr(illiq.pdesolve, "equilibrium_fields", recorded)
     residual(sol, call_game)
-    assert np.array_equal(passed[0], sol.gradients[..., 1:-1])
+    assert len(passed) > 1
+    assert np.array_equal(np.concatenate(passed, axis=1), sol.gradients[..., 1:-1])
+
+
+def _whole_lattice_residual(sol, game):
+    """The residual's max per player from one pass over the whole lattice."""
+    v, dt, dp = sol.values, sol.times[1] - sol.times[0], sol.grid.dp
+    inner = slice(1, -1)
+    v_t = (v[:, 2:, :] - v[:, :-2, :]) / (2.0 * dt)
+    v_pp = (v[:, :, 2:] - 2.0 * v[:, :, 1:-1] + v[:, :, :-2]) / dp**2
+    grads = central_gradient(v, dp)[..., inner]
+    _, _, source = equilibrium_fields(game, sol.meta["certificate"].eps_floor, grads,
+                                      sol.aggregate_speed[:, inner])
+    res = v_t[:, :, inner] + 0.5 * game.market.sigma**2 * v_pp[:, inner, :] + source[:, inner, :]
+    return np.max(np.abs(res), axis=(1, 2))
+
+
+@pytest.mark.parametrize("case", ["fd_partial_block", "fd_cara_spread", "picard_n2", "closed_n2"])
+def test_blocked_residual_is_the_whole_lattice_formula(market, call, case):
+    # the blocks run the whole-lattice formula on their own layers, bit for
+    # bit; 97 layers of 101 prices end on a block of 17 of the 40 layers
+    if case == "fd_partial_block":
+        grid = GridSpec(94.0, 106.0, 101, 97)
+        assert grid.n_t % (illiq.pdesolve._RESIDUAL_POINTS // grid.n_p) != 0
+        game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),))
+        sol = solve_fd(game, grid)
+    elif case == "fd_cara_spread":
+        game = _cara_pair(market, SmoothedSpreadCost(0.01, 0.002, 100.0), call)
+        sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 150))
+    else:
+        game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),
+                                                   PlayerSpec(RiskNeutral(), Scaled(call, 0.0))))
+        solve = solve_picard if case == "picard_n2" else solve_closed
+        sol = solve(game, GridSpec(94.0, 106.0, 61, 161, quad_nodes=64))
+    assert sol.times.size > illiq.pdesolve._RESIDUAL_POINTS // sol.prices.size
+    rep = residual(sol, game)
+    assert rep.per_player.tobytes() == _whole_lattice_residual(sol, game).tobytes()
+    assert rep.overall == float(np.max(rep.per_player))
+
+
+def test_residual_memory_is_flat_in_n_t(call_game):
+    # the pass holds one block of layers at a time: 4x the layers leave its
+    # peak flat, where whole-lattice temporaries would grow it 4x
+    def peak(n_t):
+        sol = solve_fd(call_game, GridSpec(94.0, 106.0, 401, n_t))
+        tracemalloc.start()
+        try:
+            residual(sol, call_game)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) < 1.25 * peak(100)
+
+
+@pytest.mark.parametrize("layer", [0, -1])
+def test_residual_guards_see_the_end_layers(call_game, layer):
+    # layers 0 and n_t - 1 have no residual of their own, but their
+    # gradients still go through the root's guards
+    sol = solve_fd(call_game, GridSpec(94.0, 106.0, 101, 60))
+    values = sol.values.copy()
+    values[0, layer, 50] = np.nan
+    with pytest.raises(SpeedSolverError, match="gradient sums must be finite"):
+        residual(replace(sol, values=values), call_game)
 
 
 def test_residual_zero_game(market):
