@@ -361,10 +361,12 @@ def rn_aggregate_grid(game: GameSpec, grid: GridSpec) -> np.ndarray:
     return _cole_hopf_layers(prob, grid, grid.times(game.market.maturity))
 
 
-def central_gradient(values: np.ndarray, dp: float) -> np.ndarray:
-    """d/dp along the last axis: central interior, one-sided at the ends."""
-    grad = np.empty_like(values)
-    grad[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dp)
+def central_gradient(values: np.ndarray, dp: float, out=None) -> np.ndarray:
+    """d/dp along the last axis: central interior, one-sided at the ends;
+    written into ``out`` when given (an array of the values' shape)."""
+    grad = np.empty_like(values) if out is None else out
+    inner = grad[..., 1:-1]
+    np.divide(np.subtract(values[..., 2:], values[..., :-2], out=inner), 2.0 * dp, out=inner)
     grad[..., 0] = (values[..., 1] - values[..., 0]) / dp
     grad[..., -1] = (values[..., -1] - values[..., -2]) / dp
     return grad

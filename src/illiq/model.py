@@ -112,10 +112,16 @@ class CostFunction:
     """Liquidity premium g applied to the aggregate trading speed.
 
     Subclasses provide ``value`` (g), ``slope`` (g') and ``curvature`` (g''),
-    all vectorized.  ``SLOPE_FLOOR``, declared per kind, is the floor the
-    certification scan checks g' against (0 where g' >= kappa > 0 holds by
-    construction), not the measured minimum.  ``domain`` is the interval
-    where g is defined, unbounded for analytic costs.
+    all vectorized.  ``evaluate`` returns all three from one call, bit for bit
+    as the three methods: the speed root evaluates the cost once per Newton
+    sweep through it (and once for both bracket ends), and the equilibrium
+    fields reuse g(z*) and g'(z*) from the root's last sweep.  A cost whose
+    three formulas share work (the smoothed spread's C z and 1 + (C z)^2)
+    overrides it; the others fall back to the three methods.
+    ``SLOPE_FLOOR``, declared per kind, is the floor the certification scan
+    checks g' against (0 where g' >= kappa > 0 holds by construction), not
+    the measured minimum.  ``domain`` is the interval where g is defined,
+    unbounded for analytic costs.
     """
 
     SLOPE_FLOOR: ClassVar[float] = 0.0
@@ -129,6 +135,10 @@ class CostFunction:
 
     def curvature(self, z):
         raise NotImplementedError
+
+    def evaluate(self, z):
+        """(g, g', g'') at ``z``."""
+        return self.value(z), self.slope(z), self.curvature(z)
 
     def exact_speed_root(self, n_players: int, s):
         """The root z of N g(z) + z g'(z) = s when it has a closed form, else None."""
@@ -169,29 +179,41 @@ class SmoothedSpreadCost(CostFunction):
     kappa: float
     spread: float
     sharpness: float
-    # C^3 of g'', taken once from the scalar C: numpy's vectorized power can
-    # differ from it in the last bit, and a stacked cost must not
-    _cube: float = dataclasses.field(init=False, repr=False, compare=False)
+    # the constant prefixes s 2/pi, 2 s C and -4 s C^3 of g, g' and g'', taken
+    # once from the scalar fields: numpy's vectorized power can differ from
+    # Python's C^3 in the last bit, and a stacked cost must not
+    _arc_coef: float = dataclasses.field(init=False, repr=False, compare=False)
+    _slope_coef: float = dataclasses.field(init=False, repr=False, compare=False)
+    _curv_coef: float = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require(_finite("kappa", self.kappa) and self.kappa > 0, "kappa must be > 0")
         _require(_finite("s", self.spread) and self.spread >= 0, "s must be >= 0")
         _require(_finite("C", self.sharpness) and self.sharpness > 0, "C must be > 0")
-        object.__setattr__(self, "_cube", self.sharpness**3)
+        object.__setattr__(self, "_arc_coef", self.spread * (2.0 / np.pi))
+        object.__setattr__(self, "_slope_coef", 2.0 * self.spread * self.sharpness)
+        object.__setattr__(self, "_curv_coef", -4.0 * self.spread * self.sharpness**3)
+
+    def _value(self, z, cz):
+        return self.kappa * z + self._arc_coef * np.arctan(cz)
 
     def value(self, z):
+        # g alone skips g' and g'': the Monte-Carlo step loop prices each step with it
         z = np.asarray(z, dtype=float)
-        return self.kappa * z + self.spread * (2.0 / np.pi) * np.arctan(self.sharpness * z)
+        return self._value(z, self.sharpness * z)
 
     def slope(self, z):
-        z = np.asarray(z, dtype=float)
-        c = self.sharpness
-        return self.kappa + 2.0 * self.spread * c / (np.pi * (1.0 + (c * z) ** 2))
+        return self.evaluate(z)[1]
 
     def curvature(self, z):
+        return self.evaluate(z)[2]
+
+    def evaluate(self, z):
         z = np.asarray(z, dtype=float)
-        c = self.sharpness
-        return -4.0 * self.spread * self._cube * z / (np.pi * (1.0 + (c * z) ** 2) ** 2)
+        cz = self.sharpness * z
+        bell = 1.0 + cz**2
+        return (self._value(z, cz), self.kappa + self._slope_coef / (np.pi * bell),
+                self._curv_coef * z / (np.pi * bell**2))
 
 
 @dataclass(frozen=True)
@@ -259,7 +281,8 @@ def stack_costs(costs) -> CostFunction:
     ``costs``, all linear or all smoothed-spread, as (B, 1) columns, so that
     one call on a (B, ...) array evaluates game b's cost on row b, bit for
     bit as that game's own cost would (the methods only multiply, add and
-    divide the fields, and take C^3 from each cost's scalar ``_cube``).  A
+    divide the fields, and take their constant prefixes, such as the spread
+    cost's -4 s C^3, from each cost's scalar ones).  A
     single cost is returned as it is, so any cost stacks alone."""
     costs = tuple(costs)
     if len(costs) == 1:
@@ -560,10 +583,13 @@ class GameSpec:
     def all_risk_neutral(self) -> bool:
         return all(isinstance(pl.utility, RiskNeutral) for pl in self.players)
 
-    @property
+    @cached_property
     def alphas(self) -> np.ndarray:
-        """Risk-aversion vector; zero entries mark risk-neutral players."""
-        return np.array([pl.utility.alpha for pl in self.players], dtype=float)
+        """Risk-aversion vector, read-only and built once; zero entries mark
+        risk-neutral players."""
+        alphas = np.array([pl.utility.alpha for pl in self.players], dtype=float)
+        alphas.setflags(write=False)
+        return alphas
 
     def payoff_layer(self, prices) -> np.ndarray:
         """Every player's payoff at ``prices``, stacked: the terminal layer

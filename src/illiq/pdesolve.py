@@ -57,6 +57,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -192,15 +193,16 @@ def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _factor_tridiagonal(ab) -> list:
+def _factor_tridiagonal(ab):
     """LAPACK ``dgttrf`` of the tridiagonal matrix in (1, 1)-banded storage
-    ``ab``: the factors that ``solve_banded`` takes."""
-    from scipy.linalg.lapack import dgttrf
+    ``ab``: the factors that ``solve_banded`` takes, with ``dgttrs`` bound to
+    them once."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
     if info != 0:
         raise SolverError(f"the diffusion matrix is singular (dgttrf info {info})")
-    return factors
+    return partial(dgttrs, *factors)
 
 
 def solve_banded(factors, b):
@@ -208,9 +210,7 @@ def solve_banded(factors, b):
     for each column of ``b``.  Same bits as ``scipy.linalg.solve_banded((1, 1),
     ab, b)``, which hands a tridiagonal system to ``dgtsv``: both run the same
     partially pivoted elimination."""
-    from scipy.linalg.lapack import dgttrs
-
-    return dgttrs(*factors, b)[0]
+    return factors(b)[0]
 
 
 def _fd_layers(game: GameSpec, grid: GridSpec, bound: float) -> int:
@@ -264,21 +264,25 @@ def _march(games, certs, grid: GridSpec, n_t: int, depth: int):
     ab[2, :-2] = -c
     factors = _factor_tridiagonal(ab)
 
-    # layer k's fields are stored and drive the step to layer k - 1
+    # layer k's fields are stored and drive the step to layer k - 1; its warm
+    # start and right-hand side go into buffers that every layer reuses
     sweeps: list = []
+    extrapolated = np.empty((b, prices.size))
+    rhs = np.empty((n, b, prices.size))
     for k in range(n_t - 1, -1, -1):
         i = k % depth
-        grads[:, i] = central_gradient(values[:, i], dp)
+        central_gradient(values[:, i], dp, out=grads[:, i])
         if k == n_t - 1:
             start = None
         elif k == n_t - 2:
             start = agg[(k + 1) % depth]
         else:
-            start = 2.0 * agg[(k + 1) % depth] - agg[(k + 2) % depth]
+            start = np.subtract(np.multiply(agg[(k + 1) % depth], 2.0, out=extrapolated),
+                                agg[(k + 2) % depth], out=extrapolated)
         speeds[:, i], agg[i], source = equilibrium_fields(stack, eps, grads[:, i], start, sweeps)
         if k > 0:
-            rhs = values[:, i] + dt * source
-            if not np.all(np.isfinite(rhs)):
+            np.add(values[:, i], np.multiply(source, dt, out=rhs), out=rhs)
+            if not np.isfinite(rhs).all():
                 raise SolverError(f"the march overflowed stepping back from time layer {k} "
                                   f"of {n_t}; the explicit step is unstable on this grid")
             columns = solve_banded(factors, rhs.reshape(n * b, -1).T)

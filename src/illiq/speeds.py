@@ -22,9 +22,12 @@ Newton sweep runs over the whole array and updates only the entries whose
 residual has not passed, so the roots of a stack of games (a cost from
 ``model.stack_costs`` and one slope floor per game, as (B, 1) columns) come
 from one call per layer, each game's on its own row and bit for bit as in a
-call of its own.  Each player's speed and the PDE source term follow
-pointwise from the root (``equilibrium_fields``, the one place every solver
-takes them from).
+call of its own.  The root evaluates the cost through ``cost.evaluate``,
+which returns g, g' and g'' from one call: once for both bracket ends,
+stacked, and once per Newton sweep.  Each player's speed and the PDE source
+term follow pointwise from the root (``equilibrium_fields``, the one place
+every solver takes them from), with the g(z*) and g'(z*) of the root's last
+sweep, not evaluated again.
 
 ``certify_for_game`` certifies eps by sampling (g' above its cost kind's
 ``SLOPE_FLOOR``, increasing marginal cost) and returns the certificate with
@@ -93,7 +96,8 @@ def certify_cost(cost: CostFunction, interval) -> CostCertificate:
     if not z_lo < 0.0 < z_hi:
         raise ValueError("working interval must contain 0")
     zs = np.linspace(z_lo, z_hi, CERT_SAMPLES)
-    slopes = np.asarray(cost.slope(zs), dtype=float)
+    values, slopes, _ = cost.evaluate(zs)
+    slopes = np.asarray(slopes, dtype=float)
     min_slope = float(np.min(slopes))
     if min_slope <= 0.0:
         raise CertificationError(
@@ -105,7 +109,7 @@ def certify_cost(cost: CostFunction, interval) -> CostCertificate:
             f"certified slope floor {eps:.3g} falls below the declared eps_floor "
             f"{cost.SLOPE_FLOOR:.3g} on [{z_lo:g}, {z_hi:g}]"
         )
-    marginal = np.asarray(cost.value(zs), dtype=float) + zs * slopes
+    marginal = np.asarray(values, dtype=float) + zs * slopes
     if not bool(np.all(np.diff(marginal) > 0.0)):
         raise CertificationError(
             f"z -> g(z) + z g'(z) is not strictly increasing on [{z_lo:g}, {z_hi:g}]"
@@ -150,10 +154,6 @@ def apriori_speed_bound(game: GameSpec, cert: CostCertificate) -> float:
     return bound
 
 
-def _phi(cost: CostFunction, n: int, z, s):
-    return n * cost.value(z) + z * cost.slope(z) - s
-
-
 def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floor,
                          start=None, sweeps: list | None = None):
     """Vectorized root of N g(z) + z g'(z) = S for an array of S values.
@@ -172,14 +172,26 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
     appended to it (0 for an exact root; on a stack, the sweeps its slowest
     entry took).
     """
+    return _speed_root(cost, n_players, grad_sums, eps_floor, start, sweeps)[0]
+
+
+def _speed_root(cost: CostFunction, n_players: int, grad_sums, eps_floor, start, sweeps):
+    """``aggregate_speed_many``'s root z with g(z) and g'(z), from one
+    ``cost.evaluate`` call for both bracket ends and one per Newton sweep;
+    the last sweep's g and g' are returned, not evaluated again (an exact
+    root is evaluated once)."""
     s = np.atleast_1d(np.asarray(grad_sums, dtype=float))
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise SpeedSolverError("gradient sums must be finite")
     half = np.abs(s) / ((n_players + 1) * eps_floor) + ROOT_TOL
     d_lo, d_hi = cost.domain
-    lo = np.maximum(-half, d_lo)
-    hi = np.minimum(half, d_hi)
-    if np.any(_phi(cost, n_players, lo, s) > 0.0) or np.any(_phi(cost, n_players, hi, s) < 0.0):
+    # both ends in one evaluation; lo and hi stay views of it and narrow in place
+    ends = np.empty((2,) + half.shape)
+    lo = np.maximum(np.negative(half, out=ends[0]), d_lo, out=ends[0])
+    hi = np.minimum(half, d_hi, out=ends[1])
+    g, gp, _ = cost.evaluate(ends)
+    phi = n_players * g + ends * gp - s
+    if (phi[0] > 0.0).any() or (phi[1] < 0.0).any():
         raise SpeedSolverError(
             "root bracket does not straddle a sign change; cost certificate invalid"
         )
@@ -187,50 +199,56 @@ def aggregate_speed_many(cost: CostFunction, n_players: int, grad_sums, eps_floo
     if exact is not None:
         if sweeps is not None:
             sweeps.append(0)
-        return exact
+        g, gp, _ = cost.evaluate(exact)
+        return exact, g, gp
     f_tol = n_players * eps_floor * ROOT_TOL
     if start is None:
-        z = np.zeros_like(s)  # every bracket holds 0
+        z = np.zeros(half.shape)  # every bracket holds 0
     else:
         z = np.broadcast_to(np.asarray(start, dtype=float), s.shape)
         # checked before np.clip, which keeps NaN (and |NaN| > f_tol is
         # False, so NaN would pass as a root) and turns +-inf into an end
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise SpeedSolverError("the root's start must be finite")
         z = np.clip(z, lo, hi)
-    # each entry's last two step lengths, for the rtsafe guard
-    last = np.full_like(s, np.inf)
-    before = np.full_like(s, np.inf)
+    # each entry's last two step lengths, for the rtsafe guard, and its next z
+    last = np.full(half.shape, np.inf)
+    before = np.full(half.shape, np.inf)
+    z_new = np.empty(half.shape)
     for sweep in range(MAX_ITER):
-        gp = cost.slope(z)
-        f = n_players * cost.value(z) + z * gp - s
+        g, gp, gpp = cost.evaluate(z)
+        f = n_players * g + z * gp - s
         unsolved = np.abs(f) > f_tol
         if not unsolved.any():
             break
         # a solved entry's bracket, step and step lengths are updated too but
         # never read: its z is kept, so its residual keeps passing.  A
         # comparison with NaN is False, so a failed step bisects
-        lo = np.where(f < 0.0, z, lo)
-        hi = np.where(f > 0.0, z, hi)
+        np.copyto(lo, z, where=f < 0.0)
+        np.copyto(hi, z, where=f > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = z - f / ((n_players + 1) * gp + z * cost.curvature(z))
+            step = z - f / ((n_players + 1) * gp + z * gpp)
             newton = (step > lo) & (step < hi) & (np.abs(step - z) < 0.5 * before)
-        z_new = np.where(newton, step, 0.5 * (lo + hi))
-        before, last = last, np.abs(z_new - z)
-        z = np.where(unsolved, z_new, z)
+        np.multiply(np.add(lo, hi, out=z_new), 0.5, out=z_new)
+        np.copyto(z_new, step, where=newton)
+        # the step length goes into the buffer of the one before last, which is spent
+        np.abs(np.subtract(z_new, z, out=before), out=before)
+        before, last = last, before
+        np.copyto(z, z_new, where=unsolved)
     else:
         raise SpeedSolverError(f"speed root did not converge in {MAX_ITER} iterations")
     if sweeps is not None:
         sweeps.append(sweep)
-    return z
+    return z, g, gp
 
 
 def equilibrium_fields(game: GameSpec, eps_floor, gradients, start=None,
                        sweeps: list | None = None):
     """Per-player gradients (N, ...) -> speeds (N, ...), aggregate speed and
     the nonlinear source term (N, ...) of the value equations.  ``eps_floor``
-    (a number, or a stack's (B, 1) column), ``start`` and ``sweeps`` go to
-    ``aggregate_speed_many``.
+    (a number, or a stack's (B, 1) column), ``start`` and ``sweeps`` mean
+    what they do in ``aggregate_speed_many``, whose root this takes together
+    with the g(z*) and g'(z*) of its last sweep.
 
     The aggregate speed z* is the root of N g(z) + z g'(z) = lambda sum_j v^j_p;
     player j trades at (lambda v^j_p - g(z*)) / g'(z*), well defined because
@@ -239,16 +257,13 @@ def equilibrium_fields(game: GameSpec, eps_floor, gradients, start=None,
     exponential-utility players.
     """
     grads = np.asarray(gradients, dtype=float)
-    cost = game.cost
     eff = game.market.lam * grads
-    z_star = aggregate_speed_many(cost, game.n_players, eff.sum(axis=0), eps_floor, start,
-                                  sweeps)
-    g_z = cost.value(z_star)
-    gp_z = cost.slope(z_star)
+    z_star, g_z, gp_z = _speed_root(game.cost, game.n_players, eff.sum(axis=0), eps_floor,
+                                    start, sweeps)
     speeds = (eff - g_z) / gp_z
     source = z_star * eff - speeds * g_z
     alphas = game.alphas
-    if np.any(alphas != 0.0):
+    if alphas.any():
         sig2 = game.market.sigma**2
         source = source - 0.5 * sig2 * alphas.reshape((-1,) + (1,) * (grads.ndim - 1)) * grads**2
     return speeds, z_star, source

@@ -32,6 +32,7 @@ from illiq import (
 )
 from illiq.closedform import (
     SPREAD_LIMIT,
+    central_gradient,
     closed_form_values,
     duhamel_trapezoid,
     heat_convolve_payoff,
@@ -455,3 +456,12 @@ def test_closed_speed_offsetting_players(zero_sum_game):
     # speed_j = (lambda/kappa) (grad_j - sum_i grad_i / (N+1))
     explicit = (0.01 / 0.01) * (grads - grads.sum(axis=0) / 3)
     assert np.allclose(speeds, explicit, atol=1e-10)
+
+
+def test_central_gradient_writes_into_out():
+    # the march writes each layer's gradient into its slot of the lattice
+    values = np.random.default_rng(3).standard_normal((2, 3, 17))
+    lattice = np.empty((2, 4, 3, 17))
+    out = lattice[:, 1]  # a strided view, as a lattice slot is
+    assert central_gradient(values, 0.05, out=out) is out
+    assert np.array_equal(lattice[:, 1], central_gradient(values, 0.05))

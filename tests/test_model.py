@@ -79,6 +79,9 @@ def test_load_game_two_cara_players():
     assert game.n_players == 2
     assert all(isinstance(pl.utility, CARA) for pl in game.players)
     assert game.players[0].utility.alpha == 0.01
+    # the risk-aversion vector is built once, read-only, for every caller
+    assert game.alphas is game.alphas and not game.alphas.flags.writeable
+    assert game.alphas.tolist() == [0.01, 0.01]
 
 
 def test_load_game_rejects_unknown_keys():

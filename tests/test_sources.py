@@ -177,3 +177,15 @@ def test_cost_kinds_declare_their_slope_floor():
             if isinstance(n, ast.AnnAssign) and n.target.id == "eps_floor"] == []
     assert _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "eps_floor"
                    and getattr(node.value, "id", None) == "cost") == []
+
+
+def test_the_speed_root_evaluates_the_cost_once_per_sweep():
+    # the root takes g, g' and g'' from one cost.evaluate call per sweep and
+    # equilibrium_fields takes g(z*) and g'(z*) from its last sweep: speeds
+    # calls no single cost method, and only speeds and model call curvature
+    cost_calls = [f for attr in ("value", "slope", "curvature", "evaluate")
+                  for f in _callers(attr)]
+    assert "speeds.equilibrium_fields" not in cost_calls
+    assert [f for f in _callers("value") + _callers("slope") + _callers("curvature")
+            if f.startswith("speeds.")] == []
+    assert {f.split(".")[0] for f in _callers("curvature")} <= {"model", "speeds"}

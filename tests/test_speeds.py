@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from illiq import (
+    CARA,
     CertificationError,
     CostCertificate,
     GameSpec,
     LinearCost,
     MarketParams,
+    Negated,
     PlayerSpec,
     RiskNeutral,
     SmoothedCall,
@@ -291,6 +294,46 @@ def test_stacked_cost_evaluates_each_row_as_its_own_cost():
         assert np.array_equal(getattr(stacked, name)(z), rows), name
 
 
+@pytest.mark.parametrize("cost", [LinearCost(0.01), *STACKED_SPREADS,
+                                  stack_costs(STACKED_SPREADS), _tanh_table()],
+                         ids=["linear", "spread0", "spread1", "spread2", "spread3", "stacked",
+                              "table"])
+def test_evaluate_equals_the_three_methods(cost):
+    # one call gives g, g' and g'' bit for bit as value, slope and curvature
+    zs = np.random.default_rng(6).uniform(-2.9, 2.9, (len(STACKED_SPREADS), 257))
+    zs[:, :3] = 0.0, -1e-3, 2.0e-5
+    for z in (zs, 0.37):
+        got = cost.evaluate(z)
+        assert len(got) == 3
+        for name, part in zip(("value", "slope", "curvature"), got):
+            assert np.array_equal(part, getattr(cost, name)(z)), name
+
+
+@pytest.mark.parametrize("cost", STACKED_SPREADS, ids=["spread0", "spread1", "spread2", "spread3"])
+def test_spread_evaluate_keeps_the_formulas_bits(cost):
+    # g, g' and g'' written out term by term, C^3 as Python's scalar power:
+    # the prefixes and the shared C z and 1 + (C z)^2 change no bit
+    z = np.random.default_rng(7).uniform(-0.5, 0.5, 257)
+    k, s, c = cost.kappa, cost.spread, cost.sharpness
+    want = (k * z + s * (2.0 / np.pi) * np.arctan(c * z),
+            k + 2.0 * s * c / (np.pi * (1.0 + (c * z) ** 2)),
+            -4.0 * s * c**3 * z / (np.pi * (1.0 + (c * z) ** 2) ** 2))
+    for name, got, ref in zip(("g", "g'", "g''"), cost.evaluate(z), want):
+        assert np.array_equal(got, ref), name
+
+
+def test_stacked_prefixes_are_each_rows_own():
+    # the spread cost's constant prefixes are set from its scalar fields, and
+    # a stack takes each row's from that row's cost
+    stacked = stack_costs(STACKED_SPREADS)
+    prefixes = [f.name for f in dataclasses.fields(SmoothedSpreadCost) if not f.init]
+    assert len(prefixes) == 3
+    for name in prefixes:
+        column = getattr(stacked, name)
+        assert column.shape == (len(STACKED_SPREADS), 1)
+        assert column[:, 0].tolist() == [getattr(c, name) for c in STACKED_SPREADS], name
+
+
 def test_stack_costs_rejects_mixed_or_table_costs():
     assert stack_costs([_tanh_table()]) == _tanh_table()  # one cost stacks alone
     for costs in ([LinearCost(0.01), SmoothedSpreadCost(0.01, 0.0, 100.0)],
@@ -353,6 +396,88 @@ def test_aggregate_speed_monotone_in_gradient():
 # ---------------------------------------------------------------------------
 # player speeds
 # ---------------------------------------------------------------------------
+
+
+def _reference_fields(game, eps, grads, start):
+    """The fields from ``aggregate_speed_many`` and separate value and slope
+    calls at its root: what ``equilibrium_fields`` must give bit for bit."""
+    eff = game.market.lam * grads
+    z = aggregate_speed_many(game.cost, game.n_players, eff.sum(axis=0), eps, start)
+    g, gp = game.cost.value(z), game.cost.slope(z)
+    speeds = (eff - g) / gp
+    source = z * eff - speeds * g
+    alphas = np.array([pl.utility.alpha for pl in game.players])
+    if np.any(alphas != 0.0):
+        shape = (-1,) + (1,) * (grads.ndim - 1)
+        source = source - 0.5 * game.market.sigma**2 * alphas.reshape(shape) * grads**2
+    return speeds, z, source
+
+
+_CALL = SmoothedCall(100.0, 10.0, 0.05)
+_FIELD_COSTS = {"linear": LinearCost(0.01), "spread": SmoothedSpreadCost(0.01, 0.002, 100.0),
+                "table": _tanh_table(), "cara_pair": SmoothedSpreadCost(0.01, 0.002, 37.3)}
+
+
+@pytest.mark.parametrize("case,n", [(c, n) for c in ("linear", "spread", "table") for n in (1, 3)]
+                         + [("cara_pair", 2)])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_equilibrium_fields_match_the_reference(case, n, warm):
+    cost = _FIELD_COSTS[case]
+    if case == "cara_pair":  # a call holder and its writer
+        players = (PlayerSpec(CARA(0.5), _CALL), PlayerSpec(CARA(0.5), Negated(_CALL)))
+    else:
+        players = tuple(PlayerSpec(RiskNeutral(), _CALL) for _ in range(n))
+    game = GameSpec(MarketParams(1.0, 0.01, 1.0, 100.0), cost, players)
+    domain = cost.domain if isinstance(cost, TableCost) else (-3.0, 3.0)
+    eps = certify_cost(cost, domain).eps_floor
+    rng = np.random.default_rng(len(case) + 10 * n)
+    grads = rng.uniform(-1.0, 1.0, (game.n_players, 7, 33))
+    grads[:, 0] = 0.0
+    start = rng.uniform(-0.5, 0.5, (7, 33)) if warm else None
+    got = equilibrium_fields(game, eps, grads, start)
+    want = _reference_fields(game, eps, grads, start)
+    for name, a, b in zip(("speeds", "z*", "source"), got, want):
+        assert np.array_equal(a, b), name
+
+
+class _CountedSpread(SmoothedSpreadCost):
+    """A spread cost that logs each evaluation by the shape it is given,
+    and each lone value, slope or curvature call by name."""
+
+    def evaluate(self, z):
+        self.log.append(np.shape(z))
+        return super().evaluate(z)
+
+    def value(self, z):
+        self.log.append("value")
+        return super().value(z)
+
+    def slope(self, z):
+        self.log.append("slope")
+        return super().slope(z)
+
+    def curvature(self, z):
+        self.log.append("curvature")
+        return super().curvature(z)
+
+
+def test_the_root_evaluates_the_cost_once_per_sweep():
+    # one evaluation for both bracket ends, one per Newton sweep and none
+    # after the root: sweeps + 2 on the Newton path, from a cold start and
+    # from a start at the root (no sweep)
+    cost = _CountedSpread(0.01, 0.002, 100.0)
+    object.__setattr__(cost, "log", [])
+    eps = certify_cost(cost, (-3.0, 3.0)).eps_floor
+    game = GameSpec(MarketParams(1.0, 0.01, 1.0, 100.0), cost,
+                    tuple(PlayerSpec(RiskNeutral(), _CALL) for _ in range(3)))
+    grads = np.random.default_rng(8).uniform(-1.0, 1.0, (3, 5, 21))
+    sweeps, start = [], None
+    for _ in range(2):
+        object.__setattr__(cost, "log", [])
+        _, start, _ = equilibrium_fields(game, eps, grads, start, sweeps)
+        assert cost.log == [(2, 5, 21)] + [(5, 21)] * (sweeps[-1] + 1)
+        assert len(cost.log) == sweeps[-1] + 2
+    assert sweeps[0] > 0 and sweeps[1] == 0
 
 
 def test_player_speeds_two_player_linear():
