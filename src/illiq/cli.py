@@ -22,11 +22,11 @@ but the --config, --solution and --out paths), the SHA-256 of each output
 it lists as ``output_sha256``, the seconds of each stage as ``timings_s``
 and other measurements as ``meta``: for solve the plain numbers of the
 solution's ``meta`` (``speed_bound``, ``root_tol``; fd's ``n_t_requested``,
-``n_t_used`` and ``root_sweeps``; Picard's ``tau``, ``tau_halvings`` and
-``sublayers``), for a sweep its results' ``meta`` (the spread and cara2
-studies and fig3-fig5 their march's ``n_t_used``, ``marches`` and
-``root_sweeps``), for simulate its ``clamped_fraction`` and the
-``path_steps`` it ran.
+``n_t_used`` and ``root_sweeps``; Picard's ``tau``, ``tau_halvings``,
+``sublayers``, ``n_t_used`` and ``iterations`` per step), for a sweep its
+results' ``meta`` (the spread and cara2 studies and fig3-fig5 their march's
+``n_t_used``, ``marches`` and ``root_sweeps``), for simulate its
+``clamped_fraction`` and the ``path_steps`` it ran.
 Every CSV goes through ``manifest``: ``write_csv`` for the lattices and
 grids, ``write_sweep_csv`` for a study's metrics table.
 """

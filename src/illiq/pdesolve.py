@@ -18,10 +18,12 @@ raw payoff as well):
 * ``solve_picard`` fixed-point iteration of the mild (integral) form
                    v = e^{tL} H + int e^{(t-s)L} F(v_p(s)) ds on short
                    subintervals, the semigroup applied by the cosine-transform
-                   multiplier of ``heat_convolve_grid`` and the integral by
-                   the trapezoid recursion ``duhamel_trapezoid`` that the
-                   closed form shares.  Serves as an independent oracle for
-                   the finite-difference route;
+                   multiplier of ``heat_convolve_grid`` (one transform pair
+                   for a step's seeds at every sub-layer) and the integral by
+                   the trapezoid recursion ``duhamel_trapezoid`` on cosine
+                   coefficients that the closed form shares (one pair per
+                   iteration).  Serves as an independent oracle for the
+                   finite-difference route;
 * ``solve_closed`` the lattice that ``closedform.closed_form_values`` builds
                    for the games it covers (linear cost with risk-neutral
                    players or one exponential-utility player).
@@ -290,7 +292,7 @@ def _march(games, certs, grid: GridSpec, n_t: int, depth: int):
     return times, values, grads, speeds, agg, sweeps
 
 
-def _sweep_stats(sweeps) -> dict:
+def _max_mean(sweeps) -> dict:
     return {"max": max(sweeps), "mean": sum(sweeps) / len(sweeps)}
 
 
@@ -315,7 +317,7 @@ def solve_fd(game: GameSpec, grid: GridSpec) -> Solution:
     n_t = _fd_layers(game, grid, bound)
     times, values, grads, speeds, agg, sweeps = _march([game], [cert], grid, n_t, n_t)
     meta = _meta("fd-implicit-euler", cert, bound, n_t_requested=grid.n_t, n_t_used=n_t,
-                 root_sweeps=_sweep_stats(sweeps))
+                 root_sweeps=_max_mean(sweeps))
     return Solution(grid, times, grid.prices, values[:, :, 0], grads[:, :, 0],
                     speeds[:, :, 0], agg[:, 0], meta)
 
@@ -360,7 +362,7 @@ def solve_fd_initial(games, grid: GridSpec) -> InitialLayers:
                                     n_t, 3)
         values[:, rows], grads[:, rows], speeds[:, rows], agg[rows] = v[:, 0], g[:, 0], sp[:, 0], z[0]
         sweeps += sw
-    meta = {"n_t_used": max(layers), "marches": len(groups), "root_sweeps": _sweep_stats(sweeps)}
+    meta = {"n_t_used": max(layers), "marches": len(groups), "root_sweeps": _max_mean(sweeps)}
     return InitialLayers(values, grads, speeds, agg, meta)
 
 
@@ -380,6 +382,10 @@ def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     If the sup-change grows two iterations in a row the step is declared
     non-contracting and tau is halved, at most ``PICARD_MAX_HALVINGS`` times
     (a uniform contraction step exists, but its size is problem dependent).
+    ``meta`` records the layers written as ``n_t_used`` (PICARD_SUBLAYERS per
+    step, whatever the grid's n_t), the iterations per step as
+    ``iterations`` (max and mean) and each step's sup-changes as
+    ``iteration_changes``.
     """
     market = game.market
     grid.validate_for(market)
@@ -397,8 +403,10 @@ def solve_picard(game: GameSpec, grid: GridSpec) -> Solution:
     else:
         raise SolverError(f"Picard iteration kept diverging: {last_err}")
 
+    iterations = [len(changes) for changes in log]
     meta = _meta("picard-semigroup", cert, bound, tau=tau, tau_halvings=halving,
-                 sublayers=PICARD_SUBLAYERS, iteration_changes=log)
+                 sublayers=PICARD_SUBLAYERS, n_t_used=times.size,
+                 iterations=_max_mean(iterations), iteration_changes=log)
     return _lattice_solution(game, grid, cert, times, values, meta)
 
 
@@ -420,8 +428,7 @@ def _picard_march(game, grid, cert, tau):
     for step in range(n_tau):
         base = step * m_sub
         h0 = v_tau[:, base]
-        seed = np.stack([heat_convolve_grid(h0, prices, sig2 * m * h)
-                         for m in range(m_sub + 1)])
+        seed = heat_convolve_grid(h0, prices, sig2 * np.arange(m_sub + 1) * h)
         cur = seed
 
         changes: list[float] = []

@@ -15,6 +15,27 @@ from illiq import (
 )
 
 
+@pytest.fixture()
+def transform_calls(monkeypatch):
+    """The number of ``scipy.fft.dct`` and ``idct`` calls made during a test."""
+    import scipy.fft
+
+    calls = {"dct": 0, "idct": 0}
+
+    def counted(name):
+        transform = getattr(scipy.fft, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(scipy.fft, name, counted(name))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def market():
     # benchmark parameters: K=100, T=1, sigma=1, lambda=kappa=0.01

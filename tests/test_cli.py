@@ -265,8 +265,13 @@ def test_manifests_record_what_the_solver_did(config_path, tmp_path):
     doc = {**BASE, "market": {**BASE["market"], "T": 0.1},
            "grid": {"p_min": 98.0, "p_max": 102.0, "n_p": 41, "n_t": 41, "quad_nodes": 48}}
     picard = meta("picard", "solve", "--method", "picard", config=_write(tmp_path, "p.json", doc))
-    for key in ("speed_bound", "root_tol", "tau", "tau_halvings"):
+    for key in ("speed_bound", "root_tol", "tau", "tau_halvings", "n_t_used"):
         assert _is_number(picard[key]), key
+    # Picard writes 20 steps of 8 sub-layers whatever the grid's 41 layers
+    assert picard["n_t_used"] == 161
+    assert set(picard["iterations"]) == {"max", "mean"}
+    assert 1 <= picard["iterations"]["mean"] <= picard["iterations"]["max"]
+    assert isinstance(picard["iterations"]["max"], int)
     sweep = meta("sweep", "sweep", "--study", "spread", "--s", "0,0.004", "--grid", "41,41")
     assert _is_number(sweep["n_t_used"]) and sweep["root_sweeps"]["max"] > 0
     assert all(_is_number(v) for v in sweep["root_sweeps"].values())

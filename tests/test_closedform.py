@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from illiq import (
     surplus,
 )
 from illiq.closedform import (
+    HEAT_BLOCK,
     SPREAD_LIMIT,
     central_gradient,
     closed_form_values,
@@ -80,12 +82,16 @@ def test_heat_convolve_zero_variance(rule):
 
 
 def _reference_duhamel(src, step, diff_coef, p_grid):
-    """Double loop over (m, s) of the trapezoid sum for src of shape (L, N, n_p)."""
+    """The trapezoid sum for src of shape (L, N, n_p), term by term: a loop
+    over the lags m - s, each term K(diff_coef (m - s) step) src[s] on the
+    axis padded for its own variance, weighted step/2 at s = 0 and s = m."""
     out = np.zeros_like(src)
-    for m in range(1, src.shape[0]):
-        for s in range(m + 1):
-            weight = 0.5 * step if s in (0, m) else step
-            out[m] += weight * heat_convolve_grid(src[s], p_grid, diff_coef * (m - s) * step)
+    out[1:] += 0.5 * step * src[1:]
+    weight = np.full((src.shape[0], 1, 1), step)
+    weight[0] = 0.5 * step
+    for lag in range(1, src.shape[0]):
+        heated = heat_convolve_grid(src[:-lag], p_grid, diff_coef * lag * step)
+        out[lag:] += weight[:-lag] * heated
     return out
 
 
@@ -135,13 +141,60 @@ def test_heat_grid_is_a_semigroup():
 
 
 def test_duhamel_trapezoid_matches_double_loop():
-    # sources the lattice resolves: random bumps inside, random lines at the ends
-    c = np.random.default_rng(11).random((4, 7, 2, 1))
-    src = c[0] * np.exp(-(_P_WIDE - 6.0 * c[1] + 3.0) ** 2) + c[2] + c[3] * _P_WIDE
-    got = duhamel_trapezoid(src, 0.02, 1.5, _P_WIDE)
-    want = _reference_duhamel(src, 0.02, 1.5, _P_WIDE)
-    assert np.all(got[0] == 0.0)
-    assert np.abs(got - want).max() <= 1e-14
+    # sources the lattice resolves: random bumps inside, random lines at the
+    # ends; 7 layers make one block, 150 layers over the same horizon make
+    # three, the last one partial
+    assert 2 * HEAT_BLOCK < 150 < 3 * HEAT_BLOCK
+    for layers, step in ((7, 0.02), (150, 0.0008)):
+        c = np.random.default_rng(11).random((4, layers, 2, 1))
+        src = c[0] * np.exp(-(_P_WIDE - 6.0 * c[1] + 3.0) ** 2) + c[2] + c[3] * _P_WIDE
+        got = duhamel_trapezoid(src, step, 1.5, _P_WIDE)
+        want = _reference_duhamel(src, step, 1.5, _P_WIDE)
+        assert np.all(got[0] == 0.0)
+        assert np.abs(got - want).max() <= 1e-14, layers
+
+
+def test_heat_grid_takes_a_stack_of_variances(transform_calls):
+    # one transform pair on the axis padded for the largest variance; each
+    # row is within the operator's padding sensitivity of its own call, and
+    # a zero variance is an exact copy
+    stack = np.random.default_rng(5).standard_normal((3, _P_WIDE.size)) + _P_WIDE
+    variances = np.array([0.0, 0.1, 0.5, 1.0])
+    got = heat_convolve_grid(stack, _P_WIDE, variances)
+    assert transform_calls == {"dct": 1, "idct": 1}
+    assert got.shape == (4, 3, _P_WIDE.size)
+    assert np.array_equal(got[0], stack)
+    for row, v in zip(got[1:], variances[1:]):
+        assert np.abs(row - heat_convolve_grid(stack, _P_WIDE, v)).max() <= 1e-12
+    assert np.array_equal(heat_convolve_grid(stack, _P_WIDE, np.zeros(2)), np.stack([stack] * 2))
+
+
+@pytest.mark.parametrize("layers", [1, 9, HEAT_BLOCK, HEAT_BLOCK + 1, 150])
+def test_duhamel_takes_one_transform_pair_per_block(transform_calls, layers):
+    duhamel_trapezoid(np.ones((layers, 2, _P_SMALL.size)), 0.01, 1.0, _P_SMALL)
+    blocks = -(-layers // HEAT_BLOCK)
+    assert transform_calls == {"dct": blocks, "idct": blocks}
+
+
+def test_closed_form_memory_grows_with_its_output(market, linear_cost, call):
+    # the Duhamel pass holds one block of layers at a time, and the source is
+    # freed before the players' lattices: beyond the (N, n_t, n_p) values it
+    # returns, 4x the layers add at most two lattices, the Duhamel sum and
+    # one player's heat term
+    game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),
+                                          PlayerSpec(RiskNeutral(), Scaled(call, 0.0))))
+    rn_individual_values(game, GridSpec(94.0, 106.0, 41, 20))  # scipy loaded before tracing
+
+    def peak(n_t):
+        tracemalloc.start()
+        try:
+            rn_individual_values(game, GridSpec(94.0, 106.0, 201, n_t, quad_nodes=64))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    lattice = 201 * 300 * 8  # the bytes one (n_t, n_p) lattice grows by
+    assert peak(400) - peak(100) <= 1.05 * (game.n_players + 2) * lattice
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,21 @@ def test_picard_first_iteration_is_first_order_duhamel(short_game, short_grid, m
     assert np.abs(got_mid - expected_mid).max() <= 1e-12
 
 
+def test_picard_takes_one_transform_pair_per_step_and_iteration(short_game, short_grid,
+                                                                  transform_calls):
+    # a step's seeds K(m h sigma^2) h0 for every sub-layer m come from one
+    # transform pair, and each iteration's Duhamel sum over the step's
+    # PICARD_SUBLAYERS + 1 layers (one block) from one more; meta counts the
+    # layers written and the iterations per step
+    sol = solve_picard(short_game, short_grid)
+    steps = [len(changes) for changes in sol.meta["iteration_changes"]]
+    assert sol.meta["tau_halvings"] == 0
+    assert transform_calls == {"dct": len(steps) + sum(steps), "idct": len(steps) + sum(steps)}
+    assert sol.meta["n_t_used"] == sol.times.size
+    assert sol.times.size == len(steps) * illiq.pdesolve.PICARD_SUBLAYERS + 1
+    assert sol.meta["iterations"] == {"max": max(steps), "mean": sum(steps) / len(steps)}
+
+
 def test_picard_agrees_with_fd(short_game, short_grid):
     psol = solve_picard(short_game, short_grid)
     fsol = solve_fd(short_game, short_grid)

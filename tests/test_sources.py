@@ -1,15 +1,18 @@
 """Layout rules read from the package source with ``ast``."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "illiq"
 
 
-def _owners(match) -> list:
-    """``module.function`` for every function whose body holds a node that
-    ``match`` accepts; a node at module level is listed as ``module.<module>``."""
-    found = []
+@cache
+def _modules() -> tuple:
+    """(module name, tree, nodes) for every package module, parsed once per
+    session: the nodes in ``ast.walk`` order, each with the name of the
+    outermost function that holds it, or ``<module>``."""
+    parsed = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = {}
@@ -18,10 +21,20 @@ def _owners(match) -> list:
                 continue
             for node in ast.walk(scope):
                 owner.setdefault(node, scope.name)  # outer functions come first
-        for node in ast.walk(tree):
-            if match(node):
-                found.append(f"{path.stem}.{owner.get(node, '<module>')}")
-    return found
+        nodes = [(node, owner.get(node, "<module>")) for node in ast.walk(tree)]
+        parsed.append((path.stem, tree, nodes))
+    return tuple(parsed)
+
+
+def _tree(module: str) -> ast.Module:
+    return next(tree for name, tree, _ in _modules() if name == module)
+
+
+def _owners(match) -> list:
+    """``module.function`` for every function whose body holds a node that
+    ``match`` accepts; a node at module level is listed as ``module.<module>``."""
+    return [f"{name}.{scope}" for name, _, nodes in _modules()
+            for node, scope in nodes if match(node)]
 
 
 def _callers(attr: str) -> list:
@@ -55,10 +68,10 @@ def test_one_function_writes_numeric_csv():
 def _imports(module: str) -> dict:
     """The names each package module imports from the package module ``module``."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for name, tree, _ in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
-                found.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+                found.setdefault(name, set()).update(alias.name for alias in node.names)
     return found
 
 
@@ -69,7 +82,7 @@ def test_csv_writers_come_public_from_manifest():
         "cli", "pdesolve", "simulate"}
     assert [(name, n) for name, names in _imports("manifest").items()
             for n in names if n.startswith("_")] == []
-    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    modules = {name for name, _, _ in _modules()}
     assert [(name, n) for module in modules for name, names in _imports(module).items()
             for n in names if n.startswith("_write")] == []
 
@@ -112,7 +125,7 @@ def test_one_schema_entry_per_config_kind():
     for kind in CONFIG_KINDS:
         assert _owners(lambda node, kind=kind: isinstance(node, ast.Constant)
                        and node.value == kind) == ["model.<module>"], kind
-    model = ast.parse((PACKAGE / "model.py").read_text())
+    model = _tree("model")
     assert [node.lineno for node in ast.walk(model)
             if isinstance(node, ast.FunctionDef) and node.name == "to_dict"] == []
 
@@ -121,7 +134,7 @@ def test_one_function_writes_run_manifests():
     # every command's manifest.json is the plain dict cli._Run.finish builds,
     # and manifest.py keeps no record type of its own: it hashes and writes
     assert _callers("write_manifest") == ["cli.finish"]
-    manifest = ast.parse((PACKAGE / "manifest.py").read_text())
+    manifest = _tree("manifest")
     assert [node.name for node in ast.walk(manifest) if isinstance(node, ast.ClassDef)] == []
 
 
@@ -159,7 +172,7 @@ def test_certify_for_game_returns_the_speed_bound():
 
 def test_certify_cost_takes_its_interval():
     # a working interval is always given: certify_cost has no fallback of its own
-    speeds = ast.parse((PACKAGE / "speeds.py").read_text())
+    speeds = _tree("speeds")
     (certify_cost,) = [node for node in ast.walk(speeds)
                        if isinstance(node, ast.FunctionDef) and node.name == "certify_cost"]
     assert [a.arg for a in certify_cost.args.args] == ["cost", "interval"]
@@ -169,7 +182,7 @@ def test_certify_cost_takes_its_interval():
 def test_cost_kinds_declare_their_slope_floor():
     # the declared slope floor is a class constant of each cost kind, not a
     # constructor argument, and only a certificate holds an eps_floor
-    model = ast.parse((PACKAGE / "model.py").read_text())
+    model = _tree("model")
     costs = [node for node in ast.walk(model) if isinstance(node, ast.ClassDef)
              and any(getattr(base, "id", None) == "CostFunction" for base in node.bases)]
     assert sorted(c.name for c in costs) == ["LinearCost", "SmoothedSpreadCost", "TableCost"]
