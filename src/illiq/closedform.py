@@ -163,44 +163,43 @@ def _rates(n: int, step: float) -> np.ndarray:
 def _heat(ext: np.ndarray, step: float, variance) -> np.ndarray:
     """K(variance) along the last axis of ``ext``, whose spacing is ``step``:
     exp(-v w_k^2 / 2) times the DCT-II (ortho norm) coefficients of ext less
-    its ``_ramp``, plus the ramp's exact heat flow.  ``variance`` is a scalar
-    or an array that broadcasts against ext: a column, one per row, or a
-    stack of them on new leading axes, which the result takes on.  The ramp,
-    the multipliers, the coefficients and the result are each built in one
-    array and updated in place (``out=``, ``overwrite_x``), in the order of
-    operations of the plain expression and so to the same bits; an array's
-    multipliers, built in the shape of the product, take the product, a
-    scalar's the coefficients."""
+    its ``_ramp``, plus the ramp's exact heat flow.  ``variance`` is an array
+    that broadcasts against ext: a column, one per row, or a stack of them on
+    new leading axes, which the result takes on.  The ramp, the multipliers
+    and the result are each built in one array and updated in place (``out=``,
+    ``overwrite_x``), in the order of operations of the plain expression and
+    so to the same bits; the multipliers, built in the shape of the product,
+    take the product."""
     from scipy.fft import dct, idct
 
     ramp, _, a = _ramp(ext)
-    mult = _rates(ext.shape[-1], step)
     coef = dct(ext - ramp, norm="ortho", overwrite_x=True)
-    if np.ndim(variance):
-        shape = np.broadcast_shapes(np.shape(variance), coef.shape)
-        mult = np.multiply(-0.5 * variance, mult, out=np.empty(shape))
-        np.exp(mult, out=mult)
-        mult *= coef
-        coef = mult
-    else:
-        mult *= -0.5 * variance
-        np.exp(mult, out=mult)
-        coef *= mult
-    smooth = idct(coef, norm="ortho", overwrite_x=True)
+    shape = np.broadcast_shapes(np.shape(variance), coef.shape)
+    mult = np.multiply(-0.5 * variance, _rates(ext.shape[-1], step), out=np.empty(shape))
+    np.exp(mult, out=mult)
+    mult *= coef
+    smooth = idct(mult, norm="ortho", overwrite_x=True)
     smooth += ramp
     smooth += a * (variance / step**2)
     return smooth
 
 
-def _extend(values: np.ndarray, step: float, variance: float):
-    """``values`` continued linearly past both ends of the last axis by at
-    least ``PAD_SIGMAS`` sqrt(variance), on an axis of spacing ``step``, to a
-    length the transforms take fast; and the number of cells put in front."""
+def _padding(n: int, step: float, variance: float):
+    """The cells put in front of an axis of ``n`` nodes spaced ``step`` that
+    is padded by at least ``PAD_SIGMAS`` sqrt(variance) past both ends, and
+    the padded length, one the transforms take fast."""
     from scipy.fft import next_fast_len
 
-    n = values.shape[-1]
     pad = math.ceil(PAD_SIGMAS * math.sqrt(variance) / step)
-    cells = np.arange(1.0, next_fast_len(n + 2 * pad, real=True) - n + 1)
+    return pad, next_fast_len(n + 2 * pad, real=True)
+
+
+def _extend(values: np.ndarray, step: float, variance: float):
+    """``values`` continued linearly past both ends of the last axis onto the
+    axis ``_padding`` gives; and the number of cells put in front."""
+    n = values.shape[-1]
+    pad, length = _padding(n, step, variance)
+    cells = np.arange(1.0, length - n + 1)
     left = values[..., :1] + (values[..., :1] - values[..., 1:2]) * cells[:pad][::-1]
     right = values[..., -1:] + (values[..., -1:] - values[..., -2:-1]) * cells[:cells.size - pad]
     return np.concatenate([left, values, right], axis=-1), pad
@@ -223,8 +222,6 @@ def heat_convolve_grid(values, p_grid, variance):
         return np.broadcast_to(values, variances.shape + values.shape).copy()
     step = _spacing(p_grid)
     ext, pad = _extend(values, step, top)
-    if variances.ndim == 0:
-        return _heat(ext, step, top)[..., pad:pad + p_grid.size]
     out = _heat(ext, step, variances.reshape(variances.shape + (1,) * values.ndim))
     out = out[..., pad:pad + p_grid.size]
     out[variances == 0.0] = values
@@ -254,6 +251,11 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
     dp, n_p = _spacing(np.asarray(p_grid, dtype=float)), src.shape[-1]
     variance = diff_coef * step
     longest = variance * (src.shape[0] - 1)
+    # every block is extended onto the one axis padded for the longest lag,
+    # so E and the cropped nodes j are the same for all of them
+    pad, length = _padding(n_p, dp, longest)
+    decay = np.exp(-0.5 * variance * _rates(length, dp))
+    j = np.arange(pad, pad + n_p)
     out = np.empty_like(src)
     weights = np.full(src.shape[:1] + (1,) * (src.ndim - 1), 2.0)  # c_k
     weights[0] = 1.0
@@ -264,12 +266,11 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
     for k0 in range(0, src.shape[0], HEAT_BLOCK):
         half = 0.5 * step * src[k0:k0 + HEAT_BLOCK]
         w = weights[k0:k0 + HEAT_BLOCK]
-        ext, pad = _extend(half, dp, longest)
+        ext, _ = _extend(half, dp, longest)
         ramp, slope, curv = _ramp(ext)
         ext -= ramp
         coef = dct(ext, norm="ortho", overwrite_x=True)
         coef *= w
-        decay = np.exp(-0.5 * variance * _rates(coef.shape[-1], dp))
         for i in range(half.shape[0]):  # row i becomes C_m, carry C_{m+1}
             nxt = coef[i] + carry
             nxt *= decay
@@ -282,7 +283,6 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
         slope_sum, curv_sum, flow_sum = slopes[-1:], curvs[-1:], flows[-1:]
         block = out[k0:k0 + half.shape[0]]
         np.add(idct(coef, norm="ortho", overwrite_x=True)[..., pad:pad + n_p], half, out=block)
-        j = np.arange(pad, pad + n_p)
         block += (curvs[:-1] * j + slopes[:-1] + curvs[:-1]) * j
         block += flows[:-1] * (variance / dp**2)
     out[0] = 0.0
