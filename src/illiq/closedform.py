@@ -217,7 +217,7 @@ def heat_convolve_grid(values, p_grid, variance):
     variances = np.asarray(variance, dtype=float)
     if np.any(variances < 0):
         raise ValueError("variance must be >= 0")
-    top = float(np.max(variances))
+    top = float(np.max(variances, initial=0.0))
     if top == 0.0:
         return np.broadcast_to(values, variances.shape + values.shape).copy()
     step = _spacing(p_grid)
@@ -314,7 +314,7 @@ def heat_convolve_payoff(f, p_grid, variances) -> np.ndarray:
     variances = np.atleast_1d(np.asarray(variances, dtype=float))
     if np.any(variances < 0):
         raise ValueError("variance must be >= 0")
-    axis, step, crop = _refined_axis(p_grid, float(np.max(variances)))
+    axis, step, crop = _refined_axis(p_grid, float(np.max(variances, initial=0.0)))
     samples = np.asarray(fn(axis), dtype=float)
     out = np.empty((variances.size, p_grid.size))
     for i in range(0, variances.size, HEAT_BLOCK):

@@ -40,10 +40,10 @@ stack, bit for bit as each game alone.  ``solve_fd`` is the stack of one
 that keeps every layer; ``solve_fd_initial`` marches many games as one
 stack per refined time grid and keeps only the three layers each step
 reads, returning each game's t = 0 layer (``InitialLayers``), so its memory
-does not grow with n_t.  ``residual`` checks a solution in one pass over
-blocks of time layers that keeps a running max per player, so its memory
-does not grow with n_t either.  ``surplus`` and ``surplus_at`` share one
-formula.
+does not grow with n_t.  ``solve_picard`` and ``solve_closed`` take their
+lattice's fields, and ``residual`` its source terms, from one pass over
+blocks of time layers, ``_field_blocks``, whose temporaries do not grow
+with n_t either.  ``surplus`` and ``surplus_at`` share one formula.
 A ``Solution`` has its own files: ``write_solution_csv`` hands its lattices
 to ``manifest.write_csv``, which writes every numeric CSV of the package;
 ``write_solution_npz`` stores it in binary and
@@ -114,9 +114,9 @@ PICARD_MAX_ITER = 60
 PICARD_SUBLAYERS = 8
 PICARD_MAX_HALVINGS = 3
 
-# lattice points per player in one block of the residual pass: 32 kB per
+# lattice points per player in one block of the field pass: 32 kB per
 # temporary, so a block's temporaries stay in cache
-_RESIDUAL_POINTS = 4096
+_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,28 @@ def _meta(scheme: str, cert, bound: float, **extra) -> dict:
             "root_tol": ROOT_TOL, **extra}
 
 
+def _field_blocks(game: GameSpec, eps, values: np.ndarray, dp: float, start=None):
+    """The one pass that takes a value lattice's (N, n_t, n_p) fields, a
+    block of ``max(1, _BLOCK_POINTS // n_p)`` time layers at a time: each
+    block's layer slice, its ``central_gradient`` on the full price width
+    and its ``equilibrium_fields`` (speeds, aggregate speed, source), the
+    roots started from ``start[rows]`` when a start is given.  Every root
+    iterates on its own, so the fields are bit for bit those of one call
+    over the whole lattice, while the temporaries are one block's."""
+    n_t, n_p = values.shape[1:]
+    size = max(1, _BLOCK_POINTS // n_p)
+    for k0 in range(0, n_t, size):
+        rows = slice(k0, min(k0 + size, n_t))
+        g = central_gradient(values[:, rows], dp)
+        yield rows, g, equilibrium_fields(game, eps, g, None if start is None else start[rows])
+
+
 def _lattice_solution(game: GameSpec, grid: GridSpec, cert, times: np.ndarray,
                       values: np.ndarray, meta: dict) -> Solution:
-    """A Solution whose fields come from one whole-lattice equilibrium_fields call."""
-    grads = central_gradient(values, grid.dp)
-    speeds, agg, _ = equilibrium_fields(game, cert.eps_floor, grads)
+    """A Solution whose gradient, speed and aggregate lattices ``_field_blocks`` fills."""
+    grads, speeds, agg = np.empty_like(values), np.empty_like(values), np.empty(values.shape[1:])
+    for rows, g, (sp, z, _) in _field_blocks(game, cert.eps_floor, values, grid.dp):
+        grads[:, rows], speeds[:, rows], agg[rows] = g, sp, z
     return Solution(grid, times, grid.prices, values, grads, speeds, agg, meta)
 
 
@@ -345,6 +362,8 @@ def solve_fd_initial(games, grid: GridSpec) -> InitialLayers:
     certificates give the same ``n_t`` march as one stack that keeps only
     the layers each step reads, so memory does not grow with ``n_t``."""
     games = tuple(games)
+    if not games:
+        raise SolverError("solve_fd_initial needs at least one game; the stack is empty")
     game = games[0]
     for other in games[1:]:
         if other.market != game.market or other.players != game.players:
@@ -490,13 +509,11 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     """Max absolute interior residual of the value system, all derivative
     terms recomputed with central differences from the stored values.
 
-    One pass over blocks of time layers, about ``_RESIDUAL_POINTS`` lattice
-    points per player each, keeps a running max per player.  The blocks
-    cover every layer once, 0 and n_t - 1 included: each takes its speeds
-    from one ``equilibrium_fields`` call on its layers' gradients, started
-    from the stored roots, so every root and every guard sees the entries
-    of one whole-lattice call, and the max is the same number.  Its
-    temporaries are a block's, so memory does not grow with n_t."""
+    One pass over the blocks of ``_field_blocks``, its roots started from the
+    stored aggregate speed, keeps a running max per player.  The blocks
+    cover every layer and price once, the ends included, so every root and
+    every guard sees the entries of one whole-lattice call; the source is
+    cropped to the interior.  Memory does not grow with n_t."""
     v = sol.values
     n, n_t, n_p = v.shape
     if n_t < 5 or n_p < 5:
@@ -505,21 +522,16 @@ def residual(sol: Solution, game: GameSpec) -> ResidualReport:
     dp = sol.grid.dp  # the step every route takes its gradients with
     cert = sol.meta.get("certificate") or certify_for_game(game)[0]
     half_sig2 = 0.5 * game.market.sigma**2
-    rows = max(1, _RESIDUAL_POINTS // n_p)
     per_player = np.zeros(n)
-    for k0 in range(0, n_t, rows):
-        k1 = min(k0 + rows, n_t)
-        grads = central_gradient(v[:, k0:k1], dp)[..., 1:-1]
-        # the stored roots start Newton; each root still passes the residual test
-        _, _, source = equilibrium_fields(game, cert.eps_floor, grads,
-                                          sol.aggregate_speed[k0:k1, 1:-1])
-        lo, hi = max(k0, 1), min(k1, n_t - 1)  # the block's interior layers
+    # the stored roots start Newton; each root still passes the residual test
+    for rows, _, (_, _, source) in _field_blocks(game, cert.eps_floor, v, dp, sol.aggregate_speed):
+        lo, hi = max(rows.start, 1), min(rows.stop, n_t - 1)  # the block's interior layers
         if lo == hi:
             continue
         v_t = (v[:, lo + 1:hi + 1, 1:-1] - v[:, lo - 1:hi - 1, 1:-1]) / (2.0 * dt)
         u = v[:, lo:hi]
         v_pp = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dp**2
-        res = v_t + half_sig2 * v_pp + source[:, lo - k0:hi - k0]
+        res = v_t + half_sig2 * v_pp + source[:, lo - rows.start:hi - rows.start, 1:-1]
         np.maximum(per_player, np.max(np.abs(res), axis=(1, 2)), out=per_player)
     return ResidualReport(per_player=per_player, overall=float(np.max(per_player)))
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from illiq import (
@@ -34,6 +36,22 @@ def transform_calls(monkeypatch):
     for name in calls:
         monkeypatch.setattr(scipy.fft, name, counted(name))
     return calls
+
+
+@pytest.fixture()
+def traced_peak():
+    """A function that calls ``fn(*args, **kwargs)`` with tracemalloc on and
+    returns the call's peak traced allocation in bytes."""
+
+    def peak(fn, *args, **kwargs) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

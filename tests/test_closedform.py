@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +168,14 @@ def test_heat_grid_takes_a_stack_of_variances(transform_calls):
     assert np.array_equal(heat_convolve_grid(stack, _P_WIDE, np.zeros(2)), np.stack([stack] * 2))
 
 
+def test_heat_of_no_variances_is_empty(transform_calls, call):
+    # an empty selection of variances gives an empty stack, with no transform
+    stack = np.ones((2, _P_SMALL.size))
+    assert heat_convolve_grid(stack, _P_SMALL, []).shape == (0, 2, _P_SMALL.size)
+    assert heat_convolve_payoff(call, _P_SMALL, []).shape == (0, _P_SMALL.size)
+    assert transform_calls == {"dct": 0, "idct": 0}
+
+
 @pytest.mark.parametrize("layers", [1, 9, HEAT_BLOCK, HEAT_BLOCK + 1, 150])
 def test_duhamel_takes_one_transform_pair_per_block(transform_calls, layers):
     duhamel_trapezoid(np.ones((layers, 2, _P_SMALL.size)), 0.01, 1.0, _P_SMALL)
@@ -176,7 +183,7 @@ def test_duhamel_takes_one_transform_pair_per_block(transform_calls, layers):
     assert transform_calls == {"dct": blocks, "idct": blocks}
 
 
-def test_closed_form_memory_grows_with_its_output(market, linear_cost, call):
+def test_closed_form_memory_grows_with_its_output(market, linear_cost, call, traced_peak):
     # the Duhamel pass holds one block of layers at a time, and the source is
     # freed before the players' lattices: beyond the (N, n_t, n_p) values it
     # returns, 4x the layers add at most two lattices, the Duhamel sum and
@@ -186,12 +193,8 @@ def test_closed_form_memory_grows_with_its_output(market, linear_cost, call):
     rn_individual_values(game, GridSpec(94.0, 106.0, 41, 20))  # scipy loaded before tracing
 
     def peak(n_t):
-        tracemalloc.start()
-        try:
-            rn_individual_values(game, GridSpec(94.0, 106.0, 201, n_t, quad_nodes=64))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(rn_individual_values, game,
+                           GridSpec(94.0, 106.0, 201, n_t, quad_nodes=64))
 
     lattice = 201 * 300 * 8  # the bytes one (n_t, n_p) lattice grows by
     assert peak(400) - peak(100) <= 1.05 * (game.n_players + 2) * lattice

@@ -5,7 +5,6 @@ number with ``%``."""
 import json
 import math
 import os
-import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -246,20 +245,15 @@ def _synthetic_solution(n_t: int) -> Solution:
     return Solution(grid, times, prices, field, field * 0.3, field * -2e-3, field[0] * 1e-5, {})
 
 
-def _write_peak(n_t: int) -> int:
+def _write_peak(traced_peak, n_t: int) -> int:
     sol = _synthetic_solution(n_t)
     write_solution_csv(sol, os.devnull)  # tables built before measuring
-    tracemalloc.start()
-    try:
-        write_solution_csv(sol, os.devnull)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(write_solution_csv, sol, os.devnull)
 
 
-def test_solution_csv_memory_is_flat_in_n_t():
+def test_solution_csv_memory_is_flat_in_n_t(traced_peak):
     # the writer holds one block of lines, not the file: the peak at
     # 401 x 2000 is a few MB and the same as at 401 x 200
-    small, large = _write_peak(200), _write_peak(2000)
+    small, large = _write_peak(traced_peak, 200), _write_peak(traced_peak, 2000)
     assert large < 8e6
     assert large - small < 2e5

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -189,22 +188,17 @@ def test_spread_sweep_zero_spread_matches_closed_form(call_game, rule):
     assert np.max(np.abs(speed_fd - speed_cf)) <= 1e-2
 
 
-def _spread_sweep_peak(game, n_t: int) -> int:
+def _spread_sweep_peak(traced_peak, game, n_t: int) -> int:
     grid = GridSpec(94.0, 106.0, 401, n_t)
-    tracemalloc.start()
-    try:
-        spread_sweep(game, (0.0, 0.002, 0.004), 100.0, grid)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(spread_sweep, game, (0.0, 0.002, 0.004), 100.0, grid)
 
 
-def test_spread_sweep_memory_is_flat_in_n_t(call_game):
+def test_spread_sweep_memory_is_flat_in_n_t(call_game, traced_peak):
     # the sweep keeps each game's t = 0 layer, not its lattice: a value,
     # gradient and speed lattice per spread would add 3 * 3 * 300 * 401 * 8 B
     # = 8.7 MB at 400 layers over 100 (the peak is about 0.4 MB at both)
-    _spread_sweep_peak(call_game, 20)  # lazy imports and tables before measuring
-    small, large = _spread_sweep_peak(call_game, 100), _spread_sweep_peak(call_game, 400)
+    _spread_sweep_peak(traced_peak, call_game, 20)  # lazy imports and tables before measuring
+    small, large = (_spread_sweep_peak(traced_peak, call_game, n_t) for n_t in (100, 400))
     assert large < 1.25 * small
 
 
@@ -263,23 +257,22 @@ def test_cara_two_player_band_follows_p0():
     assert res.passed
 
 
-def _cara_study_peak(base, n_t: int) -> int:
+def _cara_study_peak(traced_peak, base, n_t: int) -> int:
     grid = GridSpec(88.0, 112.0, 401, n_t)
-    tracemalloc.start()
-    try:
+
+    def study():
         res = cara_two_player_study((0.01, 0.01), base, grid)
         assert res.meta["n_t_used"] == n_t  # no refined time grid evens the sizes out
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return traced_peak(study)
 
 
-def test_cara_two_player_memory_is_flat_in_n_t(cara_base):
+def test_cara_two_player_memory_is_flat_in_n_t(cara_base, traced_peak):
     # the study reads only t = 0: a value, gradient and speed lattice per
     # player would add 2 * 3 * 300 * 401 * 8 B = 5.8 MB at 400 layers over
     # 100 (the peak is about 0.3 MB at both)
-    _cara_study_peak(cara_base, 20)  # lazy imports and tables before measuring
-    small, large = _cara_study_peak(cara_base, 100), _cara_study_peak(cara_base, 400)
+    _cara_study_peak(traced_peak, cara_base, 20)  # lazy imports and tables before measuring
+    small, large = (_cara_study_peak(traced_peak, cara_base, n_t) for n_t in (100, 400))
     assert large < 1.25 * small
 
 

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from illiq import (
     SmoothedSpreadCost,
     Solution,
     SpeedSolverError,
+    certify_for_game,
     equilibrium_fields,
     heat_convolve,
     read_solution_npz,
@@ -34,7 +34,7 @@ from illiq import (
     write_solution_csv,
     write_solution_npz,
 )
-from illiq.closedform import central_gradient
+from illiq.closedform import central_gradient, closed_form_values
 
 
 def _zero_game(market):
@@ -45,6 +45,11 @@ def _zero_game(market):
 def _cara_pair(market, cost, call):
     return GameSpec(market, cost, (PlayerSpec(CARA(0.01), call),
                                    PlayerSpec(CARA(0.1), Negated(call))))
+
+
+def _n2_game(market, call):
+    return GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),
+                                               PlayerSpec(RiskNeutral(), Scaled(call, 0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +250,11 @@ def test_stack_marches_each_time_grid_apart(call_game):
 def test_stack_needs_shared_market_and_players(call_game, zero_sum_game):
     with pytest.raises(illiq.pdesolve.SolverError, match="shares its market and players"):
         solve_fd_initial([call_game, zero_sum_game], GridSpec(94.0, 106.0, 61, 20))
+
+
+def test_stack_needs_a_game():
+    with pytest.raises(illiq.pdesolve.SolverError, match="the stack is empty"):
+        solve_fd_initial([], GridSpec(94.0, 106.0, 61, 20))
 
 
 def test_surplus_at_one_time_matches_surplus(call_game):
@@ -475,8 +485,8 @@ def test_residual_of_sampled_closed_form(market, linear_cost):
 
 
 def test_residual_roots_start_from_the_stored_speeds(market, call, monkeypatch):
-    # the stored interior roots start Newton and only that: zeroing them (a
-    # cold start) leaves the residual unchanged to root accuracy
+    # the stored roots start Newton and only that: zeroing them (a cold
+    # start) leaves the residual unchanged to root accuracy
     game = GameSpec(market, SmoothedSpreadCost(0.01, 0.004, 100.0),
                     (PlayerSpec(RiskNeutral(), call),))
     sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 60))
@@ -490,7 +500,7 @@ def test_residual_roots_start_from_the_stored_speeds(market, call, monkeypatch):
     warm = residual(sol, game).overall
     # one call per block of layers; in order they start from every stored root
     assert len(starts) > 1
-    assert np.array_equal(np.concatenate(starts), sol.aggregate_speed[:, 1:-1])
+    assert np.array_equal(np.concatenate(starts), sol.aggregate_speed)
     cold = replace(sol, aggregate_speed=np.zeros_like(sol.aggregate_speed))
     assert abs(warm - residual(cold, game).overall) <= 1e-10
 
@@ -510,7 +520,7 @@ def test_residual_takes_gradients_with_the_solver_step(call_game, monkeypatch):
     monkeypatch.setattr(illiq.pdesolve, "equilibrium_fields", recorded)
     residual(sol, call_game)
     assert len(passed) > 1
-    assert np.array_equal(np.concatenate(passed, axis=1), sol.gradients[..., 1:-1])
+    assert np.array_equal(np.concatenate(passed, axis=1), sol.gradients)
 
 
 def _whole_lattice_residual(sol, game):
@@ -532,34 +542,74 @@ def test_blocked_residual_is_the_whole_lattice_formula(market, call, case):
     # bit; 97 layers of 101 prices end on a block of 17 of the 40 layers
     if case == "fd_partial_block":
         grid = GridSpec(94.0, 106.0, 101, 97)
-        assert grid.n_t % (illiq.pdesolve._RESIDUAL_POINTS // grid.n_p) != 0
+        assert grid.n_t % (illiq.pdesolve._BLOCK_POINTS // grid.n_p) != 0
         game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),))
         sol = solve_fd(game, grid)
     elif case == "fd_cara_spread":
         game = _cara_pair(market, SmoothedSpreadCost(0.01, 0.002, 100.0), call)
         sol = solve_fd(game, GridSpec(94.0, 106.0, 101, 150))
     else:
-        game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),
-                                                   PlayerSpec(RiskNeutral(), Scaled(call, 0.0))))
+        game = _n2_game(market, call)
         solve = solve_picard if case == "picard_n2" else solve_closed
         sol = solve(game, GridSpec(94.0, 106.0, 61, 161, quad_nodes=64))
-    assert sol.times.size > illiq.pdesolve._RESIDUAL_POINTS // sol.prices.size
+    assert sol.times.size > illiq.pdesolve._BLOCK_POINTS // sol.prices.size
     rep = residual(sol, game)
     assert rep.per_player.tobytes() == _whole_lattice_residual(sol, game).tobytes()
     assert rep.overall == float(np.max(rep.per_player))
 
 
-def test_residual_memory_is_flat_in_n_t(call_game):
+def _whole_lattice_fields(sol, game):
+    """The gradient, speed and aggregate lattices from one equilibrium_fields
+    call over the whole lattice."""
+    grads = central_gradient(sol.values, sol.grid.dp)
+    speeds, agg, _ = equilibrium_fields(game, sol.meta["certificate"].eps_floor, grads)
+    return grads, speeds, agg
+
+
+@pytest.mark.parametrize("case", ["closed_n1", "closed_n2", "picard_n2"])
+def test_lattice_fields_are_the_whole_lattice_formula(market, call, case):
+    # the closed and Picard fields come in blocks of layers, bit for bit those
+    # of one call; 101 prices take 40 layers a block, so closed's 97 layers
+    # end on a block of 17 and Picard's 161 on a block of 1
+    if case == "closed_n1":
+        game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), call),))
+    else:
+        game = _n2_game(market, call)
+    solve = solve_picard if case == "picard_n2" else solve_closed
+    sol = solve(game, GridSpec(94.0, 106.0, 101, 97, quad_nodes=64))
+    rows = illiq.pdesolve._BLOCK_POINTS // sol.prices.size
+    assert sol.times.size > rows and sol.times.size % rows != 0
+    grads, speeds, agg = _whole_lattice_fields(sol, game)
+    assert np.array_equal(sol.gradients, grads)
+    assert np.array_equal(sol.speeds, speeds)
+    assert np.array_equal(sol.aggregate_speed, agg)
+
+
+def test_lattice_fields_memory_is_flat_in_n_t(market, call, traced_peak):
+    # beyond the gradient, speed and aggregate lattices it returns, the field
+    # pass holds one block's temporaries; one call over the whole lattice
+    # grew that excess by 7.2 MB from 100 to 400 layers.  The closed-form
+    # values are taken before tracing, so their own memory stays out
+    game = _n2_game(market, call)
+    cert = certify_for_game(game)[0]
+
+    def excess(n_t):
+        grid = GridSpec(94.0, 106.0, 201, n_t)
+        values = closed_form_values(game, grid)
+        peak = traced_peak(illiq.pdesolve._lattice_solution, game, grid, cert,
+                           grid.times(market.maturity), values, {})
+        return peak - (2 * values.nbytes + values[0].nbytes)
+
+    excess(20)  # lazy imports before measuring
+    assert abs(excess(400) - excess(100)) <= 0.1e6
+
+
+def test_residual_memory_is_flat_in_n_t(call_game, traced_peak):
     # the pass holds one block of layers at a time: 4x the layers leave its
     # peak flat, where whole-lattice temporaries would grow it 4x
     def peak(n_t):
         sol = solve_fd(call_game, GridSpec(94.0, 106.0, 401, n_t))
-        tracemalloc.start()
-        try:
-            residual(sol, call_game)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(residual, sol, call_game)
 
     assert peak(400) < 1.25 * peak(100)
 
@@ -636,6 +686,11 @@ def test_digital_surplus_far_from_strike_near_maturity(market, linear_cost, digi
     surp = surplus(sol, game, time_indices=[k])
     i = int(np.argmin(np.abs(sol.prices - 90.0)))
     assert abs(surp[0, 0, i]) <= 1e-3
+
+
+def test_surplus_of_no_layers_is_empty(call_game, call_solution):
+    surp = surplus(call_solution, call_game, time_indices=[])
+    assert surp.shape == (call_game.n_players, 0, call_solution.prices.size)
 
 
 def test_cara_surplus_uses_utility_scale(market, linear_cost, call):

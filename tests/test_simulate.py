@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,7 +162,8 @@ def test_sample_paths_end_at_terminal_state(call_game, call_solution):
     assert np.all(bundle.sample_prices[:, 0] == call_game.market.p0)
 
 
-def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monkeypatch):
+def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monkeypatch,
+                                                 traced_peak):
     # 8x the paths may add their terminal price, inventory, cost and objective
     # (8 B each per player and path) plus the slack below; keeping whole paths
     # would add 3 * 7 * 64 * 201 * 8 B = 2.2 MB here.  The sample is fixed
@@ -173,12 +173,8 @@ def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monke
     monkeypatch.setattr(illiq.simulate, "SAMPLE_PATHS", 16)
 
     def peak(n_paths):
-        tracemalloc.start()
-        try:
-            simulate_paths(call_solution, call_game, n_paths=n_paths, seed=3, n_steps=n_steps)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(simulate_paths, call_solution, call_game, n_paths=n_paths, seed=3,
+                           n_steps=n_steps)
 
     n = call_game.n_players
     output = 7 * chunk * 8 * (1 + 3 * n)
@@ -188,7 +184,7 @@ def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monke
     assert peak(8 * chunk) - peak(chunk) <= output + slack
 
 
-def test_memory_does_not_grow_with_steps_times_players(monkeypatch):
+def test_memory_does_not_grow_with_steps_times_players(monkeypatch, traced_peak):
     # 4x the steps may add the noise block (chunk * 8 B per extra step), the
     # sample paths ((1 + 2N) * S * 8 B per extra step) and slack; speed rows
     # precomputed per step would add 2 * 300 * 10 * 401 * 8 B = 19 MB here
@@ -201,12 +197,7 @@ def test_memory_does_not_grow_with_steps_times_players(monkeypatch):
     sol = _synthetic_solution(np.linspace(94.0, 106.0, 401), n, speed=0.01)
 
     def peak(n_steps):
-        tracemalloc.start()
-        try:
-            simulate_paths(sol, game, n_paths=2 * chunk, seed=3, n_steps=n_steps)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(simulate_paths, sol, game, n_paths=2 * chunk, seed=3, n_steps=n_steps)
 
     extra_steps = 300
     grown = extra_steps * 8 * (chunk + (1 + 2 * n) * n_sample + 1)

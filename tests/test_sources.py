@@ -157,6 +157,17 @@ def test_one_march_steps_every_fd_solve():
     assert _callers("__new__") == ["model.stack_costs"]
 
 
+def test_one_block_pass_takes_a_lattices_fields():
+    # inside pdesolve only the FD march (a layer at a time), the Picard march
+    # (a step's sub-layers at a time) and the block pass call
+    # equilibrium_fields: solve_closed, solve_picard and residual take a
+    # lattice's fields from the block pass, the one reader of the block size
+    assert sorted(f for f in _callers("equilibrium_fields") if f.startswith("pdesolve.")) == [
+        "pdesolve._field_blocks", "pdesolve._march", "pdesolve._picard_march"]
+    assert sorted(_owners(lambda node: isinstance(node, ast.Name) and node.id.endswith("_POINTS"))
+                  ) == ["pdesolve.<module>", "pdesolve._field_blocks"]
+
+
 def test_one_dispatch_per_sweep_study():
     # experiments.run_study picks each study's inputs and the games it fits,
     # so the CLI takes nothing else from experiments and holds no study rule
