@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -583,9 +584,25 @@ SOLUTION_ARRAYS = ("times", "prices", "values", "gradients", "speeds", "aggregat
 
 def write_solution_npz(sol: Solution, path) -> None:
     """The solution's arrays, uncompressed, and its ``meta`` as one JSON
-    string (the certificate as a plain dict), so loading unpickles nothing."""
+    string (the certificate as a plain dict), so loading unpickles nothing.
+
+    Each member holds the bytes ``np.savez`` would write, but the array's
+    data goes out in 1 MB slices of a view of it, where ``np.savez`` copies
+    each lattice whole through ``tobytes``."""
     meta = json.dumps(sol.meta, default=asdict, sort_keys=True)
-    np.savez(path, meta=np.array(meta), **{name: getattr(sol, name) for name in SOLUTION_ARRAYS})
+    members = {"meta": np.array(meta), **{name: getattr(sol, name) for name in SOLUTION_ARRAYS}}
+    piece = 1 << 20
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, array in members.items():
+            header = np.lib.format.header_data_from_array_1_0(array)
+            # the bytes in the member's order; a view unless the array is
+            # neither C- nor Fortran-contiguous
+            ordered = array.T if header["fortran_order"] else array
+            data = memoryview(np.ascontiguousarray(ordered.reshape(-1)).view(np.uint8))
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for start in range(0, len(data), piece):
+                    member.write(data[start : start + piece])
 
 
 def read_solution_npz(file, grid: GridSpec) -> Solution:

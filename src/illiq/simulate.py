@@ -8,31 +8,30 @@ Paths follow the Euler-Maruyama discretization of
 
 with the feedback speed fields interpolated bilinearly from a solved
 lattice.  Noise comes from a counter-based generator (Philox keyed by the
-seed, consumed in path-major order), so results are bitwise reproducible
-for fixed (seed, n_paths, n_steps) and independent of chunking.  Paths are
-stepped ``CHUNK_PATHS`` at a time, carrying only their current state: every
-path keeps its terminal price, inventories and costs, and only the first
-``SAMPLE_PATHS`` paths are kept in full.
+seed) drawn step-major: step k takes normals k * n_paths to
+(k + 1) * n_paths - 1 of the stream, one per path in path order.  Results
+are bitwise reproducible for fixed (seed, n_paths, n_steps); a path's noise
+depends on n_paths, so a run with more paths does not extend one with fewer.
 
-Before any path is stepped, every speed, price node and time layer of the
-solution must be finite; the first that is not is named (player, time layer,
-price), since one NaN speed would otherwise send paths off the grid and read
-as too small a domain.  Every step's time layer and weight are found once,
-before the first chunk.  A chunk's noise block stays path-major, as the
-stream fills it; every ``TILE_STEPS`` steps its next columns are copied into
-a small (paths, TILE_STEPS) buffer, and their transpose, times sigma
-sqrt(dt), into a (TILE_STEPS, paths) tile, so that each step adds one
-contiguous tile row instead of reading a column across the whole block.
-Each step then blends the speed rows in time, finds every path's price cell
-once and reads all N players' speeds from it in one gather into buffers
-the lookup owns, and updates the prices, inventories and costs in place in
-the operation order of p + (lambda sum_j Xdot^j) dt + (sigma sqrt(dt)) dB,
-so each is bitwise that expression's value.  The price axis must be
-uniform (to within a quarter cell, as the FD stencils assume), so the cell
-is an arithmetic index with one correction against the stored nodes, and
-each speed is bitwise what ``np.interp`` would return.  The paths therefore
-take O(CHUNK_PATHS * (n_steps + TILE_STEPS) + N * n_paths + N * n_p)
-memory, not O(N * n_paths * n_steps) for whole paths nor
+Before any path is stepped, the solution must hold one speed lattice per
+player of the game, and every speed, price node and time layer of it must be
+finite; the first that is not is named (player, time layer, price), since
+one NaN speed would otherwise send paths off the grid and read as too small
+a domain.  Every step's time layer and weight are found once, before the
+first step.  All paths are stepped together and carry only their current
+state.  Each step blends the speed rows in time, finds every path's price
+cell once and reads all N players' speeds from it in one gather into
+buffers the lookup owns.  It then updates the inventories, costs and prices
+in place, the prices in the operation order of
+p + (lambda sum_j Xdot^j) dt + (sigma sqrt(dt)) dB with the step's noise
+drawn for every path into one buffer and scaled by sigma sqrt(dt), so each
+is bitwise that expression's value.  The price axis must be uniform (to
+within a quarter cell, as the FD stencils assume), so the cell is an
+arithmetic index with one correction against the stored nodes, and each
+speed is bitwise what ``np.interp`` would return.  The first
+``SAMPLE_PATHS`` paths are recorded at every step.  The paths therefore take
+O(N * (n_paths + n_p + S * n_steps)) memory, S = min(n_paths,
+SAMPLE_PATHS): not O(N * n_paths * n_steps) for whole paths nor
 O(n_steps * N * n_p) for speed rows precomputed per step.  Each player's
 utility maps terminal wealth and solved values to one scale.
 """
@@ -60,10 +59,8 @@ __all__ = [
 ]
 
 CLAMP_LIMIT = 0.01  # largest share of path-steps allowed to leave the price grid
-CHUNK_PATHS = 4096  # paths per block of noise: 16 MB of normals at 500 steps
 SAMPLE_PATHS = 100  # leading paths kept in full, for paths.csv and plots
 SEED_LIMIT = 2**128  # Philox keys are 128-bit: seeds lie in [0, SEED_LIMIT)
-TILE_STEPS = 16  # steps per noise tile: two 0.5 MB buffers at 4096 paths
 
 
 class SimulationError(RuntimeError):
@@ -106,8 +103,9 @@ def simulate_paths(
     Price lookups outside the solution's price range are clamped to the
     boundary columns and counted; if more than ``CLAMP_LIMIT`` of all
     path-steps clamp, the grid was too small and an error is raised, as it
-    is for a price axis that is not uniform and for a speed, price or time
-    in the solution that is not finite.  At least two paths are needed for a
+    is for a price axis that is not uniform, for a speed, price or time in
+    the solution that is not finite and for a solution solved for another
+    number of players than the game has.  At least two paths are needed for a
     standard error, and the seed must be an integer in [0, ``SEED_LIMIT``).
     """
     if n_paths < 2:
@@ -116,73 +114,59 @@ def simulate_paths(
         raise ValueError("n_steps must be >= 10")
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
-    _require_finite(sol)
     market = game.market
     n = game.n_players
+    if sol.speeds.shape[0] != n:
+        raise SimulationError(
+            f"the game has N = {n} players but the solution holds speeds for "
+            f"N = {sol.speeds.shape[0]}"
+        )
+    _require_finite(sol)
     horizon = market.maturity
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
     kick = market.sigma * math.sqrt(dt)  # the noise's scale, sigma sqrt(dt)
     p_lo, p_hi = sol.prices[0], sol.prices[-1]
-    speeds_at = _SharedInterp(sol.prices, n)
+    speeds_at = _SharedInterp(sol.prices, n, n_paths)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
     weights = [_time_weight(sol.times, t) for t in times[:-1]]  # (layer, weight) per step
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    n_sample = min(n_paths, SAMPLE_PATHS)
-    terminal_prices = np.empty(n_paths)
-    terminal_inventories = np.empty((n, n_paths))
-    terminal_costs = np.empty((n, n_paths))
-    sample_prices = np.empty((n_sample, n_steps + 1))
-    sample_inventories = np.zeros((n, n_sample, n_steps + 1))
-    sample_costs = np.zeros((n, n_sample, n_steps + 1))
+    s = min(n_paths, SAMPLE_PATHS)
+    sample_prices = np.empty((s, n_steps + 1))
+    sample_inventories = np.zeros((n, s, n_steps + 1))
+    sample_costs = np.zeros((n, s, n_steps + 1))
     sample_prices[:, 0] = market.p0
-    width = min(CHUNK_PATHS, n_paths)
-    block = np.empty((width, n_steps))      # one noise buffer for all chunks
-    columns = np.empty((width, TILE_STEPS))  # the next TILE_STEPS columns of the block
-    tile = np.empty((TILE_STEPS, width))     # their transpose times sigma sqrt(dt)
+    p = np.full(n_paths, market.p0)
+    x = np.zeros((n, n_paths))
+    r = np.zeros((n, n_paths))
+    spd = np.empty((n, n_paths))
+    work = np.empty((n, n_paths))
+    agg = np.empty(n_paths)  # the aggregate speed, then the step's noise
     clamped = 0
-    for row in range(0, n_paths, CHUNK_PATHS):
-        m = min(CHUNK_PATHS, n_paths - row)
-        s = max(0, min(n_sample - row, m))  # sample paths in this chunk
-        noise = rng.standard_normal(out=block[:m])
-        p = np.full(m, market.p0)
-        x = np.zeros((n, m))
-        r = np.zeros((n, m))
-        spd = np.empty((n, m))
-        work = np.empty((n, m))
-        agg = np.empty(m)
-        g_agg = np.empty(m)
-        for k in range(n_steps):
-            j = k % TILE_STEPS
-            if j == 0:
-                t = min(TILE_STEPS, n_steps - k)
-                np.copyto(columns[:m, :t], noise[:, k : k + t])
-                np.multiply(columns[:m, :t].T, kick, out=tile[:t, :m])
-            if p_lo <= p.min() and p.max() <= p_hi:  # False for any NaN
-                p_look = p
-            else:
-                p_look = np.clip(p, p_lo, p_hi)
-                clamped += int(np.count_nonzero(p_look != p))
-            speeds_at(p_look, speeds_at.blend(speeds_by_time, *weights[k]), out=spd)
-            spd.sum(axis=0, out=agg)
-            g_agg[...] = game.cost.value(agg)
-            agg *= market.lam
-            agg *= dt
-            p += agg
-            p += tile[j, :m]
-            np.multiply(spd, dt, out=work)
-            x += work
-            np.multiply(spd, g_agg, out=work)
-            work *= dt
-            r += work
-            if s:
-                sample_prices[row : row + s, k + 1] = p[:s]
-                sample_inventories[:, row : row + s, k + 1] = x[:, :s]
-                sample_costs[:, row : row + s, k + 1] = r[:, :s]
-        terminal_prices[row : row + m] = p
-        terminal_inventories[:, row : row + m] = x
-        terminal_costs[:, row : row + m] = r
+    for k in range(n_steps):
+        if p_lo <= p.min() and p.max() <= p_hi:  # False for any NaN
+            p_look = p
+        else:
+            p_look = np.clip(p, p_lo, p_hi)
+            clamped += int(np.count_nonzero(p_look != p))
+        speeds_at(p_look, speeds_at.blend(speeds_by_time, *weights[k]), out=spd)
+        spd.sum(axis=0, out=agg)
+        np.multiply(spd, dt, out=work)
+        x += work
+        np.multiply(spd, game.cost.value(agg), out=work)
+        work *= dt
+        r += work
+        agg *= market.lam
+        agg *= dt
+        p += agg
+        rng.standard_normal(out=agg)
+        agg *= kick
+        p += agg
+        sample_prices[:, k + 1] = p[:s]
+        sample_inventories[:, :, k + 1] = x[:, :s]
+        sample_costs[:, :, k + 1] = r[:, :s]
+    del speeds_at, spd, work, agg  # before the payoff's path-sized temporaries
 
     frac = clamped / float(n_paths * n_steps)
     if frac > CLAMP_LIMIT:
@@ -191,7 +175,7 @@ def simulate_paths(
             f"{100 * CLAMP_LIMIT:.0f}%); enlarge the solution domain"
         )
 
-    raw = -terminal_costs + game.payoff_layer(terminal_prices)
+    raw = -r + game.payoff_layer(p)
     utilities = tuple(pl.utility for pl in game.players)
     objectives = np.stack([u(raw[j]) for j, u in enumerate(utilities)])
     return PathBundle(
@@ -199,9 +183,9 @@ def simulate_paths(
         n_paths=n_paths,
         p0=float(market.p0),
         times=times,
-        terminal_prices=terminal_prices,
-        terminal_inventories=terminal_inventories,
-        terminal_costs=terminal_costs,
+        terminal_prices=p,
+        terminal_inventories=x,
+        terminal_costs=r,
         sample_prices=sample_prices,
         sample_inventories=sample_inventories,
         sample_costs=sample_costs,
@@ -234,17 +218,18 @@ class _SharedInterp:
     """``lookup(p, rows)``: ``np.interp(p, prices, rows[j])`` for every row j,
     bitwise, from one cell search shared by all rows.
 
-    ``p`` must lie in [prices[0], prices[-1]].  The cell is the arithmetic
-    index on the uniform axis, corrected once in each direction against the
-    stored nodes; one correction suffices because no node lies more than a
-    quarter cell from its uniform position, which is checked here.  The speed
-    is ``np.interp``'s own slope * (p - node) + value, with a zero slope past
-    the last node so that the last node returns its value exactly.  The
-    lookup owns its (n_rows, n_p) blend and slope buffers, which ``blend``
-    and each call overwrite, and its per-price scratch.
+    ``p`` must hold ``width`` prices in [prices[0], prices[-1]].  The cell is
+    the arithmetic index on the uniform axis, corrected once in each
+    direction against the stored nodes; one correction suffices because no
+    node lies more than a quarter cell from its uniform position, which is
+    checked here.  The speed is ``np.interp``'s own slope * (p - node) +
+    value, with a zero slope past the last node so that the last node
+    returns its value exactly.  The lookup owns its (n_rows, n_p) blend and
+    slope buffers, which ``blend`` and each call overwrite, and its
+    (n_rows, width) scratch.
     """
 
-    def __init__(self, prices: np.ndarray, n_rows: int):
+    def __init__(self, prices: np.ndarray, n_rows: int, width: int):
         n_p = prices.size
         p_lo, p_hi = prices[0], prices[-1]
         dp = (p_hi - p_lo) / (n_p - 1)
@@ -264,15 +249,10 @@ class _SharedInterp:
         self.blended = np.empty((n_rows, n_p))
         self.upper = np.empty((n_rows, n_p))
         self.slopes = np.zeros((n_rows, n_p))
-        self._resize(0)
-
-    def _resize(self, m: int) -> None:
-        """Size the per-price scratch for m prices; a chunk's steps all look
-        up the same number, so this happens once a chunk."""
-        self.cell = np.empty(m, dtype=np.intp)
-        self.node = np.empty(m)
-        self.below = np.empty(m, dtype=bool)
-        self.values = np.empty((self.slopes.shape[0], m))
+        self.cell = np.empty(width, dtype=np.intp)
+        self.node = np.empty(width)
+        self.below = np.empty(width, dtype=bool)
+        self.values = np.empty((n_rows, width))
 
     def blend(self, layers: np.ndarray, k: int, w: float) -> np.ndarray:
         """(1 - w) layers[k] + w layers[k + 1], bitwise ``_time_blend``."""
@@ -282,8 +262,6 @@ class _SharedInterp:
         return self.blended
 
     def __call__(self, p: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
-        if p.size != self.cell.size:
-            self._resize(p.size)
         prices, slopes, cell, node, below = self.prices, self.slopes, self.cell, self.node, self.below
         # every take clips the cell to [0, n_p - 1]; only a NaN price leaves it
         np.subtract(p, self.p_lo, out=node)

@@ -738,6 +738,21 @@ def test_solution_npz_roundtrip(tmp_path, zero_sum_game, solver):
                           residual(sol, zero_sum_game).per_player)
 
 
+def test_solution_npz_writes_no_lattice_copy(tmp_path, traced_peak):
+    # np.savez copies each lattice whole through tobytes (2.1 MB here); the
+    # writer hands the file slices of views, so its peak stays below one lattice
+    grid = GridSpec(94.0, 106.0, 201, 1300)
+    lattice = np.random.default_rng(3).standard_normal((1, grid.n_t, grid.n_p))
+    sol = Solution(grid, np.linspace(0.0, 1.0, grid.n_t), grid.prices, lattice, 2 * lattice,
+                   3 * lattice, lattice[0], {"speed_bound": 1.0})
+    path = tmp_path / "solution.npz"
+    assert traced_peak(write_solution_npz, sol, path) < lattice.nbytes
+    back = read_solution_npz(path, grid)
+    for name in illiq.pdesolve.SOLUTION_ARRAYS:
+        assert np.array_equal(getattr(back, name), getattr(sol, name)), name
+    assert back.meta == sol.meta
+
+
 def test_read_solution_grid_follows_the_file(tmp_path, call_game):
     # a solve on a lattice other than the config's: the read-back grid
     # describes the file's prices and layers, not the config's sizes

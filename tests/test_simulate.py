@@ -127,28 +127,10 @@ def _assert_same_run(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_bitwise_determinism(call_game, call_solution, monkeypatch):
+def test_bitwise_determinism(call_game, call_solution):
     a = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
     b = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
     _assert_same_run(a, b)
-    # chunking must not change the stream, also when chunks do not divide
-    # the paths and the sample paths span several chunks
-    for chunk in (100, 7):
-        monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", chunk)
-        c = simulate_paths(call_solution, call_game, n_paths=512, seed=41, n_steps=64)
-        _assert_same_run(a, c)
-
-
-@pytest.mark.parametrize("tile", [1, 7, 64])
-def test_noise_tiles_do_not_change_the_stream(call_game, call_solution, monkeypatch, tile):
-    # 45 steps: a multiple of neither 7 nor the default tile, and fewer than
-    # 64; 300 paths in chunks of 128, the last one partial
-    assert 45 % illiq.simulate.TILE_STEPS != 0
-    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 128)
-    default = simulate_paths(call_solution, call_game, n_paths=300, seed=47, n_steps=45)
-    monkeypatch.setattr(illiq.simulate, "TILE_STEPS", tile)
-    tiled = simulate_paths(call_solution, call_game, n_paths=300, seed=47, n_steps=45)
-    _assert_same_run(default, tiled)
 
 
 def test_sample_paths_end_at_terminal_state(call_game, call_solution):
@@ -167,9 +149,8 @@ def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monke
     # 8x the paths may add their terminal price, inventory, cost and objective
     # (8 B each per player and path) plus the slack below; keeping whole paths
     # would add 3 * 7 * 64 * 201 * 8 B = 2.2 MB here.  The sample is fixed
-    # below one chunk so both runs keep the same full paths.
-    chunk, n_steps = 64, 200
-    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", chunk)
+    # below the smaller run's paths so both runs keep the same full paths.
+    base, n_steps = 64, 200
     monkeypatch.setattr(illiq.simulate, "SAMPLE_PATHS", 16)
 
     def peak(n_paths):
@@ -177,19 +158,19 @@ def test_memory_grows_with_output_not_path_steps(call_game, call_solution, monke
                            n_steps=n_steps)
 
     n = call_game.n_players
-    output = 7 * chunk * 8 * (1 + 3 * n)
+    output = 7 * base * 8 * (1 + 3 * n)
     # the payoff and utility build path-sized temporaries from the terminal
-    # prices (62 kB at 448 extra paths on the call); 32 kB of allocator noise
+    # prices (62 kB at 448 extra paths on the call), after the step buffers
+    # are dropped; 32 kB of allocator noise
     slack = 4 * output + 32 * 1024
-    assert peak(8 * chunk) - peak(chunk) <= output + slack
+    assert peak(8 * base) - peak(base) <= output + slack
 
 
 def test_memory_does_not_grow_with_steps_times_players(monkeypatch, traced_peak):
-    # 4x the steps may add the noise block (chunk * 8 B per extra step), the
-    # sample paths ((1 + 2N) * S * 8 B per extra step) and slack; speed rows
-    # precomputed per step would add 2 * 300 * 10 * 401 * 8 B = 19 MB here
-    chunk, n_sample, n = 64, 16, 10
-    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", chunk)
+    # 4x the steps may add the sample paths ((1 + 2N) * S * 8 B per extra
+    # step), the times and slack; speed rows precomputed per step would add
+    # 2 * 300 * 10 * 401 * 8 B = 19 MB here
+    n_paths, n_sample, n = 128, 16, 10
     monkeypatch.setattr(illiq.simulate, "SAMPLE_PATHS", n_sample)
     market = MarketParams(sigma=1.0, lam=0.01, maturity=1.0, p0=100.0)
     players = tuple(PlayerSpec(RiskNeutral(), _zero_payoff()) for _ in range(n))
@@ -197,11 +178,25 @@ def test_memory_does_not_grow_with_steps_times_players(monkeypatch, traced_peak)
     sol = _synthetic_solution(np.linspace(94.0, 106.0, 401), n, speed=0.01)
 
     def peak(n_steps):
-        return traced_peak(simulate_paths, sol, game, n_paths=2 * chunk, seed=3, n_steps=n_steps)
+        return traced_peak(simulate_paths, sol, game, n_paths=n_paths, seed=3, n_steps=n_steps)
 
     extra_steps = 300
-    grown = extra_steps * 8 * (chunk + (1 + 2 * n) * n_sample + 1)
+    grown = extra_steps * 8 * ((1 + 2 * n) * n_sample + 1)
     assert peak(400) - peak(100) <= grown + 256 * 1024
+
+
+def test_memory_per_step_is_the_sample_paths(call_game, call_solution, traced_peak):
+    # 4x the steps at 2000 paths may add the sample paths ((1 + 2N) * S * 8 B
+    # per extra step) and 64 kB; a (paths, steps) block of noise would add
+    # 2000 * 300 * 8 B = 4.8 MB here
+    n_paths, extra_steps = 2000, 300
+
+    def peak(n_steps):
+        return traced_peak(simulate_paths, call_solution, call_game, n_paths=n_paths, seed=3,
+                           n_steps=n_steps)
+
+    sample = extra_steps * 8 * (1 + 2 * call_game.n_players) * illiq.simulate.SAMPLE_PATHS
+    assert peak(400) - peak(100) <= sample + 64 * 1024
 
 
 def _reference_paths(sol, game, n_paths, seed, n_steps):
@@ -213,7 +208,7 @@ def _reference_paths(sol, game, n_paths, seed, n_steps):
     times = np.linspace(0.0, market.maturity, n_steps + 1)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
     rows = np.stack([_time_blend(speeds_by_time, *_time_weight(sol.times, t)) for t in times[:-1]])
-    noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_paths, n_steps))
+    noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_steps, n_paths)).T
     prices = np.full((n_paths, n_steps + 1), market.p0)
     x = np.zeros((n, n_paths, n_steps + 1))
     r = np.zeros((n, n_paths, n_steps + 1))
@@ -262,13 +257,11 @@ def spread_trio(tmp_path_factory):
 
 
 @pytest.mark.parametrize("reloaded", [False, True])
-def test_shared_cell_search_is_per_player_interp(spread_trio, reloaded, monkeypatch):
+def test_shared_cell_search_is_per_player_interp(spread_trio, reloaded):
     game, solved, read_back = spread_trio
     sol = read_back if reloaded else solved
     # p0 is a node, so every path's first lookup lands exactly on one
     assert game.market.p0 in sol.prices
-    monkeypatch.setattr(illiq.simulate, "CHUNK_PATHS", 700)  # two chunks, the second partial
-    assert 60 % illiq.simulate.TILE_STEPS != 0  # the last noise tile is partial
     bundle = simulate_paths(sol, game, n_paths=1200, seed=31, n_steps=60)
     ref, low, high = _reference_paths(sol, game, n_paths=1200, seed=31, n_steps=60)
     assert low > 0 and high > 0
@@ -290,7 +283,8 @@ def test_cell_search_matches_interp_near_every_node():
                             0.5 * (prices[1:] + prices[:-1]), rng.uniform(94.0, 106.0, 500)])
         p = np.clip(p, prices[0], prices[-1])
         expected = np.stack([np.interp(p, prices, row) for row in rows])
-        assert np.array_equal(illiq.simulate._SharedInterp(prices, len(rows))(p, rows), expected)
+        lookup = illiq.simulate._SharedInterp(prices, len(rows), p.size)
+        assert np.array_equal(lookup(p, rows), expected)
 
 
 def test_non_uniform_price_axis_rejected(market):
@@ -312,6 +306,18 @@ def test_non_finite_speed_is_named(market):
     with pytest.raises(SimulationError, match=r"player 1's solved speed is nan at time layer 5 "
                                               r"\(t = 0.5\) and price 100"):
         simulate_paths(sol, game, 1000, 1, 50)
+
+
+@pytest.mark.parametrize("solved_for, simulated", [(1, 2), (2, 1)])
+def test_player_count_mismatch_rejected(market, solved_for, simulated):
+    # a 1-player solution used to drive both players of a 2-player game with
+    # player 1's speeds, and then fail in mc_consistency with an IndexError
+    sol = _synthetic_solution(np.linspace(94.0, 106.0, 41), solved_for)
+    players = tuple(PlayerSpec(RiskNeutral(), _zero_payoff()) for _ in range(simulated))
+    game = GameSpec(market, LinearCost(0.01), players)
+    with pytest.raises(SimulationError, match=f"the game has N = {simulated} players but the "
+                                              f"solution holds speeds for N = {solved_for}"):
+        simulate_paths(sol, game, n_paths=10, seed=1, n_steps=10)
 
 
 @pytest.mark.parametrize("axis, name", [("prices", "price node 3"), ("times", "time layer 3")])
