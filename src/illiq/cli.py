@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 import time
@@ -289,8 +288,7 @@ def cmd_simulate(args) -> int:
         if hashlib.sha256(data).hexdigest() != expected:
             raise HashMismatch(f"{npz_path} differs from the sha256 its manifest records")
     with run.timed("load"):
-        sol = read_solution_npz(io.BytesIO(data), grid)
-    del data  # the loaded arrays are copies: the npz bytes need not outlive the load
+        sol = read_solution_npz(data, grid)  # views into the bytes hashed
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,12 +22,14 @@ recursion on them, with one transform pair per block of ``HEAT_BLOCK``
 layers.  Lattice layers are continued linearly into the padding; a payoff
 is sampled on an axis ``REFINE`` times finer and cropped back.
 ``closed_form_values`` picks the closed form that covers a game and builds
-its lattice.  ``scipy.fft`` is imported by the functions that transform, so
-importing this module loads none of scipy.
+its lattice.  The cosine transforms ``dct`` and ``idct`` are each one real
+FFT of numpy's after Makhoul's even/odd reordering, so neither importing this
+module nor running its closed forms loads any of scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +64,11 @@ PAD_SIGMAS = 8.0
 REFINE = 4
 SPREAD_LIMIT = 20.0
 HEAT_BLOCK = 64
+# the spectrum entries ``idct`` takes per block of rows: its scratch (a 256 kB
+# spectrum and a 128 kB row block) is reused from block to block and stays in
+# cache, where one spectrum for a whole (64, 1875) array is a fresh 0.96 MB,
+# paged in anew at every call
+FFT_BLOCK = 16384
 
 
 class ClosedFormError(ValueError):
@@ -160,25 +167,104 @@ def _rates(n: int, step: float) -> np.ndarray:
     return mult
 
 
-def _heat(ext: np.ndarray, step: float, variance) -> np.ndarray:
-    """K(variance) along the last axis of ``ext``, whose spacing is ``step``:
-    exp(-v w_k^2 / 2) times the DCT-II (ortho norm) coefficients of ext less
-    its ``_ramp``, plus the ramp's exact heat flow.  ``variance`` is an array
-    that broadcasts against ext: a column, one per row, or a stack of them on
-    new leading axes, which the result takes on.  The ramp, the multipliers
-    and the result are each built in one array and updated in place (``out=``,
-    ``overwrite_x``), in the order of operations of the plain expression and
-    so to the same bits; the multipliers, built in the shape of the product,
-    take the product."""
-    from scipy.fft import dct, idct
+@functools.cache
+def _twiddles(n: int):
+    """The forward and inverse twiddles of the length-``n`` transforms, read
+    only: mode k of the DCT-II (ortho norm) is Re(f_k V_k) of the real FFT V
+    of the reordered row, f_k = c_k exp(-i pi k / 2n) with c_0 = 1/sqrt(n)
+    and c_k = sqrt(2/n) after it; the inverse takes 1 / (n f_k)."""
+    k = np.arange(n // 2 + 1)
+    scale = np.full(k.size, math.sqrt(2.0 / n))
+    scale[0] = math.sqrt(1.0 / n)
+    rot = np.exp(-0.5j * np.pi / n * k)
+    forward, inverse = rot * scale, rot.conj() / (n * scale)
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
 
+
+def dct(x) -> np.ndarray:
+    """The orthonormal DCT-II of ``x`` along its last axis, for any leading
+    shape, by one real FFT (J. Makhoul, IEEE Trans. ASSP 28(1), 1980): the
+    row reordered as its even entries then its odd entries reversed has the
+    FFT V, and mode k is Re(f_k V_k) for k <= n/2 and -Im(f_{n-k} V_{n-k})
+    past it.  ``x`` is left as it is."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    half = n // 2 + 1
+    out = np.empty(x.shape)
+    out[..., :(n + 1) // 2] = x[..., ::2]
+    out[..., (n + 1) // 2:] = x[..., 1::2][..., ::-1]
+    spec = np.fft.rfft(out)
+    spec *= _twiddles(n)[0]
+    out[..., :half] = spec.real
+    np.negative(spec.imag[..., n - half:0:-1], out=out[..., half:])
+    return out
+
+
+def idct(y: np.ndarray) -> np.ndarray:
+    """The orthonormal DCT-III of the C-contiguous float array ``y`` along
+    its last axis, the inverse of ``dct``, in place: per row the spectrum
+    V_k = (y_k - i y_{n-k}) / f_k (y_n = 0), one inverse real FFT, and the
+    reordering undone.  Rows go ``FFT_BLOCK`` spectrum entries at a time
+    through one scratch spectrum and row; ``y`` is overwritten with the
+    result and returned."""
+    if not y.flags.c_contiguous:
+        raise ValueError("idct works in place on a C-contiguous array")
+    n = y.shape[-1]
+    half = n // 2 + 1
+    rows = y.reshape(-1, n)
+    step = max(1, FFT_BLOCK // half)
+    scratch = np.empty((min(step, len(rows)), half), complex)
+    scratch_row = np.empty((len(scratch), n))
+    inverse = _twiddles(n)[1]
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        spec, row = scratch[:len(block)], scratch_row[:len(block)]
+        spec.real = block[:, :half]
+        spec.imag[:, 0] = 0.0
+        np.negative(block[:, n - 1:n - half:-1], out=spec.imag[:, 1:])
+        spec *= inverse
+        np.fft.irfft(spec, n, norm="forward", out=row)
+        block[:, ::2] = row[:, :(n + 1) // 2]
+        block[:, 1::2] = row[:, (n + 1) // 2:][:, ::-1]
+    return y
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the real FFT takes fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _split(ext: np.ndarray):
+    """Each row of ``ext`` as K flows it: the DCT-II (ortho norm) coefficients
+    of the row less its ``_ramp``, the ramp, and the ramp's curvature a."""
     ramp, _, a = _ramp(ext)
-    coef = dct(ext - ramp, norm="ortho", overwrite_x=True)
+    return dct(ext - ramp), ramp, a
+
+
+def _flow(coef: np.ndarray, ramp: np.ndarray, a: np.ndarray, step: float, variance) -> np.ndarray:
+    """K(variance) of the rows ``_split`` split, whose spacing is ``step``:
+    exp(-v w_k^2 / 2) times their coefficients, plus their ramps' exact heat
+    flow.  ``variance`` is an array that broadcasts against the row: a
+    column, one per row, or a stack of them on new leading axes, which the
+    result takes on.  The multipliers are built in the shape of the product
+    and take it, ``idct`` transforms it in place, and the result is updated
+    in place, in the order of operations of the plain expression and so to
+    the same bits; ``coef`` is left as it is."""
     shape = np.broadcast_shapes(np.shape(variance), coef.shape)
-    mult = np.multiply(-0.5 * variance, _rates(ext.shape[-1], step), out=np.empty(shape))
+    mult = np.multiply(-0.5 * variance, _rates(coef.shape[-1], step), out=np.empty(shape))
     np.exp(mult, out=mult)
     mult *= coef
-    smooth = idct(mult, norm="ortho", overwrite_x=True)
+    smooth = idct(mult)
     smooth += ramp
     smooth += a * (variance / step**2)
     return smooth
@@ -188,10 +274,8 @@ def _padding(n: int, step: float, variance: float):
     """The cells put in front of an axis of ``n`` nodes spaced ``step`` that
     is padded by at least ``PAD_SIGMAS`` sqrt(variance) past both ends, and
     the padded length, one the transforms take fast."""
-    from scipy.fft import next_fast_len
-
     pad = math.ceil(PAD_SIGMAS * math.sqrt(variance) / step)
-    return pad, next_fast_len(n + 2 * pad, real=True)
+    return pad, _next_fast_len(n + 2 * pad)
 
 
 def _extend(values: np.ndarray, step: float, variance: float):
@@ -222,7 +306,7 @@ def heat_convolve_grid(values, p_grid, variance):
         return np.broadcast_to(values, variances.shape + values.shape).copy()
     step = _spacing(p_grid)
     ext, pad = _extend(values, step, top)
-    out = _heat(ext, step, variances.reshape(variances.shape + (1,) * values.ndim))
+    out = _flow(*_split(ext), step, variances.reshape(variances.shape + (1,) * values.ndim))
     out = out[..., pad:pad + p_grid.size]
     out[variances == 0.0] = values
     return out
@@ -237,7 +321,7 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
         D[m] = Y_m + sum_{k<m} c_k K((m - k) v) Y_k,    c_0 = 1, c_k = 2.
 
     Each Y_k is continued onto the axis padded for the longest lag and split
-    as ``_heat`` splits a row: its ``_ramp`` R_k (coefficients s_k, a_k) and
+    as ``_split`` splits a row: its ``_ramp`` R_k (coefficients s_k, a_k) and
     the DCT coefficients Z_k of the rest.  K composes exactly on the
     coefficients, so the smooth part of the sum is idct(C_m), with
     C_m = E (C_{m-1} + c_{m-1} Z_{m-1}) and E = exp(-v w^2 / 2).  Each ramp
@@ -245,8 +329,6 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
     the ramp of the summed coefficients.  Layers go ``HEAT_BLOCK`` at a time,
     one dct and one idct per block, with C and the running sums carried from
     block to block."""
-    from scipy.fft import dct, idct
-
     src = np.asarray(src, dtype=float)
     dp, n_p = _spacing(np.asarray(p_grid, dtype=float)), src.shape[-1]
     variance = diff_coef * step
@@ -269,7 +351,7 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
         ext, _ = _extend(half, dp, longest)
         ramp, slope, curv = _ramp(ext)
         ext -= ramp
-        coef = dct(ext, norm="ortho", overwrite_x=True)
+        coef = dct(ext)
         coef *= w
         for i in range(half.shape[0]):  # row i becomes C_m, carry C_{m+1}
             nxt = coef[i] + carry
@@ -282,7 +364,7 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
         flows = np.cumsum(np.concatenate([flow_sum, curvs[1:]]), axis=0)
         slope_sum, curv_sum, flow_sum = slopes[-1:], curvs[-1:], flows[-1:]
         block = out[k0:k0 + half.shape[0]]
-        np.add(idct(coef, norm="ortho", overwrite_x=True)[..., pad:pad + n_p], half, out=block)
+        np.add(idct(coef)[..., pad:pad + n_p], half, out=block)
         block += (curvs[:-1] * j + slopes[:-1] + curvs[:-1]) * j
         block += flows[:-1] * (variance / dp**2)
     out[0] = 0.0
@@ -294,32 +376,32 @@ def _refined_axis(p_grid: np.ndarray, variance: float):
     ``PAD_SIGMAS`` sqrt(variance) past both ends to a length the transforms
     take fast: its nodes, its spacing and the slice that crops it back to the
     nodes of ``p_grid``."""
-    from scipy.fft import next_fast_len
-
     dp = _spacing(p_grid)
     pad = REFINE * math.ceil(PAD_SIGMAS * math.sqrt(variance) / dp)
     last = REFINE * (p_grid.size - 1)
-    nodes = np.arange(-pad, next_fast_len(last + 2 * pad + 1, real=True) - pad)
+    nodes = np.arange(-pad, _next_fast_len(last + 2 * pad + 1) - pad)
     return p_grid[0] + dp / REFINE * nodes, dp / REFINE, slice(pad, pad + last + 1, REFINE)
 
 
 def heat_convolve_payoff(f, p_grid, variances) -> np.ndarray:
     """E[f(p + sqrt(v) Z)] at the nodes p of the uniform grid ``p_grid``, one
     row per variance v: K(v) applied to the globally defined f (a Payoff or a
-    callable) sampled on the refined padded axis, then cropped.  Rows are
-    transformed ``HEAT_BLOCK`` at a time, so memory stays within a few rows
-    of the refined axis."""
+    callable) sampled on the refined padded axis, then cropped.  The samples
+    are transformed once, and rows flow ``HEAT_BLOCK`` at a time, one inverse
+    each, so memory stays within a few rows of the refined axis."""
     fn = _terminal_fn(f)
     p_grid = np.asarray(p_grid, dtype=float)
     variances = np.atleast_1d(np.asarray(variances, dtype=float))
     if np.any(variances < 0):
         raise ValueError("variance must be >= 0")
-    axis, step, crop = _refined_axis(p_grid, float(np.max(variances, initial=0.0)))
-    samples = np.asarray(fn(axis), dtype=float)
+    if not variances.size:
+        return np.empty((0, p_grid.size))
+    axis, step, crop = _refined_axis(p_grid, float(np.max(variances)))
+    split = _split(np.asarray(fn(axis), dtype=float))
     out = np.empty((variances.size, p_grid.size))
     for i in range(0, variances.size, HEAT_BLOCK):
         block = variances[i:i + HEAT_BLOCK, None]
-        out[i:i + HEAT_BLOCK] = _heat(samples, step, block)[:, crop]
+        out[i:i + HEAT_BLOCK] = _flow(*split, step, block)[:, crop]
     out[variances == 0.0] = fn(p_grid)
     return out
 

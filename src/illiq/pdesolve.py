@@ -47,7 +47,8 @@ with n_t either.  ``surplus`` and ``surplus_at`` share one formula.
 A ``Solution`` has its own files: ``write_solution_csv`` hands its lattices
 to ``manifest.write_csv``, which writes every numeric CSV of the package;
 ``write_solution_npz`` stores it in binary and
-``read_solution_npz`` loads it back, exactly and without pickling.
+``read_solution_npz`` loads it back, exactly and without pickling, as
+read-only views into the bytes it reads.
 
 scipy is imported where it is used: ``scipy.linalg`` when ``_march``
 factors its matrix (for ``solve_fd`` and ``solve_fd_initial`` alike), so
@@ -56,11 +57,14 @@ importing this module loads none of scipy.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import struct
 import zipfile
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -606,13 +610,35 @@ def write_solution_npz(sol: Solution, path) -> None:
 
 
 def read_solution_npz(file, grid: GridSpec) -> Solution:
-    """Load what ``write_solution_npz`` wrote, from a path or a binary file
-    object; the grid comes from the config that produced it and takes its
-    sizes from the arrays.  ``meta["certificate"]`` is a ``CostCertificate``
-    again."""
-    with np.load(file, allow_pickle=False) as data:
-        arrays = [data[name] for name in SOLUTION_ARRAYS]
-        meta = json.loads(data["meta"].item())
+    """Load what ``write_solution_npz`` wrote, from a path, a binary file
+    object or the file's bytes; the grid comes from the config that produced
+    it and takes its sizes from the arrays.  ``meta["certificate"]`` is a
+    ``CostCertificate`` again.  The writer stores every member uncompressed,
+    so each array is a read-only view into the bytes read, which the load
+    holds once; a compressed or truncated member raises ValueError."""
+    if not isinstance(file, bytes):
+        file = file.read() if hasattr(file, "read") else Path(file).read_bytes()
+    arrays = {}
+    with zipfile.ZipFile(io.BytesIO(file)) as archive:
+        for name in ("meta", *SOLUTION_ARRAYS):
+            info = archive.getinfo(f"{name}.npy")
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"{name}.npy is compressed; the solution writer stores it")
+            with archive.open(info) as member:
+                np.lib.format.read_magic(member)
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                header = member.tell()
+            count = math.prod(shape)
+            if header + count * dtype.itemsize != info.file_size:
+                raise ValueError(f"{name}.npy holds {info.file_size - header} bytes of data, "
+                                 f"not the {count * dtype.itemsize} its header describes")
+            # the member's data follow its local header: 30 bytes, then its
+            # file name and extra field, whose lengths end those 30 bytes
+            names, extra = struct.unpack_from("<HH", file, info.header_offset + 26)
+            start = info.header_offset + 30 + names + extra + header
+            flat = np.frombuffer(file, dtype, count, start)
+            arrays[name] = flat.reshape(shape, order="F" if fortran else "C")
+    meta = json.loads(arrays.pop("meta").item())
     if "certificate" in meta:
         meta["certificate"] = CostCertificate(**meta["certificate"])
-    return Solution(grid, *arrays, meta)
+    return Solution(grid, *arrays.values(), meta)

@@ -19,13 +19,13 @@ from illiq import (
 
 @pytest.fixture()
 def transform_calls(monkeypatch):
-    """The number of ``scipy.fft.dct`` and ``idct`` calls made during a test."""
-    import scipy.fft
+    """The number of ``closedform.dct`` and ``idct`` calls made during a test."""
+    from illiq import closedform
 
     calls = {"dct": 0, "idct": 0}
 
     def counted(name):
-        transform = getattr(scipy.fft, name)
+        transform = getattr(closedform, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
@@ -34,7 +34,7 @@ def transform_calls(monkeypatch):
         return call
 
     for name in calls:
-        monkeypatch.setattr(scipy.fft, name, counted(name))
+        monkeypatch.setattr(closedform, name, counted(name))
     return calls
 
 

@@ -479,9 +479,15 @@ def test_manifests_record_digests_and_stage_timings(config_path, tmp_path):
 
 
 def test_commands_load_no_scipy_submodule_they_do_not_use(config_path, tmp_path):
-    # a fresh interpreter: importing the package and running check and
-    # simulate on a linear-cost call leave the three heavy submodules unloaded
+    # a fresh interpreter: importing the package and running check, simulate
+    # and the closed and Picard solves on a linear-cost call leave the three
+    # heavy submodules unloaded; the FD solve then loads scipy.linalg alone
     out, simulate = _solve_and_simulate(config_path, tmp_path)
+
+    def solve(method):
+        return ["solve", "--config", str(config_path), "--out", str(tmp_path / method),
+                "--method", method, "--grid", "41,41"]
+
     code = (
         "import json, sys\n"
         "import illiq, illiq.cli\n"
@@ -490,14 +496,17 @@ def test_commands_load_no_scipy_submodule_they_do_not_use(config_path, tmp_path)
         "report = {'import': loaded()}\n"
         f"report['check'] = [illiq.cli.main(['check', '--config', {str(config_path)!r}]), loaded()]\n"
         f"report['simulate'] = [illiq.cli.main({simulate!r}), loaded()]\n"
-        "print(json.dumps(report))\n"
+        + "".join(f"report[{method!r}] = [illiq.cli.main({solve(method)!r}), loaded()]\n"
+                  for method in ("closed", "picard", "fd"))
+        + "print(json.dumps(report))\n"
     )
     src = str(Path(illiq.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"import": [], "check": [0, []], "simulate": [0, []]}
+    assert report == {"import": [], "check": [0, []], "simulate": [0, []], "closed": [0, []],
+                      "picard": [0, []], "fd": [0, ["scipy.linalg"]]}
 
 
 def test_sweep_split_passes(config_path, tmp_path):

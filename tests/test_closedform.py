@@ -34,9 +34,12 @@ from illiq.closedform import (
     HEAT_BLOCK,
     SPREAD_LIMIT,
     central_gradient,
+    _next_fast_len,
     closed_form_values,
+    dct,
     duhamel_trapezoid,
     heat_convolve_payoff,
+    idct,
 )
 from illiq.model import MAX_QUAD_NODES
 from illiq.speeds import ROOT_TOL
@@ -176,6 +179,43 @@ def test_heat_of_no_variances_is_empty(transform_calls, call):
     assert transform_calls == {"dct": 0, "idct": 0}
 
 
+def test_payoff_heat_transforms_the_payoff_once(transform_calls, call):
+    # 161 variances make three blocks: the sampled payoff takes one forward
+    # transform, and each block one inverse
+    heat_convolve_payoff(call, _P_SMALL, np.linspace(0.0, 1.0, 161))
+    assert transform_calls == {"dct": 1, "idct": 3}
+
+
+def test_cosine_pair_matches_scipy():
+    # the orthonormal DCT-II and DCT-III along the last axis, for any leading
+    # shape, to a few ulps of scipy's; dct leaves its input as it was, and
+    # idct overwrites its input with the result
+    import scipy.fft
+
+    rng = np.random.default_rng(8)
+    for n in [*range(1, 71), 160, 288, 1125, 1875]:
+        for shape in ((n,), (9, 2, n)):
+            x = rng.standard_normal(shape)
+            kept, y = x.copy(), x.copy()
+            pairs = ((dct(x), scipy.fft.dct(x, norm="ortho")),
+                     (idct(y), scipy.fft.idct(x, norm="ortho")), (idct(dct(x)), x))
+            for got, want in pairs:
+                assert got.shape == shape
+                assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max(), (n, shape)
+            assert np.array_equal(x, kept)
+            assert idct(y) is y
+    with pytest.raises(ValueError, match="in place"):
+        idct(np.ones((4, 9))[:, ::2])
+
+
+def test_fast_lengths_are_scipys():
+    import scipy.fft
+
+    lengths = range(1, 20001)
+    assert [_next_fast_len(n) for n in lengths] == [
+        scipy.fft.next_fast_len(n, real=True) for n in lengths]
+
+
 @pytest.mark.parametrize("layers", [1, 9, HEAT_BLOCK, HEAT_BLOCK + 1, 150])
 def test_duhamel_takes_one_transform_pair_per_block(transform_calls, layers):
     duhamel_trapezoid(np.ones((layers, 2, _P_SMALL.size)), 0.01, 1.0, _P_SMALL)
@@ -190,7 +230,7 @@ def test_closed_form_memory_grows_with_its_output(market, linear_cost, call, tra
     # one player's heat term
     game = GameSpec(market, linear_cost, (PlayerSpec(RiskNeutral(), call),
                                           PlayerSpec(RiskNeutral(), Scaled(call, 0.0))))
-    rn_individual_values(game, GridSpec(94.0, 106.0, 41, 20))  # scipy loaded before tracing
+    rn_individual_values(game, GridSpec(94.0, 106.0, 41, 20))  # lazy set-up done before tracing
 
     def peak(n_t):
         return traced_peak(rn_individual_values, game,

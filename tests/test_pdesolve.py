@@ -1,3 +1,5 @@
+import io
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -751,6 +753,47 @@ def test_solution_npz_writes_no_lattice_copy(tmp_path, traced_peak):
     for name in illiq.pdesolve.SOLUTION_ARRAYS:
         assert np.array_equal(getattr(back, name), getattr(sol, name)), name
     assert back.meta == sol.meta
+
+
+def test_solution_npz_loads_views_of_the_bytes_read(tmp_path, traced_peak):
+    # the members are stored, so the arrays are read-only views into the
+    # bytes read: reading a file and loading it, as simulate does, holds the
+    # file once, where copies held it twice
+    grid = GridSpec(94.0, 106.0, 201, 1300)
+    lattice = np.random.default_rng(4).standard_normal((1, grid.n_t, grid.n_p))
+    sol = Solution(grid, np.linspace(0.0, 1.0, grid.n_t), grid.prices, lattice, 2 * lattice,
+                   3 * lattice, lattice[0], {"speed_bound": 1.0})
+    path = tmp_path / "solution.npz"
+    write_solution_npz(sol, path)
+    def load():
+        return read_solution_npz(io.BytesIO(path.read_bytes()), grid)
+
+    assert traced_peak(load) <= path.stat().st_size + (1 << 20)
+    assert traced_peak(read_solution_npz, path, grid) <= path.stat().st_size + (1 << 20)
+    data = path.read_bytes()
+    for back in (read_solution_npz(data, grid), read_solution_npz(io.BytesIO(data), grid)):
+        for name in illiq.pdesolve.SOLUTION_ARRAYS:
+            array = getattr(back, name)
+            assert np.array_equal(array, getattr(sol, name)), name
+            assert not array.flags.writeable and not array.flags.owndata, name
+        assert back.meta == sol.meta
+
+
+def test_solution_npz_refuses_compressed_or_short_members(tmp_path, call_solution):
+    path = tmp_path / "solution.npz"
+    write_solution_npz(call_solution, path)
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    with zipfile.ZipFile(tmp_path / "deflated.npz", "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    with pytest.raises(ValueError, match="meta.npy is compressed"):
+        read_solution_npz(tmp_path / "deflated.npz", call_solution.grid)
+    with zipfile.ZipFile(tmp_path / "short.npz", "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data[:-8] if name == "speeds.npy" else data)
+    with pytest.raises(ValueError, match="speeds.npy holds"):
+        read_solution_npz(tmp_path / "short.npz", call_solution.grid)
 
 
 def test_read_solution_grid_follows_the_file(tmp_path, call_game):
