@@ -20,13 +20,15 @@ Each command's manifest.json is the plain dict its ``_Run`` builds: as
 ``command`` the subcommand with every option that shapes its outputs (all
 but the --config, --solution and --out paths), the SHA-256 of each output
 it lists as ``output_sha256``, the seconds of each stage as ``timings_s``
-and other measurements as ``meta``: for solve the plain numbers of the
-solution's ``meta`` (``speed_bound``, ``root_tol``; fd's ``n_t_requested``,
-``n_t_used`` and ``root_sweeps``; Picard's ``tau``, ``tau_halvings``,
-``sublayers``, ``n_t_used`` and ``iterations`` per step), for a sweep its
-results' ``meta`` (the spread and cara2 studies and fig3-fig5 their march's
-``n_t_used``, ``marches`` and ``root_sweeps``), for simulate its
-``clamped_fraction`` and the ``path_steps`` it ran.
+(and, where the ``resource`` module exists, the minor page faults of each
+as ``page_faults``) and other measurements as ``meta``: for solve the plain
+numbers of the solution's ``meta`` (``speed_bound``, ``root_tol``; fd's
+``n_t_requested``, ``n_t_used`` and ``root_sweeps``; Picard's ``tau``,
+``tau_halvings``, ``sublayers``, ``n_t_used`` and ``iterations`` per
+step), for a sweep its results' ``meta`` (the spread and cara2 studies
+and fig3-fig5 their march's ``n_t_used``, ``marches`` and
+``root_sweeps``), for simulate its ``clamped_fraction`` and the
+``path_steps`` it ran.
 Every CSV goes through ``manifest``: ``write_csv`` for the lattices and
 grids, ``write_sweep_csv`` for a study's metrics table.
 """
@@ -41,6 +43,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import numpy as np
 
@@ -110,6 +117,7 @@ class _Run:
         self.args, self.start = args, time.time()
         self.hashes: dict = {}
         self.timings_s: dict = {}
+        self.page_faults: dict = {}
         self.meta: dict = {}
 
     def read_config(self) -> tuple[GameSpec, GridSpec]:
@@ -130,10 +138,14 @@ class _Run:
 
     @contextmanager
     def timed(self, stage: str):
-        """Record the seconds the block takes as the stage ``stage``."""
+        """Record the seconds the block takes as the stage ``stage``, and the
+        minor page faults it takes where ``resource`` counts them."""
+        faults = _minor_faults()
         t0 = time.perf_counter()
         yield
         self.timings_s[stage] = time.perf_counter() - t0
+        if faults is not None:
+            self.page_faults[stage] = _minor_faults() - faults
 
     def finish(self, out: Path, outputs) -> Path:
         """``out/manifest.json`` for the files ``outputs`` in ``out``, each with
@@ -149,8 +161,14 @@ class _Run:
                         "seed": vars(self.args).get("seed"), "tool_version": __version__,
                         "wall_time_s": time.time() - self.start, "outputs": list(sha),
                         "output_sha256": sha, "timings_s": self.timings_s,
+                        **({"page_faults": self.page_faults} if resource else {}),
                         "meta": self.meta}, path)
         return path
+
+
+def _minor_faults() -> int | None:
+    """The process's minor page faults so far; None where ``resource`` is missing."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
 
 
 # ---------------------------------------------------------------------------

@@ -153,16 +153,16 @@ class Solution:
 
     def value_at(self, player: int, t: float, p: float) -> float:
         """Bilinear interpolation of one player's value surface."""
-        row = _time_blend(self.values[player], *_time_weight(self.times, t))
-        return float(np.interp(p, self.prices, row))
+        (k,), (w,) = _time_weight(self.times, [t])
+        return float(np.interp(p, self.prices, _time_blend(self.values[player], k, w)))
 
 
-def _time_weight(times: np.ndarray, t: float) -> tuple:
-    """The layer k and weight w that interpolate linearly in time at t,
-    clamped to the time axis: the blend is (1 - w) layers[k] + w layers[k + 1]."""
-    t = float(np.clip(t, times[0], times[-1]))
-    k = int(np.searchsorted(times, t, side="right") - 1)
-    k = min(max(k, 0), times.size - 2)
+def _time_weight(times: np.ndarray, t) -> tuple:
+    """The layers k and weights w that interpolate linearly in time at each
+    of the times t, clamped to the time axis: the blend at t[i] is
+    (1 - w[i]) layers[k[i]] + w[i] layers[k[i] + 1]."""
+    t = np.clip(np.asarray(t, dtype=float), times[0], times[-1])
+    k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
     return k, (t - times[k]) / (times[k + 1] - times[k])
 
 

@@ -129,7 +129,7 @@ def simulate_paths(
     p_lo, p_hi = sol.prices[0], sol.prices[-1]
     speeds_at = _SharedInterp(sol.prices, n, n_paths)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
-    weights = [_time_weight(sol.times, t) for t in times[:-1]]  # (layer, weight) per step
+    layer, weight = _time_weight(sol.times, times[:-1])  # per step
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     s = min(n_paths, SAMPLE_PATHS)
@@ -150,7 +150,7 @@ def simulate_paths(
         else:
             p_look = np.clip(p, p_lo, p_hi)
             clamped += int(np.count_nonzero(p_look != p))
-        speeds_at(p_look, speeds_at.blend(speeds_by_time, *weights[k]), out=spd)
+        speeds_at(p_look, speeds_at.blend(speeds_by_time, layer[k], weight[k]), out=spd)
         spd.sum(axis=0, out=agg)
         np.multiply(spd, dt, out=work)
         x += work

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -466,6 +467,12 @@ def test_manifests_record_digests_and_stage_timings(config_path, tmp_path):
         manifest = json.loads((run / "manifest.json").read_text())
         assert sorted(manifest["timings_s"]) == sorted(stages)
         assert all(isinstance(v, float) and v >= 0.0 for v in manifest["timings_s"].values())
+        # the minor page faults of the same stages, where the platform counts them
+        if importlib.util.find_spec("resource"):
+            assert sorted(manifest["page_faults"]) == sorted(stages)
+            assert all(type(v) is int and v >= 0 for v in manifest["page_faults"].values())
+        else:
+            assert "page_faults" not in manifest
         assert list(manifest["output_sha256"]) == manifest["outputs"]
         for name, sha in manifest["output_sha256"].items():
             assert sha == file_sha256(run / name)

@@ -134,8 +134,9 @@ def _notations() -> np.ndarray:
 
 
 def test_write_csv_matches_percent_with_fallbacks_mid_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(manifest, "CSV_BLOCK_ROWS", 40)  # blocks of 4 rows of 10 columns
     n_rows, n_cols = 16, 10
+    # blocks of 4 rows of 10 columns: 40 lines of two fields
+    monkeypatch.setattr(manifest, "CSV_BLOCK_NUMBERS", 4 * n_cols * 2)
     fallbacks = [math.nan, math.inf, -math.inf, 5e-324, _ties()[0]]
     mixed = np.resize(np.insert(_notations(), [13, 44, 56, 92, 123], fallbacks), n_rows * n_cols)
     # only these go to %: inside lines of all four blocks
@@ -224,6 +225,28 @@ def test_sweep_csvs_match_percent_writer(tmp_path, percent_writers, study, names
     _assert_same_csvs(fast, slow, names)
 
 
+def test_a_field_equal_to_an_earlier_one_is_formatted_once(tmp_path, percent_writers,
+                                                           monkeypatch, call_game):
+    sol = solve_fd(call_game, GridSpec(94.0, 106.0, 81, 100))
+    # one linear-cost player: the aggregate speed is that player's speed, bit for bit
+    assert sol.aggregate_speed.tobytes() == sol.speeds[0].tobytes()
+    formatted = []
+    kernel = manifest._g17
+
+    def counting(x, *args, **kwargs):
+        formatted.append(np.size(x))
+        return kernel(x, *args, **kwargs)
+
+    monkeypatch.setattr(manifest, "_g17", counting)
+    write_solution_csv(sol, tmp_path / "kernel.csv")
+    n_t, n_p = sol.values.shape[1:]
+    # the two axes, then v_1, grad_1 and speed_1, whose cells agg_speed copies
+    assert sum(formatted) == n_t + n_p + 3 * n_t * n_p
+    percent_writers()
+    write_solution_csv(sol, tmp_path / "percent.csv")
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "percent.csv").read_bytes()
+
+
 def test_n2_solution_csv_matches_percent_writer(tmp_path, percent_writers, zero_sum_game):
     sol = solve_closed(zero_sum_game, GridSpec(94.0, 106.0, 61, 50))
     write_solution_csv(sol, tmp_path / "kernel.csv")
@@ -257,3 +280,24 @@ def test_solution_csv_memory_is_flat_in_n_t(traced_peak):
     small, large = _write_peak(traced_peak, 200), _write_peak(traced_peak, 2000)
     assert large < 8e6
     assert large - small < 2e5
+
+
+def test_csv_writer_peak_is_its_scratch_and_one_block_of_text(traced_peak):
+    # two players: 7 fields over 121 prices, in 9-row blocks
+    n_t, n_p, n_fields = 161, 121, 7
+    rows = manifest.CSV_BLOCK_NUMBERS // (n_p * n_fields)
+    assert n_t >= 5 * rows
+    grid = GridSpec(94.0, 106.0, n_p, n_t)
+    times = np.linspace(0.0, 1.0, n_t)
+    field = np.sin(times[:, None] * 3.0 + grid.prices[None, :] / 7.0)
+    values = np.stack([field, -0.5 * field])
+    sol = Solution(grid, times, grid.prices, values, values * 0.3, values * -2e-3,
+                   field * 1e-5, {})
+    write_solution_csv(sol, os.devnull)  # tables built before measuring
+    peak = traced_peak(write_solution_csv, sol, os.devnull)
+    # the scratch: the kernel's eight-byte rows and the field buffer, per
+    # number of a block; the line cells and the mask of their non-NUL bytes;
+    # then one block of text, at most the size of the cells
+    numbers = rows * n_p * n_fields
+    cells = rows * n_p * (2 + n_fields) * 32
+    assert peak < numbers * 8 * (manifest._G17_ROWS + 1) + 3 * cells + 2**17

@@ -199,6 +199,26 @@ def test_memory_per_step_is_the_sample_paths(call_game, call_solution, traced_pe
     assert peak(400) - peak(100) <= sample + 64 * 1024
 
 
+def _scalar_time_weight(times, t):
+    """One step's layer and weight, the lookup ``_time_weight`` does for every step at once."""
+    t = float(np.clip(t, times[0], times[-1]))
+    k = int(np.searchsorted(times, t, side="right") - 1)
+    k = min(max(k, 0), times.size - 2)
+    return k, (t - times[k]) / (times[k + 1] - times[k])
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 97, 500, 1100, 2000])
+def test_time_weights_match_the_scalar_lookup_bitwise(n_t):
+    times = np.linspace(0.0, 1.0, n_t)
+    for n_steps in (10, 37, 400, 500, 1999):
+        # every step's start, and times either side of the axis, which clamp
+        steps = np.concatenate([np.linspace(0.0, 1.0, n_steps + 1)[:-1], [-0.5, 1.0, 1.5]])
+        layer, weight = _time_weight(times, steps)
+        expected = [_scalar_time_weight(times, t) for t in steps]
+        assert layer.tolist() == [k for k, _ in expected]
+        assert weight.tobytes() == np.array([w for _, w in expected]).tobytes()
+
+
 def _reference_paths(sol, game, n_paths, seed, n_steps):
     """The per-player ``np.interp`` step loop over whole paths, with the speed
     rows interpolated in time for every step up front: the lookup the shared
@@ -207,7 +227,8 @@ def _reference_paths(sol, game, n_paths, seed, n_steps):
     dt = market.maturity / n_steps
     times = np.linspace(0.0, market.maturity, n_steps + 1)
     speeds_by_time = sol.speeds.swapaxes(0, 1)
-    rows = np.stack([_time_blend(speeds_by_time, *_time_weight(sol.times, t)) for t in times[:-1]])
+    layer, weight = _time_weight(sol.times, times[:-1])
+    rows = np.stack([_time_blend(speeds_by_time, k, w) for k, w in zip(layer, weight)])
     noise = np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_steps, n_paths)).T
     prices = np.full((n_paths, n_steps + 1), market.p0)
     x = np.zeros((n, n_paths, n_steps + 1))
