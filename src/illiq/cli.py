@@ -5,11 +5,13 @@ Subcommands
     solve      solve a game (fd, picard or closed form) and dump CSV grids,
                plus the solution in binary (solution.npz)
     simulate   Monte-Carlo paths under a previously solved strategy field,
-               loaded from the solution.npz next to --solution
+               loaded from the solution.npz of the run --solution names:
+               that directory, or the one holding the file it names
     sweep      run one of the scripted studies and assert its claims; the
                study, its inputs and the games it fits are ``run_study``'s
 
-Exit codes: 0 ok, 1 parse/missing input (also a usage error, and a solve
+Exit codes: 0 ok, 1 parse/missing input (also a usage error, an empty list
+flag, a file-system error such as an --out that is a file, and a solve
 grid under 5 x 5), 2 certification failure, 3 method/game or study/game
 mismatch, 4 solver error (including a solve whose speeds exceed the
 a-priori bound; its outputs are still written), 5 solution/config hash
@@ -130,11 +132,10 @@ class _Run:
         flag = vars(self.args).get("grid")
         if flag is None:
             return game, grid
-        try:
-            n_p, n_t = (int(v) for v in flag.split(","))
-        except Exception as err:
-            raise ConfigError("--grid expects 'np,nt'") from err
-        return game, replace(grid, n_p=n_p, n_t=n_t)
+        size = _csv_list(flag, int, "--grid")
+        if len(size) != 2:
+            raise ConfigError(f"--grid expects 'np,nt', got {flag!r}")
+        return game, replace(grid, n_p=size[0], n_t=size[1])
 
     @contextmanager
     def timed(self, stage: str):
@@ -166,6 +167,14 @@ class _Run:
         return path
 
 
+def _csv_list(raw: str, cast, flag: str):
+    try:
+        return tuple(cast(v) for v in raw.split(","))
+    except ValueError as err:
+        raise ConfigError(f"{flag} expects comma-separated {cast.__name__} values, "
+                          f"got {raw!r}") from err
+
+
 def _minor_faults() -> int | None:
     """The process's minor page faults so far; None where ``resource`` is missing."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
@@ -183,7 +192,7 @@ def cmd_check(args) -> int:
     except FileNotFoundError as err:
         print(json.dumps({"ok": False, "error": f"missing file: {err}"}))
         return EXIT_PARSE
-    except (ConfigError, ValidationError) as err:
+    except (ConfigError, ValidationError, OSError) as err:
         print(json.dumps({"ok": False, "error": str(err)}))
         return EXIT_PARSE
     try:
@@ -282,13 +291,14 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.seed < SEED_LIMIT:
         raise ConfigError(f"--seed must be in [0, 2**128), the Philox key range, got {args.seed}")
     game, grid = run.read_config()
-    sol_path = Path(args.solution)
-    npz_path = sol_path.parent / SOLUTION_NPZ
+    run_dir = Path(args.solution)  # a run directory, or a file in one
+    if not run_dir.is_dir():
+        run_dir = run_dir.parent
+    npz_path, manifest_path = run_dir / SOLUTION_NPZ, run_dir / "manifest.json"
     if not npz_path.is_file():
         raise FileNotFoundError(f"{npz_path} (written by illiq solve)")
-    manifest_path = sol_path.parent / "manifest.json"
     if not manifest_path.is_file():
-        raise HashMismatch(f"no manifest next to {sol_path}; cannot verify provenance")
+        raise HashMismatch(f"no manifest next to {npz_path}; cannot verify provenance")
     try:
         recorded = json.loads(manifest_path.read_text())
     except ValueError as err:  # not JSON, or not UTF-8
@@ -342,14 +352,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _csv_list(raw: str, cast, flag: str):
-    try:
-        return tuple(cast(v) for v in raw.split(","))
-    except ValueError as err:
-        raise ConfigError(f"{flag} expects comma-separated {cast.__name__} values, "
-                          f"got {raw!r}") from err
-
-
 def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
     """Write one study's files and return the names of those written:
     ``<prefix>.csv`` for the metrics, ``<prefix>_grids.csv`` for the 1-D grids
@@ -375,8 +377,8 @@ def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
 def cmd_sweep(args) -> int:
     run = _Run(args)
     game, grid = run.read_config()
-    ns = _csv_list(args.N, int, "--N") if args.N else None
-    spreads = _csv_list(args.s, float, "--s") if args.s else None
+    ns = _csv_list(args.N, int, "--N") if args.N is not None else None
+    spreads = _csv_list(args.s, float, "--s") if args.s is not None else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with run.timed("study"):
@@ -456,7 +458,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: missing file: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, ValidationError) as err:
+    except (ConfigError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except CertificationError as err:

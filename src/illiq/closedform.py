@@ -16,11 +16,14 @@ Pointwise, ``heat_convolve`` and ``burgers_value`` take the expectations by
 a Gauss-Hermite rule; they are the reference for the lattice routes.  On a
 lattice the heat semigroup is one operator, the cosine-transform multiplier
 K(v) f = idct(exp(-v w^2 / 2) dct(f)) on an axis padded by ``PAD_SIGMAS``
-standard deviations past both ends.  It composes exactly, K(a) K(b) = K(a + b),
-on the cosine coefficients, so the trapezoid Duhamel sum is a one-step
-recursion on them, with one transform pair per block of ``HEAT_BLOCK``
-layers.  Lattice layers are continued linearly into the padding; a payoff
-is sampled on an axis ``REFINE`` times finer and cropped back.
+standard deviations past both ends.  One function, ``_heat``, applies it:
+``heat_convolve_grid`` continues lattice layers linearly into the padding,
+``heat_convolve_payoff`` and the Cole-Hopf lattices sample a payoff on an
+axis ``REFINE`` times finer, and ``_heat`` transforms those rows once, flows
+them ``HEAT_BLOCK`` variances at a time and crops them back.  K composes
+exactly, K(a) K(b) = K(a + b), on the cosine coefficients, so the trapezoid
+Duhamel sum is a one-step recursion on them, with one transform pair per
+block of ``HEAT_BLOCK`` layers.
 ``closed_form_values`` picks the closed form that covers a game and builds
 its lattice.  The cosine transforms ``dct`` and ``idct`` are each one real
 FFT of numpy's after Makhoul's even/odd reordering, so neither importing this
@@ -244,30 +247,33 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _split(ext: np.ndarray):
-    """Each row of ``ext`` as K flows it: the DCT-II (ortho norm) coefficients
-    of the row less its ``_ramp``, the ramp, and the ramp's curvature a."""
-    ramp, _, a = _ramp(ext)
-    return dct(ext - ramp), ramp, a
-
-
-def _flow(coef: np.ndarray, ramp: np.ndarray, a: np.ndarray, step: float, variance) -> np.ndarray:
-    """K(variance) of the rows ``_split`` split, whose spacing is ``step``:
-    exp(-v w_k^2 / 2) times their coefficients, plus their ramps' exact heat
-    flow.  ``variance`` is an array that broadcasts against the row: a
-    column, one per row, or a stack of them on new leading axes, which the
-    result takes on.  The multipliers are built in the shape of the product
-    and take it, ``idct`` transforms it in place, and the result is updated
-    in place, in the order of operations of the plain expression and so to
-    the same bits; ``coef`` is left as it is."""
-    shape = np.broadcast_shapes(np.shape(variance), coef.shape)
-    mult = np.multiply(-0.5 * variance, _rates(coef.shape[-1], step), out=np.empty(shape))
-    np.exp(mult, out=mult)
-    mult *= coef
-    smooth = idct(mult)
-    smooth += ramp
-    smooth += a * (variance / step**2)
-    return smooth
+def _heat(rows: np.ndarray, step: float, crop, variances: np.ndarray, exact: np.ndarray):
+    """K(v) of ``rows`` on a padded axis spaced ``step``, cropped by ``crop``
+    to a grid, for each v of the array ``variances``, in the shape
+    ``variances.shape + exact.shape``; a zero variance gives ``exact``, the
+    rows on the grid.  The rows less their ``_ramp`` are transformed once, and
+    ``HEAT_BLOCK`` variances at a time flow through one reused buffer:
+    exp(-v w_k^2 / 2) times the coefficients, ``idct`` in place, plus the
+    ramp's exact flow ramp + a v / step^2.  No positive variance, no transform."""
+    if not np.any(variances > 0.0):
+        return np.broadcast_to(exact, variances.shape + exact.shape).copy()
+    ramp, _, a = _ramp(rows)
+    coef = dct(rows - ramp)
+    rates = _rates(rows.shape[-1], step)
+    flat = variances.reshape((-1,) + (1,) * rows.ndim)
+    out = np.empty(flat.shape[:1] + exact.shape)
+    buffer = np.empty((min(HEAT_BLOCK, len(flat)),) + coef.shape)
+    for i in range(0, len(flat), HEAT_BLOCK):
+        v = flat[i:i + HEAT_BLOCK]
+        mult = np.multiply(-0.5 * v, rates, out=buffer[:len(v)])
+        np.exp(mult, out=mult)
+        mult *= coef
+        idct(mult)
+        mult += ramp
+        mult += a * (v / step**2)
+        out[i:i + len(v)] = mult[..., crop]
+    out[flat.ravel() == 0.0] = exact
+    return out.reshape(variances.shape + exact.shape)
 
 
 def _padding(n: int, step: float, variance: float):
@@ -292,24 +298,17 @@ def _extend(values: np.ndarray, step: float, variance: float):
 def heat_convolve_grid(values, p_grid, variance):
     """Heat smoothing K(variance) of gridded functions on their own uniform
     grid, along the last axis of ``values``, continued linearly beyond the
-    grid (matching the zero-second-derivative boundary of the solvers).  A
-    1-D array of variances stacks one result per variance on a new first
-    axis, all from one transform pair on the axis padded for the largest; a
+    grid (matching the zero-second-derivative boundary of the solvers).  An
+    array of variances stacks one result per variance on new leading axes,
+    all from one forward transform on the axis padded for the largest; a
     zero variance gives an exact copy."""
     values = np.asarray(values, dtype=float)
-    p_grid = np.asarray(p_grid, dtype=float)
     variances = np.asarray(variance, dtype=float)
     if np.any(variances < 0):
         raise ValueError("variance must be >= 0")
-    top = float(np.max(variances, initial=0.0))
-    if top == 0.0:
-        return np.broadcast_to(values, variances.shape + values.shape).copy()
-    step = _spacing(p_grid)
-    ext, pad = _extend(values, step, top)
-    out = _flow(*_split(ext), step, variances.reshape(variances.shape + (1,) * values.ndim))
-    out = out[..., pad:pad + p_grid.size]
-    out[variances == 0.0] = values
-    return out
+    step = _spacing(np.asarray(p_grid, dtype=float))
+    ext, pad = _extend(values, step, float(np.max(variances, initial=0.0)))
+    return _heat(ext, step, slice(pad, pad + values.shape[-1]), variances, values)
 
 
 def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
@@ -321,8 +320,8 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
         D[m] = Y_m + sum_{k<m} c_k K((m - k) v) Y_k,    c_0 = 1, c_k = 2.
 
     Each Y_k is continued onto the axis padded for the longest lag and split
-    as ``_split`` splits a row: its ``_ramp`` R_k (coefficients s_k, a_k) and
-    the DCT coefficients Z_k of the rest.  K composes exactly on the
+    as ``_heat`` splits its rows: its ``_ramp`` R_k (coefficients s_k, a_k)
+    and the DCT coefficients Z_k of the rest.  K composes exactly on the
     coefficients, so the smooth part of the sum is idct(C_m), with
     C_m = E (C_{m-1} + c_{m-1} Z_{m-1}) and E = exp(-v w^2 / 2).  Each ramp
     flows exactly, R_k + a_k (m - k) v / dp^2, and the weighted ramps sum to
@@ -386,24 +385,16 @@ def _refined_axis(p_grid: np.ndarray, variance: float):
 def heat_convolve_payoff(f, p_grid, variances) -> np.ndarray:
     """E[f(p + sqrt(v) Z)] at the nodes p of the uniform grid ``p_grid``, one
     row per variance v: K(v) applied to the globally defined f (a Payoff or a
-    callable) sampled on the refined padded axis, then cropped.  The samples
-    are transformed once, and rows flow ``HEAT_BLOCK`` at a time, one inverse
-    each, so memory stays within a few rows of the refined axis."""
+    callable) sampled on the refined padded axis, then cropped, so memory
+    stays within a block of rows of the refined axis."""
     fn = _terminal_fn(f)
     p_grid = np.asarray(p_grid, dtype=float)
     variances = np.atleast_1d(np.asarray(variances, dtype=float))
     if np.any(variances < 0):
         raise ValueError("variance must be >= 0")
-    if not variances.size:
-        return np.empty((0, p_grid.size))
-    axis, step, crop = _refined_axis(p_grid, float(np.max(variances)))
-    split = _split(np.asarray(fn(axis), dtype=float))
-    out = np.empty((variances.size, p_grid.size))
-    for i in range(0, variances.size, HEAT_BLOCK):
-        block = variances[i:i + HEAT_BLOCK, None]
-        out[i:i + HEAT_BLOCK] = _flow(*split, step, block)[:, crop]
-    out[variances == 0.0] = fn(p_grid)
-    return out
+    axis, step, crop = _refined_axis(p_grid, float(np.max(variances, initial=0.0)))
+    return _heat(np.asarray(fn(axis), dtype=float), step, crop, variances,
+                 np.asarray(fn(p_grid), dtype=float))
 
 
 def _log_mean_exp(x, w):
@@ -446,24 +437,24 @@ def _cole_hopf_layers(prob: BurgersProblem, grid: GridSpec, times) -> np.ndarray
     """``prob``'s value at the calendar ``times`` on the grid's prices:
     (A/B) (m + log1p(K(A (T - t)) expm1(x - m))) with the exponent
     x = (B/A) G sampled on the refined padded axis and m its largest value.
-    Past an exponent spread of ``SPREAD_LIMIT`` that form loses too much to
-    round-off, and the grid's Gauss-Hermite rule takes one layer at a time."""
+    The payoff is sampled once there and once on the grid.  Past an exponent
+    spread of ``SPREAD_LIMIT`` that form loses too much to round-off, and the
+    grid's Gauss-Hermite rule takes one layer at a time."""
     a, b, fn = prob.diff_coef, prob.quad_coef, _terminal_fn(prob.terminal)
     variances = a * np.maximum(prob.maturity - np.asarray(times, dtype=float), 0.0)
+    axis, step, crop = _refined_axis(grid.prices, float(np.max(variances)))
+    payoff, exact = (np.asarray(fn(q), dtype=float) for q in (axis, grid.prices))
     if b == 0.0:
-        return heat_convolve_payoff(fn, grid.prices, variances)
-    axis = _refined_axis(grid.prices, float(np.max(variances)))[0]
-    x = (b / a) * np.asarray(fn(axis), dtype=float)
+        return _heat(payoff, step, crop, variances, exact)
+    x = (b / a) * payoff
     top = float(np.max(x))
     if top - float(np.min(x)) > SPREAD_LIMIT:
         rule = QuadratureRule.gauss_hermite(grid.quad_nodes)
         return np.stack([burgers_value(prob, float(t), grid.prices, rule) for t in times])
-
-    def shifted(q):
-        return np.expm1((b / a) * np.asarray(fn(q), dtype=float) - top)
-
-    out = (a / b) * (top + np.log1p(heat_convolve_payoff(shifted, grid.prices, variances)))
-    out[variances == 0.0] = fn(grid.prices)
+    # zero variances take the shifted payoff, which log1p reads, then the payoff
+    heat = _heat(np.expm1(x - top), step, crop, variances, np.expm1((b / a) * exact - top))
+    out = (a / b) * (top + np.log1p(heat))
+    out[variances == 0.0] = exact
     return out
 
 
@@ -504,10 +495,12 @@ def cara_single_value(game: GameSpec, t: float, p, rule: QuadratureRule):
     return burgers_value(_cole_hopf_problem(game, "cara_single_value", False), t, p, rule)
 
 
-def rn_aggregate_grid(game: GameSpec, grid: GridSpec) -> np.ndarray:
-    """Aggregate closed-form value on the full (n_t, n_p) lattice."""
+def rn_aggregate_grid(game: GameSpec, grid: GridSpec, times=None) -> np.ndarray:
+    """Aggregate closed-form value on the grid's prices at the calendar
+    ``times``, one row each (by default the grid's, the full lattice)."""
     prob = _cole_hopf_problem(game, "rn_aggregate_grid")
-    return _cole_hopf_layers(prob, grid, grid.times(game.market.maturity))
+    times = grid.times(game.market.maturity) if times is None else times
+    return _cole_hopf_layers(prob, grid, times)
 
 
 def central_gradient(values: np.ndarray, dp: float, out=None) -> np.ndarray:

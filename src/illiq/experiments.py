@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import _cole_hopf_layers, _cole_hopf_problem, central_gradient
+from .closedform import central_gradient, rn_aggregate_grid
 from .manifest import digest
 from .model import (
     CARA,
@@ -172,7 +172,7 @@ def _player_count_sweep(what: str, make_game, h: Payoff, ns, template: GameSpec,
         if n < 1:
             raise ValidationError(f"a sweep over player counts needs N >= 1, got N = {n}")
         game = make_game(h, n, template)
-        v0 = _cole_hopf_layers(_cole_hopf_problem(game, "a sweep over N"), grid, [0.0])[0]
+        v0 = rn_aggregate_grid(game, grid, [0.0])[0]
         v_p = central_gradient(v0, grid.dp)
         eps = certify_for_game(game)[0].eps_floor
         row = aggregate_speed_many(game.cost, n, game.market.lam * v_p, eps)

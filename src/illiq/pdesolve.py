@@ -167,6 +167,7 @@ def _time_weight(times: np.ndarray, t) -> tuple:
 
 
 def _time_blend(layers: np.ndarray, k: int, w: float) -> np.ndarray:
+    """The blend in time of ``value_at`` and of each Monte-Carlo step."""
     return (1.0 - w) * layers[k] + w * layers[k + 1]
 
 

@@ -19,10 +19,11 @@ finite; the first that is not is named (player, time layer, price), since
 one NaN speed would otherwise send paths off the grid and read as too small
 a domain.  Every step's time layer and weight are found once, before the
 first step.  All paths are stepped together and carry only their current
-state.  Each step blends the speed rows in time, finds every path's price
-cell once and reads all N players' speeds from it in one gather into
-buffers the lookup owns.  It then updates the inventories, costs and prices
-in place, the prices in the operation order of
+state.  Each step blends the speed rows in time (``pdesolve._time_blend``,
+as ``Solution.value_at`` does), finds every path's price cell once and
+reads all N players' speeds from it in one gather into buffers the lookup
+owns.  It then updates the inventories, costs and prices in place, the
+prices in the operation order of
 p + (lambda sum_j Xdot^j) dt + (sigma sqrt(dt)) dB with the step's noise
 drawn for every path into one buffer and scaled by sigma sqrt(dt), so each
 is bitwise that expression's value.  The price axis must be uniform (to
@@ -45,7 +46,7 @@ import numpy as np
 
 from .manifest import write_csv
 from .model import GameSpec
-from .pdesolve import Solution, _time_weight
+from .pdesolve import Solution, _time_blend, _time_weight
 
 __all__ = [
     "SimulationError",
@@ -150,7 +151,7 @@ def simulate_paths(
         else:
             p_look = np.clip(p, p_lo, p_hi)
             clamped += int(np.count_nonzero(p_look != p))
-        speeds_at(p_look, speeds_at.blend(speeds_by_time, layer[k], weight[k]), out=spd)
+        speeds_at(p_look, _time_blend(speeds_by_time, layer[k], weight[k]), out=spd)
         spd.sum(axis=0, out=agg)
         np.multiply(spd, dt, out=work)
         x += work
@@ -224,9 +225,9 @@ class _SharedInterp:
     node lies more than a quarter cell from its uniform position, which is
     checked here.  The speed is ``np.interp``'s own slope * (p - node) +
     value, with a zero slope past the last node so that the last node
-    returns its value exactly.  The lookup owns its (n_rows, n_p) blend and
-    slope buffers, which ``blend`` and each call overwrite, and its
-    (n_rows, width) scratch.
+    returns its value exactly.  The lookup owns its (n_rows, n_p) slope
+    buffer, which each call overwrites, and its (n_rows, width) scratch; the
+    rows come blended in time from ``pdesolve._time_blend``.
     """
 
     def __init__(self, prices: np.ndarray, n_rows: int, width: int):
@@ -246,20 +247,11 @@ class _SharedInterp:
         self.scale = (n_p - 1) / (p_hi - p_lo)
         self.next_nodes = np.append(prices[1:], np.inf)
         self.spacing = np.diff(prices)
-        self.blended = np.empty((n_rows, n_p))
-        self.upper = np.empty((n_rows, n_p))
         self.slopes = np.zeros((n_rows, n_p))
         self.cell = np.empty(width, dtype=np.intp)
         self.node = np.empty(width)
         self.below = np.empty(width, dtype=bool)
         self.values = np.empty((n_rows, width))
-
-    def blend(self, layers: np.ndarray, k: int, w: float) -> np.ndarray:
-        """(1 - w) layers[k] + w layers[k + 1], bitwise ``_time_blend``."""
-        np.multiply(layers[k], 1.0 - w, out=self.blended)
-        np.multiply(layers[k + 1], w, out=self.upper)
-        self.blended += self.upper
-        return self.blended
 
     def __call__(self, p: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
         prices, slopes, cell, node, below = self.prices, self.slopes, self.cell, self.node, self.below

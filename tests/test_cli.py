@@ -56,6 +56,33 @@ def test_check_missing_file(tmp_path):
     assert main(["check", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_config_that_is_a_directory_exits_1(tmp_path, capsys, command):
+    # a file-system error is one line and exit 1, not a traceback: check
+    # reports it in its JSON on stdout, the other commands on stderr
+    argv = [command, "--config", str(tmp_path)] + (
+        ["--out", str(tmp_path / "x")] if command == "solve" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    if command == "check":
+        report = json.loads(captured.out)
+        assert report["ok"] is False and "Is a directory" in report["error"]
+    else:
+        assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_solve_out_that_is_a_file_exits_1(config_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--grid", "41,41"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
+    assert err.count("\n") == 1
+    assert out.read_text() == "not a directory"
+
+
 def test_check_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")
@@ -418,6 +445,25 @@ def test_simulate_unreadable_manifest_exit_5(config_path, tmp_path, capsys, edit
     assert "manifest" in err
 
 
+def test_simulate_solution_names_its_run(config_path, tmp_path, monkeypatch):
+    # --solution names a run: a directory is the run itself and a file names
+    # the directory that holds it; another run's files in the working
+    # directory never stand in for it
+    monkeypatch.chdir(tmp_path)
+
+    def simulate(solution, out):
+        assert main(["simulate", "--config", str(config_path), "--solution", solution,
+                     "--paths", "50", "--seed", "1", "--out", out]) == 0
+        return (tmp_path / out / "paths.csv").read_bytes()
+
+    assert main(["solve", "--config", str(config_path), "--out", "run", "--grid", "41,41"]) == 0
+    by_file = simulate("run/solution.csv", "by_file")
+    assert simulate("run", "by_dir") == by_file
+    assert main(["solve", "--config", str(config_path), "--out", ".", "--grid", "61,41"]) == 0
+    assert simulate("run", "by_dir_again") == by_file
+    assert simulate("solution.csv", "other") != by_file
+
+
 def test_simulate_without_npz_exit_1(config_path, tmp_path, capsys):
     out, simulate = _solve_and_simulate(config_path, tmp_path)
     (out / "solution.npz").unlink()
@@ -645,6 +691,11 @@ CARA_OTHER = {**BASE, "players": [
     (BASE, ["--study", "figure:fig9"], 1, "unknown figure id 'fig9'"),
     (BASE, ["--study", "predator", "--N", "a"], 1, "--N expects"),
     (BASE, ["--study", "spread", "--s", "0,x"], 1, "--s expects"),
+    # an empty list is a list with one empty entry, not a flag left out
+    (BASE, ["--study", "split", "--N", ""], 1, "--N expects"),
+    (BASE, ["--study", "spread", "--s", ""], 1, "--s expects"),
+    (BASE, ["--study", "zero_sum", "--N", ""], 1, "--N expects"),
+    (BASE, ["--study", "zero_sum", "--grid", "81,60,3"], 1, "--grid expects 'np,nt'"),
     (BASE, ["--study", "predator", "--N", "0,1"], 1, "N >= 1"),
     (BASE, ["--study", "split", "--N", "0,1"], 1, "N >= 1"),
     (BASE, ["--study", "spread", "--s", "0.001,0.0010000001"], 1,
@@ -670,6 +721,7 @@ CARA_OTHER = {**BASE, "players": [
      "split study requires a single player, got 2"),
 ], ids=["study_game_mismatch", "cara2_no_cara_pair", "cara2_third_player",
         "cara2_other_payoff", "unknown_figure", "N_not_int", "s_not_float",
+        "split_N_empty", "spread_s_empty", "zero_sum_N_empty", "grid_three_entries",
         "predator_N0", "split_N0", "s_shared_column", "N_repeated", "s_nan", "s_inf",
         "spread_N", "predator_s", "figure_N", "predator_cara", "split_cara",
         "predator_pair", "split_pair"])

@@ -440,6 +440,30 @@ def test_rn_aggregate_requires_rn_linear(market, call):
         rn_aggregate_value(cara, 0.0, 100.0, QuadratureRule.gauss_hermite(16))
 
 
+def test_aggregate_grid_samples_the_payoff_once_per_axis(call_game, monkeypatch):
+    # the Cole-Hopf lattice samples its payoff once on the refined padded axis
+    # (768 nodes at 81 prices) and once on the grid
+    sizes = []
+    value = SmoothedCall.value
+
+    def counted(self, p):
+        sizes.append(np.size(p))
+        return value(self, p)
+
+    monkeypatch.setattr(SmoothedCall, "value", counted)
+    rn_aggregate_grid(call_game, GridSpec(94.0, 106.0, 81, 40))
+    assert sorted(sizes) == [81, 768]
+
+
+def test_aggregate_grid_at_given_times_is_its_layers(call_game):
+    grid = GridSpec(94.0, 106.0, 81, 40)
+    full = rn_aggregate_grid(call_game, grid)
+    assert np.array_equal(rn_aggregate_grid(call_game, grid, [0.0]), full[:1])
+    # the axis is padded for the largest variance, so t = 0 keeps it the same
+    times = grid.times(1.0)[[0, 17, 39]]
+    assert np.array_equal(rn_aggregate_grid(call_game, grid, times), full[[0, 17, 39]])
+
+
 def _small_grid():
     return GridSpec(94.0, 106.0, n_p=201, n_t=41, quad_nodes=128)
 
@@ -493,6 +517,18 @@ def test_cara_small_alpha_matches_risk_neutral(market, linear_cost, call, rule, 
     cara_v = cara_single_value(game, 0.0, ps, rule)
     rn_v = rn_aggregate_value(call_game, 0.0, ps, rule)
     assert np.max(np.abs(cara_v - rn_v)) <= 1e-6
+
+
+def test_cara_zero_quad_coef_lattice_is_the_payoff_heat(call):
+    # lambda^2 / (2 kappa) = sigma^2 alpha makes B exactly 0: the Cole-Hopf
+    # lattice is then the heat of the payoff, bit for bit
+    market = MarketParams(sigma=1.0, lam=0.5, maturity=1.0, p0=100.0)
+    game = GameSpec(market, LinearCost(0.125), (PlayerSpec(CARA(1.0), call),))
+    assert market.lam**2 / (2 * 0.125) - market.sigma**2 * 1.0 == 0.0
+    grid = GridSpec(94.0, 106.0, 81, 20)
+    variances = market.sigma**2 * np.maximum(market.maturity - grid.times(1.0), 0.0)
+    assert np.array_equal(closed_form_values(game, grid)[0],
+                          heat_convolve_payoff(call, grid.prices, variances))
 
 
 def test_cara_critical_alpha_is_heat(market, linear_cost, call, rule):

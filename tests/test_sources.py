@@ -108,6 +108,32 @@ def test_one_spectral_heat_operator():
             if f.split(".")[0] in ("pdesolve", "experiments")] == []
 
 
+def _defining(*names) -> list:
+    """Functions and methods named one of ``names``."""
+    return _owners(lambda node: isinstance(node, ast.FunctionDef) and node.name in names)
+
+
+def test_one_heat_flow():
+    # one function flows rows under the lattice heat operator: the grid and
+    # payoff routes and the Cole-Hopf lattices only sample the rows it flows
+    assert _defining("_split", "_flow") == []
+    assert set(_callers("_heat")) == {"closedform._cole_hopf_layers",
+                                      "closedform.heat_convolve_grid",
+                                      "closedform.heat_convolve_payoff"}
+
+
+def test_one_time_blend():
+    # the paths blend their speed rows in time as value_at blends values
+    assert _defining("blend") == []
+    assert sorted(_callers("_time_blend")) == ["pdesolve.value_at", "simulate.simulate_paths"]
+
+
+def test_experiments_imports_only_public_names():
+    modules = {name for name, _, _ in _modules()}
+    assert [(module, n) for module in modules for n in _imports(module).get("experiments", ())
+            if n.startswith("_")] == []
+
+
 def test_one_function_stamps_sweep_results():
     # every study's result carries the digests of its game and grid, and only
     # experiments._result builds one
