@@ -6,17 +6,23 @@ Subcommands
                plus the solution in binary (solution.npz)
     simulate   Monte-Carlo paths under a previously solved strategy field,
                loaded from the solution.npz of the run --solution names:
-               that directory, or the one holding the file it names
+               that directory, or the one holding the file it names (a
+               --solution that is neither is a missing file)
     sweep      run one of the scripted studies and assert its claims; the
                study, its inputs and the games it fits are ``run_study``'s
 
-Exit codes: 0 ok, 1 parse/missing input (also a usage error, an empty list
-flag, a file-system error such as an --out that is a file, and a solve
-grid under 5 x 5), 2 certification failure, 3 method/game or study/game
-mismatch, 4 solver error (including a solve whose speeds exceed the
-a-priori bound; its outputs are still written), 5 solution/config hash
-mismatch (or a solution.npz whose SHA-256 differs from its manifest's, or
-a manifest simulate cannot read), 6 sweep assertion failure.
+Exit codes: 0 ok; 4 also for a solve whose speeds exceed the a-priori bound
+(its outputs are still written); 6 a sweep assertion failure.  Every other
+failure takes its code and the lead of its one-line message from
+``_FAILURES``: 1 parse/missing input (also a usage error, an empty list
+flag, a file-system error such as an --out that is a file, and a solve grid
+under 5 x 5), 2 certification failure, 3 method/game or study/game
+mismatch, 4 solver error, 5 solution/config hash mismatch (or a
+solution.npz whose SHA-256 differs from its manifest's, or a manifest
+simulate cannot read).  ``check`` prints the message as the "error" of its
+{"ok": false} JSON report on stdout, the other commands on stderr.  A
+command makes its --out directory on its first write, so a refused command
+leaves none.
 
 Each command's manifest.json is the plain dict its ``_Run`` builds: as
 ``command`` the subcommand with every option that shapes its outputs (all
@@ -38,8 +44,10 @@ grids, ``write_sweep_csv`` for a study's metrics table.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -104,6 +112,20 @@ class HashMismatch(RuntimeError):
     pass
 
 
+# every failure a command reports, matched in order: its exit code, the lead
+# of its stderr line and the lead of the message itself, which is all check
+# prints as the "error" of its {"ok": false} report
+_FAILURES = (
+    (FileNotFoundError, EXIT_PARSE, "error", "missing file: "),
+    ((ConfigError, ValidationError, OSError), EXIT_PARSE, "error", ""),
+    (CertificationError, EXIT_CERTIFICATION, "certification failure", ""),
+    (ClosedFormError, EXIT_METHOD, "method/game mismatch", ""),
+    (ExperimentError, EXIT_METHOD, "study/game mismatch", ""),
+    (HashMismatch, EXIT_HASH, "hash mismatch", ""),
+    ((SolverError, SpeedSolverError, SimulationError), EXIT_SOLVER, "solver error", ""),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2), which collides with cert failures
         raise ConfigError(message)
@@ -112,11 +134,18 @@ class _Parser(argparse.ArgumentParser):
 class _Run:
     """One command's record, made on its first line: the seconds of each stage
     (``timed``) and what else it measured (``meta``), as plain numbers.
-    ``finish`` hashes the files the command wrote and writes the record as
-    ``manifest.json``."""
+    ``path`` names each file the command writes in ``--out``, and ``finish``
+    hashes them and writes the record as ``manifest.json``."""
 
     def __init__(self, args):
         self.args, self.start = args, time.time()
+        self.out = Path(args.out) if vars(args).get("out") is not None else None
+        if self.out is not None:
+            # the error making --out would raise, raised before the command's work
+            taken = next(p for p in (self.out, *self.out.parents) if p.exists())
+            if not taken.is_dir():
+                code = errno.EEXIST if taken == self.out else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(self.out))
         self.hashes: dict = {}
         self.timings_s: dict = {}
         self.page_faults: dict = {}
@@ -137,6 +166,12 @@ class _Run:
             raise ConfigError(f"--grid expects 'np,nt', got {flag!r}")
         return game, replace(grid, n_p=size[0], n_t=size[1])
 
+    def path(self, name: str) -> Path:
+        """``name`` in ``--out``, which is made here, on the command's first
+        write, so a refused command leaves no directory behind."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
+
     @contextmanager
     def timed(self, stage: str):
         """Record the seconds the block takes as the stage ``stage``, and the
@@ -148,16 +183,16 @@ class _Run:
         if faults is not None:
             self.page_faults[stage] = _minor_faults() - faults
 
-    def finish(self, out: Path, outputs) -> Path:
-        """``out/manifest.json`` for the files ``outputs`` in ``out``, each with
-        its SHA-256; hashing is timed as the stage ``sha256``."""
+    def finish(self, outputs) -> Path:
+        """``manifest.json`` in ``--out`` for the files ``outputs`` there, each
+        with its SHA-256; hashing is timed as the stage ``sha256``."""
         with self.timed("sha256"):
-            sha = {name: file_sha256(out / name) for name in outputs}
+            sha = {name: file_sha256(self.out / name) for name in outputs}
         # the subcommand and each option it was given or defaulted, as typed,
         # but for the paths, which say where files are rather than what they hold
         options = [f"--{dest} {value}" for dest, value in vars(self.args).items()
                    if dest not in ("command", "config", "solution", "out") and value is not None]
-        path = out / "manifest.json"
+        path = self.path("manifest.json")
         write_manifest({"command": " ".join([self.args.command, *options]), **self.hashes,
                         "seed": vars(self.args).get("seed"), "tool_version": __version__,
                         "wall_time_s": time.time() - self.start, "outputs": list(sha),
@@ -187,19 +222,8 @@ def _minor_faults() -> int | None:
 
 def cmd_check(args) -> int:
     run = _Run(args)
-    try:
-        game, _ = run.read_config()
-    except FileNotFoundError as err:
-        print(json.dumps({"ok": False, "error": f"missing file: {err}"}))
-        return EXIT_PARSE
-    except (ConfigError, ValidationError, OSError) as err:
-        print(json.dumps({"ok": False, "error": str(err)}))
-        return EXIT_PARSE
-    try:
-        cert, bound = certify_for_game(game)
-    except CertificationError as err:
-        print(json.dumps({"ok": False, "error": str(err)}))
-        return EXIT_CERTIFICATION
+    game, _ = run.read_config()
+    cert, bound = certify_for_game(game)
     report = {
         "ok": True,
         **run.hashes,
@@ -240,8 +264,6 @@ def cmd_solve(args) -> int:
     if grid.n_p < 5 or grid.n_t < 5:  # the residual's central differences need them
         raise ConfigError(f"solve needs at least a 5 x 5 grid, "
                           f"got {grid.n_p} x {grid.n_t} (np x nt)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     solve = {"fd": solve_fd, "picard": solve_picard, "closed": solve_closed}[args.method]
     with run.timed("solve"):
@@ -255,7 +277,7 @@ def cmd_solve(args) -> int:
     max_speed = float(np.max(layer_max))
     bound_ok = max_speed <= bound + 1e-6
 
-    sol_path, npz_path, surp_path = out / "solution.csv", out / SOLUTION_NPZ, out / "surplus.csv"
+    sol_path, npz_path, surp_path = map(run.path, ("solution.csv", SOLUTION_NPZ, "surplus.csv"))
     with run.timed(f"write {sol_path.name}"):
         write_solution_csv(sol, sol_path)
     with run.timed(f"write {npz_path.name}"):
@@ -266,7 +288,7 @@ def cmd_solve(args) -> int:
     with run.timed(f"write {surp_path.name}"):
         write_csv(surp_path, (("t", sol.times[idx]), ("p", sol.prices)),
                   {f"surplus_{j+1}": surp[j] for j in range(sol.n_players)})
-    manifest_path = run.finish(out, [sol_path.name, npz_path.name, surp_path.name])
+    manifest_path = run.finish([sol_path.name, npz_path.name, surp_path.name])
     print(f"max interior residual: {rep.overall:.6g}")
     print(f"speed bound check: max |speed| = {max_speed:.6g} vs bound {bound:.6g} "
           f"-> {'PASS' if bound_ok else 'FAIL'}")
@@ -292,6 +314,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--seed must be in [0, 2**128), the Philox key range, got {args.seed}")
     game, grid = run.read_config()
     run_dir = Path(args.solution)  # a run directory, or a file in one
+    if not run_dir.exists():
+        raise FileNotFoundError(args.solution)
     if not run_dir.is_dir():
         run_dir = run_dir.parent
     npz_path, manifest_path = run_dir / SOLUTION_NPZ, run_dir / "manifest.json"
@@ -318,14 +342,12 @@ def cmd_simulate(args) -> int:
     with run.timed("load"):
         sol = read_solution_npz(data, grid)  # views into the bytes hashed
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with run.timed("simulate_paths"):
         bundle = simulate_paths(sol, game, args.paths, args.seed, DEFAULT_SIM_STEPS)
     means, ses = realized_objectives(bundle)
     with run.timed("mc_consistency"):
         z = mc_consistency(bundle, sol)
-    paths_path = out / "paths.csv"
+    paths_path = run.path("paths.csv")
     with run.timed(f"write {paths_path.name}"):
         write_paths_csv(bundle, paths_path)
     summary = {
@@ -338,11 +360,11 @@ def cmd_simulate(args) -> int:
             for j in range(bundle.n_players)
         ],
     }
-    summary_path = out / "summary.json"
+    summary_path = run.path("summary.json")
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")
     run.meta.update(clamped_fraction=bundle.clamped_fraction,
                     path_steps=bundle.n_paths * DEFAULT_SIM_STEPS)
-    run.finish(out, [paths_path.name, summary_path.name])
+    run.finish([paths_path.name, summary_path.name])
     print(json.dumps(summary["players"]))
     return EXIT_OK
 
@@ -352,23 +374,23 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_outputs(result: SweepResult, out: Path, prefix: str) -> list:
+def _sweep_outputs(result: SweepResult, run: _Run, prefix: str) -> list:
     """Write one study's files and return the names of those written:
     ``<prefix>.csv`` for the metrics, ``<prefix>_grids.csv`` for the 1-D grids
     over the price axis (when there are any) and ``<prefix>_<name>.csv`` in long
     ``<param>,p,<name>`` form for each 2-D grid."""
     written = []
     if result.metrics:
-        write_sweep_csv(out / f"{prefix}.csv", result.param, result.values, result.metrics)
+        write_sweep_csv(run.path(f"{prefix}.csv"), result.param, result.values, result.metrics)
         written.append(f"{prefix}.csv")
     prices = result.grids.get("prices")
     one_d = {k: v for k, v in result.grids.items() if np.ndim(v) == 1 and k != "prices"}
     if one_d:
-        write_csv(out / f"{prefix}_grids.csv", (("prices", prices),), one_d)
+        write_csv(run.path(f"{prefix}_grids.csv"), (("prices", prices),), one_d)
         written.append(f"{prefix}_grids.csv")
     for name, arr in result.grids.items():
         if np.ndim(arr) == 2:
-            write_csv(out / f"{prefix}_{name}.csv",
+            write_csv(run.path(f"{prefix}_{name}.csv"),
                       ((result.param, result.values), ("p", prices)), {name: arr})
             written.append(f"{prefix}_{name}.csv")
     return written
@@ -379,8 +401,6 @@ def cmd_sweep(args) -> int:
     game, grid = run.read_config()
     ns = _csv_list(args.N, int, "--N") if args.N is not None else None
     spreads = _csv_list(args.s, float, "--s") if args.s is not None else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with run.timed("study"):
         data = run_study(args.study, game, grid, ns, spreads)
     results = data if isinstance(data, dict) else {"": data}
@@ -389,7 +409,7 @@ def cmd_sweep(args) -> int:
     outputs: list = []
     assertions: dict = {}
     for key, result in results.items():
-        outputs += _sweep_outputs(result, out, f"{prefix}_{key}" if key else prefix)
+        outputs += _sweep_outputs(result, run, f"{prefix}_{key}" if key else prefix)
         assertions.update({f"{key}.{k}" if key else k: ok for k, ok in result.assertions.items()})
         run.meta.update({f"{key}.{k}" if key else k: v for k, v in result.meta.items()})
     report = {"assertions": assertions, "passed": all(assertions.values()),
@@ -398,14 +418,14 @@ def cmd_sweep(args) -> int:
         (result,) = results.values()
         report.update(game_hash=result.game_hash, grid_hash=result.grid_hash)
 
-    report_path = out / "assertions.json"
+    report_path = run.path("assertions.json")
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     outputs.append(report_path.name)
-    run.finish(out, outputs)
+    run.finish(outputs)
     if not report["passed"]:
         print(f"sweep assertions failed: {', '.join(report['failing'])}", file=sys.stderr)
         return EXIT_ASSERTION
-    print(f"sweep '{args.study}' passed; outputs in {out}")
+    print(f"sweep '{args.study}' passed; outputs in {run.out}")
     return EXIT_OK
 
 
@@ -445,37 +465,21 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_sweep(args)
-    except FileNotFoundError as err:
-        print(f"error: missing file: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, ValidationError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except CertificationError as err:
-        print(f"certification failure: {err}", file=sys.stderr)
-        return EXIT_CERTIFICATION
-    except ClosedFormError as err:
-        print(f"method/game mismatch: {err}", file=sys.stderr)
-        return EXIT_METHOD
-    except ExperimentError as err:
-        print(f"study/game mismatch: {err}", file=sys.stderr)
-        return EXIT_METHOD
-    except HashMismatch as err:
-        print(f"hash mismatch: {err}", file=sys.stderr)
-        return EXIT_HASH
-    except (SolverError, SpeedSolverError, SimulationError) as err:
-        print(f"solver error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+        args = build_parser().parse_args(argv)
+        # looked up by name at each call, so a patched cmd_<command> is the one run
+        return globals()[f"cmd_{args.command}"](args)
+    except Exception as err:
+        row = next((row for row in _FAILURES if isinstance(err, row[0])), None)
+        if row is None:  # a fault of the program, not a failure it reports
+            raise
+        _, code, lead, detail = row
+        if args is not None and args.command == "check":
+            print(json.dumps({"ok": False, "error": f"{detail}{err}"}))
+        else:
+            print(f"{lead}: {detail}{err}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

@@ -254,7 +254,10 @@ def _heat(rows: np.ndarray, step: float, crop, variances: np.ndarray, exact: np.
     rows on the grid.  The rows less their ``_ramp`` are transformed once, and
     ``HEAT_BLOCK`` variances at a time flow through one reused buffer:
     exp(-v w_k^2 / 2) times the coefficients, ``idct`` in place, plus the
-    ramp's exact flow ramp + a v / step^2.  No positive variance, no transform."""
+    ramp's exact flow ramp + a v / step^2.  No positive variance, no transform;
+    a negative one raises ValueError."""
+    if np.any(variances < 0):
+        raise ValueError("variance must be >= 0")
     if not np.any(variances > 0.0):
         return np.broadcast_to(exact, variances.shape + exact.shape).copy()
     ramp, _, a = _ramp(rows)
@@ -276,12 +279,13 @@ def _heat(rows: np.ndarray, step: float, crop, variances: np.ndarray, exact: np.
     return out.reshape(variances.shape + exact.shape)
 
 
-def _padding(n: int, step: float, variance: float):
-    """The cells put in front of an axis of ``n`` nodes spaced ``step`` that
-    is padded by at least ``PAD_SIGMAS`` sqrt(variance) past both ends, and
-    the padded length, one the transforms take fast."""
-    pad = math.ceil(PAD_SIGMAS * math.sqrt(variance) / step)
-    return pad, _next_fast_len(n + 2 * pad)
+def _padding(n: int, step: float, variance: float, refine: int = 1):
+    """The nodes put in front of an axis of ``n`` nodes spaced ``step``,
+    refined ``refine`` times, that is padded by at least ``PAD_SIGMAS``
+    sqrt(variance) past both ends, in whole cells of ``step``; and the padded
+    length, one the transforms take fast."""
+    pad = refine * math.ceil(PAD_SIGMAS * math.sqrt(variance) / step)
+    return pad, _next_fast_len(refine * (n - 1) + 1 + 2 * pad)
 
 
 def _extend(values: np.ndarray, step: float, variance: float):
@@ -304,8 +308,6 @@ def heat_convolve_grid(values, p_grid, variance):
     zero variance gives an exact copy."""
     values = np.asarray(values, dtype=float)
     variances = np.asarray(variance, dtype=float)
-    if np.any(variances < 0):
-        raise ValueError("variance must be >= 0")
     step = _spacing(np.asarray(p_grid, dtype=float))
     ext, pad = _extend(values, step, float(np.max(variances, initial=0.0)))
     return _heat(ext, step, slice(pad, pad + values.shape[-1]), variances, values)
@@ -371,15 +373,14 @@ def duhamel_trapezoid(src, step, diff_coef: float, p_grid):
 
 
 def _refined_axis(p_grid: np.ndarray, variance: float):
-    """The axis ``REFINE`` times finer than ``p_grid``, padded by at least
-    ``PAD_SIGMAS`` sqrt(variance) past both ends to a length the transforms
-    take fast: its nodes, its spacing and the slice that crops it back to the
+    """The axis ``REFINE`` times finer than ``p_grid``, padded as ``_padding``
+    pads it: its nodes, its spacing and the slice that crops it back to the
     nodes of ``p_grid``."""
     dp = _spacing(p_grid)
-    pad = REFINE * math.ceil(PAD_SIGMAS * math.sqrt(variance) / dp)
-    last = REFINE * (p_grid.size - 1)
-    nodes = np.arange(-pad, _next_fast_len(last + 2 * pad + 1) - pad)
-    return p_grid[0] + dp / REFINE * nodes, dp / REFINE, slice(pad, pad + last + 1, REFINE)
+    pad, length = _padding(p_grid.size, dp, variance, REFINE)
+    nodes = np.arange(-pad, length - pad)
+    return (p_grid[0] + dp / REFINE * nodes, dp / REFINE,
+            slice(pad, pad + REFINE * (p_grid.size - 1) + 1, REFINE))
 
 
 def heat_convolve_payoff(f, p_grid, variances) -> np.ndarray:
@@ -390,8 +391,6 @@ def heat_convolve_payoff(f, p_grid, variances) -> np.ndarray:
     fn = _terminal_fn(f)
     p_grid = np.asarray(p_grid, dtype=float)
     variances = np.atleast_1d(np.asarray(variances, dtype=float))
-    if np.any(variances < 0):
-        raise ValueError("variance must be >= 0")
     axis, step, crop = _refined_axis(p_grid, float(np.max(variances, initial=0.0)))
     return _heat(np.asarray(fn(axis), dtype=float), step, crop, variances,
                  np.asarray(fn(p_grid), dtype=float))
@@ -550,11 +549,11 @@ def rn_individual_values(game: GameSpec, grid: GridSpec) -> np.ndarray:
 
 
 def closed_form_values(game: GameSpec, grid: GridSpec) -> np.ndarray:
-    """Per-player closed-form values (N, n_t, n_p): ``rn_individual_values``
-    for two or more players, else the Cole-Hopf value of the one risk-neutral
-    or exponential-utility player.  Other games raise ClosedFormError."""
+    """Per-player closed-form values (N, n_t, n_p) of a linear-cost game of
+    risk-neutral players or of one exponential-utility player:
+    ``rn_individual_values`` for two or more players, else the Cole-Hopf
+    value of the one player.  Other games raise ClosedFormError."""
+    prob = _cole_hopf_problem(game, "the closed form", game.all_risk_neutral)
     if game.n_players >= 2:
         return rn_individual_values(game, grid)
-    rn = game.all_risk_neutral
-    prob = _cole_hopf_problem(game, "rn_aggregate_grid" if rn else "cara_single_value", rn)
     return _cole_hopf_layers(prob, grid, grid.times(game.market.maturity))[None]

@@ -329,8 +329,9 @@ def figure_grids(which: str, grid: GridSpec | None = None):
         return spread_sweep(game, SPREADS, SHARPNESS, grid)
     if which == "fig5":
         game = _benchmark_game("call", sigma=2.0)
-        sizes = (grid.n_p, grid.n_t, grid.quad_nodes) if grid else (401, 1000, 128)
-        grid = GridSpec.for_market(game.market, *sizes)
+        sizes = (dict(n_p=grid.n_p, n_t=grid.n_t, quad_nodes=grid.quad_nodes) if grid
+                 else dict(n_t=1000))
+        grid = GridSpec.for_market(game.market, **sizes)
         return {
             "plain": cara_two_player_study((0.01, 0.01), game, grid),
             "dashed": cara_two_player_study((0.001, 0.1), game, grid),

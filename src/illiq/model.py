@@ -650,10 +650,12 @@ class GridSpec:
         return (self.p_max - self.p_min) / (self.n_p - 1)
 
     @staticmethod
-    def for_market(market: MarketParams, n_p: int = 401, n_t: int = 2000,
-                   quad_nodes: int = 128) -> "GridSpec":
+    def for_market(market: MarketParams, **sizes) -> "GridSpec":
+        """The grid over p0 +/- ``SPAN_SIGMAS`` sigma sqrt(T), with the sizes
+        (``n_p``, ``n_t``, ``quad_nodes``) given by keyword and the class's
+        defaults for the rest."""
         span = SPAN_SIGMAS * market.scale
-        return GridSpec(market.p0 - span, market.p0 + span, n_p, n_t, quad_nodes)
+        return GridSpec(market.p0 - span, market.p0 + span, **sizes)
 
 
 # ---------------------------------------------------------------------------

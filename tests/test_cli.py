@@ -83,6 +83,17 @@ def test_solve_out_that_is_a_file_exits_1(config_path, tmp_path, capsys):
     assert out.read_text() == "not a directory"
 
 
+def test_solve_out_under_a_file_exits_1_before_solving(config_path, tmp_path, monkeypatch,
+                                                       capsys):
+    # refused as making the directory would refuse it, and before the solve
+    (tmp_path / "taken").write_text("not a directory")
+    monkeypatch.setattr(illiq.cli, "solve_fd", None)  # a solve would fail otherwise
+    out = tmp_path / "taken" / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out),
+                 "--grid", "41,41"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+
 def test_check_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops")
@@ -464,6 +475,20 @@ def test_simulate_solution_names_its_run(config_path, tmp_path, monkeypatch):
     assert simulate("solution.csv", "other") != by_file
 
 
+@pytest.mark.parametrize("solution", ["no_such_run", "no_such_run/solution.csv"])
+def test_simulate_solution_that_names_nothing_exits_1(config_path, tmp_path, monkeypatch, capsys,
+                                                      solution):
+    # a --solution that is neither a directory nor a file is a missing file,
+    # named as given, even where the working directory holds a run of the config
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--config", str(config_path), "--out", ".", "--grid", "41,41"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config_path), "--solution", solution,
+                 "--paths", "50", "--seed", "1", "--out", "sim"]) == 1
+    assert capsys.readouterr().err == f"error: missing file: {solution}\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_without_npz_exit_1(config_path, tmp_path, capsys):
     out, simulate = _solve_and_simulate(config_path, tmp_path)
     (out / "solution.npz").unlink()
@@ -761,3 +786,78 @@ def test_solve_rejects_grid_under_5x5(config_path, tmp_path, capsys, flag):
 def test_bad_grid_flag(config_path, tmp_path):
     assert main(["solve", "--config", str(config_path), "--out", str(tmp_path / "x"),
                  "--grid", "nope"]) == 1
+
+
+# one row per failure a command reports: the error raised, the exit code and
+# the lead of the message, which check prints alone as its JSON "error"
+FAILURES = [
+    (FileNotFoundError("gone.json"), 1, "error: ", "missing file: gone.json"),
+    (illiq.ConfigError("bad key"), 1, "error: ", "bad key"),
+    (illiq.ValidationError("out of range"), 1, "error: ", "out of range"),
+    (IsADirectoryError("a directory"), 1, "error: ", "a directory"),
+    (illiq.CertificationError("slope"), 2, "certification failure: ", "slope"),
+    (illiq.ClosedFormError("no closed form"), 3, "method/game mismatch: ", "no closed form"),
+    (illiq.ExperimentError("no study"), 3, "study/game mismatch: ", "no study"),
+    (illiq.cli.HashMismatch("other run"), 5, "hash mismatch: ", "other run"),
+    (illiq.SolverError("diverged"), 4, "solver error: ", "diverged"),
+    (illiq.SpeedSolverError("no root"), 4, "solver error: ", "no root"),
+    (illiq.SimulationError("off the grid"), 4, "solver error: ", "off the grid"),
+]
+
+
+@pytest.mark.parametrize("error, code, lead, message", FAILURES,
+                         ids=[type(row[0]).__name__ for row in FAILURES])
+def test_every_failure_has_one_code_and_message(config_path, tmp_path, monkeypatch, capsys,
+                                                error, code, lead, message):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(illiq.cli, "solve_fd", fail)
+    monkeypatch.setattr(illiq.cli, "certify_for_game", fail)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out), "--grid", "41,41"]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{lead}{message}\n")
+    assert not out.exists()
+    assert main(["check", "--config", str(config_path)]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"ok": False, "error": message}
+    assert captured.err == ""
+
+
+def test_a_fault_outside_the_failure_table_is_raised(config_path, tmp_path, monkeypatch):
+    # a program fault is no input failure: it keeps its traceback
+    def fail(*args):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(illiq.cli, "solve_fd", fail)
+    with pytest.raises(KeyError, match="fault"):
+        main(["solve", "--config", str(config_path), "--out", str(tmp_path / "run"),
+              "--grid", "41,41"])
+
+
+def _refuse_simulate(monkeypatch):
+    def refuse(*args):
+        raise illiq.SimulationError("5.00% of path-steps left the price grid")
+
+    monkeypatch.setattr(illiq.cli, "simulate_paths", refuse)
+
+
+@pytest.mark.parametrize("doc, argv, code, patch", [
+    ({**BASE, **SPREAD_COST}, ["solve", "--method", "closed", "--grid", "41,41"], 3, None),
+    (RN_PAIR, ["sweep", "--study", "predator", "--grid", "41,41"], 3, None),
+    (BASE, ["sweep", "--study", "bogus"], 1, None),
+    (BASE, ["simulate", "--paths", "50"], 4, _refuse_simulate),
+], ids=["closed_spread_cost", "predator_pair", "unknown_study", "simulate_refused"])
+def test_refused_command_leaves_no_out_directory(tmp_path, monkeypatch, doc, argv, code, patch):
+    # --out is made on a command's first write, so a refused one leaves none
+    path = str(_write(tmp_path, "game.json", doc))
+    if argv[0] == "simulate":
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "sol"),
+                     "--grid", "41,41"]) == 0
+        argv = [*argv, "--solution", str(tmp_path / "sol")]
+    if patch is not None:
+        patch(monkeypatch)
+    out = tmp_path / "x"
+    assert main([*argv, "--config", path, "--out", str(out)]) == code
+    assert not out.exists()

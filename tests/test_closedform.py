@@ -552,6 +552,45 @@ def test_cara_requires_single_player(market, linear_cost, call, rule):
         cara_single_value(game, 0.0, 100.0, rule)
 
 
+@pytest.mark.parametrize("cost, utilities, family", [
+    ("spread", (RiskNeutral(),), "a linear cost function"),
+    ("linear", (CARA(0.1), CARA(0.1)), "a single CARA player"),
+    ("linear", (RiskNeutral(), CARA(0.1)), "a single CARA player"),
+], ids=["spread_cost", "cara_pair", "mixed_pair"])
+def test_closed_form_values_refuses_in_its_own_name(market, call, cost, utilities, family):
+    # the games the closed form covers are decided once, in its own name, not
+    # in that of a closed form the caller never named
+    from illiq import SmoothedSpreadCost
+
+    game = GameSpec(market, LinearCost(0.01) if cost == "linear"
+                    else SmoothedSpreadCost(0.01, 0.001, 100.0),
+                    tuple(PlayerSpec(u, call) for u in utilities))
+    with pytest.raises(ClosedFormError, match=f"^the closed form requires {family}$"):
+        closed_form_values(game, GridSpec(94.0, 106.0, 41, 20))
+
+
+@pytest.mark.parametrize("heat", [
+    lambda v: heat_convolve(np.sin, v, 0.5, QuadratureRule.gauss_hermite(8)),
+    lambda v: heat_convolve_grid(np.zeros((2, 9)), np.linspace(0.0, 1.0, 9), [0.1, v]),
+    lambda v: heat_convolve_payoff(np.sin, np.linspace(0.0, 1.0, 9), [0.1, v]),
+], ids=["pointwise", "grid", "payoff"])
+def test_heat_routes_reject_a_negative_variance(heat):
+    with pytest.raises(ValueError, match="variance must be >= 0"):
+        heat(-1e-3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda call: BurgersProblem(0.0, 1.0, call, 1.0), "diffusion coefficient A must be > 0"),
+    (lambda call: BurgersProblem(-1.0, 1.0, call, 1.0), "diffusion coefficient A must be > 0"),
+    (lambda call: burgers_value(BurgersProblem(1.0, 0.5, call, 1.0), 1.1, 100.0,
+                                QuadratureRule.gauss_hermite(8)), "t must be <= maturity"),
+    (lambda call: QuadratureRule.gauss_hermite(7), "quad_nodes must be >= 8"),
+], ids=["zero_A", "negative_A", "past_maturity", "seven_nodes"])
+def test_cole_hopf_inputs_outside_their_range_raise(call, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(call)
+
+
 # ---------------------------------------------------------------------------
 # speed fields under linear cost
 # ---------------------------------------------------------------------------

@@ -301,3 +301,15 @@ def test_csv_writer_peak_is_its_scratch_and_one_block_of_text(traced_peak):
     numbers = rows * n_p * n_fields
     cells = rows * n_p * (2 + n_fields) * 32
     assert peak < numbers * 8 * (manifest._G17_ROWS + 1) + 3 * cells + 2**17
+
+
+def test_write_manifest_leaves_no_temporary_file_when_the_dump_fails(tmp_path):
+    # the record goes to a temporary file renamed over the manifest: a value
+    # json cannot write leaves the earlier manifest as it was, and nothing else
+    path = tmp_path / "manifest.json"
+    manifest.write_manifest({"outputs": []}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        manifest.write_manifest({"outputs": [], "meta": {"when": object()}}, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert path.read_bytes() == before

@@ -20,6 +20,7 @@ from illiq import (
     SmoothedDigital,
     SmoothedSpreadCost,
     SumPayoff,
+    TableCost,
     ValidationError,
     cara_two_player_study,
     figure_grids,
@@ -219,6 +220,21 @@ def test_spread_sweep_takes_the_no_trade_term_once(call_game, monkeypatch):
 def test_spread_sweep_requires_single_rn_player(zero_sum_game):
     with pytest.raises(ExperimentError):
         spread_sweep(zero_sum_game, (0.0,), 100.0, SMALL_GRID)
+
+
+@pytest.mark.parametrize("study, cost, message", [
+    ("predator", SmoothedSpreadCost(0.01, 0.002, 100.0),
+     "predator_sweep requires a linear cost template"),
+    ("spread", TableCost((-2.0, -1.0, 0.0, 1.0, 2.0), (-0.02, -0.01, 0.0, 0.01, 0.02)),
+     "spread_sweep requires a linear or smoothed-spread cost"),
+], ids=["predator_spread_template", "spread_table_cost"])
+def test_sweeps_refuse_a_cost_they_do_not_sweep(call, call_game, study, cost, message):
+    game = GameSpec(call_game.market, cost, call_game.players)
+    with pytest.raises(ExperimentError, match=message):
+        if study == "predator":
+            predator_sweep(call, (1, 2), game, SMALL_GRID)
+        else:
+            spread_sweep(game, (0.0,), 100.0, SMALL_GRID)
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,14 @@ def test_picard_gives_up_when_halving_never_contracts(short_game, monkeypatch):
     assert len(taus) == illiq.pdesolve.PICARD_MAX_HALVINGS + 1
 
 
+def test_picard_step_short_of_its_tolerance_names_the_step(short_game, monkeypatch):
+    # one iteration moves the call's value by far more than PICARD_TOL
+    monkeypatch.setattr(illiq.pdesolve, "PICARD_MAX_ITER", 1)
+    with pytest.raises(illiq.pdesolve.SolverError,
+                       match=r"^Picard step 0 did not reach .* in 1 iterations \(last change "):
+        solve_picard(short_game, GridSpec(98.0, 102.0, 41, 41, quad_nodes=32))
+
+
 # ---------------------------------------------------------------------------
 # residual
 # ---------------------------------------------------------------------------
@@ -625,6 +633,13 @@ def test_residual_guards_see_the_end_layers(call_game, layer):
     values[0, layer, 50] = np.nan
     with pytest.raises(SpeedSolverError, match="gradient sums must be finite"):
         residual(replace(sol, values=values), call_game)
+
+
+@pytest.mark.parametrize("n_p, n_t", [(41, 4), (3, 41)])
+def test_residual_needs_a_5x5_lattice(call_game, n_p, n_t):
+    sol = solve_closed(call_game, GridSpec(94.0, 106.0, n_p, n_t))
+    with pytest.raises(ValueError, match="residual needs at least a 5x5 grid"):
+        residual(sol, call_game)
 
 
 def test_residual_zero_game(market):

@@ -374,6 +374,13 @@ def test_fewer_than_two_paths_rejected(zero_solution, n_paths):
         simulate_paths(sol, game, n_paths=n_paths, seed=0, n_steps=10)
 
 
+@pytest.mark.parametrize("n_steps", [0, 9])
+def test_fewer_than_ten_steps_rejected(zero_solution, n_steps):
+    game, sol = zero_solution
+    with pytest.raises(ValueError, match="n_steps must be >= 10"):
+        simulate_paths(sol, game, n_paths=10, seed=0, n_steps=n_steps)
+
+
 def test_excessive_clamping_raises(market):
     # a synthetic solution on a sliver of the price axis: paths leave at once
     game = GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), _zero_payoff()),))
@@ -409,6 +416,11 @@ def test_physical_delivery_zero_cap():
     res = physical_delivery_value(0.0, 100.0, 0.01, [105.0, 95.0])
     assert res.mean_value == 0.0
     assert np.all(res.theta_star == 0.0)
+
+
+def test_physical_delivery_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="theta_cap must be >= 0"):
+        physical_delivery_value(-1.0, 100.0, 0.01, [105.0])
 
 
 def test_physical_delivery_worked_example():

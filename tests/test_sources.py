@@ -239,3 +239,46 @@ def test_the_speed_root_evaluates_the_cost_once_per_sweep():
     assert [f for f in _callers("value") + _callers("slope") + _callers("curvature")
             if f.startswith("speeds.")] == []
     assert {f.split(".")[0] for f in _callers("curvature")} <= {"model", "speeds"}
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    (node,) = [node for node in ast.walk(_tree(module))
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def test_cli_maps_failures_in_one_place():
+    # cli.main reports every failure through one table, check included: its
+    # JSON report is main's too, so cmd_check catches nothing of its own
+    assert [node for node in ast.walk(_function("cli", "cmd_check"))
+            if isinstance(node, ast.Try)] == []
+    assert _owners(lambda node: isinstance(node, ast.Name) and node.id == "_FAILURES") == [
+        "cli.<module>", "cli.main"]
+
+
+def test_cli_makes_the_run_directory_in_one_place():
+    # --out is made on a command's first write, by the run record alone
+    assert _callers("mkdir") == ["cli.path"]
+
+
+def test_one_padding_rule_for_the_heat_axes():
+    # the refined axis of the Cole-Hopf lattices is padded as the grid's is
+    assert sorted(_callers("_padding")) == ["closedform._extend", "closedform._refined_axis",
+                                            "closedform.duhamel_trapezoid"]
+    assert _callers("_next_fast_len") == ["closedform._padding"]
+
+
+def test_grid_sizes_default_in_one_place():
+    # GridSpec's fields hold the default lattice; for_market declares none
+    for_market = _function("model", "for_market")
+    assert for_market.args.defaults == [] and for_market.args.kwonlyargs == []
+    assert [a.arg for a in for_market.args.args] == ["market"]
+
+
+def test_closed_form_decides_its_coverage_once():
+    # closed_form_values asks _cole_hopf_problem, in its own name, which games
+    # it covers, rather than through the closed forms it dispatches to
+    calls = [node for node in ast.walk(_function("closedform", "closed_form_values"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_cole_hopf_problem"]
+    assert len(calls) == 1
+    assert [a.value for a in calls[0].args if isinstance(a, ast.Constant)] == ["the closed form"]

@@ -131,6 +131,20 @@ def test_certify_rejects_nonmonotone_marginal_cost():
         certify_cost(cost, cost.domain)
 
 
+# a table whose last segment is flat: the monotone cubic keeps it flat, so g' = 0 on [1, 2]
+FLAT_TAIL = TableCost((-2.0, -1.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("cost, interval, error, message", [
+    (LinearCost(0.01), (0.5, 2.0), ValueError, "working interval must contain 0"),
+    (LinearCost(0.01), (-2.0, 0.0), ValueError, "working interval must contain 0"),
+    (FLAT_TAIL, FLAT_TAIL.domain, CertificationError, r"g' reaches 0 <= 0 on \[-2, 2\]"),
+], ids=["right_of_zero", "ends_at_zero", "flat_table"])
+def test_certify_refuses(cost, interval, error, message):
+    with pytest.raises(error, match=message):
+        certify_cost(cost, interval)
+
+
 # ---------------------------------------------------------------------------
 # a-priori bound
 # ---------------------------------------------------------------------------
