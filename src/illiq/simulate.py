@@ -13,6 +13,16 @@ seed) drawn step-major: step k takes normals k * n_paths to
 are bitwise reproducible for fixed (seed, n_paths, n_steps); a path's noise
 depends on n_paths, so a run with more paths does not extend one with fewer.
 
+The normals are drawn a block of max(1, ``NOISE_BLOCK`` // n_paths) steps at
+a time.  Where the process may use more than one CPU, one helper thread
+draws them, up to two blocks ahead of the step loop, and is joined before
+``simulate_paths`` returns or raises; on one CPU the step loop draws each
+block itself.  Either way the stream, its order and every path are bit for
+bit the same.  On a 2-CPU x86-64 host this took 20 000 paths x 500 steps
+(the benchmark's ``call_mc``) from 0.34 to 0.20 s and the ``simulate_paths``
+stage of ``illiq simulate --paths 100000`` from 1.9-2.9 to 1.1-1.3 s; a run
+of 50 paths pays about 1.5 ms for the thread.
+
 Before any path is stepped, the solution must hold one speed lattice per
 player of the game, and every speed, price node and time layer of it must be
 finite; the first that is not is named (player, time layer, price), since
@@ -24,15 +34,16 @@ as ``Solution.value_at`` does), finds every path's price cell once and
 reads all N players' speeds from it in one gather into buffers the lookup
 owns.  It then updates the inventories, costs and prices in place, the
 prices in the operation order of
-p + (lambda sum_j Xdot^j) dt + (sigma sqrt(dt)) dB with the step's noise
-drawn for every path into one buffer and scaled by sigma sqrt(dt), so each
-is bitwise that expression's value.  The price axis must be uniform (to
+p + (lambda sum_j Xdot^j) dt + (sigma sqrt(dt)) dB with the step's drawn
+noise scaled by sigma sqrt(dt) into one buffer, so each is bitwise that
+expression's value.  The price axis must be uniform (to
 within a quarter cell, as the FD stencils assume), so the cell is an
 arithmetic index with one correction against the stored nodes, and each
 speed is bitwise what ``np.interp`` would return.  The first
 ``SAMPLE_PATHS`` paths are recorded at every step.  The paths therefore take
 O(N * (n_paths + n_p + S * n_steps)) memory, S = min(n_paths,
-SAMPLE_PATHS): not O(N * n_paths * n_steps) for whole paths nor
+SAMPLE_PATHS), and the noise two blocks of at most max(``NOISE_BLOCK``,
+n_paths) normals: not O(N * n_paths * n_steps) for whole paths nor
 O(n_steps * N * n_p) for speed rows precomputed per step.  Each player's
 utility maps terminal wealth and solved values to one scale.
 """
@@ -40,6 +51,9 @@ utility maps terminal wealth and solved values to one scale.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +76,7 @@ __all__ = [
 CLAMP_LIMIT = 0.01  # largest share of path-steps allowed to leave the price grid
 SAMPLE_PATHS = 100  # leading paths kept in full, for paths.csv and plots
 SEED_LIMIT = 2**128  # Philox keys are 128-bit: seeds lie in [0, SEED_LIMIT)
+NOISE_BLOCK = 16384  # normals drawn at once: max(1, NOISE_BLOCK // n_paths) steps
 
 
 class SimulationError(RuntimeError):
@@ -132,7 +147,6 @@ def simulate_paths(
     speeds_by_time = sol.speeds.swapaxes(0, 1)
     layer, weight = _time_weight(sol.times, times[:-1])  # per step
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
     s = min(n_paths, SAMPLE_PATHS)
     sample_prices = np.empty((s, n_steps + 1))
     sample_inventories = np.zeros((n, s, n_steps + 1))
@@ -145,29 +159,29 @@ def simulate_paths(
     work = np.empty((n, n_paths))
     agg = np.empty(n_paths)  # the aggregate speed, then the step's noise
     clamped = 0
-    for k in range(n_steps):
-        if p_lo <= p.min() and p.max() <= p_hi:  # False for any NaN
-            p_look = p
-        else:
-            p_look = np.clip(p, p_lo, p_hi)
-            clamped += int(np.count_nonzero(p_look != p))
-        speeds_at(p_look, _time_blend(speeds_by_time, layer[k], weight[k]), out=spd)
-        spd.sum(axis=0, out=agg)
-        np.multiply(spd, dt, out=work)
-        x += work
-        np.multiply(spd, game.cost.value(agg), out=work)
-        work *= dt
-        r += work
-        agg *= market.lam
-        agg *= dt
-        p += agg
-        rng.standard_normal(out=agg)
-        agg *= kick
-        p += agg
-        sample_prices[:, k + 1] = p[:s]
-        sample_inventories[:, :, k + 1] = x[:, :s]
-        sample_costs[:, :, k + 1] = r[:, :s]
-    del speeds_at, spd, work, agg  # before the payoff's path-sized temporaries
+    with _NoiseRing(seed, n_paths, n_steps) as noise:
+        for k in range(n_steps):
+            if p_lo <= p.min() and p.max() <= p_hi:  # False for any NaN
+                p_look = p
+            else:
+                p_look = np.clip(p, p_lo, p_hi)
+                clamped += int(np.count_nonzero(p_look != p))
+            speeds_at(p_look, _time_blend(speeds_by_time, layer[k], weight[k]), out=spd)
+            spd.sum(axis=0, out=agg)
+            np.multiply(spd, dt, out=work)
+            x += work
+            np.multiply(spd, game.cost.value(agg), out=work)
+            work *= dt
+            r += work
+            agg *= market.lam
+            agg *= dt
+            p += agg
+            noise.scaled(k, kick, out=agg)
+            p += agg
+            sample_prices[:, k + 1] = p[:s]
+            sample_inventories[:, :, k + 1] = x[:, :s]
+            sample_costs[:, :, k + 1] = r[:, :s]
+    del noise, speeds_at, spd, work, agg  # before the payoff's path-sized temporaries
 
     frac = clamped / float(n_paths * n_steps)
     if frac > CLAMP_LIMIT:
@@ -213,6 +227,92 @@ def _require_finite(sol: Solution) -> None:
             f"(t = {sol.times[k]:.6g}) and price {sol.prices[i]:.6g}; the paths need a "
             f"finite speed lattice"
         )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _NoiseRing:
+    """``scaled(k, scale, out)`` writes step k's standard normals of
+    ``Philox(key=seed)`` times ``scale`` into ``out``, for k = 0, 1, ...,
+    n_steps - 1 in turn.  Step k takes normals k * n_paths to
+    (k + 1) * n_paths - 1 of the stream, as one step-major draw of
+    (n_steps, n_paths) would.
+
+    The stream is drawn a block of ``max(1, NOISE_BLOCK // n_paths)`` steps at
+    a time.  When the process may use more than one CPU, one helper thread
+    draws the blocks into two slots, up to two blocks ahead of the step loop,
+    which hands a slot back as soon as it has scaled the slot's last step;
+    numpy releases the GIL while it draws and while the loop computes, so the
+    two run on separate cores.  Otherwise the loop draws each block itself,
+    into one slot.  The thread starts on entering the ring and is joined on
+    leaving it, whichever side raised; an exception raised by the draw is
+    raised again by ``scaled``.
+    """
+
+    def __init__(self, seed: int, n_paths: int, n_steps: int):
+        self._rng = np.random.Generator(np.random.Philox(key=seed))
+        self._steps = max(1, NOISE_BLOCK // n_paths)  # per block
+        self._n_steps = n_steps
+        self._slot = np.empty((self._steps, n_paths))  # the block being read
+        self._thread = None
+        if _usable_cpus() > 1:
+            self._free = queue.SimpleQueue()  # slots to draw into; None stops the thread
+            self._full = queue.SimpleQueue()  # drawn slots in block order, or the draw's exception
+            self._free.put(self._slot)
+            self._free.put(np.empty_like(self._slot))
+            n_blocks = -(-n_steps // self._steps)
+            self._thread = threading.Thread(target=self._draw_ahead, args=(n_blocks,),
+                                            name="illiq-noise")
+
+    def __enter__(self):
+        if self._thread is not None:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._thread is not None:
+            self._free.put(None)
+            self._thread.join()
+
+    def _rows(self, k: int) -> int:
+        """The steps in the block that starts at step ``k``."""
+        return min(self._steps, self._n_steps - k)
+
+    def _fill(self, k: int, slot: np.ndarray) -> None:
+        """Draw the block that starts at step ``k`` into ``slot``."""
+        self._rng.standard_normal(out=slot[: self._rows(k)])
+
+    def _draw_ahead(self, n_blocks: int) -> None:
+        """The helper thread: draw each block into the next free slot."""
+        try:
+            for b in range(n_blocks):
+                slot = self._free.get()
+                if slot is None:
+                    return
+                self._fill(b * self._steps, slot)
+                self._full.put(slot)
+        except BaseException as exc:  # raised again in the caller's thread by scaled
+            self._full.put(exc)
+
+    def scaled(self, k: int, scale: float, out: np.ndarray) -> None:
+        i = k % self._steps
+        if i == 0:
+            if self._thread is None:
+                self._fill(k, self._slot)
+            else:
+                drawn = self._full.get()
+                if isinstance(drawn, BaseException):
+                    raise drawn
+                self._slot = drawn
+        np.multiply(self._slot[i], scale, out=out)
+        if self._thread is not None and i == self._rows(k - i) - 1:
+            self._free.put(self._slot)
 
 
 class _SharedInterp:
@@ -310,14 +410,25 @@ def physical_delivery_value(theta_cap: float, strike: float, lam: float,
     """Optimal exercise of physically delivered calls at maturity.
 
     Per sample the exercise value theta (P_T - lam theta / 2) - theta K is a
-    concave quadratic, so the optimum is the unconstrained vertex
+    concave quadratic for lam > 0, so the optimum is the unconstrained vertex
     (P_T - K) / lam clipped to [0, theta_cap].  The trading part of the
     objective separates off and is maximized by not trading at all, hence
-    the zero trading contribution.
+    the zero trading contribution.  The cap, strike, impact and every
+    terminal price must be finite, the cap >= 0 and the impact > 0; the
+    first that is not is named.
     """
+    for name, x in (("theta_cap", theta_cap), ("strike", strike), ("lam", lam)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     if theta_cap < 0:
         raise ValueError("theta_cap must be >= 0")
+    if lam <= 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
     p_t = np.atleast_1d(np.asarray(terminal_prices, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(p_t))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"terminal_prices[{i}] must be finite, got {p_t[i]}")
     theta = np.clip((p_t - strike) / lam, 0.0, theta_cap)
     values = theta * (p_t - 0.5 * lam * theta) - theta * strike
     return PhysicalDeliveryResult(

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +411,146 @@ def test_seed_outside_philox_range_rejected(zero_solution, seed):
 
 
 # ---------------------------------------------------------------------------
+# the noise ring
+# ---------------------------------------------------------------------------
+
+JOIN_TIMEOUT = 120.0  # seconds a call may take before it counts as deadlocked
+
+
+def _bounded(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` on a thread joined within ``JOIN_TIMEOUT``, so
+    that a deadlock fails the test instead of hanging the suite.  Checks that
+    the call left no thread behind, then returns its result or raises its
+    exception."""
+    before = threading.active_count()
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # raised again in the test's thread below
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(JOIN_TIMEOUT)
+    assert not runner.is_alive(), f"the call did not return within {JOIN_TIMEOUT} s"
+    assert threading.active_count() == before
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Make the noise ring see ``cpus`` usable CPUs: 1 draws inline, more
+    draw on the helper thread."""
+    monkeypatch.setattr(illiq.simulate, "_usable_cpus", lambda: cpus)
+
+
+@pytest.fixture(params=[1, 2], ids=["inline", "threaded"])
+def cpus(request, monkeypatch):
+    _use_cpus(monkeypatch, request.param)
+    return request.param
+
+
+def test_no_thread_outlives_a_run(call_game, call_solution, cpus):
+    bundle = _bounded(simulate_paths, call_solution, call_game, n_paths=4096, seed=5, n_steps=20)
+    assert bundle.terminal_prices.shape == (4096,)
+
+
+def test_step_loop_error_reaches_the_caller_and_no_thread_outlives_it(
+        call_game, call_solution, cpus, monkeypatch):
+    # 4096 paths draw 4 steps a block: the cost fails at step 9, in block 3.
+    # Each draw is slowed, so that the noise thread is still drawing when the
+    # step loop fails and only a join ends it before the call returns.
+    threads_seen = []
+    value, fill = LinearCost.value, illiq.simulate._NoiseRing._fill
+
+    def slow_fill(self, k, slot):
+        time.sleep(0.02)
+        fill(self, k, slot)
+
+    def failing(self, z):
+        threads_seen.append(threading.active_count())
+        if len(threads_seen) == 10:
+            raise ArithmeticError("cost failed at step 9")
+        return value(self, z)
+
+    monkeypatch.setattr(LinearCost, "value", failing)
+    monkeypatch.setattr(illiq.simulate._NoiseRing, "_fill", slow_fill)
+    with pytest.raises(ArithmeticError, match="^cost failed at step 9$") as info:
+        _bounded(simulate_paths, call_solution, call_game, n_paths=4096, seed=5, n_steps=20)
+    assert type(info.value) is ArithmeticError
+    assert len(threads_seen) == 10
+    # the test's thread and the bounded call's, and the noise thread if threaded
+    assert set(threads_seen) == {threading.active_count() + 1 + (cpus > 1)}
+
+
+def test_noise_draw_error_reaches_the_caller_and_no_thread_outlives_it(
+        call_game, call_solution, cpus, monkeypatch):
+    fill = illiq.simulate._NoiseRing._fill
+
+    def failing(self, k, slot):
+        if k > 0:
+            raise RuntimeError(f"noise draw failed at step {k}")
+        fill(self, k, slot)
+
+    monkeypatch.setattr(illiq.simulate._NoiseRing, "_fill", failing)
+    with pytest.raises(RuntimeError, match="^noise draw failed at step 4$") as info:
+        _bounded(simulate_paths, call_solution, call_game, n_paths=4096, seed=5, n_steps=20)
+    assert type(info.value) is RuntimeError
+
+
+@pytest.mark.parametrize("n_paths, n_steps, block", [(16384, 12, 1), (4096, 20, 4), (3000, 23, 5)],
+                         ids=["one-step-blocks", "whole-blocks", "partial-last-block"])
+def test_inline_and_threaded_draws_give_the_reference_paths(spread_trio, monkeypatch, n_paths,
+                                                            n_steps, block):
+    # the reference draws all (n_steps, n_paths) normals in one call
+    assert max(1, illiq.simulate.NOISE_BLOCK // n_paths) == block
+    game, sol, _ = spread_trio
+    ref, _, _ = _reference_paths(sol, game, n_paths=n_paths, seed=37, n_steps=n_steps)
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        bundle = _bounded(simulate_paths, sol, game, n_paths=n_paths, seed=37, n_steps=n_steps)
+        for name in _STREAMED:
+            assert np.array_equal(getattr(bundle, name), ref[name]), (cpus, name)
+
+
+def test_concurrent_runs_match_their_solo_runs(call_game, call_solution, monkeypatch):
+    # two callers and their two noise threads on a host of at most two CPUs,
+    # switching threads every 10 us
+    _use_cpus(monkeypatch, 2)
+    seeds = (3, 5)
+
+    def run(seed):
+        return simulate_paths(call_solution, call_game, n_paths=3000, seed=seed, n_steps=100)
+
+    solo = {seed: run(seed) for seed in seeds}
+    together = {}
+    start = threading.Barrier(len(seeds), timeout=JOIN_TIMEOUT)
+
+    def caller(seed):
+        start.wait()
+        together[seed] = run(seed)
+
+    before = threading.active_count()
+    callers = [threading.Thread(target=caller, args=(seed,), daemon=True) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(JOIN_TIMEOUT)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert threading.active_count() == before
+    for seed in seeds:
+        _assert_same_run(together[seed], solo[seed])
+
+
+# ---------------------------------------------------------------------------
 # physical delivery
 # ---------------------------------------------------------------------------
 
@@ -421,6 +564,24 @@ def test_physical_delivery_zero_cap():
 def test_physical_delivery_rejects_a_negative_cap():
     with pytest.raises(ValueError, match="theta_cap must be >= 0"):
         physical_delivery_value(-1.0, 100.0, 0.01, [105.0])
+
+
+@pytest.mark.parametrize("theta_cap, strike, lam, prices, message", [
+    (math.nan, 100.0, 0.01, [105.0], "theta_cap must be finite, got nan"),
+    (math.inf, 100.0, 0.01, [105.0], "theta_cap must be finite, got inf"),
+    (10.0, math.inf, 0.01, [105.0], "strike must be finite, got inf"),
+    (10.0, 100.0, math.nan, [105.0], "lam must be finite, got nan"),
+    (10.0, 100.0, 0.0, [105.0], "lam must be > 0, got 0.0"),
+    (10.0, 100.0, -0.01, [105.0], "lam must be > 0, got -0.01"),
+    (10.0, 100.0, 0.01, [105.0, math.nan], r"terminal_prices\[1\] must be finite, got nan"),
+    (10.0, 100.0, 0.01, [-math.inf], r"terminal_prices\[0\] must be finite, got -inf"),
+], ids=["nan-cap", "infinite-cap", "infinite-strike", "nan-impact", "zero-impact",
+        "negative-impact", "nan-terminal-price", "infinite-terminal-price"])
+def test_physical_delivery_refuses_what_it_cannot_value(theta_cap, strike, lam, prices, message):
+    # each used to return nan, or 0.0 for the negative impact, whose exercise
+    # value is convex, so that the clipped vertex is its minimum
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        physical_delivery_value(theta_cap, strike, lam, prices)
 
 
 def test_physical_delivery_worked_example():
