@@ -12,7 +12,8 @@ The layers, bottom up:
                   ``solve_picard`` for general costs, ``solve_closed`` for
                   the games ``closedform`` covers;
 * ``simulate``    Monte-Carlo paths under the solved feedback strategies;
-* ``experiments`` scripted studies (zero-sum, predator, split, spread, CARA);
+* ``experiments`` scripted studies (zero-sum, predator, split, spread, CARA),
+                  which with ``solve_closed`` give the paper's figures;
 * ``cli``         the ``illiq`` command.
 """
 
@@ -94,7 +95,6 @@ from .experiments import (  # noqa: F401
     ExperimentError,
     SweepResult,
     cara_two_player_study,
-    figure_grids,
     predator_sweep,
     split_sweep,
     spread_sweep,

@@ -9,7 +9,9 @@ Subcommands
                that directory, or the one holding the file it names (a
                --solution that is neither is a missing file)
     sweep      run one of the scripted studies and assert its claims; the
-               study, its inputs and the games it fits are ``run_study``'s
+               study, its inputs and the games it fits are ``run_study``'s;
+               every study writes sweep.csv, sweep_grids.csv (when it has
+               rows over the price grid) and assertions.json
 
 Exit codes: 0 ok; 4 also for a solve whose speeds exceed the a-priori bound
 (its outputs are still written); 6 a sweep assertion failure.  Every other
@@ -33,10 +35,9 @@ as ``page_faults``) and other measurements as ``meta``: for solve the plain
 numbers of the solution's ``meta`` (``speed_bound``, ``root_tol``; fd's
 ``n_t_requested``, ``n_t_used`` and ``root_sweeps``; Picard's ``tau``,
 ``tau_halvings``, ``sublayers``, ``n_t_used`` and ``iterations`` per
-step), for a sweep its results' ``meta`` (the spread and cara2 studies
-and fig3-fig5 their march's ``n_t_used``, ``marches`` and
-``root_sweeps``), for simulate its ``clamped_fraction`` and the
-``path_steps`` it ran.
+step), for a sweep its result's ``meta`` (the spread and cara2 studies
+their march's ``n_t_used``, ``marches`` and ``root_sweeps``), for simulate
+its ``clamped_fraction`` and the ``path_steps`` it ran.
 Every CSV goes through ``manifest``: ``write_csv`` for the lattices and
 grids, ``write_sweep_csv`` for a study's metrics table.
 """
@@ -374,26 +375,16 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_outputs(result: SweepResult, run: _Run, prefix: str) -> list:
-    """Write one study's files and return the names of those written:
-    ``<prefix>.csv`` for the metrics, ``<prefix>_grids.csv`` for the 1-D grids
-    over the price axis (when there are any) and ``<prefix>_<name>.csv`` in long
-    ``<param>,p,<name>`` form for each 2-D grid."""
-    written = []
-    if result.metrics:
-        write_sweep_csv(run.path(f"{prefix}.csv"), result.param, result.values, result.metrics)
-        written.append(f"{prefix}.csv")
-    prices = result.grids.get("prices")
-    one_d = {k: v for k, v in result.grids.items() if np.ndim(v) == 1 and k != "prices"}
-    if one_d:
-        write_csv(run.path(f"{prefix}_grids.csv"), (("prices", prices),), one_d)
-        written.append(f"{prefix}_grids.csv")
-    for name, arr in result.grids.items():
-        if np.ndim(arr) == 2:
-            write_csv(run.path(f"{prefix}_{name}.csv"),
-                      ((result.param, result.values), ("p", prices)), {name: arr})
-            written.append(f"{prefix}_{name}.csv")
-    return written
+def _sweep_outputs(result: SweepResult, run: _Run) -> list:
+    """Write a study's files and return the names of those written:
+    ``sweep.csv`` for the metrics and, when the study has rows over the price
+    grid, ``sweep_grids.csv`` for them."""
+    write_sweep_csv(run.path("sweep.csv"), result.param, result.values, result.metrics)
+    rows = {k: v for k, v in result.grids.items() if k != "prices"}
+    if not rows:
+        return ["sweep.csv"]
+    write_csv(run.path("sweep_grids.csv"), (("prices", result.grids["prices"]),), rows)
+    return ["sweep.csv", "sweep_grids.csv"]
 
 
 def cmd_sweep(args) -> int:
@@ -402,28 +393,19 @@ def cmd_sweep(args) -> int:
     ns = _csv_list(args.N, int, "--N") if args.N is not None else None
     spreads = _csv_list(args.s, float, "--s") if args.s is not None else None
     with run.timed("study"):
-        data = run_study(args.study, game, grid, ns, spreads)
-    results = data if isinstance(data, dict) else {"": data}
-    prefix = args.study.split(":", 1)[1] if args.study.startswith("figure:") else "sweep"
-
-    outputs: list = []
-    assertions: dict = {}
-    for key, result in results.items():
-        outputs += _sweep_outputs(result, run, f"{prefix}_{key}" if key else prefix)
-        assertions.update({f"{key}.{k}" if key else k: ok for k, ok in result.assertions.items()})
-        run.meta.update({f"{key}.{k}" if key else k: v for k, v in result.meta.items()})
-    report = {"assertions": assertions, "passed": all(assertions.values()),
-              "failing": [k for k, ok in assertions.items() if not ok]}
-    if len(results) == 1:
-        (result,) = results.values()
-        report.update(game_hash=result.game_hash, grid_hash=result.grid_hash)
+        result = run_study(args.study, game, grid, ns, spreads)
+    outputs = _sweep_outputs(result, run)
+    run.meta.update(result.meta)
+    failing = [k for k, ok in result.assertions.items() if not ok]
+    report = {"assertions": result.assertions, "passed": result.passed, "failing": failing,
+              "game_hash": result.game_hash, "grid_hash": result.grid_hash}
 
     report_path = run.path("assertions.json")
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     outputs.append(report_path.name)
     run.finish(outputs)
-    if not report["passed"]:
-        print(f"sweep assertions failed: {', '.join(report['failing'])}", file=sys.stderr)
+    if not result.passed:
+        print(f"sweep assertions failed: {', '.join(failing)}", file=sys.stderr)
         return EXIT_ASSERTION
     print(f"sweep '{args.study}' passed; outputs in {run.out}")
     return EXIT_OK

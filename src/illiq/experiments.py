@@ -1,17 +1,17 @@
 """Scripted studies: zero-sum cancellation, predator and split scaling,
-spread-crossing sweeps, the two-player exponential-utility study and the
-benchmark figure grids.  ``run_study``, the one dispatch of ``illiq sweep``,
-reads each study's inputs from the configured game and refuses a game the
-study does not fit (predator and split need a single risk-neutral player) and
-swept values it does not read (player counts but for predator and split,
-spreads but for spread).
+spread-crossing sweeps and the two-player exponential-utility study.
+``run_study``, the one dispatch of ``illiq sweep``, reads each study's inputs
+from the configured game and refuses a game the study does not fit (predator
+and split need a single risk-neutral player) and swept values it does not
+read (player counts but for predator and split, spreads but for spread).
+The paper's figures are these studies, and ``solve --method closed``, run on
+the configs under ``demos/figures/``.
 
-Each study returns a SweepResult carrying its scalar metrics, any grids a
-plot would need (1-D rows over the price grid, or (n_t, n_p) lattices when
-the swept parameter is the time ``t``), the pass/fail state of its
-assertions (swept N and spreads are sorted first), provenance hashes of the
-game and grid that produced it (``_result``) and, in ``meta``, plain numbers
-on how it ran for the run manifest.  The spread and two-player studies
+Each study returns a SweepResult carrying its scalar metrics, any rows over
+the price grid a plot would need, the pass/fail state of its assertions
+(swept N and spreads are sorted first), provenance hashes of the game and
+grid that produced it (``_result``) and, in ``meta``, plain numbers on how
+it ran for the run manifest.  The spread and two-player studies
 march through ``pdesolve.solve_fd_initial`` and keep only their t = 0
 layers, so their memory is flat in n_t (the spread sweep's spreads march as
 one stack and share one ``surplus_at`` call for the no-trade term); the
@@ -32,20 +32,17 @@ from .model import (
     GameSpec,
     GridSpec,
     LinearCost,
-    MarketParams,
     Negated,
     Payoff,
     PlayerSpec,
     RiskNeutral,
     Scaled,
-    SmoothedCall,
-    SmoothedDigital,
     SmoothedSpreadCost,
     ValidationError,
     game_to_dict,
     grid_to_dict,
 )
-from .pdesolve import solve_closed, solve_fd, solve_fd_initial, surplus, surplus_at
+from .pdesolve import solve_fd, solve_fd_initial, surplus_at
 from .speeds import aggregate_speed_many, certify_for_game
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "split_sweep",
     "spread_sweep",
     "cara_two_player_study",
-    "figure_grids",
 ]
 
 
@@ -72,9 +68,10 @@ SPREAD_MONOTONE_TOL = 1e-6
 # the band around p0 on which they are checked
 SIGN_TOL = 1e-6
 BAND_HALF_WIDTH = 5.0
-# defaults shared by ``run_study`` and the figures: the player counts of the
+# the studies ``run_study`` runs, and its defaults: the player counts of the
 # predator and split sweeps (fig6), and the spreads and sharpness C of the
 # spread sweep (fig3, fig4)
+STUDIES = ("zero_sum", "predator", "split", "spread", "cara2")
 PLAYER_COUNTS = (1, 10, 100)
 SPREADS = (0.0, 0.001, 0.002, 0.003, 0.004)
 SHARPNESS = 100.0
@@ -290,64 +287,12 @@ def cara_two_player_study(alphas, base_game: GameSpec, grid: GridSpec) -> SweepR
     )
 
 
-# ---------------------------------------------------------------------------
-# benchmark figure grids
-# ---------------------------------------------------------------------------
-
-
-def _benchmark_game(kind: str, sigma: float = 1.0) -> GameSpec:
-    """Single risk-neutral holder of the benchmark ``kind`` ("call" or
-    "digital"; K=100, T=1, lambda=kappa=0.01) on a market of volatility sigma."""
-    market = MarketParams(sigma=sigma, lam=0.01, maturity=1.0, p0=100.0)
-    scale = market.scale
-    h = (SmoothedCall(strike=100.0, cap=10.0 * scale, width=0.05 * scale) if kind == "call"
-         else SmoothedDigital(strike=100.0, width=0.05 * scale))
-    return GameSpec(market, LinearCost(0.01), (PlayerSpec(RiskNeutral(), h),))
-
-
-def figure_grids(which: str, grid: GridSpec | None = None):
-    """Tabular data behind the benchmark figures.
-
-    fig1/fig2: single-holder speed and surplus grids over (t, p) (call /
-    digital), from the closed form;
-    fig3/fig4: spread sweeps over ``SPREADS`` at ``SHARPNESS`` (call /
-    digital); fig5: the two-player exponential-utility study; fig6: the split
-    sweep over ``PLAYER_COUNTS``.
-    fig5 spans its own sigma = 2 market, keeping only a given grid's sizes.
-    """
-    if which in ("fig1", "fig2"):
-        game = _benchmark_game("call" if which == "fig1" else "digital")
-        grid = grid or GridSpec.for_market(game.market, n_p=241, n_t=101)
-        sol = solve_closed(game, grid)
-        return _result(game, grid, "t", sol.times.tolist(), metrics={},
-                       grids={"prices": sol.prices, "speed": sol.aggregate_speed,
-                              "surplus": surplus(sol, game)[0]},
-                       assertions={})
-    if which in ("fig3", "fig4"):
-        game = _benchmark_game("call" if which == "fig3" else "digital")
-        grid = grid or GridSpec.for_market(game.market, n_p=401, n_t=1000)
-        return spread_sweep(game, SPREADS, SHARPNESS, grid)
-    if which == "fig5":
-        game = _benchmark_game("call", sigma=2.0)
-        sizes = (dict(n_p=grid.n_p, n_t=grid.n_t, quad_nodes=grid.quad_nodes) if grid
-                 else dict(n_t=1000))
-        grid = GridSpec.for_market(game.market, **sizes)
-        return {
-            "plain": cara_two_player_study((0.01, 0.01), game, grid),
-            "dashed": cara_two_player_study((0.001, 0.1), game, grid),
-        }
-    if which == "fig6":
-        games = {kind: _benchmark_game(kind) for kind in ("call", "digital")}
-        grid = grid or GridSpec.for_market(games["call"].market, n_p=401, n_t=101)
-        return {kind: split_sweep(game.players[0].endowment, PLAYER_COUNTS, game, grid)
-                for kind, game in games.items()}
-    raise ExperimentError(f"unknown figure id '{which}'")
-
-
-def run_study(study: str, game: GameSpec, grid: GridSpec, ns=None, spreads=None):
-    """The study ``illiq sweep --study`` names, on the configured ``game``: one
-    SweepResult, or several keyed by name (fig5, fig6).  Only predator and
-    split take player counts ``ns``, and only spread takes ``spreads``."""
+def run_study(study: str, game: GameSpec, grid: GridSpec, ns=None, spreads=None) -> SweepResult:
+    """The study ``illiq sweep --study`` names, one of ``STUDIES``, on the
+    configured ``game``.  Only predator and split take player counts ``ns``,
+    and only spread takes ``spreads``."""
+    if study not in STUDIES:
+        raise ConfigError(f"unknown study '{study}'; the studies are {', '.join(STUDIES)}")
     if ns is not None and study not in ("predator", "split"):
         raise ConfigError(f"--N sets the player counts of predator and split, not of '{study}'")
     if spreads is not None and study != "spread":
@@ -364,16 +309,9 @@ def run_study(study: str, game: GameSpec, grid: GridSpec, ns=None, spreads=None)
     if study == "spread":
         sharpness = game.cost.sharpness if isinstance(game.cost, SmoothedSpreadCost) else SHARPNESS
         return spread_sweep(game, SPREADS if spreads is None else spreads, sharpness, grid)
-    if study == "cara2":
-        h = game.players[0].endowment
-        if not (game.n_players == 2 and np.all(game.alphas > 0.0)
-                and game.players[1].endowment == Negated(h)):
-            raise ExperimentError("cara2 study needs a config with exactly two CARA players, "
-                                  "the second holding the negated payoff of the first")
-        return cara_two_player_study(game.alphas, game, grid)
-    if study.startswith("figure:"):
-        try:
-            return figure_grids(study.split(":", 1)[1], grid)
-        except ExperimentError as err:  # figures build their own games: a bad figure id
-            raise ConfigError(str(err)) from err
-    raise ConfigError(f"unknown study '{study}'")
+    h = game.players[0].endowment  # cara2
+    if not (game.n_players == 2 and np.all(game.alphas > 0.0)
+            and game.players[1].endowment == Negated(h)):
+        raise ExperimentError("cara2 study needs a config with exactly two CARA players, "
+                              "the second holding the negated payoff of the first")
+    return cara_two_player_study(game.alphas, game, grid)

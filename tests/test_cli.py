@@ -16,6 +16,8 @@ from illiq.manifest import file_sha256
 from illiq.pdesolve import SOLUTION_ARRAYS
 from illiq.simulate import simulate_paths
 
+FIGURES = Path(__file__).resolve().parent.parent / "demos" / "figures"
+
 BASE = {
     "market": {"sigma": 1.0, "lambda": 0.01, "T": 1.0, "p0": 100.0},
     "cost": {"kind": "linear", "kappa": 0.01},
@@ -287,7 +289,7 @@ def _is_number(value) -> bool:
 
 def test_manifests_record_what_the_solver_did(config_path, tmp_path):
     # solve copies the plain numbers of Solution.meta, and the spread and
-    # cara2 studies and fig5 those of their march, into the manifest's meta
+    # cara2 studies those of their march, into the manifest's meta
     def meta(name, *argv, config=config_path):
         out = tmp_path / name
         assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
@@ -316,11 +318,9 @@ def test_manifests_record_what_the_solver_did(config_path, tmp_path):
     assert all(_is_number(v) for v in sweep["root_sweeps"].values())
     cara = meta("cara2", "sweep", "--study", "cara2", "--grid", "41,41",
                 config=_write(tmp_path, "cara2.json", CARA2_GAME))
-    fig5 = meta("fig5", "sweep", "--study", "figure:fig5", "--grid", "41,41")
-    for prefix, record in (("", cara), ("plain.", fig5), ("dashed.", fig5)):
-        assert set(record) >= {f"{prefix}{k}" for k in ("n_t_used", "marches", "root_sweeps")}
-        assert record[f"{prefix}n_t_used"] >= 41 and record[f"{prefix}marches"] == 1
-        assert set(record[f"{prefix}root_sweeps"]) == {"max", "mean"}
+    assert set(cara) >= {"n_t_used", "marches", "root_sweeps"}
+    assert cara["n_t_used"] >= 41 and cara["marches"] == 1
+    assert set(cara["root_sweeps"]) == {"max", "mean"}
 
 
 def test_solve_picard_method(config_path, tmp_path):
@@ -651,47 +651,28 @@ def test_sweep_cara2_passes(tmp_path):
     assert report["game_hash"] == manifest["config_hash"]  # the game configured is solved
 
 
-def test_sweep_figure_study(config_path, tmp_path):
-    out = tmp_path / "fig"
-    assert main(["sweep", "--config", str(config_path), "--out", str(out),
-                 "--study", "figure:fig1", "--grid", "61,21"]) == 0
-    # only the files written are listed: two long t,p,<name> lattices
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == ["fig1_speed.csv", "fig1_surplus.csv", "assertions.json"]
-    for name in ("speed", "surplus"):
-        rows = (out / f"fig1_{name}.csv").read_text().splitlines()
-        assert rows[0] == f"t,p,{name}"
-        assert len(rows) == 1 + 21 * 61
-
-
-def test_sweep_fig5_spans_its_own_market(config_path, tmp_path):
-    # fig5's market has sigma = 2: it keeps the given grid's sizes and spans
-    # p0 +/- 6 sigma sqrt(T) of its own market
+def test_sweep_fig5_spans_its_own_market(tmp_path):
+    # fig5's config has sigma = 2: its grid spans p0 +/- 6 sigma sqrt(T) of
+    # its own market, and --grid keeps that span
     out = tmp_path / "fig5"
-    assert main(["sweep", "--config", str(config_path), "--out", str(out),
-                 "--study", "figure:fig5", "--grid", "41,21"]) == 0
-    rows = np.loadtxt(out / "fig5_plain_grids.csv", delimiter=",", skiprows=1)
+    assert main(["sweep", "--config", str(FIGURES / "cara_plain.json"), "--out", str(out),
+                 "--study", "cara2", "--grid", "41,21"]) == 0
+    rows = np.loadtxt(out / "sweep_grids.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == 41
     assert (rows[0, 0], rows[-1, 0]) == (88.0, 112.0)
 
 
-@pytest.mark.parametrize("study, figure, prefix", [
-    ("spread", "fig3", "fig3"), ("split", "fig6", "fig6_call")])
-def test_sweep_defaults_match_figures(config_path, tmp_path, study, figure, prefix):
-    # the config's game is the benchmark call, so a study on its defaults
-    # (no --N, no --s) writes the same bytes as the figure built on that game
-    def run(name, stem):
-        out = tmp_path / name.replace(":", "_")
-        assert main(["sweep", "--config", str(config_path), "--out", str(out),
-                     "--study", name, "--grid", "61,40"]) == 0
-        files = [(out / f"{stem}{suffix}").read_bytes() for suffix in (".csv", "_grids.csv")]
-        return files, json.loads((out / "assertions.json").read_text())
-
-    study_files, study_report = run(study, "sweep")
-    figure_files, figure_report = run(f"figure:{figure}", prefix)
-    assert study_files == figure_files
-    if figure == "fig3":  # fig6 holds two results, so its report names no one game
-        assert study_report["game_hash"] == figure_report["game_hash"]
+@pytest.mark.parametrize("study, values", [
+    ("spread", ["0.0", "0.001", "0.002", "0.003", "0.004"]), ("split", ["1", "10", "100"])],
+    ids=["spread", "split"])
+def test_sweep_defaults_are_the_figures_values(config_path, tmp_path, study, values):
+    # without --s or --N, the spread and split studies sweep the spreads of
+    # fig3/fig4 and the player counts of fig6
+    out = tmp_path / study
+    assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--study", study, "--grid", "41,21"]) == 0
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert list(dict.fromkeys(row[1] for row in rows)) == values
 
 
 CARA_ONE = {**BASE, "players": [CARA_CALL]}
@@ -713,7 +694,9 @@ CARA_OTHER = {**BASE, "players": [
     (BASE, ["--study", "cara2"], 3, "exactly two CARA players"),
     (CARA_THIRD, ["--study", "cara2", "--grid", "81,60"], 3, "exactly two CARA players"),
     (CARA_OTHER, ["--study", "cara2", "--grid", "81,60"], 3, "exactly two CARA players"),
-    (BASE, ["--study", "figure:fig9"], 1, "unknown figure id 'fig9'"),
+    # the paper's figures are configs under demos/figures, not studies
+    (BASE, ["--study", "figure:fig9"], 1, "unknown study 'figure:fig9'; the studies are "
+     "zero_sum, predator, split, spread, cara2"),
     (BASE, ["--study", "predator", "--N", "a"], 1, "--N expects"),
     (BASE, ["--study", "spread", "--s", "0,x"], 1, "--s expects"),
     # an empty list is a list with one empty entry, not a flag left out
@@ -733,7 +716,8 @@ CARA_OTHER = {**BASE, "players": [
      "counts of predator and split, not of 'spread'"),
     (BASE, ["--study", "predator", "--s", "0.1"], 1, "--s sets the spreads of the spread "
      "study, not of 'predator'"),
-    (BASE, ["--study", "figure:fig1", "--N", "3"], 1, "not of 'figure:fig1'"),
+    # an unknown study is named as one before any flag it would not read
+    (BASE, ["--study", "figure:fig1", "--N", "3"], 1, "unknown study 'figure:fig1'"),
     # predator and split solve risk-neutral games built from player 0's payoff
     (CARA_ONE, ["--study", "predator", "--N", "1,2", "--grid", "81,60"], 3,
      "predator study requires a risk-neutral player 0"),

@@ -217,8 +217,7 @@ def test_paths_csv_matches_percent_writer(tmp_path, percent_writers, call_game):
 @pytest.mark.parametrize("study, names", [
     (["--study", "spread", "--s", "0,0.003", "--grid", "61,40"],
      ["sweep.csv", "sweep_grids.csv"]),
-    (["--study", "figure:fig1", "--grid", "61,21"], ["fig1_speed.csv", "fig1_surplus.csv"]),
-], ids=["spread", "fig1"])
+], ids=["spread"])
 def test_sweep_csvs_match_percent_writer(tmp_path, percent_writers, study, names):
     fast, slow = _run_twice(tmp_path, percent_writers,
                             ["sweep", "--config", _config(tmp_path, [_CALL]), *study])

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import illiq.pdesolve
 from illiq import (
+    ConfigError,
     ExperimentError,
     GameSpec,
     GridSpec,
@@ -23,13 +25,16 @@ from illiq import (
     TableCost,
     ValidationError,
     cara_two_player_study,
-    figure_grids,
+    load_config,
     predator_sweep,
+    solve_closed,
     solve_fd,
     split_sweep,
     spread_sweep,
+    surplus,
     zero_sum_report,
 )
+from illiq.experiments import run_study
 from illiq.manifest import digest
 from illiq.model import game_to_dict
 from illiq.speeds import ROOT_TOL
@@ -301,8 +306,16 @@ def test_cara_two_player_zero_payoff(cara_base):
 
 
 # ---------------------------------------------------------------------------
-# figure grids
+# the figure configs
 # ---------------------------------------------------------------------------
+
+FIGURES = Path(__file__).resolve().parent.parent / "demos" / "figures"
+
+
+def _figure_game(name: str, n_p: int, n_t: int, quad_nodes: int = 128):
+    """The game of ``demos/figures/<name>.json`` and its grid at the given sizes."""
+    game, grid = load_config((FIGURES / f"{name}.json").read_text())
+    return game, replace(grid, n_p=n_p, n_t=n_t, quad_nodes=quad_nodes)
 
 
 def _benchmark_game_hash(payoff):
@@ -313,42 +326,41 @@ def _benchmark_game_hash(payoff):
 
 
 def test_figure_grid_call_parameters():
-    grid = GridSpec(94.0, 106.0, 121, 41, quad_nodes=64)
-    data = figure_grids("fig1", grid)
-    assert data.game_hash == _benchmark_game_hash(SmoothedCall(100.0, 10.0, 0.05))
-    assert data.param == "t"
-    assert len(data.values) == 41
-    assert data.grids["speed"].shape == (41, 121)
+    # fig1 is the closed form of the call config's single holder
+    game, grid = _figure_game("call", 121, 41, quad_nodes=64)
+    assert digest(game_to_dict(game)) == _benchmark_game_hash(SmoothedCall(100.0, 10.0, 0.05))
+    sol = solve_closed(game, grid)
+    assert sol.aggregate_speed.shape == (41, 121)
     # speed of a long call is nonnegative and the surplus positive at strike
-    assert data.grids["speed"].min() >= -1e-12
-    assert data.grids["surplus"][0, 60] > 0
+    assert sol.aggregate_speed.min() >= -1e-12
+    assert surplus(sol, game)[0][0, 60] > 0
 
 
-def test_figure_grid_digital(call_game):
-    grid = GridSpec(94.0, 106.0, 121, 41, quad_nodes=64)
-    data = figure_grids("fig2", grid)
-    assert data.game_hash == _benchmark_game_hash(SmoothedDigital(100.0, 0.05))
+def test_figure_grid_digital():
+    game, _ = _figure_game("digital", 121, 41)
+    assert digest(game_to_dict(game)) == _benchmark_game_hash(SmoothedDigital(100.0, 0.05))
 
 
 def test_figure_grids_reproducible():
-    grid = GridSpec(94.0, 106.0, 61, 21, quad_nodes=32)
-    a = figure_grids("fig1", grid)
-    b = figure_grids("fig1", grid)
-    assert np.array_equal(a.grids["speed"], b.grids["speed"])
-    assert a.game_hash == b.game_hash
+    game, grid = _figure_game("call", 61, 21, quad_nodes=32)
+    a, b = solve_closed(game, grid), solve_closed(game, grid)
+    assert np.array_equal(a.aggregate_speed, b.aggregate_speed)
 
 
 def test_figure_grid_split_study():
-    grid = GridSpec(94.0, 106.0, 101, 41, quad_nodes=64)
-    data = figure_grids("fig6", grid)
-    assert set(data) == {"call", "digital"}
-    assert data["call"].values == (1, 10, 100)
-    assert data["call"].passed
+    # fig6 is the split study on its defaults, on the call and the digital
+    for name in ("call", "digital"):
+        game, grid = _figure_game(name, 101, 41, quad_nodes=64)
+        data = run_study("split", game, grid)
+        assert data.values == (1, 10, 100)
+        assert data.passed
 
 
 def test_figure_grid_unknown_id():
-    with pytest.raises(ExperimentError, match="unknown figure id"):
-        figure_grids("fig99")
+    # figures are configs, not studies
+    game, grid = _figure_game("call", 101, 41)
+    with pytest.raises(ConfigError, match="unknown study 'figure:fig1'"):
+        run_study("figure:fig1", game, grid)
 
 
 @pytest.mark.parametrize("sweep, values", [

@@ -201,6 +201,15 @@ def test_one_dispatch_per_sweep_study():
     assert _callers("run_study") == ["cli.cmd_sweep"]
 
 
+def test_figures_are_configs_not_studies():
+    # the paper's figures run as configs under demos/figures through the
+    # studies and solve, so no study is named "figure:" and no module
+    # rebuilds a figure's game
+    assert _holders("figure:") == []
+    assert _owners(lambda node: isinstance(node, ast.FunctionDef)
+                   and node.name in ("figure_grids", "_benchmark_game")) == []
+
+
 def test_certify_for_game_returns_the_speed_bound():
     # certify_for_game returns the certificate with the a-priori speed bound,
     # so no other module pairs it with apriori_speed_bound
